@@ -218,7 +218,7 @@ def _cmd_validate(args) -> int:
     except LFError as err:
         raise InputError(f"formula: {err}") from err
     bounds = Bounds(args.term_size, args.blocks, args.pool_nominals)
-    verdict = bounded_validity(ws.sig, ws.rel, f, bounds)
+    verdict = bounded_validity(ws.sig, f, bounds)
     print(verdict.value.capitalize())
     for line in verdict.trace:
         print(f"  {line}")

@@ -7,12 +7,24 @@ never yields Valid here: exhausting the bounded range without a
 counterexample reports Unknown, so the oracle only ever claims what the
 bound justifies.  The verify_* harnesses re-check the minimization and
 transport metatheorems over the same bounded enumerations.
+
+The semantics is substitution: a quantifier substitutes each pool term (or
+schema instance) into its body.  The evaluator defers the term substitution
+to an environment of pool indices and applies it per atom, so an atom's
+context and type judgements are checked once per combination of the pool
+terms free in them, not once per atom; only the term judgement runs per
+atom.  These memos live for one `bounded_validity` call and are cleared
+when it returns.  Where substituting would rename a binder, the evaluator
+substitutes eagerly as the plain semantics does, so verdicts and traces are
+exactly those of the plain substitution evaluator (a differential test in
+tests/test_oracle.py holds the two together).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .formula import (
     Bot,
@@ -26,21 +38,28 @@ from .formula import (
     Imp,
     Top,
     formula_key,
+    formula_term_names,
     subst_ctx,
     subst_terms,
 )
 from .lf import (
+    Atom,
     AtomicType,
+    Lam,
     LFContext,
     LFError,
     Nominal,
     O,
+    PiType,
     Signature,
+    TermDecl,
     TypeDecl,
+    apply_subst,
     check_context,
     check_term,
     check_type,
     erase,
+    free_vars,
     kind_arg_arities,
 )
 from .schema import (
@@ -102,12 +121,17 @@ class OracleReport:
     def passed(self) -> bool:
         return self.refused is None and not self.counterexamples
 
-    def record(self, obligation: str, ok: bool, detail: str = ""):
+    def record(
+        self, obligation: str, ok: bool, detail: str | Callable[[], str] = ""
+    ):
+        """Count one check; a callable detail is rendered only on failure."""
         self.checked += 1
         checks = self.obligations.setdefault(obligation, [0, 0])
         checks[0] += 1
         if not ok:
             checks[1] += 1
+            if callable(detail):
+                detail = detail()
             self.counterexamples.append(
                 f"{obligation}: {detail}" if detail else obligation
             )
@@ -137,72 +161,170 @@ class OracleReport:
 
 
 # ---------------------------------------------------------------------------
-# Bounded validity per the substitution semantics.
+# Bounded validity per the substitution semantics, evaluated under an
+# environment.
 
 
-def bounded_validity(
-    sig: Signature, rel: SubordRel, f: Formula, bounds: Bounds
-) -> Verdict3:
-    pools: dict = {}
+def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
+    """Evaluate a closed, arity-checked formula at the bounds.
+
+    Verdict and trace are those of the substitution semantics, which
+    substitutes each pool term into the whole quantifier body.  Here the
+    substitution is deferred: the quantifier binds its variable to the pool
+    term in an environment, and each atom applies the environment to its
+    own parts.  An atom's context and type judgements are memoised, for
+    this call only, by the pool indices of the variables free in them, so
+    only the term judgement runs per atom.  Where substituting would rename
+    a binder (a binder named like a constant of the pool term, say), the
+    body is substituted eagerly instead, so the trace keeps the renamed
+    names.
+    """
+    consts = frozenset(d.name for d in sig.decls if isinstance(d, TermDecl))
+    pools: dict = {}  # arity -> (terms, their free names, their binders)
+    # Per-node data and memos live in a dict id(node) -> (node, ...): this
+    # one for the formula, and a fresh one for each eagerly substituted
+    # body, dropped with it.
+    memo: dict = {}
 
     def pool(ar):
         if ar not in pools:
-            pools[ar] = term_pool(
-                sig, ar, bounds.term_size_max, bounds.pool_nominals
+            terms = term_pool(sig, ar, bounds.term_size_max, bounds.pool_nominals)
+            pools[ar] = (
+                terms,
+                [free_vars(t) for t in terms],
+                [_binders(t) for t in terms],
             )
         return pools[ar]
 
-    def ev(g: Formula) -> Verdict3:
+    def by_term(g, env, nodes):
+        """(pool term, verdict of the body) for a term quantifier, lazily."""
+        rec = nodes.get(id(g))
+        if rec is None:
+            # Deferring is exact when substituting the term renames no
+            # binder of the body, and no binder of the term meets a name of
+            # the body or the signature.
+            terms, fvs, bds = pool(g.arity)
+            bound = _binders(g.body)
+            names = formula_term_names(g.body) | consts
+            defer = [not (fv & bound or bd & names) for fv, bd in zip(fvs, bds)]
+            rec = nodes[id(g)] = (g, terms, fvs, defer)
+        _, terms, fvs, defer = rec
+        v, ar, body = g.var, g.arity, g.body
+        inner = tuple(e for e in env if e[0] != v)  # v shadows an outer v
+        for i, t in enumerate(terms):
+            if defer[i]:
+                yield t, ev(body, inner + ((v, i, t, ar, fvs[i]),), nodes)
+            else:
+                eager = subst_terms(_eager(body, inner), {v: (t, ar)})
+                yield t, ev(eager, (), {})
+
+    def by_instance(g, env, nodes):
+        """(instance, verdict of the body) for a context quantifier, lazily;
+        each instance is substituted into the body once per call."""
+        rec = nodes.get(id(g))
+        if rec is None:
+            insts = enumerate_instances(
+                sig,
+                g.schema,
+                bounds.schema_blocks_max,
+                bounds.term_size_max,
+                bounds.pool_nominals,
+            )
+            rec = nodes[id(g)] = (g, insts, [])
+        _, insts, done = rec
+        for k, inst in enumerate(insts):
+            if k == len(done):
+                types = [t for _, t in inst.bindings]
+                done.append((
+                    subst_ctx(g.body, {g.var: inst}),
+                    set().union(*map(free_vars, types)),
+                    set().union(*map(_binders, types)),
+                ))
+            body, free, bound = done[k]
+            if any(e[0] in free or e[4] & bound for e in env):
+                # Substituting an outer term would reach into the instance.
+                eager = subst_ctx(_eager(g.body, env), {g.var: inst})
+                yield inst, ev(eager, (), {})
+            else:
+                yield inst, ev(body, env, nodes)
+
+    def holds(g, env, nodes):
+        """The failure message of an atom, or None if its judgements hold."""
+        rec = nodes.get(id(g))
+        if rec is None:
+            in_ctx = set().union(*(free_vars(t) for _, t in g.ctx.bindings))
+            in_ty = in_ctx | free_vars(g.ty)
+            rec = nodes[id(g)] = (g, in_ctx, in_ty, free_vars(g.term), {}, {})
+        _, in_ctx, in_ty, in_term, ctx_memo, ty_memo = rec
+        key = tuple(e[1] for e in env if e[0] in in_ctx)
+        hit = ctx_memo.get(key)
+        if hit is None:
+            lctx = LFContext(
+                tuple((n, _subst(t, env, in_ctx)) for n, t in g.ctx.bindings)
+            )
+            hit = ctx_memo[key] = (lctx, _fails(check_context, sig, lctx))
+        lctx, msg = hit
+        if msg is not None:
+            return msg
+        key = tuple(e[1] for e in env if e[0] in in_ty)
+        hit = ty_memo.get(key)
+        if hit is None:
+            ty = _subst(g.ty, env, in_ty)
+            hit = ty_memo[key] = (ty, _fails(check_type, sig, lctx, ty))
+        ty, msg = hit
+        if msg is not None:
+            return msg
+        return _fails(check_term, sig, lctx, _subst(g.term, env, in_term), ty)
+
+    def ev(g: Formula, env: tuple, nodes: dict) -> Verdict3:
+        # env: (var, pool index, term, arity, free names of the term) per
+        # enclosing quantifier whose substitution is deferred, outermost
+        # first.
         match g:
-            case Holds(ctx, term, ty):
+            case Holds(ctx):
                 if ctx.head is not None:
                     raise ValueError("bounded_validity needs a closed formula")
-                lctx = LFContext(ctx.bindings)
-                try:
-                    check_context(sig, lctx)
-                    check_type(sig, lctx, ty)
-                    check_term(sig, lctx, term, ty)
-                    return Verdict3(VALID)
-                except LFError as err:
-                    return Verdict3(INVALID, (f"judgement fails: {err}",))
+                msg = holds(g, env, nodes)
+                if msg is not None:
+                    return Verdict3(INVALID, (msg,))
+                return Verdict3(VALID)
             case Top():
                 return Verdict3(VALID)
             case Bot():
                 return Verdict3(INVALID)
             case Conj(l, r):
-                vl = ev(l)
+                vl = ev(l, env, nodes)
                 if vl.value == INVALID:
                     return Verdict3(INVALID, vl.trace)
-                vr = ev(r)
+                vr = ev(r, env, nodes)
                 if vr.value == INVALID:
                     return Verdict3(INVALID, vr.trace)
                 if vl.value == VALID and vr.value == VALID:
                     return Verdict3(VALID)
                 return Verdict3(UNKNOWN, vl.trace + vr.trace)
             case Disj(l, r):
-                vl = ev(l)
+                vl = ev(l, env, nodes)
                 if vl.value == VALID:
                     return Verdict3(VALID)
-                vr = ev(r)
+                vr = ev(r, env, nodes)
                 if vr.value == VALID:
                     return Verdict3(VALID)
                 if vl.value == INVALID and vr.value == INVALID:
                     return Verdict3(INVALID, vl.trace + vr.trace)
                 return Verdict3(UNKNOWN)
             case Imp(l, r):
-                vl = ev(l)
+                vl = ev(l, env, nodes)
                 if vl.value == INVALID:
                     return Verdict3(VALID)
-                vr = ev(r)
+                vr = ev(r, env, nodes)
                 if vr.value == VALID:
                     return Verdict3(VALID)
                 if vl.value == VALID and vr.value == INVALID:
                     return Verdict3(INVALID, vr.trace)
                 return Verdict3(UNKNOWN)
-            case ForallTm(v, ar, body):
+            case ForallTm(v):
                 saw_unknown = False
-                for t in pool(ar):
-                    sub = ev(subst_terms(body, {v: (t, ar)}))
+                for t, sub in by_term(g, env, nodes):
                     if sub.value == INVALID:
                         return Verdict3(
                             INVALID, (f"counterexample {v} = {t!r}",) + sub.trace
@@ -215,22 +337,14 @@ def bounded_validity(
                     else "universal valid at bound; domain is unbounded"
                 )
                 return Verdict3(UNKNOWN, (note,))
-            case ExistsTm(v, ar, body):
-                for t in pool(ar):
-                    sub = ev(subst_terms(body, {v: (t, ar)}))
+            case ExistsTm(v):
+                for t, sub in by_term(g, env, nodes):
                     if sub.value == VALID:
                         return Verdict3(VALID, (f"witness {v} = {t!r}",))
                 return Verdict3(UNKNOWN, ("existential pool exhausted",))
-            case ForallCtx(v, cs, body):
+            case ForallCtx(v):
                 saw_unknown = False
-                for g_inst in enumerate_instances(
-                    sig,
-                    cs,
-                    bounds.schema_blocks_max,
-                    bounds.term_size_max,
-                    bounds.pool_nominals,
-                ):
-                    sub = ev(subst_ctx(body, {v: g_inst}))
+                for g_inst, sub in by_instance(g, env, nodes):
                     if sub.value == INVALID:
                         return Verdict3(
                             INVALID,
@@ -246,7 +360,62 @@ def bounded_validity(
                 return Verdict3(UNKNOWN, (note,))
         raise TypeError(f"not a formula: {g!r}")
 
-    return ev(f)
+    try:
+        return ev(f, (), memo)
+    finally:
+        # ev is a closure over itself, so the memos would otherwise outlive
+        # the call until the next cycle collection.
+        memo.clear()
+        pools.clear()
+
+
+def _subst(e, env, free):
+    """Apply the deferred substitutions of the variables in `free` to an LF
+    expression, one at a time and outermost first, as the eager
+    substitution does."""
+    for v, _, t, ar, _ in env:
+        if v in free:
+            e = apply_subst(e, {v: (t, ar)})
+    return e
+
+
+def _eager(f: Formula, env) -> Formula:
+    """Apply every deferred substitution to a formula body."""
+    for v, _, t, ar, _ in env:
+        f = subst_terms(f, {v: (t, ar)})
+    return f
+
+
+def _fails(check, *args) -> str | None:
+    try:
+        check(*args)
+        return None
+    except LFError as err:
+        return f"judgement fails: {err}"
+
+
+def _binders(x) -> set[str]:
+    """Every name bound somewhere in an LF term or type, or in a formula
+    (term quantifiers and the LF binders of its atoms)."""
+    match x:
+        case Lam(v, body):
+            return {v} | _binders(body)
+        case PiType(v, domain, body):
+            return {v} | _binders(domain) | _binders(body)
+        case Atom(_, args) | AtomicType(_, args):
+            return set().union(*map(_binders, args))
+        case Holds(ctx, term, ty):
+            out = _binders(term) | _binders(ty)
+            return out.union(*(_binders(t) for _, t in ctx.bindings))
+        case Top() | Bot():
+            return set()
+        case Imp(l, r) | Conj(l, r) | Disj(l, r):
+            return _binders(l) | _binders(r)
+        case ForallTm(v, _, body) | ExistsTm(v, _, body):
+            return {v} | _binders(body)
+        case ForallCtx(_, _, body):
+            return _binders(body)
+    raise TypeError(f"not a formula or LF expression: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +516,7 @@ def verify_minimization(
         terms = term_pool(sig, O, size, extra_heads=extra)[:24]
         for ty in candidate_types(sig, ctx, size, cap=80):
             reduced = minimize(rel, ctx, ty)
-            where = f"G = {ctx.bindings!r}, A = {ty!r}"
+            where = lambda: f"G = {ctx.bindings!r}, A = {ty!r}"
             identity = reduced == ctx
             report.record(
                 "minimized context well-formed",
@@ -374,7 +543,7 @@ def verify_minimization(
                 report.record(
                     "term checking agrees under minimization",
                     t_full == t_min,
-                    f"{where}, M = {m!r}",
+                    lambda: f"{where()}, M = {m!r}",
                 )
     return report
 
@@ -416,12 +585,12 @@ def verify_transport(
     def cached_validity(g: Formula) -> Verdict3:
         key = formula_key(g)
         if key not in validity_cache:
-            validity_cache[key] = bounded_validity(sig, rel, g, bounds)
+            validity_cache[key] = bounded_validity(sig, g, bounds)
         return validity_cache[key]
 
     for g_big in instances:
         g_small = transport_witness(sig, cert, g_big)
-        where = f"G' = {g_big.bindings!r}"
+        where = lambda: f"G' = {g_big.bindings!r}"
         report.record(
             "witness instantiates the source schema",
             schema_instance(sig, source, g_small),
@@ -453,6 +622,6 @@ def verify_transport(
         report.record(
             "bounded validity agrees on both sides",
             agree,
-            f"{where}: {v_small.value} vs {v_big.value}",
+            lambda: f"{where()}: {v_small.value} vs {v_big.value}",
         )
     return report

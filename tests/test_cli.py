@@ -147,6 +147,24 @@ def test_validate_bottom(tmp_path, capsys):
     assert out.splitlines()[0] == "Invalid"
 
 
+def test_validate_binder_named_like_a_constant(tmp_path, capsys):
+    # The binder z shares its name with the constant z.  Once N is
+    # instantiated with a term mentioning z, the binder is renamed apart
+    # and the trace reports it as z'.
+    f = tmp_path / "z.fml"
+    f.write_text("forall N : o. forall z : o. { |- N : nat } => { |- z : nat }\n")
+    code, out, _ = run(capsys, "validate", SIG, "--formula", str(f))
+    assert code == 1
+    assert out == (
+        "Invalid\n"
+        "  counterexample N = Atom(head='z', args=())\n"
+        "  counterexample z' = Atom(head='plus-z', args=(Atom(head='z', args=()),))\n"
+        "  judgement fails: synthesized AtomicType(head='plus', args=("
+        "Atom(head='z', args=()), Atom(head='z', args=()), Atom(head='z', args=()))),"
+        " expected AtomicType(head='nat', args=())\n"
+    )
+
+
 def test_validate_open_formula_is_input_error(capsys):
     code, _, err = run(capsys, "validate", SIG, "--formula", PLUS)
     assert code == 2

@@ -444,7 +444,7 @@ def test_atom_verdicts_agree_across_subsumed_contexts(sig_size, rel_size, plus_b
                     assert atom_ok(small, m, ty) == atom_ok(g_big.bindings, m, ty)
 
 
-def test_val_pos_sound_on_ill_formed_instances(sig_size, rel_size, plus_body):
+def test_val_pos_sound_on_ill_formed_instances(sig_size, plus_body):
     # Structural validity analysis: no ill-formed substitution instance may
     # be refuted by the bounded evaluator.
     from lfport import Bounds, bounded_validity, subst_ctx
@@ -460,17 +460,17 @@ def test_val_pos_sound_on_ill_formed_instances(sig_size, rel_size, plus_body):
         with pytest.raises(LFError):
             check_context(sig_size, LFContext(g.bindings))
         verdict = bounded_validity(
-            sig_size, rel_size, subst_ctx(plus_body, {"G": g}), Bounds(3, 2)
+            sig_size, subst_ctx(plus_body, {"G": g}), Bounds(3, 2)
         )
         assert verdict.value != INVALID
 
 
-def test_val_neg_sound_on_ill_formed_instances(sig_size, rel_size):
+def test_val_neg_sound_on_ill_formed_instances(sig_size):
     from lfport import Bounds, ForallTm, bounded_validity, subst_ctx
     from lfport.oracle import VALID
 
     f = ForallTm("N", O, Holds(ce(head="G"), a("N"), at("nat")))
     assert val_neg("G", f)
     g = ce((nom(2), at("size", a(nom(1)), a("s", a("z")))))
-    verdict = bounded_validity(sig_size, rel_size, subst_ctx(f, {"G": g}), Bounds(3, 2))
+    verdict = bounded_validity(sig_size, subst_ctx(f, {"G": g}), Bounds(3, 2))
     assert verdict.value != VALID
