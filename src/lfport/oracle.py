@@ -182,8 +182,8 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     consts = frozenset(d.name for d in sig.decls if isinstance(d, TermDecl))
     pools: dict = {}  # arity -> (terms, their free names, their binders)
     # Per-node data and memos live in a dict id(node) -> (node, ...): this
-    # one for the formula, and a fresh one for each eagerly substituted
-    # body, dropped with it.
+    # one for the formula, and a fresh one for each eagerly substituted or
+    # context-instantiated body, dropped with it.
     memo: dict = {}
 
     def pool(ar):
@@ -207,46 +207,40 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             bound = _binders(g.body)
             names = formula_term_names(g.body) | consts
             defer = [not (fv & bound or bd & names) for fv, bd in zip(fvs, bds)]
-            rec = nodes[id(g)] = (g, terms, fvs, defer)
-        _, terms, fvs, defer = rec
+            # Memo keys name each variable with its arity and pool index:
+            # one atom may sit under binders of another order or arity
+            # elsewhere in the formula.
+            slots = [(g.var, g.arity, i) for i in range(len(terms))]
+            rec = nodes[id(g)] = (g, terms, fvs, defer, slots)
+        _, terms, fvs, defer, slots = rec
         v, ar, body = g.var, g.arity, g.body
         inner = tuple(e for e in env if e[0] != v)  # v shadows an outer v
         for i, t in enumerate(terms):
             if defer[i]:
-                yield t, ev(body, inner + ((v, i, t, ar, fvs[i]),), nodes)
+                yield t, ev(body, inner + ((v, slots[i], t, ar, fvs[i]),), nodes)
             else:
                 eager = subst_terms(_eager(body, inner), {v: (t, ar)})
                 yield t, ev(eager, (), {})
 
-    def by_instance(g, env, nodes):
+    def by_instance(g, env):
         """(instance, verdict of the body) for a context quantifier, lazily;
-        each instance is substituted into the body once per call."""
-        rec = nodes.get(id(g))
-        if rec is None:
-            insts = enumerate_instances(
-                sig,
-                g.schema,
-                bounds.schema_blocks_max,
-                bounds.term_size_max,
-                bounds.pool_nominals,
-            )
-            rec = nodes[id(g)] = (g, insts, [])
-        _, insts, done = rec
-        for k, inst in enumerate(insts):
-            if k == len(done):
-                types = [t for _, t in inst.bindings]
-                done.append((
-                    subst_ctx(g.body, {g.var: inst}),
-                    set().union(*map(free_vars, types)),
-                    set().union(*map(_binders, types)),
-                ))
-            body, free, bound = done[k]
+        each instantiated body has per-node memos of its own."""
+        for inst in enumerate_instances(
+            sig,
+            g.schema,
+            bounds.schema_blocks_max,
+            bounds.term_size_max,
+            bounds.pool_nominals,
+        ):
+            types = [t for _, t in inst.bindings]
+            free = set().union(*map(free_vars, types))
+            bound = set().union(*map(_binders, types))
             if any(e[0] in free or e[4] & bound for e in env):
                 # Substituting an outer term would reach into the instance.
                 eager = subst_ctx(_eager(g.body, env), {g.var: inst})
                 yield inst, ev(eager, (), {})
             else:
-                yield inst, ev(body, env, nodes)
+                yield inst, ev(subst_ctx(g.body, {g.var: inst}), env, {})
 
     def holds(g, env, nodes):
         """The failure message of an atom, or None if its judgements hold."""
@@ -277,9 +271,9 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         return _fails(check_term, sig, lctx, _subst(g.term, env, in_term), ty)
 
     def ev(g: Formula, env: tuple, nodes: dict) -> Verdict3:
-        # env: (var, pool index, term, arity, free names of the term) per
-        # enclosing quantifier whose substitution is deferred, outermost
-        # first.
+        # env: (var, (var, arity, pool index), term, arity, free names of
+        # the term) per enclosing quantifier whose substitution is
+        # deferred, outermost first.
         match g:
             case Holds(ctx):
                 if ctx.head is not None:
@@ -344,7 +338,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 return Verdict3(UNKNOWN, ("existential pool exhausted",))
             case ForallCtx(v):
                 saw_unknown = False
-                for g_inst, sub in by_instance(g, env, nodes):
+                for g_inst, sub in by_instance(g, env):
                     if sub.value == INVALID:
                         return Verdict3(
                             INVALID,

@@ -352,6 +352,22 @@ def test_matches_plain_with_shadowed_binders(sig_size):
         assert_same(sig_size, formula, Bounds(3, 1))
 
 
+def test_matches_plain_with_shared_atoms(sig_size):
+    # Formulas are immutable, so one atom may sit under binders that come
+    # in another order, or with another arity, elsewhere in the formula.
+    h = Holds(ce(), a("plus-z", a("M")), at("plus", a("N"), a("M"), a("M")))
+    nm = ForallTm("N", O, ForallTm("M", O, Imp(h, Top())))
+    mn = ForallTm("M", O, ForallTm("N", O, h))
+    mn_exists = ExistsTm("M", O, ExistsTm("N", O, Imp(h, Bot())))
+    # Not arity-correct at o -> o, but both evaluators substitute the same.
+    k = Holds(ce(), a("z"), at("size", a("N"), a("z")))
+    k1 = ForallTm("N", O, Imp(k, Top()))
+    k2 = ForallTm("N", Arrow(O, O), k)
+    shared = (Conj(nm, mn), Conj(mn, nm), Conj(nm, mn_exists), Conj(k1, k2))
+    for formula in shared:
+        assert_same(sig_size, formula, Bounds(3, 1))
+
+
 # Random closed, arity-correct formulas over the size signature.  Names
 # include constants (z, s) and the pool's own binder name (x1), so that the
 # evaluator's eager path is exercised as well as its deferred one.
