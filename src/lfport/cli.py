@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 when the checked property holds (or the command succeeded),
-1 when it was checked and does not hold, 2 for usage or input errors.
+1 when it was checked and does not hold, 2 for usage or input errors,
+including input nested too deeply to process.
 """
 
 from __future__ import annotations
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ParseError, InputError, LFError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

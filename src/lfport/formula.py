@@ -20,6 +20,7 @@ from .lf import (
     Signature,
     Term,
     TypeExpr,
+    _db_index,
     alpha_key,
     apply_subst,
     arity_check_term,
@@ -28,6 +29,7 @@ from .lf import (
     free_vars,
     fresh_name,
     names_in,
+    rename_var,
 )
 from .schema import ContextSchema, CtxExpr
 
@@ -187,44 +189,34 @@ def _scan_names(sig, e, scope: set) -> None:
 # Substitution of context expressions for context variables.
 
 
-def free_ctx_vars(f: Formula) -> set[str]:
+def _rebuild(f: Formula, each) -> Formula:
+    """`f` with `each` applied to its immediate subformulas; an atom, which
+    has none, comes back as it is."""
     match f:
-        case Holds(ctx, _, _):
-            return {ctx.head} if ctx.head is not None else set()
-        case Top() | Bot():
-            return set()
-        case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            return free_ctx_vars(l) | free_ctx_vars(r)
-        case ForallTm(_, _, body) | ExistsTm(_, _, body):
-            return free_ctx_vars(body)
-        case ForallCtx(v, _, body):
-            return free_ctx_vars(body) - {v}
+        case Holds() | Top() | Bot():
+            return f
+        case Imp(l, r):
+            return Imp(each(l), each(r))
+        case Conj(l, r):
+            return Conj(each(l), each(r))
+        case Disj(l, r):
+            return Disj(each(l), each(r))
+        case ForallTm(v, ar, body):
+            return ForallTm(v, ar, each(body))
+        case ExistsTm(v, ar, body):
+            return ExistsTm(v, ar, each(body))
+        case ForallCtx(v, cs, body, name):
+            return ForallCtx(v, cs, each(body), name)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def rename_ctx_var(f: Formula, old: str, new: str) -> Formula:
     match f:
-        case Holds(ctx, term, ty):
-            if ctx.head == old:
-                return Holds(CtxExpr(new, ctx.bindings), term, ty)
+        case Holds(ctx, term, ty) if ctx.head == old:
+            return Holds(CtxExpr(new, ctx.bindings), term, ty)
+        case ForallCtx(v) if v == old:
             return f
-        case Top() | Bot():
-            return f
-        case Imp(l, r):
-            return Imp(rename_ctx_var(l, old, new), rename_ctx_var(r, old, new))
-        case Conj(l, r):
-            return Conj(rename_ctx_var(l, old, new), rename_ctx_var(r, old, new))
-        case Disj(l, r):
-            return Disj(rename_ctx_var(l, old, new), rename_ctx_var(r, old, new))
-        case ForallTm(v, ar, body):
-            return ForallTm(v, ar, rename_ctx_var(body, old, new))
-        case ExistsTm(v, ar, body):
-            return ExistsTm(v, ar, rename_ctx_var(body, old, new))
-        case ForallCtx(v, cs, body, name):
-            if v == old:
-                return f
-            return ForallCtx(v, cs, rename_ctx_var(body, old, new), name)
-    raise TypeError(f"not a formula: {f!r}")
+    return _rebuild(f, lambda g: rename_ctx_var(g, old, new))
 
 
 def subst_ctx(f: Formula, sigma: Mapping[str, CtxExpr]) -> Formula:
@@ -233,25 +225,9 @@ def subst_ctx(f: Formula, sigma: Mapping[str, CtxExpr]) -> Formula:
     if not sigma:
         return f
     match f:
-        case Holds(ctx, term, ty):
-            if ctx.head is not None and ctx.head in sigma:
-                repl = sigma[ctx.head]
-                return Holds(
-                    CtxExpr(repl.head, repl.bindings + ctx.bindings), term, ty
-                )
-            return f
-        case Top() | Bot():
-            return f
-        case Imp(l, r):
-            return Imp(subst_ctx(l, sigma), subst_ctx(r, sigma))
-        case Conj(l, r):
-            return Conj(subst_ctx(l, sigma), subst_ctx(r, sigma))
-        case Disj(l, r):
-            return Disj(subst_ctx(l, sigma), subst_ctx(r, sigma))
-        case ForallTm(v, ar, body):
-            return ForallTm(v, ar, subst_ctx(body, sigma))
-        case ExistsTm(v, ar, body):
-            return ExistsTm(v, ar, subst_ctx(body, sigma))
+        case Holds(ctx, term, ty) if ctx.head is not None and ctx.head in sigma:
+            repl = sigma[ctx.head]
+            return Holds(CtxExpr(repl.head, repl.bindings + ctx.bindings), term, ty)
         case ForallCtx(v, cs, body, name):
             inner = {k: g for k, g in sigma.items() if k != v}
             if not inner:
@@ -262,7 +238,7 @@ def subst_ctx(f: Formula, sigma: Mapping[str, CtxExpr]) -> Formula:
                 body = rename_ctx_var(body, v, v2)
                 v = v2
             return ForallCtx(v, cs, subst_ctx(body, inner), name)
-    raise TypeError(f"not a formula: {f!r}")
+    return _rebuild(f, lambda g: subst_ctx(g, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -282,23 +258,10 @@ def subst_terms(f: Formula, theta: Mapping[str, tuple[Term, Arity]]) -> Formula:
                 apply_subst(term, theta),
                 apply_subst(ty, theta),
             )
-        case Top() | Bot():
-            return f
-        case Imp(l, r):
-            return Imp(subst_terms(l, theta), subst_terms(r, theta))
-        case Conj(l, r):
-            return Conj(subst_terms(l, theta), subst_terms(r, theta))
-        case Disj(l, r):
-            return Disj(subst_terms(l, theta), subst_terms(r, theta))
-        case ForallTm(v, ar, body):
+        case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
             v, body, inner = _shield_binder(v, body, theta)
-            return ForallTm(v, ar, subst_terms(body, inner) if inner else body)
-        case ExistsTm(v, ar, body):
-            v, body, inner = _shield_binder(v, body, theta)
-            return ExistsTm(v, ar, subst_terms(body, inner) if inner else body)
-        case ForallCtx(v, cs, body, name):
-            return ForallCtx(v, cs, subst_terms(body, theta), name)
-    raise TypeError(f"not a formula: {f!r}")
+            return type(f)(v, ar, subst_terms(body, inner) if inner else body)
+    return _rebuild(f, lambda g: subst_terms(g, theta))
 
 
 def _shield_binder(var, body, theta):
@@ -313,25 +276,6 @@ def _shield_binder(var, body, theta):
         body = _rename_term_var(body, var, var2)
         var = var2
     return var, body, inner
-
-
-def free_term_vars(f: Formula) -> set[str]:
-    """Free term-level names of a formula (variables and constants alike)."""
-    match f:
-        case Holds(ctx, term, ty):
-            out = free_vars(term) | free_vars(ty)
-            for _, bty in ctx.bindings:
-                out |= free_vars(bty)
-            return out
-        case Top() | Bot():
-            return set()
-        case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            return free_term_vars(l) | free_term_vars(r)
-        case ForallTm(v, _, body) | ExistsTm(v, _, body):
-            return free_term_vars(body) - {v}
-        case ForallCtx(_, _, body):
-            return free_term_vars(body)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def formula_term_names(f: Formula) -> set[str]:
@@ -370,8 +314,6 @@ def ctx_var_names(f: Formula) -> set[str]:
 
 
 def _rename_term_var(f: Formula, old: str, new: str) -> Formula:
-    from .lf import rename_var
-
     match f:
         case Holds(ctx, term, ty):
             bindings = tuple((n, rename_var(t, old, new)) for n, t in ctx.bindings)
@@ -380,25 +322,9 @@ def _rename_term_var(f: Formula, old: str, new: str) -> Formula:
                 rename_var(term, old, new),
                 rename_var(ty, old, new),
             )
-        case Top() | Bot():
+        case ForallTm(v) | ExistsTm(v) if v == old:
             return f
-        case Imp(l, r):
-            return Imp(_rename_term_var(l, old, new), _rename_term_var(r, old, new))
-        case Conj(l, r):
-            return Conj(_rename_term_var(l, old, new), _rename_term_var(r, old, new))
-        case Disj(l, r):
-            return Disj(_rename_term_var(l, old, new), _rename_term_var(r, old, new))
-        case ForallTm(v, ar, body):
-            if v == old:
-                return f
-            return ForallTm(v, ar, _rename_term_var(body, old, new))
-        case ExistsTm(v, ar, body):
-            if v == old:
-                return f
-            return ExistsTm(v, ar, _rename_term_var(body, old, new))
-        case ForallCtx(v, cs, body, name):
-            return ForallCtx(v, cs, _rename_term_var(body, old, new), name)
-    raise TypeError(f"not a formula: {f!r}")
+    return _rebuild(f, lambda g: _rename_term_var(g, old, new))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +337,7 @@ def formula_key(f: Formula, tenv: tuple = (), cenv: tuple = ()):
             if ctx.head is None:
                 hk = None
             else:
-                idx = _env_index(ctx.head, cenv)
+                idx = _db_index(ctx.head, cenv)
                 hk = ("b", idx) if idx is not None else ("f", ctx.head)
             bnd = tuple(
                 ((n.arity, n.index), alpha_key(t, tenv)) for n, t in ctx.bindings
@@ -434,13 +360,6 @@ def formula_key(f: Formula, tenv: tuple = (), cenv: tuple = ()):
         case ForallCtx(v, cs, body):
             return ("ctxall", cs, formula_key(body, tenv, cenv + (v,)))
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _env_index(name, env):
-    for i in range(len(env) - 1, -1, -1):
-        if env[i] == name:
-            return len(env) - 1 - i
-    return None
 
 
 def formula_alpha_eq(f: Formula, g: Formula) -> bool:

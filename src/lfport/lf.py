@@ -86,16 +86,6 @@ class Arrow(Arity):
 O = BaseArity()
 
 
-def arrow(*arities: Arity) -> Arity:
-    """Right-nested arrow over the given arities: arrow(a, b, c) = a -> b -> c."""
-    if not arities:
-        raise ValueError("arrow() needs at least one arity")
-    out = arities[-1]
-    for a in reversed(arities[:-1]):
-        out = Arrow(a, out)
-    return out
-
-
 def arity_args(arity: Arity) -> tuple[Arity, ...]:
     """Argument arities of a fully applied head of this arity."""
     out = []
@@ -238,9 +228,6 @@ class LFContext:
                 return ty
         return None
 
-    def names(self) -> tuple[Head, ...]:
-        return tuple(b for b, _ in self.bindings)
-
     def extend(self, name: Head, ty: TypeExpr) -> "LFContext":
         return LFContext(self.bindings + ((name, ty),))
 
@@ -370,6 +357,15 @@ def fresh_nominal(arity: Arity, avoid: Iterable[Nominal]) -> Nominal:
         if i not in used:
             return Nominal(arity, i)
     raise AssertionError("unreachable")
+
+
+def _db_index(name, binders) -> Optional[int]:
+    """The de Bruijn index of `name` in the binder list `binders` (innermost
+    last), or None when it is not bound there."""
+    for i in range(len(binders) - 1, -1, -1):
+        if binders[i] == name:
+            return len(binders) - 1 - i
+    return None
 
 
 def rename_var(e: Expr, old: str, new: str) -> Expr:

@@ -22,7 +22,11 @@ from .formula import (
     Formula,
     Holds,
     Imp,
+    _rebuild,
     _rename_term_var,
+    ctx_var_names,
+    formula_term_names,
+    rename_ctx_var,
 )
 from .lf import (
     Arity,
@@ -257,11 +261,13 @@ class _Parser:
 # Renaming nested duplicate binders apart.
 
 
-def _freshen(var, body, path):
+def _apart(var, body, path, names, rename):
+    """Rename the binder `var` of `body` apart from the enclosing binders in
+    `path`, avoiding every name `names(body)` lists."""
     if var not in path:
         return var, body
-    var2 = fresh_name(var, path | names_in(body))
-    return var2, rename_var(body, var, var2)
+    var2 = fresh_name(var, path | names(body))
+    return var2, rename(body, var, var2)
 
 
 def _std_expr(e, path: frozenset):
@@ -269,19 +275,19 @@ def _std_expr(e, path: frozenset):
         case Atom(head, args):
             return Atom(head, tuple(_std_expr(a, path) for a in args))
         case Lam(var, body):
-            var2, body = _freshen(var, body, path)
+            var2, body = _apart(var, body, path, names_in, rename_var)
             return Lam(var2, _std_expr(body, path | {var2}))
         case AtomicType(head, args):
             return AtomicType(head, tuple(_std_expr(a, path) for a in args))
         case PiType(var, domain, body):
             domain2 = _std_expr(domain, path)
-            var2, body = _freshen(var, body, path)
+            var2, body = _apart(var, body, path, names_in, rename_var)
             return PiType(var2, domain2, _std_expr(body, path | {var2}))
         case TypeKind():
             return e
         case PiKind(var, domain, body):
             domain2 = _std_expr(domain, path)
-            var2, body = _freshen(var, body, path)
+            var2, body = _apart(var, body, path, names_in, rename_var)
             return PiKind(var2, domain2, _std_expr(body, path | {var2}))
     raise TypeError(f"not an LF expression: {e!r}")
 
@@ -295,37 +301,13 @@ def _std_formula(f: Formula, path: frozenset, cpath: frozenset) -> Formula:
                 _std_expr(term, path),
                 _std_expr(ty, path),
             )
-        case Imp(l, r):
-            return Imp(_std_formula(l, path, cpath), _std_formula(r, path, cpath))
-        case Conj(l, r):
-            return Conj(_std_formula(l, path, cpath), _std_formula(r, path, cpath))
-        case Disj(l, r):
-            return Disj(_std_formula(l, path, cpath), _std_formula(r, path, cpath))
-        case ForallTm(v, ar, body):
-            v2, body = _freshen_formula_var(v, body, path)
-            return ForallTm(v2, ar, _std_formula(body, path | {v2}, cpath))
-        case ExistsTm(v, ar, body):
-            v2, body = _freshen_formula_var(v, body, path)
-            return ExistsTm(v2, ar, _std_formula(body, path | {v2}, cpath))
+        case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
+            v2, body = _apart(v, body, path, formula_term_names, _rename_term_var)
+            return type(f)(v2, ar, _std_formula(body, path | {v2}, cpath))
         case ForallCtx(v, cs, body, name):
-            from .formula import ctx_var_names, rename_ctx_var
-
-            if v in cpath:
-                v2 = fresh_name(v, cpath | ctx_var_names(body))
-                body = rename_ctx_var(body, v, v2)
-                v = v2
-            return ForallCtx(v, cs, _std_formula(body, path, cpath | {v}), name)
-        case _:
-            return f
-
-
-def _freshen_formula_var(v, body, path):
-    from .formula import formula_term_names
-
-    if v not in path:
-        return v, body
-    v2 = fresh_name(v, path | formula_term_names(body))
-    return v2, _rename_term_var(body, v, v2)
+            v2, body = _apart(v, body, cpath, ctx_var_names, rename_ctx_var)
+            return ForallCtx(v2, cs, _std_formula(body, path, cpath | {v2}), name)
+    return _rebuild(f, lambda g: _std_formula(g, path, cpath))
 
 
 # ---------------------------------------------------------------------------

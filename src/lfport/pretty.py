@@ -25,7 +25,6 @@ from .lf import (
     AtomicType,
     Kind,
     Lam,
-    LFContext,
     Nominal,
     PiKind,
     PiType,
@@ -119,10 +118,6 @@ def fmt_ctx(ce: CtxExpr) -> str:
         parts.append(ce.head)
     parts.extend(f"{fmt_head(n)} : {fmt_type(t)}" for n, t in ce.bindings)
     return ", ".join(parts)
-
-
-def fmt_lf_context(ctx: LFContext) -> str:
-    return ", ".join(f"{fmt_head(b)} : {fmt_type(t)}" for b, t in ctx.bindings)
 
 
 def fmt_block(b: BlockSchema) -> str:

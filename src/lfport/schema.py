@@ -3,6 +3,9 @@
 A context schema is a list of block schemas; instances are built by
 instantiating blocks repeatedly, replacing declaration variables with
 nominals and parameters with closed terms of the declared arity types.
+One dynamic programme over prefixes, `segment_instance`, answers both
+instance questions: how a context splits into block instances, and
+(`schema_instance`) whether it splits at all.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .lf import (
     TermDecl,
     TypeExpr,
     TypeKind,
+    _db_index,
     alpha_eq,
     alpha_key,
     apply_subst,
@@ -36,6 +40,7 @@ from .lf import (
     arity_check_type,
     erase,
     free_vars,
+    fresh_nominal,
     names_in,
     nominals_in,
     rename_var,
@@ -143,28 +148,12 @@ def block_instance(
             out[x] = solution[x]
         else:
             # unconstrained parameter: any inhabitant works, pick a nominal
-            out[x] = Atom(_unused_nominal(ar, avoid))
+            out[x] = Atom(fresh_nominal(ar, avoid))
     full = {x: (out[x], params[x]) for x in out}
     for pat, (_, target_ty) in zip(patterns, bindings):
         if not alpha_eq(apply_subst(pat, full), target_ty):
             return None
     return out
-
-
-def _unused_nominal(arity: Arity, avoid: set[Nominal]) -> Nominal:
-    for i in itertools.count(1):
-        n = Nominal(arity, i)
-        if n not in avoid:
-            return n
-    raise AssertionError("unreachable")
-
-
-def _binder_index(name, binders) -> Optional[int]:
-    seq = list(binders)
-    for i in range(len(seq) - 1, -1, -1):
-        if seq[i] == name:
-            return len(seq) - 1 - i
-    return None
 
 
 def _match_type(pat, tgt, params, solution, bp) -> bool:
@@ -187,7 +176,7 @@ def _match_term(pat, tgt, params, solution, bp) -> bool:
         case Atom(h, args) if (
             isinstance(h, str)
             and h in params
-            and _binder_index(h, (p for p, _ in bp)) is None
+            and _db_index(h, [p for p, _ in bp]) is None
         ):
             return _solve_param(h, args, tgt, solution, bp)
         case Atom(h, args):
@@ -209,8 +198,8 @@ def _match_term(pat, tgt, params, solution, bp) -> bool:
 def _heads_match(h1, h2, bp) -> bool:
     if isinstance(h1, Nominal) or isinstance(h2, Nominal):
         return h1 == h2
-    i1 = _binder_index(h1, (p for p, _ in bp))
-    i2 = _binder_index(h2, (t for _, t in bp))
+    i1 = _db_index(h1, [p for p, _ in bp])
+    i2 = _db_index(h2, [t for _, t in bp])
     if i1 != i2:
         return False
     return i1 is not None or h1 == h2
@@ -228,7 +217,7 @@ def _solve_param(param, spine, tgt, solution, bp) -> bool:
         if isinstance(arg.head, Nominal):
             images.append(arg.head)
         else:
-            idx = _binder_index(arg.head, (p for p, _ in bp))
+            idx = _db_index(arg.head, [p for p, _ in bp])
             if idx is None:
                 raise NonPatternSchema(
                     f"parameter {param} applied to the free name {arg.head}"
@@ -289,43 +278,42 @@ def schema_instance(sig: Signature, cs: ContextSchema, ce: CtxExpr) -> bool:
     instances of the schema."""
     if ce.head is not None:
         raise ValueError("schema_instance expects a context expression without a head variable")
-    bindings = ce.bindings
-    n = len(bindings)
-    table = [False] * (n + 1)
-    table[0] = True
-    for k in range(1, n + 1):
-        for block in cs.blocks:
-            m = len(block.decl)
-            if m == 0 or m > k:
-                continue
-            if table[k - m] and block_instance(sig, block, bindings[k - m : k]) is not None:
-                table[k] = True
-                break
-    return table[n]
+    return segment_instance(sig, cs, ce) is not None
 
 
 def segment_instance(
     sig: Signature, cs: ContextSchema, ce: CtxExpr
 ) -> Optional[list[tuple[int, int, int]]]:
-    """A segmentation of `ce` as (block index, start, end) triples, or None."""
+    """A segmentation of `ce` as (block index, start, end) triples, or None.
+
+    A dynamic programme over prefixes: `last[k]` is the first block, in
+    schema order, that ends a segmentation of the first k bindings (-1 for
+    the empty prefix, None when the prefix does not segment).  Following it
+    back from the end gives the segmentation, with at most one
+    `block_instance` call per prefix and block.
+    """
     if ce.head is not None:
         raise ValueError("segmentation expects a context expression without a head variable")
     bindings = ce.bindings
-
-    def go(k: int):
-        if k == 0:
-            return []
+    n = len(bindings)
+    last: list[Optional[int]] = [-1] + [None] * n
+    for k in range(1, n + 1):
         for bi, block in enumerate(cs.blocks):
             m = len(block.decl)
-            if m == 0 or m > k:
+            if m == 0 or m > k or last[k - m] is None:
                 continue
             if block_instance(sig, block, bindings[k - m : k]) is not None:
-                rest = go(k - m)
-                if rest is not None:
-                    return rest + [(bi, k - m, k)]
+                last[k] = bi
+                break
+    if last[n] is None:
         return None
-
-    return go(len(bindings))
+    segments: list[tuple[int, int, int]] = []
+    k = n
+    while k:
+        m = len(cs.blocks[last[k]].decl)
+        segments.append((last[k], k - m, k))
+        k -= m
+    return segments[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +469,7 @@ def _block_instantiations(sig, block, existing, term_size_max, pool_nominals):
         avoid |= nominals_in(ty)
     noms = []
     for y, a in block.decl:
-        nom = _unused_nominal(erase(a), avoid)
+        nom = fresh_nominal(erase(a), avoid)
         avoid.add(nom)
         noms.append(nom)
     pools = []

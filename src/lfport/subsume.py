@@ -4,11 +4,12 @@ The pipeline: a type is subordinate to a formula when it can influence some
 typing judgement in it; context expressions subsume one another when the
 extra bindings are not subordinate to the formula; block declarations prune
 relative to a schema when dropped entries cannot feed any type the schema
-can still generate.  Schema subsumption searches block variants that align
-a target block with a source block under both relations, and the transport
-check combines that search with the structural validity analysis for
-ill-formed context substitutions.  Every search result is recorded in a
-replayable certificate.
+can still generate.  Both relations are one embedding search, `_embeds`,
+that differs only in which bindings it may drop.  Schema subsumption
+searches block variants that align a target block with a source block under
+both relations, and the transport check combines that search with the
+structural validity analysis for ill-formed context substitutions.  Every
+search result is recorded in a replayable certificate.
 """
 
 from __future__ import annotations
@@ -35,12 +36,14 @@ from .lf import (
     Arity,
     Atom,
     AtomicType,
+    Lam,
     LFError,
     Nominal,
     O,
     PiType,
     Signature,
     TypeExpr,
+    _db_index,
     alpha_eq,
     apply_subst,
     erase,
@@ -100,55 +103,46 @@ def tf_subord(rel: SubordRel, ty: TypeExpr, f: Formula, gamma: str) -> bool:
 Binding = tuple  # (str | Nominal, TypeExpr)
 
 
-def ce_subsumes(rel: SubordRel, gamma: str, small, big, f: Formula) -> bool:
-    """The binding list `small` retains everything in `big` that matters for
-    `f`: working right to left, each binding of `big` is either matched
-    exactly or dropped because its type is not subordinate to `f`.  Both
-    options are explored."""
+def _embeds(small, big, droppable) -> bool:
+    """Whether the binding list `small` embeds into `big`: working right to
+    left, each binding of `big` is either matched exactly by the next
+    binding of `small` or dropped, which `droppable(type)` must allow.  Both
+    options are explored, matching first; the search is memoised on the
+    pair of positions."""
     small = tuple(small)
     big = tuple(big)
+    memo: dict[tuple[int, int], bool] = {}
 
     def go(i: int, j: int) -> bool:
         if j == 0:
             return i == 0
-        name, ty = big[j - 1]
-        if (
-            i > 0
-            and small[i - 1][0] == name
-            and alpha_eq(small[i - 1][1], ty)
-            and go(i - 1, j - 1)
-        ):
-            return True
-        return (not tf_subord(rel, ty, f, gamma)) and go(i, j - 1)
+        if (i, j) not in memo:
+            name, ty = big[j - 1]
+            memo[i, j] = (
+                i > 0
+                and small[i - 1][0] == name
+                and alpha_eq(small[i - 1][1], ty)
+                and go(i - 1, j - 1)
+            ) or (droppable(ty) and go(i, j - 1))
+        return memo[i, j]
 
     return go(len(small), len(big))
+
+
+def ce_subsumes(rel: SubordRel, gamma: str, small, big, f: Formula) -> bool:
+    """The binding list `small` retains everything in `big` that matters for
+    `f`: each dropped binding's type is not subordinate to `f`."""
+    return _embeds(small, big, lambda ty: not tf_subord(rel, ty, f, gamma))
 
 
 def prune_ok(rel: SubordRel, schema: ContextSchema, small, big) -> bool:
     """Pruning relative to a schema: a dropped entry's type must not be
     subordinate to any type assigned in any block declaration of the
     schema (so later schema-generated bindings cannot depend on it)."""
-    small = tuple(small)
-    big = tuple(big)
     schema_types = [ty for block in schema.blocks for _, ty in block.decl]
-
-    def droppable(ty: TypeExpr) -> bool:
-        return all(not type_leq(rel, ty, other) for other in schema_types)
-
-    def go(i: int, j: int) -> bool:
-        if j == 0:
-            return i == 0
-        name, ty = big[j - 1]
-        if (
-            i > 0
-            and small[i - 1][0] == name
-            and alpha_eq(small[i - 1][1], ty)
-            and go(i - 1, j - 1)
-        ):
-            return True
-        return droppable(ty) and go(i, j - 1)
-
-    return go(len(small), len(big))
+    return _embeds(
+        small, big, lambda ty: not any(type_leq(rel, ty, t) for t in schema_types)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +251,12 @@ def _derive_renaming(src, tgt, tgt_vars: set, src_vars: set, mapping: dict, bp=(
 
 
 def _derive_renaming_term(src, tgt, tgt_vars, src_vars, mapping, bp) -> bool:
-    from .lf import Lam
-
     match src, tgt:
         case (Atom(h1, a1), Atom(h2, a2)):
             if len(a1) != len(a2):
                 return False
-            i1 = _bindex(h1, [p for p, _ in bp])
-            i2 = _bindex(h2, [t for _, t in bp])
+            i1 = _db_index(h1, [p for p, _ in bp])
+            i2 = _db_index(h2, [t for _, t in bp])
             if (i1 is None) != (i2 is None) or (i1 is not None and i1 != i2):
                 return False
             if i1 is None:
@@ -287,13 +279,6 @@ def _derive_renaming_term(src, tgt, tgt_vars, src_vars, mapping, bp) -> bool:
                 b1, b2, tgt_vars, src_vars, mapping, bp + ((v1, v2),)
             )
     return False
-
-
-def _bindex(name, seq):
-    for i in range(len(seq) - 1, -1, -1):
-        if seq[i] == name:
-            return len(seq) - 1 - i
-    return None
 
 
 def _close_permutation(mapping: Mapping[str, str]) -> dict[str, str]:

@@ -171,6 +171,23 @@ def test_validate_open_formula_is_input_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{ |- " + "s (" * 3000 + "z" + ")" * 3000 + " : nat }",
+        "(" * 3000 + "{ |- z : nat }" + ")" * 3000,
+    ],
+    ids=["term", "formula"],
+)
+def test_validate_deep_input_is_input_error(tmp_path, capsys, text):
+    f = tmp_path / "deep.fml"
+    f.write_text(text + "\n")
+    code, out, err = run(capsys, "validate", SIG, "--formula", str(f))
+    assert code == 2
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
+
+
 def test_oracle_small(capsys):
     code, out, _ = run(capsys, "oracle", SIG, "--term-size", "3", "--blocks", "2")
     assert code == 0

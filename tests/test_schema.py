@@ -1,5 +1,7 @@
 """Context schemas: well-formedness, instances, bounded enumeration."""
 
+import itertools
+
 import pytest
 
 from lfport import (
@@ -17,8 +19,16 @@ from lfport import (
     enumerate_instances,
     schema_instance,
 )
+import lfport.schema
 from lfport.lf import LFError
+from lfport.parse import parse_schemas
 from lfport.schema import ArityKindFailure, DuplicateVariable, PoolEmpty, segment_instance
+from lfport.subsume import (
+    SegmentationMismatch,
+    TransportCertificate,
+    transport_check,
+    transport_witness,
+)
 from util import a, at, ce, nom
 
 B_EMPTY = BlockSchema((), ())
@@ -197,3 +207,105 @@ def test_block_instance_rejects_repeated_pattern_args(sig_size):
     )
     with pytest.raises(NonPatternSchema):
         block_instance(sig_size, bad, ((nom(1), at("size", a("s", a("z")), a("z"))),))
+
+
+# ---------------------------------------------------------------------------
+# Segmentation: one dynamic programme answers both instance questions.
+
+# A context of k tm bindings segments in many ways under this schema.
+C_TM = parse_schemas("schema C := {}(x : tm) | {}(x : tm, y : tm).")["C"]
+
+
+def _segment_by_search(sig, cs, g):
+    """The recursive search `segment_instance` used to be: the first block,
+    in schema order, whose segment ends the context and whose prefix
+    segments.  Exponential in the length of a non-instance."""
+    bindings = g.bindings
+
+    def go(k: int):
+        if k == 0:
+            return []
+        for bi, block in enumerate(cs.blocks):
+            m = len(block.decl)
+            if m == 0 or m > k:
+                continue
+            if block_instance(sig, block, bindings[k - m : k]) is not None:
+                rest = go(k - m)
+                if rest is not None:
+                    return rest + [(bi, k - m, k)]
+        return None
+
+    return go(len(bindings))
+
+
+def _one_binding_away(g):
+    """Every context one binding away from `g`: a binding deleted, retyped,
+    or a fresh one inserted."""
+    bs = g.bindings
+    types = {ty for _, ty in bs} | {at("tm"), at("nat")}
+    fresh = nom(max((n.index for n, _ in bs), default=0) + 1)
+    for i in range(len(bs)):
+        yield ce(*bs[:i], *bs[i + 1 :])
+        for ty in types:
+            yield ce(*bs[:i], (bs[i][0], ty), *bs[i + 1 :])
+    for i in range(len(bs) + 1):
+        for ty in types:
+            yield ce(*bs[:i], (fresh, ty), *bs[i:])
+
+
+def _assert_same_segmentation(sig, cs, g):
+    want = _segment_by_search(sig, cs, g)
+    assert segment_instance(sig, cs, g) == want
+    assert schema_instance(sig, cs, g) == (want is not None)
+    return want
+
+
+def test_segmentation_matches_the_recursive_search(sig_stlc, schemas_stlc):
+    # Instances under every schema; their neighbours under their own schema
+    # and the two-block Cmix.
+    schemas = [schemas_stlc[n] for n in ("Cempty", "Csize", "Cof", "Cmix")]
+    outcomes = set()
+    for name in ("Csize", "Cof", "Cmix"):
+        for g in enumerate_instances(sig_stlc, schemas_stlc[name], 2, 2):
+            pairs = [(cs, g) for cs in schemas] + [
+                (cs, h)
+                for h in _one_binding_away(g)
+                for cs in {schemas_stlc[name], schemas_stlc["Cmix"]}
+            ]
+            for cs, h in pairs:
+                seg = _assert_same_segmentation(sig_stlc, cs, h)
+                outcomes.add(None if seg is None else len(seg))
+    assert outcomes == {None, 0, 1, 2}
+
+
+def test_segmentation_picks_the_recursive_search_split(sig_stlc):
+    # Under both block orders, every tm/nat context up to six bindings.
+    for cs in (C_TM, ContextSchema(C_TM.blocks[::-1])):
+        for n in range(7):
+            for kinds in itertools.product(("tm", "nat"), repeat=n):
+                g = ce(*((nom(i + 1), at(k)) for i, k in enumerate(kinds)))
+                _assert_same_segmentation(sig_stlc, cs, g)
+
+
+def test_segmentation_of_a_non_instance_is_linear(
+    sig_stlc, rel_stlc, of_exists_body, monkeypatch
+):
+    g = ce((nom(1), at("nat")), *((nom(i), at("tm")) for i in range(2, 42)))
+    n = len(g.bindings)
+    bound = (n + 1) * len(C_TM.blocks)
+    cert = transport_check(sig_stlc, rel_stlc, C_TM, C_TM, "G", of_exists_body)
+    assert isinstance(cert, TransportCertificate)
+    calls = 0
+    matcher = lfport.schema.block_instance
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= bound, "segmentation is not linear in the context"
+        return matcher(*args)
+
+    monkeypatch.setattr(lfport.schema, "block_instance", counted)
+    assert segment_instance(sig_stlc, C_TM, g) is None
+    calls = 0
+    with pytest.raises(SegmentationMismatch):
+        transport_witness(sig_stlc, cert, g)

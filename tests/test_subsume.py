@@ -15,6 +15,7 @@ from lfport import (
     LFContext,
     O,
     Top,
+    alpha_eq,
     block_instance,
     block_subsumes,
     ce_subsumes,
@@ -30,14 +31,15 @@ from lfport import (
     val_neg,
     val_pos,
 )
-from lfport.lf import LFError
+from lfport.lf import LFError, UnknownConstant
+from lfport.subord import type_leq
 from lfport.schema import enumerate_instances
 from lfport.subsume import (
     SubsumptionFailure,
     TransportCertificate,
     TransportFailure,
 )
-from util import a, at, ce, nom
+from util import a, at, ce, nom, pi
 
 B_EMPTY = BlockSchema((), ())
 B_SIZE = BlockSchema((), (("x", at("tm")), ("y", at("size", a("x"), a("s", a("z"))))))
@@ -119,6 +121,110 @@ def test_prune_blocked_by_schema_types(rel_size):
 def test_prune_reflexive(rel_size):
     decl = (("x", at("tm")), ("y", at("size", a("x"), a("s", a("z")))))
     assert prune_ok(rel_size, C_SIZE, decl, decl)
+
+
+# ---------------------------------------------------------------------------
+# ce_subsumes and prune_ok share one memoised embedding search; the two
+# recursive searches they used to carry are kept here as references.
+
+
+def _ce_subsumes_by_search(rel, gamma, small, big, f):
+    small = tuple(small)
+    big = tuple(big)
+
+    def go(i, j):
+        if j == 0:
+            return i == 0
+        name, ty = big[j - 1]
+        if (
+            i > 0
+            and small[i - 1][0] == name
+            and alpha_eq(small[i - 1][1], ty)
+            and go(i - 1, j - 1)
+        ):
+            return True
+        return (not tf_subord(rel, ty, f, gamma)) and go(i, j - 1)
+
+    return go(len(small), len(big))
+
+
+def _prune_ok_by_search(rel, schema, small, big):
+    small = tuple(small)
+    big = tuple(big)
+    schema_types = [ty for block in schema.blocks for _, ty in block.decl]
+
+    def droppable(ty):
+        return all(not type_leq(rel, ty, other) for other in schema_types)
+
+    def go(i, j):
+        if j == 0:
+            return i == 0
+        name, ty = big[j - 1]
+        if (
+            i > 0
+            and small[i - 1][0] == name
+            and alpha_eq(small[i - 1][1], ty)
+            and go(i - 1, j - 1)
+        ):
+            return True
+        return droppable(ty) and go(i, j - 1)
+
+    return go(len(small), len(big))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LFError as err:
+        return type(err)
+
+
+# Declaration types of the fixtures, an alpha-variant pair, and a type
+# constant the relation does not cover (type_leq raises UnknownConstant).
+_EMBED_TYPES = (
+    at("tm"),
+    at("nat"),
+    at("tp"),
+    at("size", a("x"), a("s", a("z"))),
+    at("of", a("x"), a("T")),
+    pi("u", at("tm"), at("size", a("u"), a("z"))),
+    pi("w", at("tm"), at("size", a("w"), a("z"))),
+)
+
+
+def _random_embedding(rng):
+    # Few names and types per case, so that bindings repeat and the search
+    # reaches one position of `big` along several paths.
+    names = rng.choice(("x", "xy", "xyz"))
+    types = rng.sample(_EMBED_TYPES, rng.randint(1, 3))
+
+    def binding():
+        ty = at("ghost") if rng.random() < 0.02 else rng.choice(types)
+        return (rng.choice(names), ty)
+
+    big = [binding() for _ in range(rng.randint(0, 8))]
+    small = [b for b in big if rng.random() < 0.6]
+    if small and rng.random() < 0.3:
+        small[rng.randrange(len(small))] = binding()
+    return small, big
+
+
+def test_embedding_search_matches_the_recursive_searches(
+    rel_stlc, schemas_stlc, plus_body, of_exists_body
+):
+    rng = random.Random(20)
+    outcomes = set()
+    for _ in range(1500):
+        small, big = _random_embedding(rng)
+        for f in (plus_body, of_exists_body):
+            want = _outcome(_ce_subsumes_by_search, rel_stlc, "G", small, big, f)
+            assert _outcome(ce_subsumes, rel_stlc, "G", small, big, f) == want
+            outcomes.add(want)
+        for cs in schemas_stlc.values():
+            want = _outcome(_prune_ok_by_search, rel_stlc, cs, small, big)
+            assert _outcome(prune_ok, rel_stlc, cs, small, big) == want
+            outcomes.add(want)
+    assert outcomes == {True, False, UnknownConstant}
 
 
 # ---------------------------------------------------------------------------
