@@ -3,9 +3,9 @@
 A context schema is a list of block schemas; instances are built by
 instantiating blocks repeatedly, replacing declaration variables with
 nominals and parameters with closed terms of the declared arity types.
-One dynamic programme over prefixes, `segment_instance`, answers both
-instance questions: how a context splits into block instances, and
-(`schema_instance`) whether it splits at all.
+One search, `segment_instance`, answers both instance questions: how a
+context splits into block instances, and (`schema_instance`) whether it
+splits at all.
 """
 
 from __future__ import annotations
@@ -275,7 +275,8 @@ def _swap_nominal(e, nom: Nominal, var: str):
 
 def schema_instance(sig: Signature, cs: ContextSchema, ce: CtxExpr) -> bool:
     """Whether the context expression segments into consecutive block
-    instances of the schema."""
+    instances of the schema.  Raises NonPatternSchema where
+    `segment_instance` does."""
     if ce.head is not None:
         raise ValueError("schema_instance expects a context expression without a head variable")
     return segment_instance(sig, cs, ce) is not None
@@ -286,34 +287,41 @@ def segment_instance(
 ) -> Optional[list[tuple[int, int, int]]]:
     """A segmentation of `ce` as (block index, start, end) triples, or None.
 
-    A dynamic programme over prefixes: `last[k]` is the first block, in
-    schema order, that ends a segmentation of the first k bindings (-1 for
-    the empty prefix, None when the prefix does not segment).  Following it
-    back from the end gives the segmentation, with at most one
-    `block_instance` call per prefix and block.
+    A depth-first search from the end of the context: the last segment is
+    the first block, in schema order, whose segment matches and whose
+    prefix segments.  A prefix found not to segment is remembered in
+    `dead`, so each prefix is searched at most once and a context of n
+    bindings costs at most n·|blocks| `block_instance` calls.  Each segment
+    is matched before `dead` is read for its prefix, so the segments tried
+    are those the same search without `dead` tries, in the same order less
+    repeats, and a block outside the pattern fragment raises
+    NonPatternSchema at the same segment.
     """
     if ce.head is not None:
         raise ValueError("segmentation expects a context expression without a head variable")
     bindings = ce.bindings
-    n = len(bindings)
-    last: list[Optional[int]] = [-1] + [None] * n
-    for k in range(1, n + 1):
-        for bi, block in enumerate(cs.blocks):
-            m = len(block.decl)
-            if m == 0 or m > k or last[k - m] is None:
-                continue
-            if block_instance(sig, block, bindings[k - m : k]) is not None:
-                last[k] = bi
-                break
-    if last[n] is None:
-        return None
-    segments: list[tuple[int, int, int]] = []
-    k = n
+    dead: set[int] = set()
+    path: list[tuple[int, int, int]] = []
+    k, bi = len(bindings), 0
     while k:
-        m = len(cs.blocks[last[k]].decl)
-        segments.append((last[k], k - m, k))
-        k -= m
-    return segments[::-1]
+        if bi == len(cs.blocks):
+            dead.add(k)
+            if not path:
+                return None
+            prev, _, k = path.pop()
+            bi = prev + 1
+            continue
+        m = len(cs.blocks[bi].decl)
+        if (
+            0 < m <= k
+            and block_instance(sig, cs.blocks[bi], bindings[k - m : k]) is not None
+            and k - m not in dead
+        ):
+            path.append((bi, k - m, k))
+            k, bi = k - m, 0
+        else:
+            bi += 1
+    return path[::-1]
 
 
 # ---------------------------------------------------------------------------

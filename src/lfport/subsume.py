@@ -107,24 +107,22 @@ def _embeds(small, big, droppable) -> bool:
     """Whether the binding list `small` embeds into `big`: working right to
     left, each binding of `big` is either matched exactly by the next
     binding of `small` or dropped, which `droppable(type)` must allow.  Both
-    options are explored, matching first; the search is memoised on the
-    pair of positions."""
+    options are explored, matching first."""
     small = tuple(small)
     big = tuple(big)
-    memo: dict[tuple[int, int], bool] = {}
 
     def go(i: int, j: int) -> bool:
         if j == 0:
             return i == 0
-        if (i, j) not in memo:
-            name, ty = big[j - 1]
-            memo[i, j] = (
-                i > 0
-                and small[i - 1][0] == name
-                and alpha_eq(small[i - 1][1], ty)
-                and go(i - 1, j - 1)
-            ) or (droppable(ty) and go(i, j - 1))
-        return memo[i, j]
+        name, ty = big[j - 1]
+        if (
+            i > 0
+            and small[i - 1][0] == name
+            and alpha_eq(small[i - 1][1], ty)
+            and go(i - 1, j - 1)
+        ):
+            return True
+        return droppable(ty) and go(i, j - 1)
 
     return go(len(small), len(big))
 
@@ -643,7 +641,9 @@ def transport_witness(
     sig: Signature, cert: TransportCertificate, g_target: CtxExpr
 ) -> CtxExpr:
     """Prune an instance of the target schema into an instance of the source
-    schema by replaying the certificate's per-block pruning."""
+    schema by replaying the certificate's per-block pruning.  A target
+    schema outside the pattern fragment may raise NonPatternSchema, as
+    `segment_instance` does."""
     segmentation = segment_instance(sig, cert.target, g_target)
     if segmentation is None:
         raise SegmentationMismatch(

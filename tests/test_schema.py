@@ -22,7 +22,13 @@ from lfport import (
 import lfport.schema
 from lfport.lf import LFError
 from lfport.parse import parse_schemas
-from lfport.schema import ArityKindFailure, DuplicateVariable, PoolEmpty, segment_instance
+from lfport.schema import (
+    ArityKindFailure,
+    DuplicateVariable,
+    NonPatternSchema,
+    PoolEmpty,
+    segment_instance,
+)
 from lfport.subsume import (
     SegmentationMismatch,
     TransportCertificate,
@@ -309,3 +315,45 @@ def test_segmentation_of_a_non_instance_is_linear(
     calls = 0
     with pytest.raises(SegmentationMismatch):
         transport_witness(sig_stlc, cert, g)
+
+
+# Outside the pattern fragment `block_instance` raises NonPatternSchema on
+# some segments, so whether a question raises depends on which segments
+# the search matches.  Both questions raise where the recursive search
+# raises, and answer where it answers.
+C_NON_PATTERN = parse_schemas(
+    "schema C := {}(x : size z z, y : tm) | {F : o -> o}(y : size (F (s z)) z)."
+)["C"]
+# The last block is matched against (nat, size) after the prefix (nat) is
+# known not to segment; the search still matches it, and raises.
+C_NON_PATTERN_PAIR = parse_schemas(
+    "schema C := {T : o}(y : size T z) | {}(x : tm)"
+    " | {F : o -> o}(x : tm, y : size (F (s z)) z)."
+)["C"]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonPatternSchema:
+        return NonPatternSchema
+
+
+def test_segmentation_outside_the_pattern_fragment(sig_size):
+    size_app = at("size", a("app", a(nom(9)), a(nom(9))), a("z"))
+    size_zz = at("size", a("z"), a("z"))
+    cases = [
+        (C_NON_PATTERN, [size_zz, at("tm")], [(0, 0, 2)]),
+        (C_NON_PATTERN, [size_app, at("tm")], None),
+        (C_NON_PATTERN, [at("nat"), size_app], NonPatternSchema),
+        (C_NON_PATTERN, [size_app], NonPatternSchema),
+        (C_NON_PATTERN_PAIR, [at("nat"), at("tm"), size_app], NonPatternSchema),
+    ]
+    for cs, types, want in cases:
+        check_schema(sig_size, cs)
+        g = ce(*((nom(i + 1), ty) for i, ty in enumerate(types)))
+        assert _outcome(_segment_by_search, sig_size, cs, g) == want
+        assert _outcome(segment_instance, sig_size, cs, g) == want
+        assert _outcome(schema_instance, sig_size, cs, g) == (
+            want if want is NonPatternSchema else want is not None
+        )

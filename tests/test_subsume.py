@@ -124,8 +124,8 @@ def test_prune_reflexive(rel_size):
 
 
 # ---------------------------------------------------------------------------
-# ce_subsumes and prune_ok share one memoised embedding search; the two
-# recursive searches they used to carry are kept here as references.
+# ce_subsumes and prune_ok share one embedding search; the two recursive
+# searches they used to carry are kept here as references.
 
 
 def _ce_subsumes_by_search(rel, gamma, small, big, f):
@@ -194,7 +194,7 @@ _EMBED_TYPES = (
 
 def _random_embedding(rng):
     # Few names and types per case, so that bindings repeat and the search
-    # reaches one position of `big` along several paths.
+    # backtracks between matching and dropping.
     names = rng.choice(("x", "xy", "xyz"))
     types = rng.sample(_EMBED_TYPES, rng.randint(1, 3))
 
