@@ -8,6 +8,7 @@ including input nested too deeply to process.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -254,7 +255,10 @@ def _cmd_oracle(args) -> int:
 # Dispatch.
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use.  Parsing
+    leaves it unchanged, so every `main` call can share it."""
     ap = argparse.ArgumentParser(
         prog="lfport",
         description="Canonical-LF checking, subordination analysis, context "

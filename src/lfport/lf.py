@@ -9,8 +9,10 @@ annotations surface as ``SubstFailure`` instead of divergence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -187,33 +189,47 @@ Decl = Union[TypeDecl, TermDecl]
 
 @dataclass(frozen=True)
 class Signature:
+    """An ordered list of declarations.  Lookups, and the erased view, are
+    computed once per instance; a name declared twice (which
+    `check_signature` rejects) resolves to its first declaration."""
+
     decls: tuple[Decl, ...] = ()
 
+    @functools.cached_property
+    def _index(self) -> tuple[dict[str, Kind], dict[str, TypeExpr]]:
+        kinds: dict[str, Kind] = {}
+        types: dict[str, TypeExpr] = {}
+        for d in reversed(self.decls):
+            if isinstance(d, TypeDecl):
+                kinds[d.name] = d.kind
+            elif isinstance(d, TermDecl):
+                types[d.name] = d.type
+        return kinds, types
+
     def kind_of(self, name: str) -> Optional[Kind]:
-        for d in self.decls:
-            if isinstance(d, TypeDecl) and d.name == name:
-                return d.kind
-        return None
+        return self._index[0].get(name)
 
     def type_of(self, name: str) -> Optional[TypeExpr]:
-        for d in self.decls:
-            if isinstance(d, TermDecl) and d.name == name:
-                return d.type
-        return None
+        return self._index[1].get(name)
 
     def type_constants(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.decls if isinstance(d, TypeDecl))
 
     def arity_context(self) -> "ArityContext":
         """The erased view of the signature (term constant arities plus the
-        argument arities of each type constant)."""
+        argument arities of each type constant), shared read-only by every
+        caller."""
+        return self._arity_context
+
+    @functools.cached_property
+    def _arity_context(self) -> "ArityContext":
         terms = {d.name: erase(d.type) for d in self.decls if isinstance(d, TermDecl)}
         types = {
             d.name: kind_arg_arities(d.kind)
             for d in self.decls
             if isinstance(d, TypeDecl)
         }
-        return ArityContext(terms, types)
+        return ArityContext(MappingProxyType(terms), MappingProxyType(types))
 
 
 @dataclass(frozen=True)
@@ -428,7 +444,8 @@ def alpha_key(e: Expr, env: tuple[str, ...] = ()):
 
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
-    return alpha_key(a) == alpha_key(b)
+    # Syntactic equality implies alpha-equivalence and needs no keys.
+    return a == b or alpha_key(a) == alpha_key(b)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,10 @@ class CtxExpr:
 
 
 def check_schema(sig: Signature, cs: ContextSchema) -> None:
+    """Well-formedness of every block: distinct parameters, fresh
+    declaration variables, declaration types that arity-kind, and every
+    parameter occurrence a Miller pattern (NonPatternSchema otherwise), so
+    that `block_instance` answers on every segment instead of raising."""
     actx = sig.arity_context()
     for block in cs.blocks:
         param_names = [v for v, _ in block.params]
@@ -97,12 +101,46 @@ def check_schema(sig: Signature, cs: ContextSchema) -> None:
             raise DuplicateVariable("block schema parameters are not distinct")
         assigned = dict(actx.terms)
         assigned.update(dict(block.params))
+        params = frozenset(param_names)
+        earlier: set[str] = set()
         for y, ty in block.decl:
             if y in assigned:
                 raise DuplicateVariable(f"declaration variable {y} already assigned")
             if not arity_check_type(actx.with_terms(assigned), ty):
                 raise ArityKindFailure(f"type of {y} does not arity-kind")
+            if params:
+                _check_patterns(ty, params, earlier, frozenset())
             assigned[y] = erase(ty)
+            earlier.add(y)
+
+
+def _check_patterns(e, params, earlier, bound: frozenset) -> None:
+    """Raise NonPatternSchema unless every parameter occurrence in `e` is
+    applied to distinct bare variables: local binders (`bound`), earlier
+    declaration variables of the block (`earlier`) or nominals.  These are
+    exactly the spines `_solve_param` accepts, checked in its order."""
+    match e:
+        case Atom(h, args) if isinstance(h, str) and h in params and h not in bound:
+            for arg in args:
+                if not isinstance(arg, Atom) or arg.args:
+                    raise NonPatternSchema(
+                        f"parameter {h} applied to a non-variable argument"
+                    )
+                x = arg.head
+                if not (isinstance(x, Nominal) or x in bound or x in earlier):
+                    raise NonPatternSchema(
+                        f"parameter {h} applied to the free name {x}"
+                    )
+            if len({arg.head for arg in args}) != len(args):
+                raise NonPatternSchema(f"parameter {h} applied to repeated arguments")
+        case Atom(_, args) | AtomicType(_, args):
+            for arg in args:
+                _check_patterns(arg, params, earlier, bound)
+        case Lam(v, body):
+            _check_patterns(body, params, earlier, bound | {v})
+        case PiType(v, d, b):
+            _check_patterns(d, params, earlier, bound)
+            _check_patterns(b, params, earlier, bound | {v})
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +245,9 @@ def _heads_match(h1, h2, bp) -> bool:
 
 def _solve_param(param, spine, tgt, solution, bp) -> bool:
     # Spine arguments must be distinct nominals or pattern-side bound
-    # variables; the solution abstracts their target-side images.
+    # variables; the solution abstracts their target-side images.  A bound
+    # variable's image is its binder's position in `bp`, so target binders
+    # that shadow one another stay distinct.
     images: list = []
     for arg in spine:
         if not isinstance(arg, Atom) or arg.args:
@@ -222,8 +262,7 @@ def _solve_param(param, spine, tgt, solution, bp) -> bool:
                 raise NonPatternSchema(
                     f"parameter {param} applied to the free name {arg.head}"
                 )
-            tgt_names = [t for _, t in bp]
-            images.append(tgt_names[len(bp) - 1 - idx])
+            images.append(len(bp) - 1 - idx)
     if len(set(images)) != len(images):
         raise NonPatternSchema(f"parameter {param} applied to repeated arguments")
     tgt_bound = [t for _, t in bp]
@@ -238,8 +277,9 @@ def _solve_param(param, spine, tgt, solution, bp) -> bool:
         fresh.append(w)
         if isinstance(image, Nominal):
             body = _swap_nominal(body, image, w)
-        else:
-            body = rename_var(body, image, w)
+        elif tgt_bound[image] not in tgt_bound[image + 1 :]:
+            # a shadowed binder cannot occur in `tgt`
+            body = rename_var(body, tgt_bound[image], w)
     if free_vars(body) & set(tgt_bound):
         return False  # solution would capture a bound variable
     candidate: Term = body

@@ -27,7 +27,7 @@ class SubordRel:
     """Reflexive, transitively closed subordination over type constants."""
 
     pairs: frozenset
-    constants: tuple[str, ...]
+    constants: frozenset
 
     def holds(self, a: str, b: str) -> bool:
         return (a, b) in self.pairs
@@ -86,7 +86,7 @@ def compute_subordination(sig: Signature) -> SubordRel:
             if d == a and (c, b) not in pairs:
                 pairs.add((c, b))
                 work.append((c, b))
-    return SubordRel(frozenset(pairs), constants)
+    return SubordRel(frozenset(pairs), frozenset(constants))
 
 
 def type_leq(rel: SubordRel, a: TypeExpr, b: TypeExpr) -> bool:

@@ -279,6 +279,20 @@ def _derive_renaming_term(src, tgt, tgt_vars, src_vars, mapping, bp) -> bool:
     return False
 
 
+def _entry_renaming(src_entry, tgt_entry, tgt_vars, src_vars) -> Optional[dict[str, str]]:
+    """The renaming that matching one source declaration entry alone
+    against one target entry derives, target variable included, or None
+    when they do not match."""
+    sy, sty = src_entry
+    ty_name, tty = tgt_entry
+    mapping: dict[str, str] = {}
+    if not _derive_renaming(sty, tty, tgt_vars, src_vars, mapping):
+        return None
+    if mapping.setdefault(ty_name, sy) != sy:
+        return None
+    return mapping
+
+
 def _close_permutation(mapping: Mapping[str, str]) -> dict[str, str]:
     """Extend an injective renaming to a bijection on its support."""
     keys = set(mapping)
@@ -313,6 +327,14 @@ def block_subsumes(
     Candidate alignments embed the source declaration as a subsequence of
     the target's; the renaming is derived by structural matching and closed
     into a permutation.  First hit wins.
+
+    An alignment's renaming is the union of the renamings its entry pairs
+    derive alone, and fails where two of them disagree: a renaming only
+    grows by `setdefault`s that must agree.  So each (source entry, target
+    entry) pair is matched once per source block, on first use, into a
+    table, and every alignment containing the pair merges the entry.  The
+    alignments tried, their order, the `search_cap` count and the result
+    are those of matching every pair afresh per alignment.
     """
     atom_types = _gamma_atom_types(f, gamma)
     schema_types = [ty for block in source.blocks for _, ty in block.decl]
@@ -324,6 +346,7 @@ def block_subsumes(
         src_vars = {v for v, _ in src.params} | {y for y, _ in sdecl}
         if len(sdecl) > len(tdecl):
             continue
+        table: dict[tuple[int, int], Optional[dict[str, str]]] = {}
         for keep in itertools.combinations(range(len(tdecl)), len(sdecl)):
             attempts += 1
             if attempts > search_cap:
@@ -332,12 +355,15 @@ def block_subsumes(
                 )
             mapping: dict[str, str] = {}
             ok = True
-            for (sy, sty), ti in zip(sdecl, keep):
-                ty_name, tty = tdecl[ti]
-                if not _derive_renaming(sty, tty, tgt_vars, src_vars, mapping):
-                    ok = False
-                    break
-                if mapping.setdefault(ty_name, sy) != sy:
+            for k, ti in enumerate(keep):
+                if (k, ti) not in table:
+                    table[k, ti] = _entry_renaming(
+                        sdecl[k], tdecl[ti], tgt_vars, src_vars
+                    )
+                entry = table[k, ti]
+                if entry is None or any(
+                    mapping.setdefault(x, y) != y for x, y in entry.items()
+                ):
                     ok = False
                     break
             if not ok:

@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, output, exit codes."""
 
+import contextlib
+import io
+
 import pytest
 
+from lfport import cli
 from lfport.cli import main
 from conftest import FIXTURES
 
@@ -250,3 +254,55 @@ def test_multi_block_subsumption(capsys):
         "--formula", str(FIXTURES / "of_exists.fml"), "--var", "G",
     )
     assert code == 1
+
+
+def test_search_cap_exceeded_is_input_error(capsys):
+    code, out, err = run(
+        capsys, "transport", SIG, SCHEMAS, "--from", "Cempty", "--to", "Csize",
+        "--formula", PLUS, "--var", "G", "--search-cap", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: variant search exceeded 0 alignment attempts\n"
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    # Subcommands with defaults and explicit options, a usage error and
+    # --help, interleaved in one process: the shared parser gives what a
+    # freshly built one gives.
+    transport = ["transport", SIG, SCHEMAS, "--from", "Cempty", "--to", "Csize",
+                 "--formula", PLUS, "--var", "G"]
+    calls = [
+        transport,
+        ["check", SIG],
+        transport + ["--search-cap", "0"],
+        ["minimize", SIG],
+        transport,
+        ["subsumes", SIG, SCHEMAS, "--from", "Csize", "--to", "Cempty",
+         "--formula", TM_SIZE, "--var", "G", "--search-cap", "5"],
+        ["transport", "--help"],
+        ["validate", SIG, "--formula", PLUS_CTX, "--schemas", SCHEMAS,
+         "--term-size", "2", "--blocks", "1"],
+        ["--help"],
+        ["oracle", SIG, "--term-size", "2", "--blocks", "1"],
+        ["transport", SIG, SCHEMAS, "--from", "Cempty"],
+        transport + ["--search-cap", "10"],
+        ["check", SIG],
+    ]
+    shared = [_outcome(argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [_outcome(argv) for argv in calls]
+    assert shared == fresh
+    assert {code for code, _, _ in shared} == {0, 1, 2}
+    assert shared[0] == shared[4] and shared[2][0] == 2 and shared[11][0] == 0

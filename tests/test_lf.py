@@ -1,5 +1,7 @@
 """Core LF: erasure, hereditary substitution, formation judgements."""
 
+import copy
+
 import pytest
 
 from lfport import (
@@ -263,3 +265,113 @@ def test_substitution_preserves_arity_typing(sig_size):
             }
             out = apply_subst(term, subst)
             assert arity_check_term(actx, out, arity)
+
+
+# ---------------------------------------------------------------------------
+# Fast paths, each against the plain computation it stands for.
+
+
+def _alpha_cases():
+    # Alpha-variants, shadowed binders, nominals and free names; each tree
+    # also appears as a distinct but equal object.
+    base = [
+        Lam("x", a("x")),
+        Lam("y", a("y")),
+        Lam("x", Lam("x", a("x"))),
+        Lam("x", Lam("y", a("x"))),
+        Lam("y", Lam("x", a("y"))),
+        Lam("x", Lam("y", a("y"))),
+        Lam("x", a("y")),
+        Lam("y", a("x")),
+        a("app", a("x"), a(nom(1))),
+        a("app", a("x"), a(nom(2))),
+        a("lam", Lam("x", a("app", a("x"), a("x")))),
+        a("lam", Lam("z", a("app", a("z"), a("z")))),
+        at("size", a("x"), a("s", a("z"))),
+        pi("x", at("tm"), at("size", a("x"), a("z"))),
+        pi("y", at("tm"), at("size", a("y"), a("z"))),
+        pi("x", at("tm"), pi("x", at("tm"), at("size", a("x"), a("z")))),
+        pi("x", at("tm"), pi("y", at("tm"), at("size", a("x"), a("z")))),
+        pi("y", at("tm"), pi("x", at("tm"), at("size", a("y"), a("z")))),
+        pi("x", at("tm"), at("size", a("y"), a("z"))),
+    ]
+    rebuilt = [copy.deepcopy(e) for e in base]
+    assert all(r == e and r is not e for r, e in zip(rebuilt, base))
+    return base + rebuilt
+
+
+def test_alpha_eq_agrees_with_alpha_keys():
+    from lfport.lf import alpha_key
+
+    cases = _alpha_cases()
+    verdicts = set()
+    for x in cases:
+        for y in cases:
+            want = alpha_key(x) == alpha_key(y)
+            assert alpha_eq(x, y) == want, (x, y)
+            verdicts.add((x == y, want))
+    # equal trees, alpha-variants that differ as trees, and inequivalent ones
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def _decls_with_duplicates():
+    return (
+        TypeDecl("nat", TYPE),
+        TermDecl("z", at("nat")),
+        TypeDecl("tm", TYPE),
+        TermDecl("z", at("tm")),
+        TypeDecl("nat", pi("x", at("tm"), TYPE)),
+        TermDecl("s", pi("x", at("nat"), at("nat"))),
+        TypeDecl("s", TYPE),
+    )
+
+
+def test_signature_lookups_agree_with_a_linear_scan(sig_stlc):
+    def scan(decls, cls, name):
+        for d in decls:
+            if isinstance(d, cls) and d.name == name:
+                return d.kind if cls is TypeDecl else d.type
+        return None
+
+    # an unchecked signature may declare a name twice; the first one counts
+    for decls in (sig_stlc.decls, _decls_with_duplicates()):
+        sig = Signature(decls)
+        names = {d.name for d in decls} | {"ghost"}
+        for name in sorted(names):
+            assert sig.kind_of(name) == scan(decls, TypeDecl, name), name
+            assert sig.type_of(name) == scan(decls, TermDecl, name), name
+    dup = Signature(_decls_with_duplicates())
+    assert dup.kind_of("nat") == TYPE
+    assert dup.type_of("z") == at("nat")
+
+
+def test_arity_context_is_computed_once_per_signature(sig_stlc):
+    from lfport.lf import ArityContext, kind_arg_arities
+
+    def fresh(sig):
+        terms = {d.name: erase(d.type) for d in sig.decls if isinstance(d, TermDecl)}
+        types = {
+            d.name: kind_arg_arities(d.kind)
+            for d in sig.decls
+            if isinstance(d, TypeDecl)
+        }
+        return ArityContext(terms, types)
+
+    actx = sig_stlc.arity_context()
+    assert sig_stlc.arity_context() is actx
+    assert actx == fresh(sig_stlc)
+    assert dict(actx.terms) == fresh(sig_stlc).terms
+    # equal signatures, and a prefix, each get their own
+    twin = Signature(sig_stlc.decls)
+    assert twin == sig_stlc and twin.arity_context() is not actx
+    assert twin.arity_context() == actx
+    prefix = Signature(sig_stlc.decls[:3])
+    assert prefix.arity_context() == fresh(prefix) != actx
+    # callers share the maps, so they are read-only
+    with pytest.raises(TypeError):
+        actx.terms["z"] = Arrow(O, O)
+    with pytest.raises(TypeError):
+        actx.type_args["nat"] = (O,)
+    extended = actx.with_terms({"x": O})
+    assert extended.terms["x"] == O and "x" not in actx.terms
+    assert actx == fresh(sig_stlc)

@@ -319,8 +319,9 @@ def test_segmentation_of_a_non_instance_is_linear(
 
 # Outside the pattern fragment `block_instance` raises NonPatternSchema on
 # some segments, so whether a question raises depends on which segments
-# the search matches.  Both questions raise where the recursive search
-# raises, and answer where it answers.
+# the search matches.  `check_schema` rejects such schemas; unchecked, both
+# questions raise where the recursive search raises, and answer where it
+# answers.
 C_NON_PATTERN = parse_schemas(
     "schema C := {}(x : size z z, y : tm) | {F : o -> o}(y : size (F (s z)) z)."
 )["C"]
@@ -350,10 +351,85 @@ def test_segmentation_outside_the_pattern_fragment(sig_size):
         (C_NON_PATTERN_PAIR, [at("nat"), at("tm"), size_app], NonPatternSchema),
     ]
     for cs, types, want in cases:
-        check_schema(sig_size, cs)
+        with pytest.raises(NonPatternSchema):
+            check_schema(sig_size, cs)
         g = ce(*((nom(i + 1), ty) for i, ty in enumerate(types)))
         assert _outcome(_segment_by_search, sig_size, cs, g) == want
         assert _outcome(segment_instance, sig_size, cs, g) == want
         assert _outcome(schema_instance, sig_size, cs, g) == (
             want if want is NonPatternSchema else want is not None
         )
+
+
+# `check_schema` rejects a block exactly when some parameter occurrence is
+# not a Miller pattern, with the message `block_instance` raises when its
+# matching reaches that occurrence.
+_PATTERN_BLOCKS = [
+    "{F : o -> o}(x : tm, y : size (F x) z)",
+    "{F : o -> o}(y : {w : tm} size (F w) z)",
+    "{F : o -> o -> o}(x : tm, y : {w : tm} size (F w x) z)",
+    "{F : o}(y : {F : tm} size F z)",
+    "{F : o -> o}(x : tm, y : {x : tm} size (F x) z)",
+    "{T : o}(x : tm, y : size x T)",
+]
+_NON_PATTERN_BLOCKS = [
+    ("{F : o -> o}(y : size (F (s z)) z)", "non-variable argument", ["size (s z) z"]),
+    ("{F : o -> o}(y : size (F z) z)", "the free name z", ["size z z"]),
+    ("{F : o -> o, G : o}(y : size (F G) z)", "the free name G", ["size z z"]),
+    ("{F : o -> o -> o}(x : tm, y : size (F x x) z)", "repeated arguments",
+     ["tm", "size z z"]),
+    ("{F : o -> o -> o}(y : size (F z (s z)) z)", "the free name z", ["size z z"]),
+    ("{F : o -> o -> o}(x : tm, y : size (F x (s z)) z)", "non-variable argument",
+     ["tm", "size z z"]),
+    ("{F : o -> o, G : o -> o -> o}(x : tm, y : size (F x) (G x x))",
+     "repeated arguments", ["tm", "size z z"]),
+]
+
+
+def test_check_schema_rejects_blocks_outside_the_pattern_fragment(sig_size):
+    from lfport.parse import parse_type_text
+
+    for text in _PATTERN_BLOCKS:
+        check_schema(sig_size, parse_schemas(f"schema C := {text}.")["C"])
+    for text, message, types in _NON_PATTERN_BLOCKS:
+        cs = parse_schemas(f"schema C := {text}.")["C"]
+        with pytest.raises(NonPatternSchema) as rejected:
+            check_schema(sig_size, cs)
+        assert message in str(rejected.value), text
+        g = ce(*((nom(i + 1), parse_type_text(t)) for i, t in enumerate(types)))
+        with pytest.raises(NonPatternSchema) as raised:
+            block_instance(sig_size, cs.blocks[0], g.bindings)
+        assert str(raised.value) == str(rejected.value), text
+
+
+def test_block_instance_is_stable_under_shadowing_target_binders(sig_size):
+    from lfport.lf import PiType
+
+    blocks = [
+        parse_schemas(f"schema C := {text}.")["C"].blocks[0]
+        for text in (
+            "{F : o -> o -> o}(y : {u : tm} {v : tm} size (F u v) z)",
+            "{F : o -> o -> o}(y : {u : tm} {v : tm} size (F v u) z)",
+            "{F : o -> o}(y : {u : tm} {v : tm} size (F v) z)",
+            "{F : o -> o}(y : {u : tm} {v : tm} size (F u) z)",
+        )
+    ]
+    ar = Arrow(O, Arrow(O, O))
+
+    def body(inner):
+        # bodies that never mention the outer binder
+        return [a("app", a(inner), a(inner)), a(inner), a("z"), a("lam", Lam("q", a(inner)))]
+
+    verdicts = set()
+    for block in blocks:
+        for k in range(4):
+            outs = []
+            for outer, inner in (("x", "y"), ("y", "x"), ("x", "x")):
+                tgt = PiType(outer, at("tm"), PiType(inner, at("tm"), at(
+                    "size", body(inner)[k], a("z"))))
+                outs.append(block_instance(sig_size, block, ((nom(1, ar), tgt),)))
+            verdicts.add(outs[0] is not None)
+            assert all((o is None) == (outs[0] is None) for o in outs), (block, k)
+            if outs[0] is not None:
+                assert all(alpha_eq(o["F"], outs[0]["F"]) for o in outs)
+    assert verdicts == {True, False}

@@ -32,9 +32,14 @@ from lfport import (
     val_pos,
 )
 from lfport.lf import LFError, UnknownConstant
-from lfport.subord import type_leq
+from lfport.parse import parse_schemas
+from lfport.subord import head_constant, type_leq
 from lfport.schema import enumerate_instances
+import lfport.subsume
 from lfport.subsume import (
+    BlockMatch,
+    DropRecord,
+    SearchCapExceeded,
     SubsumptionFailure,
     TransportCertificate,
     TransportFailure,
@@ -338,6 +343,189 @@ def test_schema_subsumes_fails_for_tm_formula(rel_size, sig_size, tm_size_body):
 def test_schema_subsumes_empty_target(rel_size, sig_size, plus_body):
     out = schema_subsumes(rel_size, sig_size, C_SIZE, plus_body, "G", ContextSchema())
     assert out == ()
+
+
+# ---------------------------------------------------------------------------
+# The variant search derives each (source entry, target entry) renaming
+# once per source block.  The reference below matches every pair afresh
+# for each alignment, as the search used to.
+
+
+def _block_subsumes_by_alignment(rel, sig, target, f, gamma, source, search_cap):
+    """The per-alignment search; returns the match and the attempts made."""
+    atom_types = lfport.subsume._gamma_atom_types(f, gamma)
+    schema_types = [ty for block in source.blocks for _, ty in block.decl]
+    tdecl = target.decl
+    tgt_vars = {v for v, _ in target.params} | {y for y, _ in tdecl}
+    attempts = 0
+    for si, src in enumerate(source.blocks):
+        sdecl = src.decl
+        src_vars = {v for v, _ in src.params} | {y for y, _ in sdecl}
+        if len(sdecl) > len(tdecl):
+            continue
+        for keep in itertools.combinations(range(len(tdecl)), len(sdecl)):
+            attempts += 1
+            if attempts > search_cap:
+                raise SearchCapExceeded(
+                    f"variant search exceeded {search_cap} alignment attempts"
+                )
+            mapping = {}
+            ok = True
+            for (sy, sty), ti in zip(sdecl, keep):
+                ty_name, tty = tdecl[ti]
+                if not lfport.subsume._derive_renaming(
+                    sty, tty, tgt_vars, src_vars, mapping
+                ):
+                    ok = False
+                    break
+                if mapping.setdefault(ty_name, sy) != sy:
+                    ok = False
+                    break
+            if not ok or len(set(mapping.values())) != len(mapping):
+                continue
+            perm = lfport.subsume._close_permutation(mapping)
+            variant = make_variant(sig, perm, target)
+            vdecl = variant.decl
+            if not lfport.subsume._decl_subsequence_eq(sdecl, [vdecl[i] for i in keep]):
+                continue
+            if not prune_ok(rel, source, sdecl, vdecl):
+                continue
+            if not ce_subsumes(rel, gamma, sdecl, vdecl, f):
+                continue
+            drops = []
+            for pos, (dv, dty) in enumerate(vdecl):
+                if pos in keep:
+                    continue
+                h = head_constant(dty)
+                formula_facts = tuple(sorted({(h, head_constant(a)) for a in atom_types}))
+                schema_facts = tuple(sorted({(h, head_constant(a)) for a in schema_types}))
+                drops.append(DropRecord(pos, dv, dty, formula_facts, schema_facts))
+            match = BlockMatch(
+                0, si, tuple(sorted(perm.items())), variant, keep, tuple(drops)
+            )
+            return match, attempts
+    return None, attempts
+
+
+class _TopLevelCalls:
+    """Counts the calls of a recursive function made from outside it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+        self.depth = 0
+        self.limit = None
+
+    def __call__(self, *args):
+        if self.depth == 0:
+            self.calls += 1
+            assert self.limit is None or self.calls <= self.limit, "too many calls"
+        self.depth += 1
+        try:
+            return self.fn(*args)
+        finally:
+            self.depth -= 1
+
+
+_BLOCK_NAMES = ("x", "y", "u", "v", "w", "x1", "y1", "T")
+
+
+def _random_block(rng, size):
+    # Names repeat across blocks, and types within one, so that many
+    # alignments share entry pairs and renamings conflict.
+    params = (("T", O),) if rng.random() < 0.4 else ()
+    names = [n for n in _BLOCK_NAMES if not (params and n == "T")]
+    tms = []
+    decl = []
+    for y in rng.sample(names, size):
+        choices = [at("tm")] * 3 + [
+            at("nat"),
+            at("tp"),
+            pi("w", at("tm"), at("size", a("w"), a("z"))),
+        ]
+        if tms:
+            x = rng.choice(tms)
+            choices += [
+                at("size", a(x), a("s", a("z"))),
+                at("size", a(x), a("z")),
+                at("of", a(x), a("T") if params else a("b")),
+            ]
+        ty = rng.choice(choices)
+        if ty == at("tm"):
+            tms.append(y)
+        decl.append((y, ty))
+    return BlockSchema(params, tuple(decl))
+
+
+def _search_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SearchCapExceeded:
+        return SearchCapExceeded
+
+
+def test_pair_table_search_matches_the_per_alignment_search(
+    sig_stlc, rel_stlc, plus_body, of_exists_body, monkeypatch
+):
+    counter = _TopLevelCalls(lfport.subsume._derive_renaming)
+    monkeypatch.setattr(lfport.subsume, "_derive_renaming", counter)
+    rng = random.Random(4)
+    kinds = set()
+    for _ in range(300):
+        source = ContextSchema(
+            tuple(_random_block(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 3)))
+        )
+        target = _random_block(rng, rng.randint(0, 7))
+        for f in (plus_body, of_exists_body):
+            args = (rel_stlc, sig_stlc, target, f, "G", source)
+            counter.calls = 0
+            want, attempts = _block_subsumes_by_alignment(*args, 10**9)
+            parent_calls = counter.calls
+            counter.calls = 0
+            assert block_subsumes(*args, 10**9) == want
+            assert counter.calls <= parent_calls
+            kinds.add(
+                "none" if want is None
+                else "drop" if want.drops else "keep-all"
+            )
+            if want is not None and len(source.blocks[want.source_index].decl) > 1:
+                kinds.add("aligned")
+            for cap in {0, attempts - 1, attempts, attempts + 1} - {-1}:
+                expect = _search_outcome(_block_subsumes_by_alignment, *args, cap)
+                got = _search_outcome(block_subsumes, *args, cap)
+                if expect is SearchCapExceeded:
+                    kinds.add("capped")
+                    assert got is SearchCapExceeded
+                else:
+                    assert got == expect[0]
+    assert kinds == {"none", "drop", "keep-all", "aligned", "capped"}
+
+
+def test_pair_table_bounds_the_renamings_derived(
+    sig_stlc, rel_stlc, plus_body, monkeypatch
+):
+    # The source entries match only the last two of 32 target entries, so
+    # every alignment but the last fails; each source block may derive at
+    # most one renaming per (source entry, target entry) pair.
+    pad = tuple((f"p{i}", at("tp")) for i in range(30))
+    target = BlockSchema(
+        (), pad + (("x", at("tm")), ("y", at("size", a("x"), a("s", a("z"))))),
+    )
+    source = parse_schemas(
+        "schema C := {}(u : tm, v : size u (s z)) | {}(u : nat)."
+    )["C"]
+    counter = _TopLevelCalls(lfport.subsume._derive_renaming)
+    monkeypatch.setattr(lfport.subsume, "_derive_renaming", counter)
+    for blocks, hit in ((source.blocks, True), (source.blocks[::-1], True),
+                        (source.blocks[1:], False)):
+        cs = ContextSchema(blocks)
+        counter.calls = 0
+        counter.limit = sum(len(b.decl) for b in blocks) * len(target.decl)
+        m = block_subsumes(rel_stlc, sig_stlc, target, plus_body, "G", cs)
+        assert (m is not None) == hit
+        if hit:
+            assert m.keep_positions == (30, 31)
+            assert dict(m.permutation)["x"] == "u"
 
 
 # ---------------------------------------------------------------------------
