@@ -195,22 +195,20 @@ class Signature:
 
     decls: tuple[Decl, ...] = ()
 
+    # Built from the last declaration back, so a name's first one wins.
     @functools.cached_property
-    def _index(self) -> tuple[dict[str, Kind], dict[str, TypeExpr]]:
-        kinds: dict[str, Kind] = {}
-        types: dict[str, TypeExpr] = {}
-        for d in reversed(self.decls):
-            if isinstance(d, TypeDecl):
-                kinds[d.name] = d.kind
-            elif isinstance(d, TermDecl):
-                types[d.name] = d.type
-        return kinds, types
+    def _kinds(self) -> dict[str, Kind]:
+        return {d.name: d.kind for d in reversed(self.decls) if isinstance(d, TypeDecl)}
+
+    @functools.cached_property
+    def _types(self) -> dict[str, TypeExpr]:
+        return {d.name: d.type for d in reversed(self.decls) if isinstance(d, TermDecl)}
 
     def kind_of(self, name: str) -> Optional[Kind]:
-        return self._index[0].get(name)
+        return self._kinds.get(name)
 
     def type_of(self, name: str) -> Optional[TypeExpr]:
-        return self._index[1].get(name)
+        return self._types.get(name)
 
     def type_constants(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.decls if isinstance(d, TypeDecl))
