@@ -148,10 +148,9 @@ def _cmd_schema_check(args) -> int:
 
 def _cmd_instance(args) -> int:
     ws = load_workspace(args.signature, args.schemas)
-    if args.schema not in ws.schemas:
-        raise InputError(f"schema {args.schema} is not defined")
+    cs = _require_schema(ws, args.schema)
     ce = parse_context(_read(args.ctx))
-    if schema_instance(ws.sig, ws.schemas[args.schema], ce):
+    if schema_instance(ws.sig, cs, ce):
         print(f"instance of {args.schema}")
         return 0
     print(f"not an instance of {args.schema}")

@@ -13,14 +13,12 @@ from typing import Mapping, Optional
 from .lf import (
     Arity,
     Atom,
-    AtomicType,
-    Lam,
     LFError,
-    PiType,
     Signature,
     Term,
     TypeExpr,
     _db_index,
+    _nodes,
     alpha_key,
     apply_subst,
     arity_check_term,
@@ -169,20 +167,37 @@ def _check(sig, actx, f, tscope: dict, cscope: set) -> None:
 
 def _scan_names(sig, e, scope: set) -> None:
     """Reject free term names that are neither in scope nor declared."""
-    match e:
-        case Atom(head, args):
-            if isinstance(head, str) and head not in scope and sig.type_of(head) is None:
-                raise UnboundTermVariable(f"name {head} is not bound")
-            for a in args:
-                _scan_names(sig, a, scope)
-        case Lam(var, body):
-            _scan_names(sig, body, scope | {var})
-        case AtomicType(_, args):
-            for a in args:
-                _scan_names(sig, a, scope)
-        case PiType(var, domain, body):
-            _scan_names(sig, domain, scope)
-            _scan_names(sig, body, scope | {var})
+    for n, bound in _nodes(e):
+        if (
+            isinstance(n, Atom)
+            and isinstance(n.head, str)
+            and n.head not in scope
+            and n.head not in bound
+            and sig.type_of(n.head) is None
+        ):
+            raise UnboundTermVariable(f"name {n.head} is not bound")
+
+
+def _subformulas(f: Formula, stop: Optional[str] = None):
+    """Every subformula of `f` in pre-order, left to right.  The body of a
+    `ForallCtx` rebinding the context variable `stop` is not entered.  A
+    non-formula raises TypeError where it is reached."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        match g:
+            case Imp() | Conj() | Disj():
+                stack += (g.right, g.left)
+            case ForallTm() | ExistsTm():
+                stack.append(g.body)
+            case ForallCtx():
+                if g.var != stop:
+                    stack.append(g.body)
+            case Holds() | Top() | Bot():
+                pass
+            case _:
+                raise TypeError(f"not a formula: {g!r}")
+        yield g
 
 
 # ---------------------------------------------------------------------------
@@ -280,37 +295,27 @@ def _shield_binder(var, body, theta):
 
 def formula_term_names(f: Formula) -> set[str]:
     """Every term-level name in a formula, bound or free."""
-    match f:
-        case Holds(ctx, term, ty):
-            out = names_in(term) | names_in(ty)
-            for _, bty in ctx.bindings:
-                out |= names_in(bty)
-            return out
-        case Top() | Bot():
-            return set()
-        case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            return formula_term_names(l) | formula_term_names(r)
-        case ForallTm(v, _, body) | ExistsTm(v, _, body):
-            return formula_term_names(body) | {v}
-        case ForallCtx(_, _, body):
-            return formula_term_names(body)
-    raise TypeError(f"not a formula: {f!r}")
+    out: set[str] = set()
+    for g in _subformulas(f):
+        if isinstance(g, Holds):
+            out |= names_in(g.term) | names_in(g.ty)
+            for _, t in g.ctx.bindings:
+                out |= names_in(t)
+        elif isinstance(g, (ForallTm, ExistsTm)):
+            out.add(g.var)
+    return out
 
 
 def ctx_var_names(f: Formula) -> set[str]:
     """Every context-variable name in a formula, bound or free."""
-    match f:
-        case Holds(ctx, _, _):
-            return {ctx.head} if ctx.head is not None else set()
-        case Top() | Bot():
-            return set()
-        case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            return ctx_var_names(l) | ctx_var_names(r)
-        case ForallTm(_, _, body) | ExistsTm(_, _, body):
-            return ctx_var_names(body)
-        case ForallCtx(v, _, body):
-            return ctx_var_names(body) | {v}
-    raise TypeError(f"not a formula: {f!r}")
+    out: set[str] = set()
+    for g in _subformulas(f):
+        if isinstance(g, Holds):
+            if g.ctx.head is not None:
+                out.add(g.ctx.head)
+        elif isinstance(g, ForallCtx):
+            out.add(g.var)
+    return out
 
 
 def _rename_term_var(f: Formula, old: str, new: str) -> Formula:

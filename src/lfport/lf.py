@@ -285,76 +285,59 @@ def kind_arg_arities(kind: Kind) -> tuple[Arity, ...]:
     return tuple(out)
 
 
+def _nodes(e: Expr):
+    """Every node of an LF expression in pre-order, left to right, each with
+    the tuple of names bound above it, outermost first.  A non-LF node
+    raises TypeError where it is reached."""
+    stack = [(e, ())]
+    while stack:
+        e, bound = stack.pop()
+        match e:
+            case Atom() | AtomicType():
+                if e.args:
+                    stack += [(a, bound) for a in reversed(e.args)]
+            case Lam():
+                stack.append((e.body, bound + (e.var,)))
+            case PiType() | PiKind():
+                stack += ((e.body, bound + (e.var,)), (e.domain, bound))
+            case TypeKind():
+                pass
+            case _:
+                raise TypeError(f"not an LF expression: {e!r}")
+        yield e, bound
+
+
 def free_vars(e: Expr) -> set[str]:
-    match e:
-        case Atom(head, args):
-            out = set().union(*(free_vars(a) for a in args)) if args else set()
-            if isinstance(head, str):
-                out.add(head)
-            return out
-        case Lam(var, body):
-            return free_vars(body) - {var}
-        case AtomicType(_, args):
-            return set().union(*(free_vars(a) for a in args)) if args else set()
-        case PiType(var, domain, body):
-            return free_vars(domain) | (free_vars(body) - {var})
-        case TypeKind():
-            return set()
-        case PiKind(var, domain, body):
-            return free_vars(domain) | (free_vars(body) - {var})
-    raise TypeError(f"not an LF expression: {e!r}")
+    return {
+        n.head
+        for n, bound in _nodes(e)
+        if isinstance(n, Atom) and isinstance(n.head, str) and n.head not in bound
+    }
 
 
 def nominals_in(e: Expr) -> set[Nominal]:
-    match e:
-        case Atom(head, args):
-            out = set().union(*(nominals_in(a) for a in args)) if args else set()
-            if isinstance(head, Nominal):
-                out.add(head)
-            return out
-        case Lam(_, body):
-            return nominals_in(body)
-        case AtomicType(_, args):
-            return set().union(*(nominals_in(a) for a in args)) if args else set()
-        case PiType(_, domain, body):
-            return nominals_in(domain) | nominals_in(body)
-        case TypeKind():
-            return set()
-        case PiKind(_, domain, body):
-            return nominals_in(domain) | nominals_in(body)
-    raise TypeError(f"not an LF expression: {e!r}")
+    return {
+        n.head for n, _ in _nodes(e) if isinstance(n, Atom) and isinstance(n.head, Nominal)
+    }
 
 
 def context_nominals(ctx: LFContext) -> set[Nominal]:
-    out: set[Nominal] = set()
-    for binder, ty in ctx.bindings:
-        if isinstance(binder, Nominal):
-            out.add(binder)
-        out |= nominals_in(ty)
-    return out
+    out = {binder for binder, _ in ctx.bindings if isinstance(binder, Nominal)}
+    return out.union(*(nominals_in(ty) for _, ty in ctx.bindings))
 
 
 def names_in(e: Expr) -> set[str]:
     """Every variable name occurring in the expression, free or bound.
     Fresh-name choices avoid this set so renaming can never be captured by
     an inner binder."""
-    match e:
-        case Atom(head, args):
-            out = set().union(*(names_in(a) for a in args)) if args else set()
-            if isinstance(head, str):
-                out.add(head)
-            return out
-        case Lam(var, body):
-            return names_in(body) | {var}
-        case AtomicType(_, args):
-            return set().union(*(names_in(a) for a in args)) if args else set()
-        case PiType(var, domain, body):
-            return names_in(domain) | names_in(body) | {var}
-        case TypeKind():
-            return set()
-        case PiKind(var, domain, body):
-            return names_in(domain) | names_in(body) | {var}
-    raise TypeError(f"not an LF expression: {e!r}")
+    out: set[str] = set()
+    for n, _ in _nodes(e):
+        if isinstance(n, Atom):
+            if isinstance(n.head, str):
+                out.add(n.head)
+        elif isinstance(n, (Lam, PiType, PiKind)):
+            out.add(n.var)
+    return out
 
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -382,8 +365,10 @@ def _db_index(name, binders) -> Optional[int]:
     return None
 
 
-def rename_var(e: Expr, old: str, new: str) -> Expr:
-    """Replace free occurrences of the variable `old` by `new` (assumed fresh)."""
+def rename_var(e: Expr, old: Head, new: str) -> Expr:
+    """Replace free occurrences of the variable or nominal `old` by `new`
+    (assumed fresh).  No binder is a nominal, so a nominal is replaced
+    everywhere."""
     match e:
         case Atom(head, args):
             head2 = new if head == old else head

@@ -37,13 +37,13 @@ from .formula import (
     Holds,
     Imp,
     Top,
+    _subformulas,
     formula_key,
     formula_term_names,
     subst_ctx,
     subst_terms,
 )
 from .lf import (
-    Atom,
     AtomicType,
     Lam,
     LFContext,
@@ -54,6 +54,7 @@ from .lf import (
     Signature,
     TermDecl,
     TypeDecl,
+    _nodes,
     apply_subst,
     check_context,
     check_term,
@@ -391,25 +392,17 @@ def _fails(check, *args) -> str | None:
 def _binders(x) -> set[str]:
     """Every name bound somewhere in an LF term or type, or in a formula
     (term quantifiers and the LF binders of its atoms)."""
-    match x:
-        case Lam(v, body):
-            return {v} | _binders(body)
-        case PiType(v, domain, body):
-            return {v} | _binders(domain) | _binders(body)
-        case Atom(_, args) | AtomicType(_, args):
-            return set().union(*map(_binders, args))
-        case Holds(ctx, term, ty):
-            out = _binders(term) | _binders(ty)
-            return out.union(*(_binders(t) for _, t in ctx.bindings))
-        case Top() | Bot():
-            return set()
-        case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            return _binders(l) | _binders(r)
-        case ForallTm(v, _, body) | ExistsTm(v, _, body):
-            return {v} | _binders(body)
-        case ForallCtx(_, _, body):
-            return _binders(body)
-    raise TypeError(f"not a formula or LF expression: {x!r}")
+    if not isinstance(x, Formula):
+        return {n.var for n, _ in _nodes(x) if isinstance(n, (Lam, PiType))}
+    out: set[str] = set()
+    for g in _subformulas(x):
+        if isinstance(g, Holds):
+            out |= _binders(g.term) | _binders(g.ty)
+            for _, t in g.ctx.bindings:
+                out |= _binders(t)
+        elif isinstance(g, (ForallTm, ExistsTm)):
+            out.add(g.var)
+    return out
 
 
 # ---------------------------------------------------------------------------

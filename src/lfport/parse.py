@@ -63,8 +63,8 @@ class ParseError(Exception):
 
 
 _NOMINAL_RE = re.compile(r"^n([0-9]+)$")
-_IDENT_START = re.compile(r"[A-Za-z]")
-_IDENT_CHAR = re.compile(r"[A-Za-z0-9_'-]")
+# An identifier may contain `-`, but not the `-` of a following `->`.
+_IDENT = re.compile(r"[A-Za-z](?:[A-Za-z0-9_']|-(?!>))*")
 
 _PUNCT2 = ("|-", "->", "=>", ":=", "/\\", "\\/")
 _PUNCT1 = ("{", "}", "(", ")", "[", "]", ":", ",", ".", "|")
@@ -103,15 +103,11 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("punct", c, line, col))
             i, col = i + 1, col + 1
             continue
-        if _IDENT_START.match(c):
-            start = i
-            while i < n and _IDENT_CHAR.match(text[i]):
-                if text[i] == "-" and i + 1 < n and text[i + 1] == ">":
-                    break
-                i += 1
-            word = text[start:i]
-            tokens.append(_Token("ident", word, line, col))
-            col += i - start
+        m = _IDENT.match(text, i)
+        if m:
+            tokens.append(_Token("ident", m.group(), line, col))
+            col += m.end() - i
+            i = m.end()
             continue
         raise ParseError(f"unexpected character {c!r}", line, col)
     tokens.append(_Token("eof", "", line, col))

@@ -10,6 +10,7 @@ splits at all.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -21,28 +22,28 @@ from .lf import (
     AtomicType,
     Head,
     Lam,
+    LFContext,
     LFError,
     Nominal,
     O,
-    PiKind,
     PiType,
     Signature,
     Term,
     TermDecl,
     TypeExpr,
-    TypeKind,
     _db_index,
+    _nodes,
     alpha_eq,
     alpha_key,
     apply_subst,
     arity_args,
     arity_check_term,
     arity_check_type,
+    context_nominals,
     erase,
     free_vars,
     fresh_nominal,
     names_in,
-    nominals_in,
     rename_var,
 )
 
@@ -109,38 +110,31 @@ def check_schema(sig: Signature, cs: ContextSchema) -> None:
             if not arity_check_type(actx.with_terms(assigned), ty):
                 raise ArityKindFailure(f"type of {y} does not arity-kind")
             if params:
-                _check_patterns(ty, params, earlier, frozenset())
+                _check_patterns(ty, params, earlier)
             assigned[y] = erase(ty)
             earlier.add(y)
 
 
-def _check_patterns(e, params, earlier, bound: frozenset) -> None:
+def _check_patterns(e, params, earlier) -> None:
     """Raise NonPatternSchema unless every parameter occurrence in `e` is
-    applied to distinct bare variables: local binders (`bound`), earlier
-    declaration variables of the block (`earlier`) or nominals.  These are
-    exactly the spines `_solve_param` accepts, checked in its order."""
-    match e:
-        case Atom(h, args) if isinstance(h, str) and h in params and h not in bound:
-            for arg in args:
-                if not isinstance(arg, Atom) or arg.args:
-                    raise NonPatternSchema(
-                        f"parameter {h} applied to a non-variable argument"
-                    )
-                x = arg.head
-                if not (isinstance(x, Nominal) or x in bound or x in earlier):
-                    raise NonPatternSchema(
-                        f"parameter {h} applied to the free name {x}"
-                    )
-            if len({arg.head for arg in args}) != len(args):
-                raise NonPatternSchema(f"parameter {h} applied to repeated arguments")
-        case Atom(_, args) | AtomicType(_, args):
-            for arg in args:
-                _check_patterns(arg, params, earlier, bound)
-        case Lam(v, body):
-            _check_patterns(body, params, earlier, bound | {v})
-        case PiType(v, d, b):
-            _check_patterns(d, params, earlier, bound)
-            _check_patterns(b, params, earlier, bound | {v})
+    applied to distinct bare variables: local binders, earlier declaration
+    variables of the block (`earlier`) or nominals.  These are exactly the
+    spines `_solve_param` accepts, checked in its order."""
+    for n, bound in _nodes(e):
+        if not (isinstance(n, Atom) and n.head in params and n.head not in bound):
+            continue
+        for arg in n.args:
+            if not isinstance(arg, Atom) or arg.args:
+                raise NonPatternSchema(
+                    f"parameter {n.head} applied to a non-variable argument"
+                )
+            x = arg.head
+            if not (isinstance(x, Nominal) or x in bound or x in earlier):
+                raise NonPatternSchema(
+                    f"parameter {n.head} applied to the free name {x}"
+                )
+        if len({arg.head for arg in n.args}) != len(n.args):
+            raise NonPatternSchema(f"parameter {n.head} applied to repeated arguments")
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +168,7 @@ def block_instance(
         if not _match_type(pat, target_ty, params, solution, ()):
             return None
     actx = sig.arity_context()
-    avoid: set[Nominal] = set()
-    for nom, ty in bindings:
-        avoid.add(nom)
-        avoid |= nominals_in(ty)
+    avoid = context_nominals(LFContext(bindings))
     out: dict[str, Term] = {}
     for x, ar in block.params:
         if x in solution:
@@ -276,7 +267,7 @@ def _solve_param(param, spine, tgt, solution, bp) -> bool:
         taken.add(w)
         fresh.append(w)
         if isinstance(image, Nominal):
-            body = _swap_nominal(body, image, w)
+            body = rename_var(body, image, w)
         elif tgt_bound[image] not in tgt_bound[image + 1 :]:
             # a shadowed binder cannot occur in `tgt`
             body = rename_var(body, tgt_bound[image], w)
@@ -289,24 +280,6 @@ def _solve_param(param, spine, tgt, solution, bp) -> bool:
         return alpha_eq(solution[param], candidate)
     solution[param] = candidate
     return True
-
-
-def _swap_nominal(e, nom: Nominal, var: str):
-    match e:
-        case Atom(head, args):
-            head2 = var if head == nom else head
-            return Atom(head2, tuple(_swap_nominal(a, nom, var) for a in args))
-        case Lam(v, body):
-            return Lam(v, _swap_nominal(body, nom, var))
-        case AtomicType(head, args):
-            return AtomicType(head, tuple(_swap_nominal(a, nom, var) for a in args))
-        case PiType(v, d, b):
-            return PiType(v, _swap_nominal(d, nom, var), _swap_nominal(b, nom, var))
-        case TypeKind():
-            return e
-        case PiKind(v, d, b):
-            return PiKind(v, _swap_nominal(d, nom, var), _swap_nominal(b, nom, var))
-    raise TypeError(f"not an LF expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +394,10 @@ def min_term_size(arity: Arity) -> int:
     return n
 
 
-# Pools are pure functions of their key; the cache is shared across calls.
-_POOL_CACHE: dict = {}
-
-
-def _pool_exact(heads, arity, size, scope):
-    key = (heads, arity, size, scope)
-    cached = _POOL_CACHE.get(key)
-    if cached is not None:
-        return cached
+# Pools are pure functions of their arguments, so calls share them; the
+# bound keeps a long-lived process from holding every pool it ever built.
+@functools.lru_cache(maxsize=1024)
+def _pool_exact(heads, arity, size, scope) -> tuple[Term, ...]:
     out: list[Term] = []
     if isinstance(arity, Arrow):
         if size >= 2:
@@ -458,8 +426,7 @@ def _pool_exact(heads, arity, size, scope):
                     )
                 ):
                     out.append(Atom(head, combo))
-    _POOL_CACHE[key] = tuple(out)
-    return _POOL_CACHE[key]
+    return tuple(out)
 
 
 def _compositions(total: int, mins: list[int]):
@@ -511,10 +478,7 @@ def enumerate_instances(
 
 
 def _block_instantiations(sig, block, existing, term_size_max, pool_nominals):
-    avoid: set[Nominal] = set()
-    for nom, ty in existing:
-        avoid.add(nom)
-        avoid |= nominals_in(ty)
+    avoid = context_nominals(LFContext(existing))
     noms = []
     for y, a in block.decl:
         nom = fresh_nominal(erase(a), avoid)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .lf import (
     AtomicType,
-    Kind,
     LFContext,
     PiKind,
     PiType,
@@ -44,22 +43,6 @@ def head_constant(ty: TypeExpr) -> str:
     return ty.head
 
 
-def _kind_domains(kind: Kind) -> list[TypeExpr]:
-    out = []
-    while isinstance(kind, PiKind):
-        out.append(kind.domain)
-        kind = kind.body
-    return out
-
-
-def _type_domains(ty: TypeExpr) -> list[TypeExpr]:
-    out = []
-    while isinstance(ty, PiType):
-        out.append(ty.domain)
-        ty = ty.body
-    return out
-
-
 def compute_subordination(sig: Signature) -> SubordRel:
     """Least relation closed under index subordination, reflexivity and
     transitivity, computed as a fixpoint over the signature."""
@@ -67,14 +50,13 @@ def compute_subordination(sig: Signature) -> SubordRel:
     pairs = {(a, a) for a in constants}
     for d in sig.decls:
         if isinstance(d, TypeDecl):
-            target = d.name
-            domains = _kind_domains(d.kind)
+            target, classifier = d.name, d.kind
         else:
             assert isinstance(d, TermDecl)
-            target = head_constant(d.type)
-            domains = _type_domains(d.type)
-        for dom in domains:
-            pairs.add((head_constant(dom), target))
+            target, classifier = head_constant(d.type), d.type
+        while isinstance(classifier, (PiKind, PiType)):
+            pairs.add((head_constant(classifier.domain), target))
+            classifier = classifier.body
     # transitive closure by a worklist over the pair set
     work = list(pairs)
     while work:

@@ -30,6 +30,7 @@ from .formula import (
     Imp,
     Top,
     WfEnv,
+    _subformulas,
     check_formula,
 )
 from .lf import (
@@ -79,22 +80,19 @@ def tf_subord(rel: SubordRel, ty: TypeExpr, f: Formula, gamma: str) -> bool:
     headed by `gamma`.  Atoms headed by a different context variable (or by
     none) contribute nothing; an atom with explicit bindings after `gamma`
     counts unconditionally."""
-    match f:
-        case Holds(ctx, _, a):
-            if ctx.head != gamma:
-                return False
-            if ctx.bindings:
-                return True
-            return type_leq(rel, ty, a)
-        case Top() | Bot():
-            return False
-        case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            return tf_subord(rel, ty, l, gamma) or tf_subord(rel, ty, r, gamma)
-        case ForallTm(_, _, body) | ExistsTm(_, _, body):
-            return tf_subord(rel, ty, body, gamma)
-        case ForallCtx(v, _, body):
-            return v != gamma and tf_subord(rel, ty, body, gamma)
-    raise TypeError(f"not a formula: {f!r}")
+    return any(
+        g.ctx.bindings or type_leq(rel, ty, g.ty) for g in _gamma_atoms(f, gamma)
+    )
+
+
+def _gamma_atoms(f: Formula, gamma: str):
+    """The atoms of `f` headed by the context variable `gamma` where it is
+    free, left to right."""
+    return (
+        g
+        for g in _subformulas(f, stop=gamma)
+        if isinstance(g, Holds) and g.ctx.head == gamma
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +209,7 @@ class SubsumptionFailure:
 
 def _gamma_atom_types(f: Formula, gamma: str) -> list[TypeExpr]:
     """Types of the `gamma`-headed atoms with no explicit bindings."""
-    out: list[TypeExpr] = []
-
-    def walk(g: Formula):
-        match g:
-            case Holds(ctx, _, a):
-                if ctx.head == gamma and not ctx.bindings:
-                    out.append(a)
-            case Imp(l, r) | Conj(l, r) | Disj(l, r):
-                walk(l)
-                walk(r)
-            case ForallTm(_, _, body) | ExistsTm(_, _, body):
-                walk(body)
-            case ForallCtx(v, _, body):
-                if v != gamma:
-                    walk(body)
-
-    walk(f)
-    return out
+    return [g.ty for g in _gamma_atoms(f, gamma) if not g.ctx.bindings]
 
 
 def _derive_renaming(src, tgt, tgt_vars: set, src_vars: set, mapping: dict, bp=()) -> bool:
@@ -463,102 +444,59 @@ def schema_subsumes(
 # Structural validity analysis for ill-formed context substitutions.
 
 
-def _val_pos_deriv(gamma: str, f: Formula):
-    match f:
-        case Top():
-            return ("top",)
-        case Conj(l, r):
-            dl = _val_pos_deriv(gamma, l)
-            dr = _val_pos_deriv(gamma, r)
-            if dl is not None and dr is not None:
-                return ("and", dl, dr)
-            return None
-        case Disj(l, r):
-            dl = _val_pos_deriv(gamma, l)
-            if dl is not None:
-                return ("or-left", dl)
-            dr = _val_pos_deriv(gamma, r)
-            if dr is not None:
-                return ("or-right", dr)
-            return None
-        case Imp(l, r):
-            dl = _val_neg_deriv(gamma, l)
-            if dl is not None:
-                return ("imp-antecedent", dl)
-            dr = _val_pos_deriv(gamma, r)
-            if dr is not None:
-                return ("imp-consequent", dr)
-            return None
-        case ForallTm(_, _, body):
-            d = _val_pos_deriv(gamma, body)
-            return ("all", d) if d is not None else None
-        case ExistsTm(_, _, body):
-            d = _val_pos_deriv(gamma, body)
-            return ("ex", d) if d is not None else None
-        case ForallCtx(v, _, body):
-            if v == gamma:
-                return None
-            d = _val_pos_deriv(gamma, body)
-            return ("ctx", d) if d is not None else None
-        case Holds() | Bot():
-            return None
-    raise TypeError(f"not a formula: {f!r}")
+# How a binary connective's derivation at a polarity (True: valid, False:
+# invalid) is built: a tag with the polarities its two sides need, when both
+# must derive; or a pair of tags, when the left side, else the right, must.
+_VAL_BINARY = {
+    (Conj, True): ("and", True, True),
+    (Disj, True): (("or-left", "or-right"), True, True),
+    (Imp, True): (("imp-antecedent", "imp-consequent"), False, True),
+    (Conj, False): (("and-left", "and-right"), False, False),
+    (Disj, False): ("or", False, False),
+    (Imp, False): ("imp", True, False),
+}
+_VAL_QUANTIFIER = {ForallTm: "all", ExistsTm: "ex", ForallCtx: "ctx"}
+_VAL_CONSTANT = {(Top, True): ("top",), (Bot, False): ("bot",)}
 
 
-def _val_neg_deriv(gamma: str, f: Formula):
-    match f:
-        case Bot():
-            return ("bot",)
-        case Holds(ctx, _, _):
-            if ctx.head == gamma:
-                return ("atom",)
+def _val_deriv(gamma: str, f: Formula, positive: bool):
+    """The derivation that `f` is structurally valid (`positive`) or invalid
+    under any ill-formed substitution for `gamma`, or None."""
+    rule = _VAL_BINARY.get((type(f), positive))
+    if rule is not None:
+        tag, left, right = rule
+        if isinstance(tag, str):
+            dl = _val_deriv(gamma, f.left, left)
+            dr = _val_deriv(gamma, f.right, right)
+            return (tag, dl, dr) if dl is not None and dr is not None else None
+        for t, side, pol in zip(tag, (f.left, f.right), (left, right)):
+            d = _val_deriv(gamma, side, pol)
+            if d is not None:
+                return (t, d)
+        return None
+    tag = _VAL_QUANTIFIER.get(type(f))
+    if tag is not None:
+        if isinstance(f, ForallCtx) and f.var == gamma:
             return None
-        case Imp(l, r):
-            dl = _val_pos_deriv(gamma, l)
-            dr = _val_neg_deriv(gamma, r)
-            if dl is not None and dr is not None:
-                return ("imp", dl, dr)
-            return None
-        case Disj(l, r):
-            dl = _val_neg_deriv(gamma, l)
-            dr = _val_neg_deriv(gamma, r)
-            if dl is not None and dr is not None:
-                return ("or", dl, dr)
-            return None
-        case Conj(l, r):
-            dl = _val_neg_deriv(gamma, l)
-            if dl is not None:
-                return ("and-left", dl)
-            dr = _val_neg_deriv(gamma, r)
-            if dr is not None:
-                return ("and-right", dr)
-            return None
-        case ForallTm(_, _, body):
-            d = _val_neg_deriv(gamma, body)
-            return ("all", d) if d is not None else None
-        case ExistsTm(_, _, body):
-            d = _val_neg_deriv(gamma, body)
-            return ("ex", d) if d is not None else None
-        case ForallCtx(v, _, body):
-            if v == gamma:
-                return None
-            d = _val_neg_deriv(gamma, body)
-            return ("ctx", d) if d is not None else None
-        case Top():
-            return None
+        d = _val_deriv(gamma, f.body, positive)
+        return (tag, d) if d is not None else None
+    if isinstance(f, Holds):
+        return ("atom",) if not positive and f.ctx.head == gamma else None
+    if isinstance(f, (Top, Bot)):
+        return _VAL_CONSTANT.get((type(f), positive))
     raise TypeError(f"not a formula: {f!r}")
 
 
 def val_pos(gamma: str, f: Formula) -> bool:
     """Whether `f` is structurally valid under any ill-formed substitution
     for `gamma`."""
-    return _val_pos_deriv(gamma, f) is not None
+    return _val_deriv(gamma, f, True) is not None
 
 
 def val_neg(gamma: str, f: Formula) -> bool:
     """Whether `f` is structurally invalid under any ill-formed substitution
     for `gamma`."""
-    return _val_neg_deriv(gamma, f) is not None
+    return _val_deriv(gamma, f, False) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +525,7 @@ class TransportCertificate:
 
     def verify(self, sig: Signature, rel: SubordRel) -> bool:
         """Replay every recorded derivation under the checkers."""
-        if _val_pos_deriv(self.gamma, self.formula) != self.valtop:
+        if _val_deriv(self.gamma, self.formula, True) != self.valtop:
             return False
         if len(self.matches) != len(self.target.blocks):
             return False
@@ -651,7 +589,7 @@ def transport_check(
             result.target_index,
             result.undroppable,
         )
-    valtop = _val_pos_deriv(gamma, f)
+    valtop = _val_deriv(gamma, f, True)
     if valtop is None:
         return TransportFailure(
             "validity",

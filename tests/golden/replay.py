@@ -21,6 +21,8 @@ import os
 import sys
 from pathlib import Path
 
+from lfport.cli import main
+
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).resolve().parent / "cli.json"
 
@@ -28,8 +30,6 @@ GOLDEN = Path(__file__).resolve().parent / "cli.json"
 def run(argv: list[str]) -> dict:
     """Exit code, stdout and stderr of one `lfport` command line, run from
     the repository root."""
-    from lfport.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
@@ -67,5 +67,6 @@ if __name__ == "__main__":
     bad = mismatches()
     for line in bad:
         print(f"differs: lfport {line}")
-    print(f"{len(load()) - len(bad)} of {len(load())} golden commands match")
+    total = len(load())
+    print(f"{total - len(bad)} of {total} golden commands match")
     sys.exit(1 if bad else 0)
