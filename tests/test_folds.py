@@ -602,16 +602,6 @@ def test_formula_folds_raise_on_a_non_formula():
     assert outcomes == ["raised", "ok", "ok", "raised", "ok", "raised"]
 
 
-def test_val_deriv_on_the_fixture_formulas(sig_size, schemas_size):
-    from conftest import read
-
-    for name in ("plus.fml", "plus_ctx.fml", "tm_size.fml"):
-        f = lfport.parse.parse_formula(read(name), schemas_size)
-        for gamma in ("G", "H"):
-            for positive, ref in ((True, ref_val_pos), (False, ref_val_neg)):
-                assert lfport.subsume._val_deriv(gamma, f, positive) == ref(gamma, f)
-
-
 # ---------------------------------------------------------------------------
 # The tokenizer.
 
