@@ -169,6 +169,25 @@ def test_validate_binder_named_like_a_constant(tmp_path, capsys):
     )
 
 
+def test_transport_prints_a_doubly_shadowed_declaration_variable(tmp_path, capsys):
+    # The block binds x, and y's type binds x twice more below it: each
+    # inner binder is printed apart from every name in scope.
+    sig = tmp_path / "r.lf"
+    sig.write_text("nat : Type.\nz : nat.\ntm : Type.\nr : {x : tm} {x : tm} nat -> Type.\n")
+    sch = tmp_path / "r.sch"
+    sch.write_text("schema A := {}(x : tm, y : {x : tm} {x : tm} r x x z).\n")
+    f = tmp_path / "r.fml"
+    f.write_text("{ G |- z : nat } => tt\n")
+    code, out, _ = run(
+        capsys, "transport", str(sig), str(sch), "--from", "A", "--to", "A",
+        "--formula", str(f), "--var", "G",
+    )
+    assert code == 0
+    assert "source schema: A = {}(x : tm, y : tm -> {x'' : tm} r x'' x'' z)" in (
+        out.splitlines()
+    )
+
+
 def test_validate_open_formula_is_input_error(capsys):
     code, _, err = run(capsys, "validate", SIG, "--formula", PLUS)
     assert code == 2

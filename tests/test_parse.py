@@ -162,3 +162,40 @@ def test_formula_precedence(schemas_size):
     assert isinstance(f.left, Disj)
     assert isinstance(f.left.left, Conj)
     assert formula_alpha_eq(parse_formula(fmt_formula(f), schemas_size), f)
+
+
+def test_printer_primes_a_shadowing_binder():
+    assert fmt_term(parse_term_text("[y] [y] app y y")) == "[y] [y'] app y' y'"
+
+
+def test_fixtures_and_pools_round_trip_exactly(
+    sig_size, sig_stlc, schemas_size, schemas_stlc
+):
+    from conftest import FIXTURES, read
+    from lfport import Arrow, term_pool
+    from lfport.pretty import fmt_block
+
+    for sig in (sig_size, sig_stlc):
+        reparsed = parse_signature(fmt_signature(sig))
+        for d1, d2 in zip(sig.decls, reparsed.decls, strict=True):
+            # an unused named binder prints as an arrow
+            assert d1.name == d2.name
+            assert alpha_eq(getattr(d1, "type", None), getattr(d2, "type", None))
+            assert alpha_eq(getattr(d1, "kind", None), getattr(d2, "kind", None))
+    for schemas in (schemas_size, schemas_stlc):
+        for cs in schemas.values():
+            for block in cs.blocks:
+                text = f"schema C := {fmt_block(block)}."
+                assert parse_schemas(text)["C"].blocks == (block,)
+    formulas = 0
+    for path in sorted(FIXTURES.glob("*.fml")):
+        schemas = schemas_size if "of_exists" not in path.name else schemas_stlc
+        f = parse_formula(read(path.name), schemas)
+        assert parse_formula(fmt_formula(f), schemas) == f
+        formulas += 1
+    assert formulas == 4
+    oo = Arrow(O, O)
+    terms = term_pool(sig_stlc, oo, 5) + term_pool(sig_stlc, Arrow(oo, O), 5)
+    assert len(terms) > 100
+    for t in terms:
+        assert parse_term_text(fmt_term(t)) == t
