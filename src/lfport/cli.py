@@ -30,7 +30,7 @@ from .parse import (
     parse_signature,
     parse_type_text,
 )
-from .pretty import fmt_certificate, fmt_head, fmt_type
+from .pretty import block_scope, fmt_certificate, fmt_head, fmt_type
 from .schema import ContextSchema, check_schema, schema_instance
 from .subord import SubordRel, compute_subordination, minimize
 from .subsume import (
@@ -176,7 +176,7 @@ def _cmd_subsumes(args) -> int:
         print(f"failing target block {result.target_index}: {result.message}")
         if result.undroppable is not None:
             v, t = result.undroppable
-            print(f"undroppable binding: {v} : {fmt_type(t)}")
+            print(f"undroppable binding: {v} : {fmt_type(t, block_scope(result.block))}")
         return 1
     print(f"{args.source} subsumes {args.target}")
     for m in result:
@@ -205,7 +205,8 @@ def _cmd_transport(args) -> int:
         print(result.message)
         if result.binding is not None:
             v, t = result.binding
-            print(f"undroppable binding: {v} : {fmt_type(t)}")
+            scope = block_scope(target.blocks[result.target_index])
+            print(f"undroppable binding: {v} : {fmt_type(t, scope)}")
         return 1
     print(fmt_certificate(result))
     return 0

@@ -167,12 +167,11 @@ def _check(sig, actx, f, tscope: dict, cscope: set) -> None:
 
 def _scan_names(sig, e, scope: set) -> None:
     """Reject free term names that are neither in scope nor declared."""
-    for n, bound in _nodes(e):
+    for n in _nodes(e):
         if (
             isinstance(n, Atom)
             and isinstance(n.head, str)
             and n.head not in scope
-            and n.head not in bound
             and sig.type_of(n.head) is None
         ):
             raise UnboundTermVariable(f"name {n.head} is not bound")

@@ -1,5 +1,11 @@
 """Canonical-LF syntax and its formation judgements.
 
+The syntax is locally nameless: a bound variable is a de Bruijn index
+(`BVar`), and everything else (constants, schema and formula variables,
+nominals) is a name.  A binder keeps its surface name only as a display
+hint that takes no part in equality, so alpha-equivalent trees are `==`
+and hash alike, and substituting for a name can never be captured.
+
 Terms are kept beta-normal by construction and the checkers enforce the
 eta-long discipline: a canonical term checked against a function type must
 be an abstraction.  Substitution is arity-indexed and re-normalizes on the
@@ -11,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
@@ -112,7 +118,15 @@ class Nominal:
         return f"n{self.index}"
 
 
-Head = Union[str, Nominal]
+@dataclass(frozen=True)
+class BVar:
+    """A bound variable, as its de Bruijn index: the number of binders
+    that stand between it and the binder it refers to."""
+
+    index: int
+
+
+Head = Union[str, Nominal, BVar]
 
 
 @dataclass(frozen=True)
@@ -128,7 +142,7 @@ class Atom(Term):
 
 @dataclass(frozen=True)
 class Lam(Term):
-    var: str
+    var: str = field(compare=False)  # a display hint, like every binder's
     body: Term
 
 
@@ -145,7 +159,7 @@ class AtomicType(TypeExpr):
 
 @dataclass(frozen=True)
 class PiType(TypeExpr):
-    var: str
+    var: str = field(compare=False)
     domain: TypeExpr
     body: TypeExpr
 
@@ -162,7 +176,7 @@ class TypeKind(Kind):
 
 @dataclass(frozen=True)
 class PiKind(Kind):
-    var: str
+    var: str = field(compare=False)
     domain: TypeExpr
     body: Kind
 
@@ -259,7 +273,7 @@ class ArityContext:
         return ArityContext(merged, self.type_args)
 
 
-# A substitution maps variables to replacement terms tagged with the arity
+# A substitution maps names to replacement terms tagged with the arity
 # that governs the hereditary contraction.
 Subst = dict
 
@@ -286,39 +300,32 @@ def kind_arg_arities(kind: Kind) -> tuple[Arity, ...]:
 
 
 def _nodes(e: Expr):
-    """Every node of an LF expression in pre-order, left to right, each with
-    the tuple of names bound above it, outermost first.  A non-LF node
-    raises TypeError where it is reached."""
-    stack = [(e, ())]
+    """Every node of an LF expression in pre-order, left to right.  A
+    non-LF node raises TypeError where it is reached."""
+    stack = [e]
     while stack:
-        e, bound = stack.pop()
+        e = stack.pop()
         match e:
             case Atom() | AtomicType():
                 if e.args:
-                    stack += [(a, bound) for a in reversed(e.args)]
+                    stack += reversed(e.args)
             case Lam():
-                stack.append((e.body, bound + (e.var,)))
+                stack.append(e.body)
             case PiType() | PiKind():
-                stack += ((e.body, bound + (e.var,)), (e.domain, bound))
+                stack += (e.body, e.domain)
             case TypeKind():
                 pass
             case _:
                 raise TypeError(f"not an LF expression: {e!r}")
-        yield e, bound
+        yield e
 
 
 def free_vars(e: Expr) -> set[str]:
-    return {
-        n.head
-        for n, bound in _nodes(e)
-        if isinstance(n, Atom) and isinstance(n.head, str) and n.head not in bound
-    }
+    return {n.head for n in _nodes(e) if isinstance(n, Atom) and isinstance(n.head, str)}
 
 
 def nominals_in(e: Expr) -> set[Nominal]:
-    return {
-        n.head for n, _ in _nodes(e) if isinstance(n, Atom) and isinstance(n.head, Nominal)
-    }
+    return {n.head for n in _nodes(e) if isinstance(n, Atom) and isinstance(n.head, Nominal)}
 
 
 def context_nominals(ctx: LFContext) -> set[Nominal]:
@@ -327,11 +334,9 @@ def context_nominals(ctx: LFContext) -> set[Nominal]:
 
 
 def names_in(e: Expr) -> set[str]:
-    """Every variable name occurring in the expression, free or bound.
-    Fresh-name choices avoid this set so renaming can never be captured by
-    an inner binder."""
+    """Every name in the expression: its free names and its binder hints."""
     out: set[str] = set()
-    for n, _ in _nodes(e):
+    for n in _nodes(e):
         if isinstance(n, Atom):
             if isinstance(n.head, str):
                 out.add(n.head)
@@ -365,70 +370,72 @@ def _db_index(name, binders) -> Optional[int]:
     return None
 
 
-def rename_var(e: Expr, old: Head, new: str) -> Expr:
-    """Replace free occurrences of the variable or nominal `old` by `new`
-    (assumed fresh).  No binder is a nominal, so a nominal is replaced
-    everywhere."""
+def _map_heads(e: Expr, f, depth: int = 0) -> Expr:
+    """`e` with the head `h` of each atom, under `d` binders of `e` (plus
+    `depth`), replaced by `f(h, d)`."""
     match e:
         case Atom(head, args):
-            head2 = new if head == old else head
-            return Atom(head2, tuple(rename_var(a, old, new) for a in args))
+            return Atom(f(head, depth), tuple(_map_heads(a, f, depth) for a in args))
         case Lam(var, body):
-            if var == old:
-                return e
-            return Lam(var, rename_var(body, old, new))
+            return Lam(var, _map_heads(body, f, depth + 1))
         case AtomicType(head, args):
-            return AtomicType(head, tuple(rename_var(a, old, new) for a in args))
+            return AtomicType(head, tuple(_map_heads(a, f, depth) for a in args))
         case PiType(var, domain, body):
-            domain2 = rename_var(domain, old, new)
-            if var == old:
-                return PiType(var, domain2, body)
-            return PiType(var, domain2, rename_var(body, old, new))
+            return PiType(var, _map_heads(domain, f, depth), _map_heads(body, f, depth + 1))
         case TypeKind():
             return e
         case PiKind(var, domain, body):
-            domain2 = rename_var(domain, old, new)
-            if var == old:
-                return PiKind(var, domain2, body)
-            return PiKind(var, domain2, rename_var(body, old, new))
+            return PiKind(var, _map_heads(domain, f, depth), _map_heads(body, f, depth + 1))
     raise TypeError(f"not an LF expression: {e!r}")
+
+
+def rename_var(e: Expr, old: Head, new: str) -> Expr:
+    """Replace the free name or nominal `old` by the name `new`."""
+    return _map_heads(e, lambda h, _: new if h == old else h)
+
+
+def _open_named(body: Expr, name: str) -> Expr:
+    """The body of a binder with its bound variable replaced by the free
+    name `name` (for printing)."""
+
+    def head(h, d):
+        if not isinstance(h, BVar) or h.index < d:
+            return h
+        return name if h.index == d else BVar(h.index - 1)
+
+    return _map_heads(body, head)
+
+
+def _shift(term: Term, k: int) -> Term:
+    """`term` moved under `k` more binders: its dangling indices grow by k."""
+    if not k:
+        return term
+    return _map_heads(
+        term, lambda h, d: BVar(h.index + k) if isinstance(h, BVar) and h.index >= d else h
+    )
 
 
 # ---------------------------------------------------------------------------
-# Alpha equivalence via a canonical internal form.
+# Alpha equivalence.
 
 
 def alpha_key(e: Expr, env: tuple[str, ...] = ()):
-    """A hashable key identical for alpha-equivalent expressions.
+    """A hashable key identical for alpha-equivalent expressions.  The LF
+    binders are indices already, so only the free names bound in `env`
+    (innermost last, as by formula quantifiers) are replaced, by their
+    de Bruijn positions."""
+    if not env:
+        return e
 
-    Bound variables are replaced with binder depths; free names and nominals
-    stay rigid.
-    """
-    match e:
-        case Atom(head, args):
-            akeys = tuple(alpha_key(a, env) for a in args)
-            if isinstance(head, Nominal):
-                return ("a", ("n", head.arity, head.index), akeys)
-            for i in range(len(env) - 1, -1, -1):
-                if env[i] == head:
-                    return ("a", ("b", len(env) - 1 - i), akeys)
-            return ("a", ("f", head), akeys)
-        case Lam(var, body):
-            return ("l", alpha_key(body, env + (var,)))
-        case AtomicType(head, args):
-            return ("at", head, tuple(alpha_key(a, env) for a in args))
-        case PiType(var, domain, body):
-            return ("p", alpha_key(domain, env), alpha_key(body, env + (var,)))
-        case TypeKind():
-            return ("type",)
-        case PiKind(var, domain, body):
-            return ("pk", alpha_key(domain, env), alpha_key(body, env + (var,)))
-    raise TypeError(f"not an LF expression: {e!r}")
+    def position(h, _):
+        i = _db_index(h, env) if isinstance(h, str) else None
+        return h if i is None else ("b", i)
+
+    return _map_heads(e, position)
 
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
-    # Syntactic equality implies alpha-equivalence and needs no keys.
-    return a == b or alpha_key(a) == alpha_key(b)
+    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -438,52 +445,51 @@ def alpha_eq(a: Expr, b: Expr) -> bool:
 def apply_subst(e: Expr, subst: Mapping[str, tuple[Term, Arity]]) -> Expr:
     """Apply a substitution, contracting any redex it creates.
 
-    Each entry maps a variable to a replacement term and the arity that
-    bounds the contraction; a contraction the arity does not license raises
-    ``SubstFailure``.
+    Each entry maps a name to a replacement term and the arity that bounds
+    the contraction; a contraction the arity does not license raises
+    ``SubstFailure``.  Replacements are locally closed (they have no
+    dangling indices), so no binder can capture them.
     """
     if not subst:
         return e
-    range_free: set[str] = set()
-    for t, _ in subst.values():
-        range_free |= free_vars(t)
-    return _subst(e, dict(subst), range_free)
+    return _subst(e, subst, 0, None)
 
 
-def _subst(e: Expr, subst: Subst, range_free: set[str]) -> Expr:
+def _instantiate(body: Expr, term: Term, arity: Arity) -> Expr:
+    """Open a binder: its body with index 0 replaced by `term`, a redex
+    contracted at `arity`, and the body's other dangling indices lowered by
+    one.  `term` may itself have dangling indices, which are shifted as it
+    moves under the body's binders."""
+    return _subst(body, {}, 0, (term, arity))
+
+
+def _subst(e: Expr, subst: Subst, k: int, inst) -> Expr:
+    # `k` counts the binders of the walk so far; `inst`, when given, is the
+    # replacement for index k.
     match e:
         case Atom(head, args):
-            new_args = tuple(_subst(a, subst, range_free) for a in args)
-            if isinstance(head, str) and head in subst:
+            new_args = tuple(_subst(a, subst, k, inst) for a in args)
+            if isinstance(head, BVar):
+                if inst is not None and head.index >= k:
+                    if head.index > k:
+                        return Atom(BVar(head.index - 1), new_args)
+                    term, arity = inst
+                    return _contract(_shift(term, k), arity, new_args)
+            elif head in subst:
                 repl, arity = subst[head]
                 return _contract(repl, arity, new_args)
             return Atom(head, new_args)
         case Lam(var, body):
-            var2, body2, inner = _under_binder(var, body, subst, range_free)
-            return Lam(var2, _subst(body2, inner, range_free) if inner else body2)
+            return Lam(var, _subst(body, subst, k + 1, inst))
         case AtomicType(head, args):
-            return AtomicType(head, tuple(_subst(a, subst, range_free) for a in args))
+            return AtomicType(head, tuple(_subst(a, subst, k, inst) for a in args))
         case PiType(var, domain, body):
-            domain2 = _subst(domain, subst, range_free)
-            var2, body2, inner = _under_binder(var, body, subst, range_free)
-            return PiType(var2, domain2, _subst(body2, inner, range_free) if inner else body2)
+            return PiType(var, _subst(domain, subst, k, inst), _subst(body, subst, k + 1, inst))
         case TypeKind():
             return e
         case PiKind(var, domain, body):
-            domain2 = _subst(domain, subst, range_free)
-            var2, body2, inner = _under_binder(var, body, subst, range_free)
-            return PiKind(var2, domain2, _subst(body2, inner, range_free) if inner else body2)
+            return PiKind(var, _subst(domain, subst, k, inst), _subst(body, subst, k + 1, inst))
     raise TypeError(f"not an LF expression: {e!r}")
-
-
-def _under_binder(var, body, subst, range_free):
-    inner = {k: v for k, v in subst.items() if k != var}
-    if not inner:
-        return var, body, inner
-    if var in range_free:
-        var2 = fresh_name(var, range_free | names_in(body) | set(inner))
-        return var2, rename_var(body, var, var2), inner
-    return var, body, inner
 
 
 def _contract(term: Term, arity: Arity, args: tuple[Term, ...]) -> Term:
@@ -496,7 +502,7 @@ def _contract(term: Term, arity: Arity, args: tuple[Term, ...]) -> Term:
                 f"replacement of arity {arity!r} applied to an argument"
             )
         if isinstance(term, Lam):
-            term = apply_subst(term.body, {term.var: (arg, arity.left)})
+            term = _instantiate(term.body, arg, arity.left)
         else:
             term = Atom(term.head, term.args + (arg,))
         arity = arity.right
@@ -512,28 +518,31 @@ def arity_check_term(
     term: Term,
     arity: Arity,
     bound: Optional[Mapping[str, Arity]] = None,
+    local: tuple[Arity, ...] = (),
 ) -> bool:
-    bound = dict(bound) if bound else {}
+    """Whether the term has the arity; `bound` assigns arities to free
+    names beyond the signature's, `local` to the enclosing binders,
+    innermost first."""
     match term:
-        case Lam(var, body):
+        case Lam(_, body):
             if not isinstance(arity, Arrow):
                 return False
-            inner = dict(bound)
-            inner[var] = arity.left
-            return arity_check_term(actx, body, arity.right, inner)
+            return arity_check_term(actx, body, arity.right, bound, (arity.left,) + local)
         case Atom(head, args):
             if isinstance(head, Nominal):
                 have = head.arity
-            elif head in bound:
+            elif isinstance(head, BVar):
+                have = local[head.index] if head.index < len(local) else None
+            elif bound and head in bound:
                 have = bound[head]
             else:
                 have = actx.terms.get(head)
-                if have is None:
-                    return False
+            if have is None:
+                return False
             for arg in args:
                 if not isinstance(have, Arrow):
                     return False
-                if not arity_check_term(actx, arg, have.left, bound):
+                if not arity_check_term(actx, arg, have.left, bound, local):
                     return False
                 have = have.right
             return have == arity
@@ -544,21 +553,19 @@ def arity_check_type(
     actx: ArityContext,
     ty: TypeExpr,
     bound: Optional[Mapping[str, Arity]] = None,
+    local: tuple[Arity, ...] = (),
 ) -> bool:
-    bound = dict(bound) if bound else {}
     match ty:
-        case PiType(var, domain, body):
-            if not arity_check_type(actx, domain, bound):
+        case PiType(_, domain, body):
+            if not arity_check_type(actx, domain, bound, local):
                 return False
-            inner = dict(bound)
-            inner[var] = erase(domain)
-            return arity_check_type(actx, body, inner)
+            return arity_check_type(actx, body, bound, (erase(domain),) + local)
         case AtomicType(head, args):
             want = actx.type_args.get(head)
             if want is None or len(want) != len(args):
                 return False
             return all(
-                arity_check_term(actx, arg, ar, bound)
+                arity_check_term(actx, arg, ar, bound, local)
                 for arg, ar in zip(args, want)
             )
     raise TypeError(f"not a type expression: {ty!r}")
@@ -604,9 +611,9 @@ def check_kind(sig: Signature, ctx: LFContext, kind: Kind) -> None:
     match kind:
         case TypeKind():
             return
-        case PiKind(var, domain, body):
+        case PiKind(_, domain, body):
             check_type(sig, ctx, domain)
-            nom, body2 = _open_binder(ctx, var, domain, body)
+            nom, body2 = _open_binder(ctx, domain, body)
             check_kind(sig, ctx.extend(nom, domain), body2)
             return
     raise TypeError(f"not a kind: {kind!r}")
@@ -614,9 +621,9 @@ def check_kind(sig: Signature, ctx: LFContext, kind: Kind) -> None:
 
 def check_type(sig: Signature, ctx: LFContext, ty: TypeExpr) -> None:
     match ty:
-        case PiType(var, domain, body):
+        case PiType(_, domain, body):
             check_type(sig, ctx, domain)
-            nom, body2 = _open_binder(ctx, var, domain, body)
+            nom, body2 = _open_binder(ctx, domain, body)
             check_type(sig, ctx.extend(nom, domain), body2)
             return
         case AtomicType(head, args):
@@ -632,7 +639,7 @@ def check_type(sig: Signature, ctx: LFContext, ty: TypeExpr) -> None:
                     raise ArgumentTypeMismatch(
                         f"argument of {head} does not check: {err}"
                     ) from err
-                kind = apply_subst(kind.body, {kind.var: (arg, erase(kind.domain))})
+                kind = _instantiate(kind.body, arg, erase(kind.domain))
             if not isinstance(kind, TypeKind):
                 raise SpineArity(f"type constant {head} is under-applied")
             return
@@ -641,15 +648,14 @@ def check_type(sig: Signature, ctx: LFContext, ty: TypeExpr) -> None:
 
 def check_term(sig: Signature, ctx: LFContext, term: Term, ty: TypeExpr) -> None:
     match term:
-        case Lam(var, body):
+        case Lam(_, body):
             if not isinstance(ty, PiType):
                 raise TypeMismatch("abstraction checked against an atomic type")
             arity = erase(ty.domain)
             avoid = context_nominals(ctx) | nominals_in(body) | nominals_in(ty)
             nom = fresh_nominal(arity, avoid)
-            repl = Atom(nom)
-            body2 = apply_subst(body, {var: (repl, arity)})
-            cod2 = apply_subst(ty.body, {ty.var: (repl, arity)})
+            body2 = _instantiate(body, Atom(nom), arity)
+            cod2 = _instantiate(ty.body, Atom(nom), arity)
             check_term(sig, ctx.extend(nom, ty.domain), body2, cod2)
             return
         case Atom():
@@ -660,7 +666,7 @@ def check_term(sig: Signature, ctx: LFContext, term: Term, ty: TypeExpr) -> None
             have = _synth_atom(sig, ctx, term)
             if isinstance(have, PiType):
                 raise NotEtaLong(f"head of {term!r} is under-applied")
-            if not alpha_eq(have, ty):
+            if have != ty:
                 raise TypeMismatch(f"synthesized {have!r}, expected {ty!r}")
             return
     raise TypeError(f"not a term: {term!r}")
@@ -676,12 +682,12 @@ def _synth_atom(sig: Signature, ctx: LFContext, term: Atom) -> TypeExpr:
         if not isinstance(ty, PiType):
             raise SpineArity(f"head {term.head} applied to too many arguments")
         check_term(sig, ctx, arg, ty.domain)
-        ty = apply_subst(ty.body, {ty.var: (arg, erase(ty.domain))})
+        ty = _instantiate(ty.body, arg, erase(ty.domain))
     return ty
 
 
-def _open_binder(ctx: LFContext, var: str, domain: TypeExpr, body):
+def _open_binder(ctx: LFContext, domain: TypeExpr, body):
     arity = erase(domain)
     avoid = context_nominals(ctx) | nominals_in(body) | nominals_in(domain)
     nom = fresh_nominal(arity, avoid)
-    return nom, apply_subst(body, {var: (Atom(nom), arity)})
+    return nom, _instantiate(body, Atom(nom), arity)

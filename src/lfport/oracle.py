@@ -14,10 +14,11 @@ to an environment of pool indices and applies it per atom, so an atom's
 context and type judgements are checked once per combination of the pool
 terms free in them, not once per atom; only the term judgement runs per
 atom.  These memos live for one `bounded_validity` call and are cleared
-when it returns.  Where substituting would rename a binder, the evaluator
-substitutes eagerly as the plain semantics does, so verdicts and traces are
-exactly those of the plain substitution evaluator (a differential test in
-tests/test_oracle.py holds the two together).
+when it returns.  Where substituting would rename a quantifier, or reach
+into a context instance, the evaluator substitutes eagerly as the plain
+semantics does, so verdicts and traces are exactly those of the plain
+substitution evaluator (a differential test in tests/test_oracle.py holds
+the two together).  LF binders are indices, which no substitution renames.
 """
 
 from __future__ import annotations
@@ -39,22 +40,17 @@ from .formula import (
     Top,
     _subformulas,
     formula_key,
-    formula_term_names,
     subst_ctx,
     subst_terms,
 )
 from .lf import (
     AtomicType,
-    Lam,
     LFContext,
     LFError,
     Nominal,
     O,
-    PiType,
     Signature,
-    TermDecl,
     TypeDecl,
-    _nodes,
     apply_subst,
     check_context,
     check_term,
@@ -176,12 +172,11 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     own parts.  An atom's context and type judgements are memoised, for
     this call only, by the pool indices of the variables free in them, so
     only the term judgement runs per atom.  Where substituting would rename
-    a binder (a binder named like a constant of the pool term, say), the
+    a quantifier (one named like a constant of the pool term, say), the
     body is substituted eagerly instead, so the trace keeps the renamed
     names.
     """
-    consts = frozenset(d.name for d in sig.decls if isinstance(d, TermDecl))
-    pools: dict = {}  # arity -> (terms, their free names, their binders)
+    pools: dict = {}  # arity -> (terms, their free names)
     # Per-node data and memos live in a dict id(node) -> (node, ...): this
     # one for the formula, and a fresh one for each eagerly substituted or
     # context-instantiated body, dropped with it.
@@ -190,11 +185,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     def pool(ar):
         if ar not in pools:
             terms = term_pool(sig, ar, bounds.term_size_max, bounds.pool_nominals)
-            pools[ar] = (
-                terms,
-                [free_vars(t) for t in terms],
-                [_binders(t) for t in terms],
-            )
+            pools[ar] = (terms, [free_vars(t) for t in terms])
         return pools[ar]
 
     def by_term(g, env, nodes):
@@ -202,23 +193,21 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         rec = nodes.get(id(g))
         if rec is None:
             # Deferring is exact when substituting the term renames no
-            # binder of the body, and no binder of the term meets a name of
-            # the body or the signature.
-            terms, fvs, bds = pool(g.arity)
+            # quantifier of the body.
+            terms, fvs = pool(g.arity)
             bound = _binders(g.body)
-            names = formula_term_names(g.body) | consts
-            defer = [not (fv & bound or bd & names) for fv, bd in zip(fvs, bds)]
+            defer = [not fv & bound for fv in fvs]
             # Memo keys name each variable with its arity and pool index:
             # one atom may sit under binders of another order or arity
             # elsewhere in the formula.
             slots = [(g.var, g.arity, i) for i in range(len(terms))]
-            rec = nodes[id(g)] = (g, terms, fvs, defer, slots)
-        _, terms, fvs, defer, slots = rec
+            rec = nodes[id(g)] = (g, terms, defer, slots)
+        _, terms, defer, slots = rec
         v, ar, body = g.var, g.arity, g.body
         inner = tuple(e for e in env if e[0] != v)  # v shadows an outer v
         for i, t in enumerate(terms):
             if defer[i]:
-                yield t, ev(body, inner + ((v, slots[i], t, ar, fvs[i]),), nodes)
+                yield t, ev(body, inner + ((v, slots[i], t, ar),), nodes)
             else:
                 eager = subst_terms(_eager(body, inner), {v: (t, ar)})
                 yield t, ev(eager, (), {})
@@ -233,10 +222,8 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             bounds.term_size_max,
             bounds.pool_nominals,
         ):
-            types = [t for _, t in inst.bindings]
-            free = set().union(*map(free_vars, types))
-            bound = set().union(*map(_binders, types))
-            if any(e[0] in free or e[4] & bound for e in env):
+            free = set().union(*(free_vars(t) for _, t in inst.bindings))
+            if any(e[0] in free for e in env):
                 # Substituting an outer term would reach into the instance.
                 eager = subst_ctx(_eager(g.body, env), {g.var: inst})
                 yield inst, ev(eager, (), {})
@@ -272,9 +259,8 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         return _fails(check_term, sig, lctx, _subst(g.term, env, in_term), ty)
 
     def ev(g: Formula, env: tuple, nodes: dict) -> Verdict3:
-        # env: (var, (var, arity, pool index), term, arity, free names of
-        # the term) per enclosing quantifier whose substitution is
-        # deferred, outermost first.
+        # env: (var, (var, arity, pool index), term, arity) per enclosing
+        # quantifier whose substitution is deferred, outermost first.
         match g:
             case Holds(ctx):
                 if ctx.head is not None:
@@ -368,7 +354,7 @@ def _subst(e, env, free):
     """Apply the deferred substitutions of the variables in `free` to an LF
     expression, one at a time and outermost first, as the eager
     substitution does."""
-    for v, _, t, ar, _ in env:
+    for v, _, t, ar in env:
         if v in free:
             e = apply_subst(e, {v: (t, ar)})
     return e
@@ -376,7 +362,7 @@ def _subst(e, env, free):
 
 def _eager(f: Formula, env) -> Formula:
     """Apply every deferred substitution to a formula body."""
-    for v, _, t, ar, _ in env:
+    for v, _, t, ar in env:
         f = subst_terms(f, {v: (t, ar)})
     return f
 
@@ -389,20 +375,9 @@ def _fails(check, *args) -> str | None:
         return f"judgement fails: {err}"
 
 
-def _binders(x) -> set[str]:
-    """Every name bound somewhere in an LF term or type, or in a formula
-    (term quantifiers and the LF binders of its atoms)."""
-    if not isinstance(x, Formula):
-        return {n.var for n, _ in _nodes(x) if isinstance(n, (Lam, PiType))}
-    out: set[str] = set()
-    for g in _subformulas(x):
-        if isinstance(g, Holds):
-            out |= _binders(g.term) | _binders(g.ty)
-            for _, t in g.ctx.bindings:
-                out |= _binders(t)
-        elif isinstance(g, (ForallTm, ExistsTm)):
-            out.add(g.var)
-    return out
+def _binders(f: Formula) -> set[str]:
+    """Every name a term quantifier binds somewhere in the formula."""
+    return {g.var for g in _subformulas(f) if isinstance(g, (ForallTm, ExistsTm))}
 
 
 # ---------------------------------------------------------------------------

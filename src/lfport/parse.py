@@ -1,8 +1,10 @@
 """Parsers for the three surface syntaxes: signatures, schemas, formulas.
 
-One file per syntax kind; `%` starts a line comment everywhere.  Nested
-binders that reuse a surface name are renamed apart during parsing, so the
-constructed trees satisfy the distinct-binder invariant.
+One file per syntax kind; `%` starts a line comment everywhere.  An LF
+binder's name is resolved through the parser's scope: each occurrence it
+binds becomes a de Bruijn index, and the name stays on the binder as a
+display hint.  Formula quantifiers that reuse a name in scope are renamed
+apart.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .lf import (
     Arrow,
     Atom,
     AtomicType,
+    BVar,
     Kind,
     Lam,
     Nominal,
@@ -45,12 +48,9 @@ from .lf import (
     TypeDecl,
     TYPE,
     TypeExpr,
-    TypeKind,
+    _db_index,
     erase,
     fresh_name,
-    free_vars,
-    names_in,
-    rename_var,
 )
 from .schema import BlockSchema, ContextSchema, CtxExpr
 
@@ -120,6 +120,17 @@ class _Parser:
         self.pos = 0
         self.nominal_mode = nominal_mode
         self.nominals: dict[str, Nominal] = {}
+        self.scope: list = []  # LF binder names, innermost last
+        # each name an LF term mentions, with the scope position of its
+        # binder (-1 when free), in the order parsed
+        self.uses: list[tuple[str, int]] = []
+
+    def under(self, var, parse):
+        """`parse()` with the LF binder `var` innermost in scope."""
+        self.scope.append(var)
+        out = parse()
+        self.scope.pop()
+        return out
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -161,22 +172,24 @@ class _Parser:
             self.expect(":")
             dom = self.type_expr()
             self.expect("}")
-            rest = self.classifier()
-            if isinstance(rest, Kind):
-                return PiKind(var, dom, rest)
-            return PiType(var, dom, rest)
+            return self.pi(var, dom, var)
         if self.at("Type"):
             self.next()
             return TYPE
         t = self.type_operand()
         if self.at("->"):
             self.next()
-            rest = self.classifier()
-            var = fresh_name("x", free_vars(rest))
-            if isinstance(rest, Kind):
-                return PiKind(var, t, rest)
-            return PiType(var, t, rest)
+            return self.pi("x", t, None)  # an arrow's binder binds no name
         return t
+
+    def pi(self, hint: str, dom: TypeExpr, var):
+        start, level = len(self.uses), len(self.scope)
+        rest = self.under(var, self.classifier)
+        if var is None:
+            # the hint of `A -> B` avoids the names B mentions from outside
+            outside = {name for name, at in self.uses[start:] if at < level}
+            hint = fresh_name(hint, outside)
+        return (PiKind if isinstance(rest, Kind) else PiType)(hint, dom, rest)
 
     def type_expr(self) -> TypeExpr:
         t = self.classifier()
@@ -203,7 +216,7 @@ class _Parser:
             self.next()
             var = self.ident()
             self.expect("]")
-            return Lam(var, self.term())
+            return Lam(var, self.under(var, self.term))
         first = self.term_atom()
         args = []
         while self.at_ident() or self.at("("):
@@ -225,14 +238,12 @@ class _Parser:
         return Atom(self.resolve_name(name))
 
     def resolve_name(self, name: str):
-        if not self.nominal_mode:
-            return name
-        m = _NOMINAL_RE.match(name)
-        if not m:
-            return name
-        if name in self.nominals:
-            return self.nominals[name]
-        return Nominal(O, int(m.group(1)))
+        m = _NOMINAL_RE.match(name) if self.nominal_mode else None
+        if m:
+            return self.nominals.get(name) or Nominal(O, int(m.group(1)))
+        i = _db_index(name, self.scope)
+        self.uses.append((name, -1 if i is None else len(self.scope) - 1 - i))
+        return name if i is None else BVar(i)
 
     # -- arities ----------------------------------------------------------
 
@@ -254,7 +265,7 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Renaming nested duplicate binders apart.
+# Renaming shadowing formula quantifiers apart.
 
 
 def _apart(var, body, path, names, rename):
@@ -266,37 +277,8 @@ def _apart(var, body, path, names, rename):
     return var2, rename(body, var, var2)
 
 
-def _std_expr(e, path: frozenset):
-    match e:
-        case Atom(head, args):
-            return Atom(head, tuple(_std_expr(a, path) for a in args))
-        case Lam(var, body):
-            var2, body = _apart(var, body, path, names_in, rename_var)
-            return Lam(var2, _std_expr(body, path | {var2}))
-        case AtomicType(head, args):
-            return AtomicType(head, tuple(_std_expr(a, path) for a in args))
-        case PiType(var, domain, body):
-            domain2 = _std_expr(domain, path)
-            var2, body = _apart(var, body, path, names_in, rename_var)
-            return PiType(var2, domain2, _std_expr(body, path | {var2}))
-        case TypeKind():
-            return e
-        case PiKind(var, domain, body):
-            domain2 = _std_expr(domain, path)
-            var2, body = _apart(var, body, path, names_in, rename_var)
-            return PiKind(var2, domain2, _std_expr(body, path | {var2}))
-    raise TypeError(f"not an LF expression: {e!r}")
-
-
 def _std_formula(f: Formula, path: frozenset, cpath: frozenset) -> Formula:
     match f:
-        case Holds(ctx, term, ty):
-            bindings = tuple((n, _std_expr(t, path)) for n, t in ctx.bindings)
-            return Holds(
-                CtxExpr(ctx.head, bindings),
-                _std_expr(term, path),
-                _std_expr(ty, path),
-            )
         case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
             v2, body = _apart(v, body, path, formula_term_names, _rename_term_var)
             return type(f)(v2, ar, _std_formula(body, path | {v2}, cpath))
@@ -319,9 +301,9 @@ def parse_signature(text: str) -> Signature:
         classifier = p.classifier()
         p.expect(".")
         if isinstance(classifier, Kind):
-            decls.append(TypeDecl(name, _std_expr(classifier, frozenset())))
+            decls.append(TypeDecl(name, classifier))
         else:
-            decls.append(TermDecl(name, _std_expr(classifier, frozenset())))
+            decls.append(TermDecl(name, classifier))
     return Signature(tuple(decls))
 
 
@@ -364,8 +346,6 @@ def _parse_block(p: _Parser) -> BlockSchema:
         if p.at(","):
             p.next()
     p.expect(")")
-    bound = frozenset(v for v, _ in params) | frozenset(y for y, _ in decls)
-    decls = [(y, _std_expr(t, bound)) for y, t in decls]
     return BlockSchema(tuple(params), tuple(decls))
 
 
@@ -508,7 +488,7 @@ def parse_type_text(text: str, ce: Optional[CtxExpr] = None) -> TypeExpr:
     ty = p.type_expr()
     if p.peek().kind != "eof":
         p.fail(f"unexpected trailing input {p.peek().text!r}")
-    return _std_expr(ty, frozenset())
+    return ty
 
 
 def parse_term_text(text: str, ce: Optional[CtxExpr] = None) -> Term:
@@ -519,4 +499,4 @@ def parse_term_text(text: str, ce: Optional[CtxExpr] = None) -> Term:
     t = p.term()
     if p.peek().kind != "eof":
         p.fail(f"unexpected trailing input {p.peek().text!r}")
-    return _std_expr(t, frozenset())
+    return t

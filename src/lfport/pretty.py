@@ -1,7 +1,10 @@
 """Text rendering for the three surface syntaxes.
 
-Printing is the inverse of parsing up to alpha-equivalence; output is
-deterministic so it can serve golden tests.
+Printing is the inverse of parsing: the printed text parses back to an
+equal tree.  The printer chooses each LF binder's name from its hint and
+the names in scope (a block's variables and parameters for block types, the
+enclosing term quantifiers for formula atoms).  Output is deterministic so
+it can serve golden tests.
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ from .lf import (
     TermDecl,
     TypeExpr,
     TypeKind,
+    _open_named,
     free_vars,
+    fresh_name,
+    names_in,
 )
 from .schema import BlockSchema, ContextSchema, CtxExpr
 
@@ -53,52 +59,62 @@ def fmt_head(h) -> str:
     return h
 
 
-def fmt_term(t: Term) -> str:
+def _binder(hint: str, body, scope: frozenset):
+    """The printed name of a binder, its body with the bound variable
+    replaced by that name, and the scope of the body.  A hint that is in
+    scope, or that would capture a free name of the body, is primed apart
+    from both."""
+    name = hint
+    if hint in scope or hint in free_vars(body):
+        name = fresh_name(hint, scope | names_in(body))
+    return name, _open_named(body, name), scope | {name}
+
+
+def _fmt_spine(head: str, args, scope) -> str:
+    parts = [head]
+    for a in args:
+        s = fmt_term(a, scope)
+        if isinstance(a, Lam) or (isinstance(a, Atom) and a.args):
+            s = f"({s})"
+        parts.append(s)
+    return " ".join(parts)
+
+
+def fmt_term(t: Term, scope: frozenset = frozenset()) -> str:
     match t:
         case Atom(head, args):
-            parts = [fmt_head(head)]
-            for a in args:
-                s = fmt_term(a)
-                if isinstance(a, Lam) or (isinstance(a, Atom) and a.args):
-                    s = f"({s})"
-                parts.append(s)
-            return " ".join(parts)
+            return _fmt_spine(fmt_head(head), args, scope)
         case Lam(var, body):
-            return f"[{var}] {fmt_term(body)}"
+            name, body, inner = _binder(var, body, scope)
+            return f"[{name}] {fmt_term(body, inner)}"
     raise TypeError(f"not a term: {t!r}")
 
 
-def _fmt_type_operand(t: TypeExpr) -> str:
-    if isinstance(t, PiType):
-        return f"({fmt_type(t)})"
-    return fmt_type(t)
+def _fmt_pi(pi, scope, fmt_body) -> str:
+    name, body, inner = _binder(pi.var, pi.body, scope)
+    if name not in free_vars(body):
+        domain = fmt_type(pi.domain, scope)
+        if isinstance(pi.domain, PiType):
+            domain = f"({domain})"
+        return f"{domain} -> {fmt_body(body, inner)}"
+    return f"{{{name} : {fmt_type(pi.domain, scope)}}} {fmt_body(body, inner)}"
 
 
-def fmt_type(t: TypeExpr) -> str:
+def fmt_type(t: TypeExpr, scope: frozenset = frozenset()) -> str:
     match t:
         case AtomicType(head, args):
-            parts = [head]
-            for a in args:
-                s = fmt_term(a)
-                if isinstance(a, Lam) or (isinstance(a, Atom) and a.args):
-                    s = f"({s})"
-                parts.append(s)
-            return " ".join(parts)
-        case PiType(var, domain, body):
-            if var not in free_vars(body):
-                return f"{_fmt_type_operand(domain)} -> {fmt_type(body)}"
-            return f"{{{var} : {fmt_type(domain)}}} {fmt_type(body)}"
+            return _fmt_spine(head, args, scope)
+        case PiType():
+            return _fmt_pi(t, scope, fmt_type)
     raise TypeError(f"not a type expression: {t!r}")
 
 
-def fmt_kind(k: Kind) -> str:
+def fmt_kind(k: Kind, scope: frozenset = frozenset()) -> str:
     match k:
         case TypeKind():
             return "Type"
-        case PiKind(var, domain, body):
-            if var not in free_vars(body):
-                return f"{_fmt_type_operand(domain)} -> {fmt_kind(body)}"
-            return f"{{{var} : {fmt_type(domain)}}} {fmt_kind(body)}"
+        case PiKind():
+            return _fmt_pi(k, scope, fmt_kind)
     raise TypeError(f"not a kind: {k!r}")
 
 
@@ -112,17 +128,23 @@ def fmt_signature(sig: Signature) -> str:
     return "\n".join(lines)
 
 
-def fmt_ctx(ce: CtxExpr) -> str:
+def fmt_ctx(ce: CtxExpr, scope: frozenset = frozenset()) -> str:
     parts = []
     if ce.head is not None:
         parts.append(ce.head)
-    parts.extend(f"{fmt_head(n)} : {fmt_type(t)}" for n, t in ce.bindings)
+    parts.extend(f"{fmt_head(n)} : {fmt_type(t, scope)}" for n, t in ce.bindings)
     return ", ".join(parts)
 
 
+def block_scope(b: BlockSchema) -> frozenset:
+    """The names a block binds: its parameters and declaration variables."""
+    return frozenset(v for v, _ in b.params) | frozenset(y for y, _ in b.decl)
+
+
 def fmt_block(b: BlockSchema) -> str:
+    scope = block_scope(b)
     params = ", ".join(f"{v} : {fmt_arity(a)}" for v, a in b.params)
-    decls = ", ".join(f"{y} : {fmt_type(t)}" for y, t in b.decl)
+    decls = ", ".join(f"{y} : {fmt_type(t, scope)}" for y, t in b.decl)
     return f"{{{params}}}({decls})"
 
 
@@ -134,33 +156,35 @@ def fmt_schema(cs: ContextSchema) -> str:
 # 3 conjunction, 4 atoms.
 
 
-def fmt_formula(f: Formula, prec: int = 0) -> str:
+def fmt_formula(f: Formula, prec: int = 0, scope: frozenset = frozenset()) -> str:
+    """`scope` holds the names of the enclosing term quantifiers."""
+
     def wrap(s: str, needed: int) -> str:
         return f"({s})" if prec > needed else s
 
     match f:
         case Holds(ctx, term, ty):
-            inner = fmt_ctx(ctx)
+            inner = fmt_ctx(ctx, scope)
             if inner:
                 inner += " "
-            return f"{{{inner}|- {fmt_term(term)} : {fmt_type(ty)}}}"
+            return f"{{{inner}|- {fmt_term(term, scope)} : {fmt_type(ty, scope)}}}"
         case Top():
             return "tt"
         case Bot():
             return "ff"
         case Imp(l, r):
-            return wrap(f"{fmt_formula(l, 2)} => {fmt_formula(r, 1)}", 1)
+            return wrap(f"{fmt_formula(l, 2, scope)} => {fmt_formula(r, 1, scope)}", 1)
         case Disj(l, r):
-            return wrap(f"{fmt_formula(l, 2)} \\/ {fmt_formula(r, 3)}", 2)
+            return wrap(f"{fmt_formula(l, 2, scope)} \\/ {fmt_formula(r, 3, scope)}", 2)
         case Conj(l, r):
-            return wrap(f"{fmt_formula(l, 3)} /\\ {fmt_formula(r, 4)}", 3)
-        case ForallTm(v, ar, body):
-            return wrap(f"forall {v} : {fmt_arity(ar)}. {fmt_formula(body)}", 1)
-        case ExistsTm(v, ar, body):
-            return wrap(f"exists {v} : {fmt_arity(ar)}. {fmt_formula(body)}", 1)
+            return wrap(f"{fmt_formula(l, 3, scope)} /\\ {fmt_formula(r, 4, scope)}", 3)
+        case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
+            kw = "forall" if isinstance(f, ForallTm) else "exists"
+            body_text = fmt_formula(body, 0, scope | {v})
+            return wrap(f"{kw} {v} : {fmt_arity(ar)}. {body_text}", 1)
         case ForallCtx(v, cs, body, name):
             shown = name if name is not None else fmt_schema(cs)
-            return wrap(f"ctx {v} : {shown}. {fmt_formula(body)}", 1)
+            return wrap(f"ctx {v} : {shown}. {fmt_formula(body, 0, scope)}", 1)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -194,11 +218,14 @@ def fmt_certificate(cert) -> str:
             + (f" via {renaming}" if renaming else " via identity")
         )
         vdecl = m.variant.decl
+        # the variant renames a target block: its types print apart from
+        # the names of both
+        scope = block_scope(m.variant) | block_scope(cert.target.blocks[m.target_index])
         for pos in m.keep_positions:
             v, t = vdecl[pos]
-            lines.append(f"  keep {v} : {fmt_type(t)}")
+            lines.append(f"  keep {v} : {fmt_type(t, scope)}")
         for d in m.drops:
-            lines.append(f"  drop {d.var} : {fmt_type(d.ty)}")
+            lines.append(f"  drop {d.var} : {fmt_type(d.ty, scope)}")
     facts = cert.facts()
     if facts:
         lines.append("facts:")

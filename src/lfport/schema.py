@@ -20,6 +20,7 @@ from .lf import (
     Arrow,
     Atom,
     AtomicType,
+    BVar,
     Head,
     Lam,
     LFContext,
@@ -31,20 +32,15 @@ from .lf import (
     Term,
     TermDecl,
     TypeExpr,
-    _db_index,
+    _map_heads,
     _nodes,
-    alpha_eq,
-    alpha_key,
     apply_subst,
     arity_args,
     arity_check_term,
     arity_check_type,
     context_nominals,
     erase,
-    free_vars,
     fresh_nominal,
-    names_in,
-    rename_var,
 )
 
 
@@ -120,8 +116,8 @@ def _check_patterns(e, params, earlier) -> None:
     applied to distinct bare variables: local binders, earlier declaration
     variables of the block (`earlier`) or nominals.  These are exactly the
     spines `_solve_param` accepts, checked in its order."""
-    for n, bound in _nodes(e):
-        if not (isinstance(n, Atom) and n.head in params and n.head not in bound):
+    for n in _nodes(e):
+        if not (isinstance(n, Atom) and n.head in params):
             continue
         for arg in n.args:
             if not isinstance(arg, Atom) or arg.args:
@@ -129,7 +125,7 @@ def _check_patterns(e, params, earlier) -> None:
                     f"parameter {n.head} applied to a non-variable argument"
                 )
             x = arg.head
-            if not (isinstance(x, Nominal) or x in bound or x in earlier):
+            if not (isinstance(x, (Nominal, BVar)) or x in earlier):
                 raise NonPatternSchema(
                     f"parameter {n.head} applied to the free name {x}"
                 )
@@ -165,7 +161,7 @@ def block_instance(
         theta[y] = (Atom(nom), erase(a))
     solution: dict[str, Term] = {}
     for pat, (_, target_ty) in zip(patterns, bindings):
-        if not _match_type(pat, target_ty, params, solution, ()):
+        if not _match_type(pat, target_ty, params, solution):
             return None
     actx = sig.arity_context()
     avoid = context_nominals(LFContext(bindings))
@@ -180,104 +176,77 @@ def block_instance(
             out[x] = Atom(fresh_nominal(ar, avoid))
     full = {x: (out[x], params[x]) for x in out}
     for pat, (_, target_ty) in zip(patterns, bindings):
-        if not alpha_eq(apply_subst(pat, full), target_ty):
+        if apply_subst(pat, full) != target_ty:
             return None
     return out
 
 
-def _match_type(pat, tgt, params, solution, bp) -> bool:
+def _match_type(pat, tgt, params, solution) -> bool:
     match pat, tgt:
-        case (PiType(v1, d1, b1), PiType(v2, d2, b2)):
-            return _match_type(d1, d2, params, solution, bp) and _match_type(
-                b1, b2, params, solution, bp + ((v1, v2),)
+        case (PiType(_, d1, b1), PiType(_, d2, b2)):
+            return _match_type(d1, d2, params, solution) and _match_type(
+                b1, b2, params, solution
             )
         case (AtomicType(h1, a1), AtomicType(h2, a2)):
             if h1 != h2 or len(a1) != len(a2):
                 return False
-            return all(
-                _match_term(p, t, params, solution, bp) for p, t in zip(a1, a2)
-            )
+            return all(_match_term(p, t, params, solution) for p, t in zip(a1, a2))
     return False
 
 
-def _match_term(pat, tgt, params, solution, bp) -> bool:
+def _match_term(pat, tgt, params, solution) -> bool:
+    # Pattern and target are walked in step, so an index names corresponding
+    # binders on both sides.
     match pat:
-        case Atom(h, args) if (
-            isinstance(h, str)
-            and h in params
-            and _db_index(h, [p for p, _ in bp]) is None
-        ):
-            return _solve_param(h, args, tgt, solution, bp)
+        case Atom(h, args) if h in params:
+            return _solve_param(h, args, tgt, solution)
         case Atom(h, args):
-            if not isinstance(tgt, Atom) or len(args) != len(tgt.args):
-                return False
-            if not _heads_match(h, tgt.head, bp):
+            if not isinstance(tgt, Atom) or h != tgt.head or len(args) != len(tgt.args):
                 return False
             return all(
-                _match_term(p, t, params, solution, bp)
-                for p, t in zip(args, tgt.args)
+                _match_term(p, t, params, solution) for p, t in zip(args, tgt.args)
             )
-        case Lam(v1, b1):
-            if not isinstance(tgt, Lam):
-                return False
-            return _match_term(b1, tgt.body, params, solution, bp + ((v1, tgt.var),))
+        case Lam(_, b1):
+            return isinstance(tgt, Lam) and _match_term(b1, tgt.body, params, solution)
     raise TypeError(f"not a term: {pat!r}")
 
 
-def _heads_match(h1, h2, bp) -> bool:
-    if isinstance(h1, Nominal) or isinstance(h2, Nominal):
-        return h1 == h2
-    i1 = _db_index(h1, [p for p, _ in bp])
-    i2 = _db_index(h2, [t for _, t in bp])
-    if i1 != i2:
-        return False
-    return i1 is not None or h1 == h2
-
-
-def _solve_param(param, spine, tgt, solution, bp) -> bool:
-    # Spine arguments must be distinct nominals or pattern-side bound
-    # variables; the solution abstracts their target-side images.  A bound
-    # variable's image is its binder's position in `bp`, so target binders
-    # that shadow one another stay distinct.
-    images: list = []
+def _solve_param(param, spine, tgt, solution) -> bool:
+    # Spine arguments must be distinct nominals or bound variables; the
+    # solution abstracts their images in `tgt`, and fails if `tgt` mentions
+    # any other variable bound outside it.
+    images: dict = {}
     for arg in spine:
         if not isinstance(arg, Atom) or arg.args:
             raise NonPatternSchema(
                 f"parameter {param} applied to a non-variable argument"
             )
-        if isinstance(arg.head, Nominal):
-            images.append(arg.head)
-        else:
-            idx = _db_index(arg.head, [p for p, _ in bp])
-            if idx is None:
-                raise NonPatternSchema(
-                    f"parameter {param} applied to the free name {arg.head}"
-                )
-            images.append(len(bp) - 1 - idx)
-    if len(set(images)) != len(images):
+        if not isinstance(arg.head, (Nominal, BVar)):
+            raise NonPatternSchema(
+                f"parameter {param} applied to the free name {arg.head}"
+            )
+        images.setdefault(arg.head, len(images))
+    if len(images) != len(spine):
         raise NonPatternSchema(f"parameter {param} applied to repeated arguments")
-    tgt_bound = [t for _, t in bp]
-    body = tgt
-    fresh: list[str] = []
-    taken = names_in(tgt) | set(tgt_bound)
-    for k, image in enumerate(images):
-        w = f"w{k + 1}"
-        while w in taken:
-            w += "'"
-        taken.add(w)
-        fresh.append(w)
-        if isinstance(image, Nominal):
-            body = rename_var(body, image, w)
-        elif tgt_bound[image] not in tgt_bound[image + 1 :]:
-            # a shadowed binder cannot occur in `tgt`
-            body = rename_var(body, tgt_bound[image], w)
-    if free_vars(body) & set(tgt_bound):
-        return False  # solution would capture a bound variable
-    candidate: Term = body
-    for w in reversed(fresh):
-        candidate = Lam(w, candidate)
+    n = len(spine)
+    captured = False
+
+    def abstract(h, d):
+        nonlocal captured
+        outer = isinstance(h, BVar) and h.index >= d  # bound outside `tgt`
+        key = BVar(h.index - d) if outer else h
+        if key in images:
+            return BVar(d + n - 1 - images[key])
+        captured = captured or outer
+        return h
+
+    candidate: Term = _map_heads(tgt, abstract)
+    if captured:
+        return False
+    for k in range(n, 0, -1):
+        candidate = Lam(f"w{k}", candidate)
     if param in solution:
-        return alpha_eq(solution[param], candidate)
+        return solution[param] == candidate
     solution[param] = candidate
     return True
 
@@ -398,16 +367,16 @@ def min_term_size(arity: Arity) -> int:
 # bound keeps a long-lived process from holding every pool it ever built.
 @functools.lru_cache(maxsize=1024)
 def _pool_exact(heads, arity, size, scope) -> tuple[Term, ...]:
+    # `scope` holds the arities of the enclosing binders, outermost first.
     out: list[Term] = []
     if isinstance(arity, Arrow):
         if size >= 2:
             var = f"x{len(scope) + 1}"
-            for body in _pool_exact(
-                heads, arity.right, size - 1, scope + ((var, arity.left),)
-            ):
+            for body in _pool_exact(heads, arity.right, size - 1, scope + (arity.left,)):
                 out.append(Lam(var, body))
     else:
-        candidates = list(heads) + list(scope)
+        bound = [(BVar(len(scope) - 1 - i), ar) for i, ar in enumerate(scope)]
+        candidates = list(heads) + bound
         for head, har in candidates:
             want = arity_args(har)
             need = size - 1
@@ -456,9 +425,8 @@ def enumerate_instances(
     seen: set = set()
 
     def emit(bindings):
-        key = tuple((n, alpha_key(t)) for n, t in bindings)
-        if key not in seen:
-            seen.add(key)
+        if bindings not in seen:
+            seen.add(bindings)
             results.append(CtxExpr(None, tuple(bindings)))
 
     def extend(bindings, depth):

@@ -39,13 +39,10 @@ from .lf import (
     AtomicType,
     Lam,
     LFError,
-    Nominal,
     O,
     PiType,
     Signature,
     TypeExpr,
-    _db_index,
-    alpha_eq,
     apply_subst,
     erase,
 )
@@ -115,8 +112,7 @@ def _embeds(small, big, droppable) -> bool:
         name, ty = big[j - 1]
         if (
             i > 0
-            and small[i - 1][0] == name
-            and alpha_eq(small[i - 1][1], ty)
+            and small[i - 1] == (name, ty)
             and go(i - 1, j - 1)
         ):
             return True
@@ -212,51 +208,41 @@ def _gamma_atom_types(f: Formula, gamma: str) -> list[TypeExpr]:
     return [g.ty for g in _gamma_atoms(f, gamma) if not g.ctx.bindings]
 
 
-def _derive_renaming(src, tgt, tgt_vars: set, src_vars: set, mapping: dict, bp=()) -> bool:
+def _derive_renaming(src, tgt, tgt_vars: set, src_vars: set, mapping: dict) -> bool:
     """Structurally match a source declaration type against a target one,
     accumulating a renaming of target schema variables to source names."""
     match src, tgt:
-        case (PiType(v1, d1, b1), PiType(v2, d2, b2)):
-            return _derive_renaming(d1, d2, tgt_vars, src_vars, mapping, bp) and \
-                _derive_renaming(b1, b2, tgt_vars, src_vars, mapping, bp + ((v1, v2),))
+        case (PiType(_, d1, b1), PiType(_, d2, b2)):
+            return _derive_renaming(d1, d2, tgt_vars, src_vars, mapping) and \
+                _derive_renaming(b1, b2, tgt_vars, src_vars, mapping)
         case (AtomicType(h1, a1), AtomicType(h2, a2)):
             if h1 != h2 or len(a1) != len(a2):
                 return False
             return all(
-                _derive_renaming_term(p, t, tgt_vars, src_vars, mapping, bp)
+                _derive_renaming_term(p, t, tgt_vars, src_vars, mapping)
                 for p, t in zip(a1, a2)
             )
     return False
 
 
-def _derive_renaming_term(src, tgt, tgt_vars, src_vars, mapping, bp) -> bool:
+def _derive_renaming_term(src, tgt, tgt_vars, src_vars, mapping) -> bool:
+    # Both sides are walked in step, so equal indices name corresponding
+    # binders.
     match src, tgt:
         case (Atom(h1, a1), Atom(h2, a2)):
             if len(a1) != len(a2):
                 return False
-            i1 = _db_index(h1, [p for p, _ in bp])
-            i2 = _db_index(h2, [t for _, t in bp])
-            if (i1 is None) != (i2 is None) or (i1 is not None and i1 != i2):
-                return False
-            if i1 is None:
-                if isinstance(h1, Nominal) or isinstance(h2, Nominal):
-                    if h1 != h2:
-                        return False
-                elif h2 in tgt_vars:
-                    if h1 not in src_vars:
-                        return False
-                    if mapping.setdefault(h2, h1) != h1:
-                        return False
-                elif h1 != h2 or h1 in src_vars:
+            if h2 in tgt_vars:
+                if h1 not in src_vars or mapping.setdefault(h2, h1) != h1:
                     return False
+            elif h1 != h2 or h1 in src_vars:
+                return False
             return all(
-                _derive_renaming_term(p, t, tgt_vars, src_vars, mapping, bp)
+                _derive_renaming_term(p, t, tgt_vars, src_vars, mapping)
                 for p, t in zip(a1, a2)
             )
-        case (Lam(v1, b1), Lam(v2, b2)):
-            return _derive_renaming_term(
-                b1, b2, tgt_vars, src_vars, mapping, bp + ((v1, v2),)
-            )
+        case (Lam(_, b1), Lam(_, b2)):
+            return _derive_renaming_term(b1, b2, tgt_vars, src_vars, mapping)
     return False
 
 
@@ -282,13 +268,6 @@ def _close_permutation(mapping: Mapping[str, str]) -> dict[str, str]:
     for v, k in zip(sorted(values - keys), sorted(keys - values)):
         perm[v] = k
     return perm
-
-
-def _decl_subsequence_eq(sdecl, kept) -> bool:
-    return len(sdecl) == len(kept) and all(
-        sy == ky and alpha_eq(sty, kty)
-        for (sy, sty), (ky, kty) in zip(sdecl, kept)
-    )
 
 
 def block_subsumes(
@@ -354,7 +333,7 @@ def block_subsumes(
             perm = _close_permutation(mapping)
             variant = make_variant(sig, perm, target)
             vdecl = variant.decl
-            if not _decl_subsequence_eq(sdecl, [vdecl[i] for i in keep]):
+            if sdecl != tuple(vdecl[i] for i in keep):
                 continue
             if not prune_ok(rel, source, sdecl, vdecl):
                 continue
@@ -537,7 +516,7 @@ class TransportCertificate:
                 return False
             sdecl = self.source.blocks[m.source_index].decl
             vdecl = m.variant.decl
-            if not _decl_subsequence_eq(sdecl, [vdecl[i] for i in m.keep_positions]):
+            if sdecl != tuple(vdecl[i] for i in m.keep_positions):
                 return False
             if not prune_ok(rel, self.source, sdecl, vdecl):
                 return False

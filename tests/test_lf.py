@@ -35,7 +35,8 @@ from lfport.lf import (
     SubstFailure,
     TypeMismatch,
 )
-from util import a, at, ce, ctx, nom, pi
+from lfport.pretty import fmt_term
+from util import a, at, ce, ctx, lam, nom, pi
 
 
 def test_erase_atomic():
@@ -58,7 +59,7 @@ def test_subst_no_redex():
 
 
 def test_subst_beta_contraction():
-    out = apply_subst(a("f", a("z")), {"f": (Lam("y", a("y")), Arrow(O, O))})
+    out = apply_subst(a("f", a("z")), {"f": (lam("y", a("y")), Arrow(O, O))})
     assert out == a("z")
 
 
@@ -73,7 +74,7 @@ def test_subst_grafts_atomic_replacement():
 
 
 def test_subst_empty_is_identity():
-    for e in (a("s", a("z")), Lam("x", a("x")), at("size", a("x"), a("z"))):
+    for e in (a("s", a("z")), lam("x", a("x")), at("size", a("x"), a("z"))):
         assert apply_subst(e, {}) == e
 
 
@@ -87,22 +88,36 @@ def test_subst_composition_for_disjoint_parts():
 
 
 def test_subst_avoids_capture():
-    # ([y] x){x := y} must not capture the replacement
-    out = apply_subst(Lam("y", a("x")), {"x": (a("y"), O)})
-    assert isinstance(out, Lam)
-    assert out.var != "y"
-    assert out.body == a("y")
+    # ([y] x){x := y} must not capture the replacement: the body is the
+    # free y, and printing primes the binder apart from it
+    out = apply_subst(lam("y", a("x")), {"x": (a("y"), O)})
+    assert out == Lam("y", a("y"))
+    assert fmt_term(out) == "[y'] y"
 
 
 def test_subst_binder_rename_avoids_inner_binders():
-    # renaming the outer binder away from the replacement must not pick a
-    # name already used by an inner binder
-    e = Lam("x", a("h", a("q"), Lam("x'", a("c", a("x")))))
+    # the printed name of the outer binder, primed away from the
+    # replacement, must not be one an inner binder already uses
+    e = lam("x", a("h", a("q"), lam("x'", a("c", a("x")))))
     out = apply_subst(e, {"q": (a("x"), O)})
-    inner = out.body.args[1]
-    assert out.var not in ("x", "x'")
-    assert inner.var == "x'"
-    assert inner.body.args[0] == a(out.var)
+    assert out == lam("w", a("h", a("x"), lam("v", a("c", a("w")))))
+    assert fmt_term(out) == "[x''] h x ([x'] c x'')"
+
+
+def test_contraction_under_binders_shifts_the_arguments():
+    # F := [y] [w] app y w into [u] [v] F u v: each argument moves under
+    # the replacement's remaining binder and must still name its own
+    f = lam("y", lam("w", a("app", a("y"), a("w"))))
+    out = apply_subst(lam("u", lam("v", a("F", a("u"), a("v")))), {"F": (f, Arrow(O, Arrow(O, O)))})
+    assert out == lam("u", lam("v", a("app", a("u"), a("v"))))
+    assert fmt_term(out) == "[u] [v] app u v"
+    # reversed arguments, and one argument that is a bound variable of the
+    # body it lands in
+    out = apply_subst(lam("u", lam("v", a("F", a("v"), a("u")))), {"F": (f, Arrow(O, Arrow(O, O)))})
+    assert fmt_term(out) == "[u] [v] app v u"
+    g = lam("y", a("lam", lam("w", a("app", a("y"), a("w")))))
+    out = apply_subst(lam("u", a("G", a("u"))), {"G": (g, Arrow(O, O))})
+    assert fmt_term(out) == "[u] lam ([w] app u w)"
 
 
 def test_check_signature_fixture(sig_size):
@@ -175,15 +190,16 @@ def test_check_term_unbound_head(sig_size):
 
 
 def test_check_term_lambda(sig_size):
-    check_term(sig_size, LFContext(), a("lam", Lam("x", a("x"))), at("tm"))
+    check_term(sig_size, LFContext(), a("lam", lam("x", a("x"))), at("tm"))
 
 
 def test_check_term_alpha_invariance(sig_size):
-    m1 = a("lam", Lam("x", a("x")))
-    m2 = a("lam", Lam("y", a("y")))
+    m1 = a("lam", lam("x", a("x")))
+    m2 = a("lam", lam("y", a("y")))
     check_term(sig_size, LFContext(), m1, at("tm"))
     check_term(sig_size, LFContext(), m2, at("tm"))
     assert alpha_eq(m1, m2)
+    assert m1 == m2
 
 
 def test_checked_terms_arity_check(sig_size):
@@ -192,7 +208,7 @@ def test_checked_terms_arity_check(sig_size):
         (a("z"), at("nat")),
         (a("s", a("z")), at("nat")),
         (a("plus-z", a("z")), at("plus", a("z"), a("z"), a("z"))),
-        (a("lam", Lam("x", a("x"))), at("tm")),
+        (a("lam", lam("x", a("x"))), at("tm")),
     ]
     for term, ty in cases:
         check_term(sig_size, LFContext(), term, ty)
@@ -202,7 +218,7 @@ def test_checked_terms_arity_check(sig_size):
 def test_arity_check_term_examples(sig_size):
     actx = sig_size.arity_context()
     assert arity_check_term(actx, a("s", a("z")), O)
-    assert arity_check_term(actx, Lam("x", a("x")), Arrow(O, O))
+    assert arity_check_term(actx, lam("x", a("x")), Arrow(O, O))
     assert not arity_check_term(actx, a("s"), O)
 
 
@@ -231,10 +247,10 @@ def test_dependent_spine_plus_s(sig_size):
 
 def test_size_derivation_for_identity_function(sig_size):
     # size-lam ([x] x) (s z) ([x][d] d) derives size (lam ([x] x)) (s (s z))
-    d = a("size-lam", Lam("x", a("x")), a("s", a("z")), Lam("x", Lam("d", a("d"))))
-    good = at("size", a("lam", Lam("x", a("x"))), a("s", a("s", a("z"))))
+    d = a("size-lam", lam("x", a("x")), a("s", a("z")), lam("x", lam("d", a("d"))))
+    good = at("size", a("lam", lam("x", a("x"))), a("s", a("s", a("z"))))
     check_term(sig_size, LFContext(), d, good)
-    bad = at("size", a("lam", Lam("x", a("x"))), a("s", a("z")))
+    bad = at("size", a("lam", lam("x", a("x"))), a("s", a("z")))
     with pytest.raises(TypeMismatch):
         check_term(sig_size, LFContext(), d, bad)
 
@@ -252,9 +268,9 @@ def test_substitution_preserves_arity_typing(sig_size):
     open_terms = [
         (a("s", a("v1")), O, {"v1": O}),
         (a("plus-s", a("v1"), a("z"), a("v2"), a("v3")), O, {"v1": O, "v2": O, "v3": O}),
-        (Lam("x", a("f1", a("x"))), oo, {"f1": oo}),
+        (lam("x", a("f1", a("x"))), oo, {"f1": oo}),
         (a("app", a("f1", a("v1")), a("f1", a("z"))), O, {"f1": oo, "v1": O}),
-        (a("lam", Lam("x", a("f1", a("app", a("x"), a("v1"))))), O, {"f1": oo, "v1": O}),
+        (a("lam", lam("x", a("f1", a("app", a("x"), a("v1"))))), O, {"f1": oo, "v1": O}),
     ]
     pools = {O: term_pool(sig_size, O, 4), oo: term_pool(sig_size, oo, 4)}
     for term, arity, free in open_terms:
@@ -275,18 +291,18 @@ def _alpha_cases():
     # Alpha-variants, shadowed binders, nominals and free names; each tree
     # also appears as a distinct but equal object.
     base = [
-        Lam("x", a("x")),
-        Lam("y", a("y")),
-        Lam("x", Lam("x", a("x"))),
-        Lam("x", Lam("y", a("x"))),
-        Lam("y", Lam("x", a("y"))),
-        Lam("x", Lam("y", a("y"))),
-        Lam("x", a("y")),
-        Lam("y", a("x")),
+        lam("x", a("x")),
+        lam("y", a("y")),
+        lam("x", lam("x", a("x"))),
+        lam("x", lam("y", a("x"))),
+        lam("y", lam("x", a("y"))),
+        lam("x", lam("y", a("y"))),
+        lam("x", a("y")),
+        lam("y", a("x")),
         a("app", a("x"), a(nom(1))),
         a("app", a("x"), a(nom(2))),
-        a("lam", Lam("x", a("app", a("x"), a("x")))),
-        a("lam", Lam("z", a("app", a("z"), a("z")))),
+        a("lam", lam("x", a("app", a("x"), a("x")))),
+        a("lam", lam("z", a("app", a("z"), a("z")))),
         at("size", a("x"), a("s", a("z"))),
         pi("x", at("tm"), at("size", a("x"), a("z"))),
         pi("y", at("tm"), at("size", a("y"), a("z"))),
@@ -310,8 +326,30 @@ def test_alpha_eq_agrees_with_alpha_keys():
             want = alpha_key(x) == alpha_key(y)
             assert alpha_eq(x, y) == want, (x, y)
             verdicts.add((x == y, want))
-    # equal trees, alpha-variants that differ as trees, and inequivalent ones
-    assert verdicts == {(True, True), (False, True), (False, False)}
+    # alpha-variants are equal trees; inequivalent ones are not
+    assert verdicts == {(True, True), (False, False)}
+
+
+def test_alpha_variants_are_equal_and_hash_alike():
+    variants = [
+        # renamed binders
+        (lam("x", a("x")), lam("y", a("y"))),
+        (lam("x", lam("y", a("app", a("x"), a("y")))),
+         lam("u", lam("v", a("app", a("u"), a("v"))))),
+        (pi("x", at("tm"), at("size", a("x"), a("z"))),
+         pi("y", at("tm"), at("size", a("y"), a("z")))),
+        # shadowing binders against distinct ones
+        (lam("x", lam("x", a("x"))), lam("x", lam("y", a("y")))),
+        (pi("x", at("tm"), pi("x", at("tm"), at("size", a("x"), a("z")))),
+         pi("u", at("tm"), pi("v", at("tm"), at("size", a("v"), a("z"))))),
+    ]
+    for x, y in variants:
+        assert x == y and hash(x) == hash(y), (x, y)
+        assert x.var != y.var or x.body.var != y.body.var  # hints differ
+    # the binder referred to still matters
+    assert lam("x", lam("y", a("x"))) != lam("x", lam("y", a("y")))
+    # a bound variable differs from a free name of the same spelling
+    assert lam("x", a("x")) != Lam("x", a("x"))
 
 
 def _decls_with_duplicates():

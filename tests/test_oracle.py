@@ -17,7 +17,6 @@ from lfport import (
     Imp,
     LFContext,
     LFError,
-    Lam,
     O,
     SubordRel,
     Top,
@@ -34,7 +33,7 @@ from lfport import (
 )
 from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3
 from lfport.parse import parse_formula
-from util import a, at, ce, nom, pi
+from util import a, at, ce, lam, nom, pi
 
 
 def test_bounds_validation():
@@ -384,7 +383,7 @@ def _term(rng, scope, depth):
     if depth > 0:
         options += [
             lambda: a("app", _term(rng, scope, depth - 1), _term(rng, scope, depth - 1)),
-            lambda: _lam(rng, scope, depth, lambda y, body: a("lam", Lam(y, body))),
+            lambda: _lam(rng, scope, depth, lambda y, body: a("lam", lam(y, body))),
         ]
         if "s" not in scope:
             options.append(lambda: a("s", _term(rng, scope, depth - 1)))
@@ -410,7 +409,7 @@ def _atom(rng, scope, ctx_var):
     term = rng.choice((
         lambda: _term(rng, scope, 2),
         lambda: a(nom(1)),
-        lambda: _lam(rng, scope, 2, Lam),
+        lambda: _lam(rng, scope, 2, lam),
     ))()
     ty = rng.choice((
         lambda: at("nat"),

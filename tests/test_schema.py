@@ -9,7 +9,6 @@ from lfport import (
     BlockSchema,
     ContextSchema,
     CtxExpr,
-    Lam,
     LFContext,
     O,
     alpha_eq,
@@ -35,7 +34,7 @@ from lfport.subsume import (
     transport_check,
     transport_witness,
 )
-from util import a, at, ce, nom
+from util import a, at, ce, lam, nom, pi
 
 B_EMPTY = BlockSchema((), ())
 B_SIZE = BlockSchema((), (("x", at("tm")), ("y", at("size", a("x"), a("s", a("z"))))))
@@ -170,13 +169,11 @@ def test_ctx_expr_rejects_duplicate_nominals():
 
 
 def test_block_instance_higher_order_pattern(sig_size):
-    from lfport.lf import PiType
-
     block = BlockSchema(
         (("F", Arrow(O, O)),),
         (
             ("x", at("tm")),
-            ("y", PiType("w", at("tm"), at("size", a("w"), a("F", a("w"))))),
+            ("y", pi("w", at("tm"), at("size", a("w"), a("F", a("w"))))),
         ),
     )
     check_schema(sig_size, ContextSchema((block,)))
@@ -184,13 +181,13 @@ def test_block_instance_higher_order_pattern(sig_size):
         (nom(1), at("tm")),
         (
             nom(2, Arrow(O, O)),
-            PiType("u", at("tm"), at("size", a("u"), a("s", a("z")))),
+            pi("u", at("tm"), at("size", a("u"), a("s", a("z")))),
         ),
     )
     out = block_instance(sig_size, block, segment)
     assert out is not None
     # the target ties F's position to the constant graph, so F is constant
-    assert alpha_eq(out["F"], Lam("v", a("s", a("z"))))
+    assert alpha_eq(out["F"], lam("v", a("s", a("z"))))
 
 
 def test_block_instance_rejects_non_pattern_spine(sig_size):
@@ -403,8 +400,6 @@ def test_check_schema_rejects_blocks_outside_the_pattern_fragment(sig_size):
 
 
 def test_block_instance_is_stable_under_shadowing_target_binders(sig_size):
-    from lfport.lf import PiType
-
     blocks = [
         parse_schemas(f"schema C := {text}.")["C"].blocks[0]
         for text in (
@@ -418,14 +413,14 @@ def test_block_instance_is_stable_under_shadowing_target_binders(sig_size):
 
     def body(inner):
         # bodies that never mention the outer binder
-        return [a("app", a(inner), a(inner)), a(inner), a("z"), a("lam", Lam("q", a(inner)))]
+        return [a("app", a(inner), a(inner)), a(inner), a("z"), a("lam", lam("q", a(inner)))]
 
     verdicts = set()
     for block in blocks:
         for k in range(4):
             outs = []
             for outer, inner in (("x", "y"), ("y", "x"), ("x", "x")):
-                tgt = PiType(outer, at("tm"), PiType(inner, at("tm"), at(
+                tgt = pi(outer, at("tm"), pi(inner, at("tm"), at(
                     "size", body(inner)[k], a("z"))))
                 outs.append(block_instance(sig_size, block, ((nom(1, ar), tgt),)))
             verdicts.add(outs[0] is not None)

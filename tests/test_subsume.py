@@ -386,7 +386,7 @@ def _block_subsumes_by_alignment(rel, sig, target, f, gamma, source, search_cap)
             perm = lfport.subsume._close_permutation(mapping)
             variant = make_variant(sig, perm, target)
             vdecl = variant.decl
-            if not lfport.subsume._decl_subsequence_eq(sdecl, [vdecl[i] for i in keep]):
+            if sdecl != tuple(vdecl[i] for i in keep):
                 continue
             if not prune_ok(rel, source, sdecl, vdecl):
                 continue
