@@ -204,3 +204,10 @@ def test_fixtures_and_pools_round_trip_exactly(
     assert len(terms) > 100
     for t in terms:
         assert parse_term_text(fmt_term(t)) == t
+
+
+def test_printer_primes_apart_from_an_arrow_over_a_bound_name():
+    # The arrow's binder is printed x', since its codomain mentions x, so
+    # the shadowing x is primed past it, as it was when the parser renamed.
+    cs = parse_schemas("schema S := {}(x : tm, y : {x : tm} size x (s z) -> size x z).")
+    assert fmt_schema(cs["S"]) == "{}(x : tm, y : {x'' : tm} size x'' (s z) -> size x'' z)"

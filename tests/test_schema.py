@@ -428,3 +428,22 @@ def test_block_instance_is_stable_under_shadowing_target_binders(sig_size):
             if outs[0] is not None:
                 assert all(alpha_eq(o["F"], outs[0]["F"]) for o in outs)
     assert verdicts == {True, False}
+
+
+def test_parameter_solutions_never_capture_a_binder():
+    # F sees only its spine argument u, so a target that names v instead
+    # has no solution, and a solution never mentions a binder outside it.
+    from lfport.parse import parse_type_text
+    from lfport.schema import _match_type
+
+    pat = parse_type_text("{u : tm} {v : tm} size (F u) z")
+    for text, want in (
+        ("{u : tm} {v : tm} size u z", lam("w", a("w"))),
+        ("{u : tm} {v : tm} size (app u u) z", lam("w", a("app", a("w"), a("w")))),
+        ("{u : tm} {v : tm} size v z", None),
+        ("{u : tm} {v : tm} size (app u v) z", None),
+    ):
+        solution = {}
+        matched = _match_type(pat, parse_type_text(text), {"F": Arrow(O, O)}, solution)
+        assert matched == (want is not None), text
+        assert solution.get("F") == want, text
