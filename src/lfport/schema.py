@@ -233,11 +233,13 @@ def _solve_param(param, spine, tgt, solution) -> bool:
 
     def abstract(h, d):
         nonlocal captured
-        outer = isinstance(h, BVar) and h.index >= d  # bound outside `tgt`
-        key = BVar(h.index - d) if outer else h
-        if key in images:
-            return BVar(d + n - 1 - images[key])
-        captured = captured or outer
+        if isinstance(h, BVar):
+            if h.index < d:  # bound inside `tgt`: never a spine argument
+                return h
+            h = BVar(h.index - d)
+            captured = captured or h not in images
+        if h in images:
+            return BVar(d + n - 1 - images[h])
         return h
 
     candidate: Term = _map_heads(tgt, abstract)

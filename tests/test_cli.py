@@ -77,6 +77,20 @@ def test_minimize_drops_everything_for_nat(capsys):
     assert out == ""
 
 
+def test_minimize_primes_a_shadowing_binder(tmp_path, capsys):
+    # A binding type read from a context file prints its shadowing inner
+    # binder primed, as every other command prints such a type.
+    sig = tmp_path / "r.lf"
+    sig.write_text("nat : Type.\nz : nat.\ntm : Type.\nr : {x : tm} {x : tm} nat -> Type.\n")
+    ctx = tmp_path / "r.lfc"
+    ctx.write_text("n1 : tm, n2 : {x : tm} {x : tm} r x x z\n")
+    code, out, _ = run(
+        capsys, "minimize", str(sig), "--ctx", str(ctx), "--type", "r n1 n1 z"
+    )
+    assert code == 0
+    assert out.splitlines() == ["n1 : tm", "n2 : tm -> {x' : tm} r x' x' z"]
+
+
 def test_schema_check(capsys):
     code, out, _ = run(capsys, "schema-check", SIG, SCHEMAS)
     assert code == 0

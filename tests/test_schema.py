@@ -190,6 +190,26 @@ def test_block_instance_higher_order_pattern(sig_size):
     assert alpha_eq(out["F"], lam("v", a("s", a("z"))))
 
 
+def test_block_instance_keeps_the_targets_own_binders(sig_size):
+    # The target's lambda binds its own variable at the index a spine
+    # argument has outside it; the solution keeps that variable local.
+    from lfport.parse import parse_type_text
+
+    block = parse_schemas("schema C := {F : o -> o}(y : {u : tm} size (F u) z).")[
+        "C"
+    ].blocks[0]
+    for text, want in (
+        ("{u : tm} size (lam ([q] q)) z", a("lam", lam("q", a("q")))),
+        ("{u : tm} size (lam ([q] app q u)) z", a("lam", lam("q", a("app", a("q"), a("w"))))),
+        (
+            "{u : tm} size (lam ([q] lam ([r] app r q))) z",
+            a("lam", lam("q", a("lam", lam("r", a("app", a("r"), a("q")))))),
+        ),
+    ):
+        segment = ((nom(1, Arrow(O, O)), parse_type_text(text)),)
+        assert block_instance(sig_size, block, segment) == {"F": lam("w", want)}, text
+
+
 def test_block_instance_rejects_non_pattern_spine(sig_size):
     from lfport.schema import NonPatternSchema
 
@@ -431,19 +451,30 @@ def test_block_instance_is_stable_under_shadowing_target_binders(sig_size):
 
 
 def test_parameter_solutions_never_capture_a_binder():
-    # F sees only its spine argument u, so a target that names v instead
-    # has no solution, and a solution never mentions a binder outside it.
+    # F sees only its spine argument, so a target that names the other
+    # binder instead has no solution, and a solution never mentions a binder
+    # outside it.  Under F v the spine argument is index 0, the index the
+    # target's own lambda binder has in its body.
     from lfport.parse import parse_type_text
     from lfport.schema import _match_type
 
-    pat = parse_type_text("{u : tm} {v : tm} size (F u) z")
-    for text, want in (
-        ("{u : tm} {v : tm} size u z", lam("w", a("w"))),
-        ("{u : tm} {v : tm} size (app u u) z", lam("w", a("app", a("w"), a("w")))),
-        ("{u : tm} {v : tm} size v z", None),
-        ("{u : tm} {v : tm} size (app u v) z", None),
-    ):
-        solution = {}
-        matched = _match_type(pat, parse_type_text(text), {"F": Arrow(O, O)}, solution)
-        assert matched == (want is not None), text
-        assert solution.get("F") == want, text
+    for x, y in (("u", "v"), ("v", "u")):
+        pat = parse_type_text(f"{{u : tm}} {{v : tm}} size (F {x}) z")
+        for body, want in (
+            (x, lam("w", a("w"))),
+            (f"(app {x} {x})", lam("w", a("app", a("w"), a("w")))),
+            (y, None),
+            (f"(app {x} {y})", None),
+            # a binder inside the target is its own, never a spine argument
+            ("(lam ([q] q))", lam("w", a("lam", lam("q", a("q"))))),
+            (
+                f"(lam ([q] app q {x}))",
+                lam("w", a("lam", lam("q", a("app", a("q"), a("w"))))),
+            ),
+            (f"(lam ([q] app q {y}))", None),
+        ):
+            text = f"{{u : tm}} {{v : tm}} size {body} z"
+            solution = {}
+            matched = _match_type(pat, parse_type_text(text), {"F": Arrow(O, O)}, solution)
+            assert matched == (want is not None), (x, text)
+            assert solution.get("F") == want, (x, text)
