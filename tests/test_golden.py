@@ -2,9 +2,12 @@
 
 `tests/golden/cli.json` holds the exit code, stdout and stderr of every
 README command, of `instance`/`transport`/`validate`/`oracle` on the stlc
-fixtures, and of `validate` on a formula whose trace names a renamed
-binder.  `tests/golden/replay.py` replays them (and re-records them when an
-output change is intended).
+fixtures, of `validate` on a formula whose trace names a renamed
+binder, and of `check`/`minimize` on ill-formed declarations and types
+whose messages name the nominal chosen for a binder, or whose scope
+applies its bound variable to too many arguments.
+`tests/golden/replay.py` replays them (and re-records them when an output
+change is intended).
 """
 
 from golden import replay
