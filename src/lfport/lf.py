@@ -11,6 +11,11 @@ eta-long discipline: a canonical term checked against a function type must
 be an abstraction.  Substitution is arity-indexed and re-normalizes on the
 fly; its recursion is bounded by the arity annotations, so ill-matched
 annotations surface as ``SubstFailure`` instead of divergence.
+
+The checkers go under a binder by extending a local context of binder
+types, so a bound variable stays an index and hereditary substitution runs
+only for real spine arguments.  A nominal is chosen for a binder only to
+print a failure message that shows one.
 """
 
 from __future__ import annotations
@@ -23,7 +28,25 @@ from typing import Iterable, Mapping, Optional, Union
 
 
 class LFError(Exception):
-    """Base class for every checker failure raised by this package."""
+    """Base class for every checker failure raised by this package.
+
+    The message is formatted only when it is read: `str` fills the `{}`
+    fields of the first argument from `parts`, which may be LF trees or
+    other failures.  `context` is the `(ctx, local)` of the checker that
+    raised it, whose binders the parts' dangling indices refer to."""
+
+    def __init__(self, message: str, *parts, context=None):
+        super().__init__(message)
+        self.parts = parts
+        self.context = context
+
+    def __str__(self) -> str:
+        message, parts = self.args[0], self.parts
+        if not parts:
+            return message
+        if self.context is not None and self.context[1]:
+            parts = _close(parts, *self.context)
+        return message.format(*parts)
 
 
 class DuplicateName(LFError):
@@ -572,25 +595,81 @@ def arity_check_type(
 
 
 # ---------------------------------------------------------------------------
-# The formation judgements.
+# The formation judgements.  Under a binder the checkers push an entry onto
+# `local`, innermost first: the binder's domain, then its scope (a Pi
+# binder's body, or a lambda's body and codomain).  `BVar(i)` has entry i's
+# domain, shifted by i + 1, as its type.  No binder is opened with a
+# nominal, but what opening did stays observable: `_open` replays its
+# failure, and `_binder_nominals` its names for messages.
+
+
+def _open(scope: Expr, domain: TypeExpr) -> None:
+    """Fail as opening a binder of type `domain` with a nominal failed, with
+    `SubstFailure` if `scope` applies the bound variable to more arguments
+    than `domain` takes.  Opening came after the domain checked and before
+    the scope did.  A scope that fails this way fails to check too
+    (`SpineArity` at the latest), so the checkers replay the opening only
+    when the scope fails; a lambda's codomain is compared, never checked,
+    so it is replayed first."""
+    arity = erase(domain)
+    _instantiate(scope, Atom(Nominal(arity, 0)), arity)
+
+
+def _binder_nominals(ctx: LFContext, local: tuple) -> list[Nominal]:
+    """The nominal each binder of `local` would have been opened with,
+    innermost first.  Outermost first, a binder gets the first nominal of
+    its arity that is not in the context, not chosen for an outer binder,
+    and not written in an outer binder's domain or in its own domain and
+    scope."""
+    avoid = context_nominals(ctx)
+    noms = []
+    for domain, *scope in reversed(local):
+        own = nominals_in(domain).union(*map(nominals_in, scope))
+        nom = fresh_nominal(erase(domain), avoid | own)
+        noms.append(nom)
+        avoid |= {nom} | nominals_in(domain)
+    return noms[::-1]
+
+
+def _close(parts: tuple, ctx: LFContext, local: tuple) -> list:
+    """Message parts with each dangling index closed by the nominal of its
+    binder in `local`; indices beyond `local` are lowered past it."""
+    noms: list[Nominal] = []
+
+    def head(h, d):
+        if not isinstance(h, BVar) or h.index < d:
+            return h
+        i = h.index - d
+        if i >= len(local):
+            return BVar(i - len(local))
+        if not noms:
+            noms.extend(_binder_nominals(ctx, local))
+        return noms[i]
+
+    return [
+        head(p, 0) if isinstance(p, BVar)
+        else _map_heads(p, head) if isinstance(p, (Term, TypeExpr))
+        else p
+        for p in parts
+    ]
 
 
 def check_signature(sig: Signature) -> None:
-    seen: set[str] = set()
-    prefix: list[Decl] = []
+    # One index of the declarations checked so far, grown as they check.
+    before = Signature()
+    kinds, types = before._kinds, before._types
     for d in sig.decls:
-        if d.name in seen:
+        if d.name in kinds or d.name in types:
             raise DuplicateName(f"constant {d.name} declared twice")
-        seen.add(d.name)
-        before = Signature(tuple(prefix))
         try:
             if isinstance(d, TypeDecl):
-                check_kind(before, LFContext(), d.kind)
+                _check_kind(before, LFContext(), (), d.kind)
+                kinds[d.name] = d.kind
             else:
-                check_type(before, LFContext(), d.type)
+                _check_type(before, LFContext(), (), d.type)
+                types[d.name] = d.type
         except LFError as err:
-            raise IllFormedClassifier(f"declaration of {d.name}: {err}") from err
-        prefix.append(d)
+            raise IllFormedClassifier("declaration of {}: {}", d.name, err) from err
 
 
 def check_context(sig: Signature, ctx: LFContext) -> None:
@@ -601,30 +680,48 @@ def check_context(sig: Signature, ctx: LFContext) -> None:
             raise DuplicateName(f"{binder} bound twice in context")
         seen.add(binder)
         try:
-            check_type(sig, prefix, ty)
+            _check_type(sig, prefix, (), ty)
         except LFError as err:
-            raise IllFormedType(f"binding {binder}: {err}") from err
+            raise IllFormedType("binding {}: {}", binder, err) from err
         prefix = prefix.extend(binder, ty)
 
 
 def check_kind(sig: Signature, ctx: LFContext, kind: Kind) -> None:
+    _check_kind(sig, ctx, (), kind)
+
+
+def check_type(sig: Signature, ctx: LFContext, ty: TypeExpr) -> None:
+    _check_type(sig, ctx, (), ty)
+
+
+def check_term(sig: Signature, ctx: LFContext, term: Term, ty: TypeExpr) -> None:
+    _check_term(sig, ctx, (), term, ty)
+
+
+def _check_kind(sig: Signature, ctx: LFContext, local: tuple, kind: Kind) -> None:
     match kind:
         case TypeKind():
             return
         case PiKind(_, domain, body):
-            check_type(sig, ctx, domain)
-            nom, body2 = _open_binder(ctx, domain, body)
-            check_kind(sig, ctx.extend(nom, domain), body2)
+            _check_type(sig, ctx, local, domain)
+            try:
+                _check_kind(sig, ctx, ((domain, body),) + local, body)
+            except LFError:
+                _open(body, domain)
+                raise
             return
     raise TypeError(f"not a kind: {kind!r}")
 
 
-def check_type(sig: Signature, ctx: LFContext, ty: TypeExpr) -> None:
+def _check_type(sig: Signature, ctx: LFContext, local: tuple, ty: TypeExpr) -> None:
     match ty:
         case PiType(_, domain, body):
-            check_type(sig, ctx, domain)
-            nom, body2 = _open_binder(ctx, domain, body)
-            check_type(sig, ctx.extend(nom, domain), body2)
+            _check_type(sig, ctx, local, domain)
+            try:
+                _check_type(sig, ctx, ((domain, body),) + local, body)
+            except LFError:
+                _open(body, domain)
+                raise
             return
         case AtomicType(head, args):
             kind = sig.kind_of(head)
@@ -634,10 +731,10 @@ def check_type(sig: Signature, ctx: LFContext, ty: TypeExpr) -> None:
                 if not isinstance(kind, PiKind):
                     raise SpineArity(f"type constant {head} applied to too many arguments")
                 try:
-                    check_term(sig, ctx, arg, kind.domain)
+                    _check_term(sig, ctx, local, arg, kind.domain)
                 except LFError as err:
                     raise ArgumentTypeMismatch(
-                        f"argument of {head} does not check: {err}"
+                        "argument of {} does not check: {}", head, err
                     ) from err
                 kind = _instantiate(kind.body, arg, erase(kind.domain))
             if not isinstance(kind, TypeKind):
@@ -646,48 +743,49 @@ def check_type(sig: Signature, ctx: LFContext, ty: TypeExpr) -> None:
     raise TypeError(f"not a type expression: {ty!r}")
 
 
-def check_term(sig: Signature, ctx: LFContext, term: Term, ty: TypeExpr) -> None:
+def _check_term(
+    sig: Signature, ctx: LFContext, local: tuple, term: Term, ty: TypeExpr
+) -> None:
     match term:
         case Lam(_, body):
             if not isinstance(ty, PiType):
                 raise TypeMismatch("abstraction checked against an atomic type")
-            arity = erase(ty.domain)
-            avoid = context_nominals(ctx) | nominals_in(body) | nominals_in(ty)
-            nom = fresh_nominal(arity, avoid)
-            body2 = _instantiate(body, Atom(nom), arity)
-            cod2 = _instantiate(ty.body, Atom(nom), arity)
-            check_term(sig, ctx.extend(nom, ty.domain), body2, cod2)
+            _open(ty.body, ty.domain)
+            try:
+                _check_term(sig, ctx, ((ty.domain, body, ty.body),) + local, body, ty.body)
+            except LFError:
+                _open(body, ty.domain)
+                raise
             return
         case Atom():
             if isinstance(ty, PiType):
                 raise NotEtaLong(
                     "atomic term checked against a function type; expected an abstraction"
                 )
-            have = _synth_atom(sig, ctx, term)
+            have = _synth_atom(sig, ctx, local, term)
             if isinstance(have, PiType):
-                raise NotEtaLong(f"head of {term!r} is under-applied")
+                raise NotEtaLong("head of {!r} is under-applied", term, context=(ctx, local))
             if have != ty:
-                raise TypeMismatch(f"synthesized {have!r}, expected {ty!r}")
+                raise TypeMismatch(
+                    "synthesized {!r}, expected {!r}", have, ty, context=(ctx, local)
+                )
             return
     raise TypeError(f"not a term: {term!r}")
 
 
-def _synth_atom(sig: Signature, ctx: LFContext, term: Atom) -> TypeExpr:
-    ty = ctx.lookup(term.head)
-    if ty is None and isinstance(term.head, str):
-        ty = sig.type_of(term.head)
+def _synth_atom(sig: Signature, ctx: LFContext, local: tuple, term: Atom) -> TypeExpr:
+    head = term.head
+    if isinstance(head, BVar):
+        ty = _shift(local[head.index][0], head.index + 1) if head.index < len(local) else None
+    else:
+        ty = ctx.lookup(head)
+        if ty is None and isinstance(head, str):
+            ty = sig.type_of(head)
     if ty is None:
-        raise HeadUnbound(f"head {term.head} is not bound")
+        raise HeadUnbound("head {} is not bound", head, context=(ctx, local))
     for arg in term.args:
         if not isinstance(ty, PiType):
-            raise SpineArity(f"head {term.head} applied to too many arguments")
-        check_term(sig, ctx, arg, ty.domain)
+            raise SpineArity("head {} applied to too many arguments", head, context=(ctx, local))
+        _check_term(sig, ctx, local, arg, ty.domain)
         ty = _instantiate(ty.body, arg, erase(ty.domain))
     return ty
-
-
-def _open_binder(ctx: LFContext, domain: TypeExpr, body):
-    arity = erase(domain)
-    avoid = context_nominals(ctx) | nominals_in(body) | nominals_in(domain)
-    nom = fresh_nominal(arity, avoid)
-    return nom, _instantiate(body, Atom(nom), arity)

@@ -63,11 +63,17 @@ class ParseError(Exception):
 
 
 _NOMINAL_RE = re.compile(r"^n([0-9]+)$")
-# An identifier may contain `-`, but not the `-` of a following `->`.
-_IDENT = re.compile(r"[A-Za-z](?:[A-Za-z0-9_']|-(?!>))*")
-
-_PUNCT2 = ("|-", "->", "=>", ":=", "/\\", "\\/")
-_PUNCT1 = ("{", "}", "(", ")", "[", "]", ":", ",", ".", "|")
+# One alternative per token class, tried in order.  An identifier may
+# contain `-`, but not the `-` of a following `->`.
+_TOKEN = re.compile(
+    r"""(?P<newline>\n)
+      | (?P<blank>[ \t\r]+)
+      | (?P<comment>%[^\n]*)
+      | (?P<punct>\|-|->|=>|:=|/\\|\\/|[{}()\[\]:,.|])
+      | (?P<ident>[A-Za-z](?:[A-Za-z0-9_']|-(?!>))*)
+      | (?P<other>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 @dataclass
@@ -80,36 +86,19 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(_Token("punct", two, line, col))
-            i, col = i + 2, col + 2
-            continue
-        if c in _PUNCT1:
-            tokens.append(_Token("punct", c, line, col))
-            i, col = i + 1, col + 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
+    line, col = 1, 1
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "blank":
+            col += len(word)
+        elif kind == "ident" or kind == "punct":
+            tokens.append(_Token(kind, word, line, col))
+            col += len(word)
+        elif kind == "newline":
+            line, col = line + 1, 1
+        elif kind == "other":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        # a comment does not advance the column
     tokens.append(_Token("eof", "", line, col))
     return tokens
 
