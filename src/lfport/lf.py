@@ -48,6 +48,9 @@ class LFError(Exception):
             parts = _close(parts, *self.context)
         return message.format(*parts)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
 
 class DuplicateName(LFError):
     pass

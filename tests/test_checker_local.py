@@ -4,12 +4,12 @@ the checkers that opened every binder with a fresh nominal.
 `check_signature`, `check_context`, `check_kind`, `check_type` and
 `check_term` below are a verbatim copy of the opening checkers this package
 had before the local context.  On every input here both give the same
-outcome: success, or a failure of the same class with the same message.
-The inputs are every fixture declaration against its prefix, the fixture
-contexts, and seeded random kinds, types, terms, contexts and signatures
-with over-applied bound variables, stray nominals of arity `o` and
-`o -> o`, unknown constants, spines that are too long or too short, and
-lambdas where an atomic type is expected.
+outcome: success, or a failure of the same class with the same message
+and `repr`.  The inputs are every fixture declaration against its prefix,
+the fixture contexts, and seeded random kinds, types, terms, contexts and
+signatures with over-applied bound variables, stray nominals of arity `o`
+and `o -> o`, unknown constants, spines that are too long or too short,
+and lambdas where an atomic type is expected.
 """
 
 import random
@@ -184,7 +184,7 @@ def _outcome(check, *args):
     try:
         check(*args)
     except LFError as err:
-        return type(err).__name__, str(err)
+        return type(err).__name__, str(err), repr(err)
     return None
 
 
@@ -225,7 +225,7 @@ def test_nominals_written_in_an_unchecked_lambda_domain():
     size_n1 = AtomicType("size", (Atom(Nominal(O, 1)), Atom("z")))
     ty = PiType("x", size_n1, PiType("y", AtomicType("tm"), AtomicType("tm")))
     term = Lam("x", Lam("y", Atom("app", (Atom(BVar(0)),))))
-    assert _agree("check_term", sig, LFContext(), term, ty) == (
+    assert _agree("check_term", sig, LFContext(), term, ty)[:2] == (
         "NotEtaLong",
         "head of Atom(head='app', args=(Atom(head=n3, args=()),)) is under-applied",
     )
