@@ -601,29 +601,28 @@ def arity_check_type(
 # The formation judgements.  Under a binder the checkers push an entry onto
 # `local`, innermost first: the binder's domain, then its scope (a Pi
 # binder's body, or a lambda's body and codomain).  `BVar(i)` has entry i's
-# domain, shifted by i + 1, as its type.  No binder is opened with a
-# nominal, but what opening did stays observable: `_open` replays its
-# failure, and `_binder_nominals` its names for messages.
+# domain, shifted by i + 1, as its type.  Failures read as if each binder
+# had been instantiated with a fresh nominal: see `_open` and
+# `_binder_nominals`.
 
 
 def _open(scope: Expr, domain: TypeExpr) -> None:
-    """Fail as opening a binder of type `domain` with a nominal failed, with
-    `SubstFailure` if `scope` applies the bound variable to more arguments
-    than `domain` takes.  Opening came after the domain checked and before
-    the scope did.  A scope that fails this way fails to check too
-    (`SpineArity` at the latest), so the checkers replay the opening only
-    when the scope fails; a lambda's codomain is compared, never checked,
-    so it is replayed first."""
+    """Raise `SubstFailure` if `scope` applies the bound variable (index 0)
+    to more arguments than `domain` takes, as instantiating it with a
+    nominal does.  This failure comes after any in the domain and before
+    any other in the scope.  Such a scope also fails to check (with
+    `SpineArity` at the latest), so the checkers test it only when the
+    scope fails; a lambda's codomain is compared, never checked, so it is
+    tested before the body."""
     arity = erase(domain)
     _instantiate(scope, Atom(Nominal(arity, 0)), arity)
 
 
 def _binder_nominals(ctx: LFContext, local: tuple) -> list[Nominal]:
-    """The nominal each binder of `local` would have been opened with,
-    innermost first.  Outermost first, a binder gets the first nominal of
-    its arity that is not in the context, not chosen for an outer binder,
-    and not written in an outer binder's domain or in its own domain and
-    scope."""
+    """The nominal that names each binder of `local` in messages, innermost
+    first.  Outermost first, a binder gets the first nominal of its arity
+    that is not in the context, not chosen for an outer binder, and not
+    written in an outer binder's domain or in its own domain and scope."""
     avoid = context_nominals(ctx)
     noms = []
     for domain, *scope in reversed(local):
