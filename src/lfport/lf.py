@@ -293,11 +293,6 @@ class ArityContext:
     terms: Mapping[str, Arity]
     type_args: Mapping[str, tuple[Arity, ...]]
 
-    def with_terms(self, extra: Mapping[str, Arity]) -> "ArityContext":
-        merged = dict(self.terms)
-        merged.update(extra)
-        return ArityContext(merged, self.type_args)
-
 
 # A substitution maps names to replacement terms tagged with the arity
 # that governs the hereditary contraction.

@@ -231,7 +231,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 yield inst, ev(subst_ctx(g.body, {g.var: inst}), env, {})
 
     def holds(g, env, nodes):
-        """The failure message of an atom, or None if its judgements hold."""
+        """The first failing judgement of an atom, or None if they hold."""
         rec = nodes.get(id(g))
         if rec is None:
             in_ctx = set().union(*(free_vars(t) for _, t in g.ctx.bindings))
@@ -245,29 +245,31 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 tuple((n, _subst(t, env, in_ctx)) for n, t in g.ctx.bindings)
             )
             hit = ctx_memo[key] = (lctx, _fails(check_context, sig, lctx))
-        lctx, msg = hit
-        if msg is not None:
-            return msg
+        lctx, err = hit
+        if err is not None:
+            return err
         key = tuple(e[1] for e in env if e[0] in in_ty)
         hit = ty_memo.get(key)
         if hit is None:
             ty = _subst(g.ty, env, in_ty)
             hit = ty_memo[key] = (ty, _fails(check_type, sig, lctx, ty))
-        ty, msg = hit
-        if msg is not None:
-            return msg
+        ty, err = hit
+        if err is not None:
+            return err
         return _fails(check_term, sig, lctx, _subst(g.term, env, in_term), ty)
 
     def ev(g: Formula, env: tuple, nodes: dict) -> Verdict3:
         # env: (var, (var, arity, pool index), term, arity) per enclosing
-        # quantifier whose substitution is deferred, outermost first.
+        # quantifier whose substitution is deferred, outermost first.  A
+        # failing judgement stays an LFError in the trace, formatted only
+        # if the returned verdict keeps it.
         match g:
             case Holds(ctx):
                 if ctx.head is not None:
                     raise ValueError("bounded_validity needs a closed formula")
-                msg = holds(g, env, nodes)
-                if msg is not None:
-                    return Verdict3(INVALID, (msg,))
+                err = holds(g, env, nodes)
+                if err is not None:
+                    return Verdict3(INVALID, (err,))
                 return Verdict3(VALID)
             case Top():
                 return Verdict3(VALID)
@@ -342,12 +344,14 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         raise TypeError(f"not a formula: {g!r}")
 
     try:
-        return ev(f, (), memo)
+        verdict = ev(f, (), memo)
     finally:
         # ev is a closure over itself, so the memos would otherwise outlive
         # the call until the next cycle collection.
         memo.clear()
         pools.clear()
+    trace = [t if isinstance(t, str) else f"judgement fails: {t}" for t in verdict.trace]
+    return Verdict3(verdict.value, tuple(trace))
 
 
 def _subst(e, env, free):
@@ -367,12 +371,12 @@ def _eager(f: Formula, env) -> Formula:
     return f
 
 
-def _fails(check, *args) -> str | None:
+def _fails(check, *args) -> LFError | None:
     try:
         check(*args)
         return None
     except LFError as err:
-        return f"judgement fails: {err}"
+        return err.with_traceback(None)  # the memo keeps it, not its frames
 
 
 def _binders(f: Formula) -> set[str]:

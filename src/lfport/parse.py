@@ -1,6 +1,8 @@
 """Parsers for the three surface syntaxes: signatures, schemas, formulas.
 
-One file per syntax kind; `%` starts a line comment everywhere.  An LF
+One file per syntax kind; `%` starts a line comment everywhere.  Each
+input is split into token texts by one regex pass; the line and column
+of a token are worked out only when a `ParseError` reports them.  An LF
 binder's name is resolved through the parser's scope: each occurrence it
 binds becomes a de Bruijn index, and the name stays on the binder as a
 display hint.  Formula quantifiers that reuse a name in scope are renamed
@@ -10,7 +12,6 @@ apart.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .formula import (
@@ -63,49 +64,46 @@ class ParseError(Exception):
 
 
 _NOMINAL_RE = re.compile(r"^n([0-9]+)$")
-# One alternative per token class, tried in order.  An identifier may
+# A token is a punctuation mark or an identifier.  An identifier may
 # contain `-`, but not the `-` of a following `->`.
-_TOKEN = re.compile(
-    r"""(?P<newline>\n)
-      | (?P<blank>[ \t\r]+)
-      | (?P<comment>%[^\n]*)
-      | (?P<punct>\|-|->|=>|:=|/\\|\\/|[{}()\[\]:,.|])
-      | (?P<ident>[A-Za-z](?:[A-Za-z0-9_']|-(?!>))*)
-      | (?P<other>.)""",
-    re.VERBOSE | re.DOTALL,
+_WORD = re.compile(
+    r"\|-|->|=>|:=|/\\|\\/|[{}()\[\]:,.|]|[A-Za-z](?:[A-Za-z0-9_']|-(?!>))*"
 )
+# Blanks, newlines and comments.
+_SKIP = re.compile(r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*")
+# One token and the skipped text after it; a character that starts no
+# token is matched with the rest of the input, so it ends the list.
+_TOKEN = re.compile(rf"({_WORD.pattern}|.+){_SKIP.pattern}", re.DOTALL)
 
 
-@dataclass
-class _Token:
-    kind: str  # ident | punct | eof
-    text: str
-    line: int
-    col: int
+def _tokenize(text: str) -> list[str]:
+    """The texts of the tokens of `text`, then "" for the end of input."""
+    texts = _TOKEN.findall(text, _SKIP.match(text).end())
+    if texts and not _WORD.fullmatch(texts[-1]):
+        raise ParseError(
+            f"unexpected character {texts[-1][0]!r}", *_position(text, len(texts) - 1)
+        )
+    texts.append("")
+    return texts
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    for m in _TOKEN.finditer(text):
-        kind, word = m.lastgroup, m.group()
-        if kind == "blank":
-            col += len(word)
-        elif kind == "ident" or kind == "punct":
-            tokens.append(_Token(kind, word, line, col))
-            col += len(word)
-        elif kind == "newline":
-            line, col = line + 1, 1
-        elif kind == "other":
-            raise ParseError(f"unexpected character {word!r}", line, col)
-        # a comment does not advance the column
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _position(text: str, k: int) -> tuple[int, int]:
+    """Line and column of the `k`-th token of `text`, or of the end of
+    input if there are only `k` tokens.  A comment does not advance the
+    column, so the end of input after a final comment is where it starts."""
+    starts = [m.start() for m in _TOKEN.finditer(text, _SKIP.match(text).end())]
+    if k < len(starts):
+        at = starts[k]
+    else:  # a final comment starts at the last line's first `%`
+        at = text.find("%", text.rfind("\n") + 1)
+        at = len(text) if at < 0 else at
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 class _Parser:
     def __init__(self, text: str, nominal_mode: bool = False):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.texts = _tokenize(text)
         self.pos = 0
         self.nominal_mode = nominal_mode
         self.nominals: dict[str, Nominal] = {}
@@ -121,36 +119,37 @@ class _Parser:
         self.scope.pop()
         return out
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The current token's text; "" at the end of input."""
+        return self.texts[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> str:
+        text = self.texts[self.pos]
         self.pos += 1
-        return tok
+        return text
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, *_position(self.text, self.pos))
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            self.fail(f"expected {text!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            self.fail(f"expected {text!r}, found {self.peek() or 'end of input'!r}")
+        self.pos += 1
 
     def ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"expected a name, found {tok.text or 'end of input'!r}")
-        return self.next().text
+        text = self.texts[self.pos]
+        if not text[:1].isalpha():  # only identifiers start with a letter
+            self.fail(f"expected a name, found {text or 'end of input'!r}")
+        self.pos += 1
+        return text
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind != "eof" and tok.text == text
+        return self.texts[self.pos] == text
 
-    def at_ident(self) -> bool:
-        return self.peek().kind == "ident"
+    def at_arg(self) -> bool:
+        """Whether a spine argument, a name or `(`, starts here."""
+        text = self.texts[self.pos]
+        return text == "(" or text[:1].isalpha()
 
     # -- classifiers ------------------------------------------------------
 
@@ -194,7 +193,7 @@ class _Parser:
             return t
         head = self.ident()
         args = []
-        while self.at_ident() or self.at("("):
+        while self.at_arg():
             args.append(self.term_atom())
         return AtomicType(head, tuple(args))
 
@@ -208,7 +207,7 @@ class _Parser:
             return Lam(var, self.under(var, self.term))
         first = self.term_atom()
         args = []
-        while self.at_ident() or self.at("("):
+        while self.at_arg():
             args.append(self.term_atom())
         if not args:
             return first
@@ -284,7 +283,7 @@ def _std_formula(f: Formula, path: frozenset, cpath: frozenset) -> Formula:
 def parse_signature(text: str) -> Signature:
     p = _Parser(text)
     decls = []
-    while p.peek().kind != "eof":
+    while p.peek():
         name = p.ident()
         p.expect(":")
         classifier = p.classifier()
@@ -299,7 +298,7 @@ def parse_signature(text: str) -> Signature:
 def parse_schemas(text: str) -> dict[str, ContextSchema]:
     p = _Parser(text)
     out: dict[str, ContextSchema] = {}
-    while p.peek().kind != "eof":
+    while p.peek():
         kw = p.ident()
         if kw != "schema":
             p.fail(f"expected 'schema', found {kw!r}")
@@ -341,8 +340,8 @@ def _parse_block(p: _Parser) -> BlockSchema:
 def parse_formula(text: str, schemas: Mapping[str, ContextSchema]) -> Formula:
     p = _Parser(text, nominal_mode=True)
     f = _parse_formula(p, schemas)
-    if p.peek().kind != "eof":
-        p.fail(f"unexpected trailing input {p.peek().text!r}")
+    if p.peek():
+        p.fail(f"unexpected trailing input {p.peek()!r}")
     return _std_formula(f, frozenset(), frozenset())
 
 
@@ -357,7 +356,7 @@ def _parse_formula(p: _Parser, schemas) -> Formula:
         p.expect(".")
         return ForallCtx(var, schemas[name], _parse_formula(p, schemas), name)
     if p.at("forall") or p.at("exists"):
-        kw = p.next().text
+        kw = p.next()
         var = p.ident()
         p.expect(":")
         ar = p.arity()
@@ -405,7 +404,7 @@ def _parse_fatom(p: _Parser, schemas) -> Formula:
         return f
     if p.at("{"):
         return _parse_atom(p)
-    p.fail(f"expected a formula, found {p.peek().text or 'end of input'!r}")
+    p.fail(f"expected a formula, found {p.peek() or 'end of input'!r}")
 
 
 def _parse_atom(p: _Parser) -> Holds:
@@ -450,7 +449,7 @@ def parse_context(text: str) -> CtxExpr:
     """A standalone context file: comma-separated nominal bindings."""
     p = _Parser(text, nominal_mode=True)
     bindings = []
-    if p.peek().kind != "eof":
+    if p.peek():
         while True:
             name = p.ident()
             if not _NOMINAL_RE.match(name):
@@ -460,8 +459,8 @@ def parse_context(text: str) -> CtxExpr:
                 p.next()
                 continue
             break
-        if p.peek().kind != "eof":
-            p.fail(f"unexpected trailing input {p.peek().text!r}")
+        if p.peek():
+            p.fail(f"unexpected trailing input {p.peek()!r}")
     try:
         return CtxExpr(None, tuple(bindings))
     except ValueError as err:
@@ -475,8 +474,8 @@ def parse_type_text(text: str, ce: Optional[CtxExpr] = None) -> TypeExpr:
         for n, _ in ce.bindings:
             p.nominals[f"n{n.index}"] = n
     ty = p.type_expr()
-    if p.peek().kind != "eof":
-        p.fail(f"unexpected trailing input {p.peek().text!r}")
+    if p.peek():
+        p.fail(f"unexpected trailing input {p.peek()!r}")
     return ty
 
 
@@ -486,6 +485,6 @@ def parse_term_text(text: str, ce: Optional[CtxExpr] = None) -> Term:
         for n, _ in ce.bindings:
             p.nominals[f"n{n.index}"] = n
     t = p.term()
-    if p.peek().kind != "eof":
-        p.fail(f"unexpected trailing input {p.peek().text!r}")
+    if p.peek():
+        p.fail(f"unexpected trailing input {p.peek()!r}")
     return t

@@ -96,18 +96,18 @@ def check_schema(sig: Signature, cs: ContextSchema) -> None:
         param_names = [v for v, _ in block.params]
         if len(set(param_names)) != len(param_names):
             raise DuplicateVariable("block schema parameters are not distinct")
-        assigned = dict(actx.terms)
-        assigned.update(dict(block.params))
+        # the block's own names, which shadow the signature's constants
+        bound = dict(block.params)
         params = frozenset(param_names)
         earlier: set[str] = set()
         for y, ty in block.decl:
-            if y in assigned:
+            if y in bound or y in actx.terms:
                 raise DuplicateVariable(f"declaration variable {y} already assigned")
-            if not arity_check_type(actx.with_terms(assigned), ty):
+            if not arity_check_type(actx, ty, bound):
                 raise ArityKindFailure(f"type of {y} does not arity-kind")
             if params:
                 _check_patterns(ty, params, earlier)
-            assigned[y] = erase(ty)
+            bound[y] = erase(ty)
             earlier.add(y)
 
 

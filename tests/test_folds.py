@@ -47,7 +47,7 @@ from lfport.lf import (
     nominals_in,
     rename_var,
 )
-from lfport.parse import ParseError, _Token
+from lfport.parse import ParseError, _position, _tokenize
 from lfport.schema import NonPatternSchema, term_pool
 from lfport.subord import type_leq
 from test_oracle import _formula
@@ -360,6 +360,8 @@ def ref_val_neg(gamma, f):
 
 
 def ref_tokenize(text):
+    """(kind, text, line, column) of every token, then of the end of input,
+    found one character at a time."""
     import re
 
     ident_start = re.compile(r"[A-Za-z]")
@@ -383,11 +385,11 @@ def ref_tokenize(text):
             continue
         two = text[i : i + 2]
         if two in punct2:
-            tokens.append(_Token("punct", two, line, col))
+            tokens.append(("punct", two, line, col))
             i, col = i + 2, col + 2
             continue
         if c in punct1:
-            tokens.append(_Token("punct", c, line, col))
+            tokens.append(("punct", c, line, col))
             i, col = i + 1, col + 1
             continue
         if ident_start.match(c):
@@ -397,11 +399,11 @@ def ref_tokenize(text):
                     break
                 i += 1
             word = text[start:i]
-            tokens.append(_Token("ident", word, line, col))
+            tokens.append(("ident", word, line, col))
             col += i - start
             continue
         raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    tokens.append(("eof", "", line, col))
     return tokens
 
 
@@ -598,6 +600,15 @@ def test_formula_folds_raise_on_a_non_formula():
 # The tokenizer.
 
 
+def positioned_tokens(text):
+    """The tokenizer's token texts, each with the kind its text shows and
+    the line and column `_position` works out for it."""
+    return [
+        ("eof" if not t else "ident" if t[0].isalpha() else "punct", t, *_position(text, k))
+        for k, t in enumerate(_tokenize(text))
+    ]
+
+
 def test_tokenizer_matches_the_per_character_loop():
     from conftest import FIXTURES
 
@@ -606,9 +617,10 @@ def test_tokenizer_matches_the_per_character_loop():
     texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.iterdir())]
     texts += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(30))) for _ in range(20000)]
     texts += ["a-", "a->b", "a--b", "plus-z", "x'-'>", "a-\n>", "é", "a%b->c\nd"]
+    texts += ["", "%", "a %c", "a\n  %c %d", "a\r\n\tb ", "% x\n\n!"]
     errors = 0
     for text in texts:
-        got = _outcome(lfport.parse._tokenize, text)
+        got = _outcome(positioned_tokens, text)
         want = _outcome(ref_tokenize, text)
         assert got == want, text
         errors += got[0] == "raised"

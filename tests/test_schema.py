@@ -71,6 +71,25 @@ def test_check_schema_unassigned_var(sig_size):
         check_schema(sig_size, bad)
 
 
+def test_block_names_shadow_signature_constants(sig_size):
+    def check(text):
+        check_schema(sig_size, parse_schemas(f"schema C := {text}.")["C"])
+
+    # the parameter `s` has arity o in its block, not the constant's o -> o
+    check("{s : o}(y : size (lam ([s] s)) s)")
+    with pytest.raises(ArityKindFailure):
+        check("{s : o}(x : tm, y : size x (s z))")
+    # a declaration variable is in scope in the later declarations only
+    check("{}(x : tm, y : size x z)")
+    with pytest.raises(ArityKindFailure):
+        check("{}(y : size x z)")
+    # a declaration variable may not take a constant's name
+    with pytest.raises(DuplicateVariable):
+        check("{}(z : tm)")
+    with pytest.raises(DuplicateVariable):
+        check("{s : o}(s : tm)")
+
+
 def test_block_instance_size(sig_size):
     assert block_instance(sig_size, B_SIZE, SIZE_BLOCK) == {}
 
