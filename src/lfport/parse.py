@@ -94,7 +94,7 @@ def _position(text: str, k: int) -> tuple[int, int]:
     starts = [m.start() for m in _TOKEN.finditer(text, _SKIP.match(text).end())]
     if k < len(starts):
         at = starts[k]
-    else:  # a final comment starts at the last line's first `%`
+    else:  # no token holds a `%`, so the last line's first starts a comment
         at = text.find("%", text.rfind("\n") + 1)
         at = len(text) if at < 0 else at
     return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
