@@ -231,7 +231,10 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 yield inst, ev(subst_ctx(g.body, {g.var: inst}), env, {})
 
     def holds(g, env, nodes):
-        """The first failing judgement of an atom, or None if they hold."""
+        """The first failing judgement of an atom, or None if they hold.  A
+        memoised failure is kept as its trace line: as an LFError, it would
+        hold the checker's frames through the failure it wraps for the
+        whole call."""
         rec = nodes.get(id(g))
         if rec is None:
             in_ctx = set().union(*(free_vars(t) for _, t in g.ctx.bindings))
@@ -244,7 +247,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             lctx = LFContext(
                 tuple((n, _subst(t, env, in_ctx)) for n, t in g.ctx.bindings)
             )
-            hit = ctx_memo[key] = (lctx, _fails(check_context, sig, lctx))
+            hit = ctx_memo[key] = (lctx, _line(_fails(check_context, sig, lctx)))
         lctx, err = hit
         if err is not None:
             return err
@@ -252,7 +255,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         hit = ty_memo.get(key)
         if hit is None:
             ty = _subst(g.ty, env, in_ty)
-            hit = ty_memo[key] = (ty, _fails(check_type, sig, lctx, ty))
+            hit = ty_memo[key] = (ty, _line(_fails(check_type, sig, lctx, ty)))
         ty, err = hit
         if err is not None:
             return err
@@ -261,8 +264,8 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     def ev(g: Formula, env: tuple, nodes: dict) -> Verdict3:
         # env: (var, (var, arity, pool index), term, arity) per enclosing
         # quantifier whose substitution is deferred, outermost first.  A
-        # failing judgement stays an LFError in the trace, formatted only
-        # if the returned verdict keeps it.
+        # failing term judgement stays an LFError in the trace, formatted
+        # only if the returned verdict keeps it.
         match g:
             case Holds(ctx):
                 if ctx.head is not None:
@@ -350,8 +353,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         # the call until the next cycle collection.
         memo.clear()
         pools.clear()
-    trace = [t if isinstance(t, str) else f"judgement fails: {t}" for t in verdict.trace]
-    return Verdict3(verdict.value, tuple(trace))
+    return Verdict3(verdict.value, tuple(map(_line, verdict.trace)))
 
 
 def _subst(e, env, free):
@@ -376,7 +378,12 @@ def _fails(check, *args) -> LFError | None:
         check(*args)
         return None
     except LFError as err:
-        return err.with_traceback(None)  # the memo keeps it, not its frames
+        return err.with_traceback(None)  # a trace may keep it, not the frames
+
+
+def _line(failure):
+    """A trace line, with a failing judgement's message formatted."""
+    return f"judgement fails: {failure}" if isinstance(failure, LFError) else failure
 
 
 def _binders(f: Formula) -> set[str]:
