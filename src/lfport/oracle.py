@@ -231,10 +231,8 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 yield inst, ev(subst_ctx(g.body, {g.var: inst}), env, {})
 
     def holds(g, env, nodes):
-        """The first failing judgement of an atom, or None if they hold.  A
-        memoised failure is kept as its trace line: as an LFError, it would
-        hold the checker's frames through the failure it wraps for the
-        whole call."""
+        """The first failing judgement of an atom, or None if they hold.  The
+        memos keep trace lines: an LFError holds the frames of what it wraps."""
         rec = nodes.get(id(g))
         if rec is None:
             in_ctx = set().union(*(free_vars(t) for _, t in g.ctx.bindings))
@@ -248,31 +246,29 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 tuple((n, _subst(t, env, in_ctx)) for n, t in g.ctx.bindings)
             )
             hit = ctx_memo[key] = (lctx, _line(_fails(check_context, sig, lctx)))
-        lctx, err = hit
-        if err is not None:
-            return err
+        lctx, failure = hit
+        if failure is not None:
+            return failure
         key = tuple(e[1] for e in env if e[0] in in_ty)
         hit = ty_memo.get(key)
         if hit is None:
             ty = _subst(g.ty, env, in_ty)
             hit = ty_memo[key] = (ty, _line(_fails(check_type, sig, lctx, ty)))
-        ty, err = hit
-        if err is not None:
-            return err
+        ty, failure = hit
+        if failure is not None:
+            return failure
         return _fails(check_term, sig, lctx, _subst(g.term, env, in_term), ty)
 
     def ev(g: Formula, env: tuple, nodes: dict) -> Verdict3:
         # env: (var, (var, arity, pool index), term, arity) per enclosing
-        # quantifier whose substitution is deferred, outermost first.  A
-        # failing term judgement stays an LFError in the trace, formatted
-        # only if the returned verdict keeps it.
+        # quantifier whose substitution is deferred, outermost first.
         match g:
             case Holds(ctx):
                 if ctx.head is not None:
                     raise ValueError("bounded_validity needs a closed formula")
-                err = holds(g, env, nodes)
-                if err is not None:
-                    return Verdict3(INVALID, (err,))
+                failure = holds(g, env, nodes)
+                if failure is not None:
+                    return Verdict3(INVALID, (failure,))
                 return Verdict3(VALID)
             case Top():
                 return Verdict3(VALID)
@@ -382,7 +378,7 @@ def _fails(check, *args) -> LFError | None:
 
 
 def _line(failure):
-    """A trace line, with a failing judgement's message formatted."""
+    """A trace line; a failing term judgement is formatted only here."""
     return f"judgement fails: {failure}" if isinstance(failure, LFError) else failure
 
 

@@ -120,13 +120,11 @@ class _Parser:
         return out
 
     def peek(self) -> str:
-        """The current token's text; "" at the end of input."""
-        return self.texts[self.pos]
+        return self.texts[self.pos]  # "" at the end of input
 
     def next(self) -> str:
-        text = self.texts[self.pos]
         self.pos += 1
-        return text
+        return self.texts[self.pos - 1]
 
     def fail(self, message: str):
         raise ParseError(message, *_position(self.text, self.pos))
