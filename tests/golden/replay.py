@@ -6,8 +6,11 @@ runs every command through `lfport.cli.main` in this process and reports
 the ones whose output differs.  `parse_errors.json` lists seeded
 truncations and one-character edits of every fixture file with the
 outcome of parsing each (`ok`, or the error's class and message, whose
-`line:col` prefix pins the reported position).  Stdlib only, so it runs on
-interpreters without pytest:
+`line:col` prefix pins the reported position).  `formulas.json` lists
+seeded random formulas (`tests/util.py`) over the size fixtures: the
+printed text of each, the text printed after parsing it back, and the
+outcome of `check_formula` and of `bounded_validity` at two bounds.
+Stdlib only, so it runs on interpreters without pytest:
 
     PYTHONPATH=src python tests/golden/replay.py            # replay
     PYTHONPATH=src python tests/golden/replay.py --record   # rewrite outputs
@@ -25,14 +28,26 @@ import random
 import sys
 from pathlib import Path
 
-from lfport.cli import main
-from lfport.parse import parse_context, parse_formula, parse_schemas, parse_signature
-
 ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "tests"))
+
+from lfport import Bounds, bounded_validity, check_formula  # noqa: E402
+from lfport.cli import main  # noqa: E402
+from lfport.parse import (  # noqa: E402
+    parse_context,
+    parse_formula,
+    parse_schemas,
+    parse_signature,
+)
+from lfport.pretty import fmt_formula  # noqa: E402
+from util import random_formula  # noqa: E402
+
 GOLDEN = Path(__file__).resolve().parent / "cli.json"
 PARSE_GOLDEN = Path(__file__).resolve().parent / "parse_errors.json"
+FORMULA_GOLDEN = Path(__file__).resolve().parent / "formulas.json"
 EDITS_PER_FILE = 30
 EDIT_CHARS = "!%\n\t .:,(){}[]|->=a1'"
+FORMULAS = 3000
 
 
 def run(argv: list[str]) -> dict:
@@ -106,10 +121,46 @@ def load_parse_outcomes() -> list[list[str]]:
     return json.loads(PARSE_GOLDEN.read_text(encoding="utf-8"))
 
 
+def _outcome(call):
+    """The result of `call()`, or the class and message of what it raised."""
+    try:
+        return call()
+    except Exception as err:  # the class is part of the outcome
+        return [type(err).__name__, str(err)]
+
+
+def formula_outcomes() -> list[list]:
+    """[text, text printed after parsing it back, check outcome, verdict at
+    (2, 1), verdict at (3, 2)] for `FORMULAS` seeded random formulas; a
+    verdict is its value and trace lines."""
+    fixtures = ROOT / "fixtures"
+    sig = parse_signature((fixtures / "sig_size.lf").read_text(encoding="utf-8"))
+    schemas = parse_schemas((fixtures / "schemas_size.sch").read_text(encoding="utf-8"))
+    out = []
+    for seed in range(FORMULAS):
+        f = random_formula(random.Random(seed), schemas)
+        text = fmt_formula(f)
+        row = [text, _outcome(lambda: fmt_formula(parse_formula(text, schemas)))]
+        row.append(_outcome(lambda: check_formula(sig, f) or "ok"))
+        for bounds in (Bounds(2, 1), Bounds(3, 2)):
+            verdict = _outcome(lambda: bounded_validity(sig, f, bounds))
+            if not isinstance(verdict, list):
+                verdict = [verdict.value, list(verdict.trace)]
+            row.append(verdict)
+        out.append(row)
+    return out
+
+
+def load_formula_outcomes() -> list[list]:
+    return json.loads(FORMULA_GOLDEN.read_text(encoding="utf-8"))
+
+
 def record() -> None:
     runs = [run(want["argv"]) for want in load()]
     GOLDEN.write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
     PARSE_GOLDEN.write_text(json.dumps(parse_outcomes(), indent=1) + "\n", encoding="utf-8")
+    rows = ",\n".join(map(json.dumps, formula_outcomes()))  # one formula a line
+    FORMULA_GOLDEN.write_text(f"[\n{rows}\n]\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -123,4 +174,6 @@ if __name__ == "__main__":
     print(f"{total - len(bad)} of {total} golden commands match")
     parsed = parse_outcomes() == load_parse_outcomes()
     print(f"parse outcomes {'match' if parsed else 'differ'}")
-    sys.exit(1 if bad or not parsed else 0)
+    formulas = formula_outcomes() == load_formula_outcomes()
+    print(f"random formula outcomes {'match' if formulas else 'differ'}")
+    sys.exit(1 if bad or not parsed or not formulas else 0)

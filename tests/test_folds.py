@@ -50,8 +50,7 @@ from lfport.lf import (
 from lfport.parse import ParseError, _position, _tokenize
 from lfport.schema import NonPatternSchema, term_pool
 from lfport.subord import type_leq
-from test_oracle import _formula
-from util import a, at, nom, pi
+from util import a, at, nom, pi, random_formula
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +443,12 @@ def lf_exprs(sig_size, sig_stlc, schemas_size, schemas_stlc):
     return out
 
 
-def _random_formulas(schema, count=3000):
+def _random_formulas(schemas, count=3000):
     """Seeded random formulas whose atoms are headed by G, by H or by no
     context variable, with context quantifiers over G."""
     for seed in range(count):
         head = (None, "G", "H")[seed % 3]
-        yield _formula(random.Random(seed), {}, head, 4, schema)
+        yield random_formula(random.Random(seed), schemas, head)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +532,7 @@ def _types():
 
 def test_formula_folds_match_the_recursive_walkers(schemas_size, rel_size):
     seen_stop = False
-    for f in _random_formulas(schemas_size["Csize"]):
+    for f in _random_formulas(schemas_size):
         assert lfport.formula.formula_term_names(f) == ref_formula_term_names(f)
         assert lfport.formula.ctx_var_names(f) == ref_ctx_var_names(f)
         assert lfport.oracle._binders(f) == ref_binders(f)
@@ -567,7 +566,7 @@ def test_tf_subord_raises_at_the_same_uncovered_atom(schemas_size, rel_size):
         rel_size.constants - {"size"},
     )
     outcomes = set()
-    for f in _random_formulas(schemas_size["Csize"], 1500):
+    for f in _random_formulas(schemas_size, 1500):
         for ty in _types():
             got = _outcome(lfport.subsume.tf_subord, rel, ty, f, "G")
             assert got == _outcome(ref_tf_subord, rel, ty, f, "G")

@@ -7,8 +7,12 @@ binder, of `check`/`minimize` on ill-formed declarations and types
 whose messages name the nominal chosen for a binder, or whose scope
 applies its bound variable to too many arguments, and of
 `check`/`schema-check`/`validate` on malformed files whose parse errors
-report a line and column.  `tests/golden/parse_errors.json` holds the
-parse outcome of seeded edits of every fixture file.
+report a line and column; and of `validate`/`transport` on formulas whose
+quantifiers shadow, rebind the context variable or are named like a
+constant.  `tests/golden/parse_errors.json` holds the parse outcome of
+seeded edits of every fixture file, and `tests/golden/formulas.json` the
+printed text, reprinted text, check outcome and bounded validity of
+seeded random formulas.
 `tests/golden/replay.py` replays them (and re-records them when an output
 change is intended).
 """
@@ -25,3 +29,9 @@ def test_parse_outcomes_of_edited_fixtures_are_unchanged():
     want = replay.load_parse_outcomes()
     assert len(want) == 300
     assert replay.parse_outcomes() == want
+
+
+def test_random_formula_outcomes_are_unchanged():
+    want = replay.load_formula_outcomes()
+    assert len(want) == replay.FORMULAS
+    assert replay.formula_outcomes() == want

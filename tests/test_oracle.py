@@ -33,7 +33,7 @@ from lfport import (
 )
 from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3
 from lfport.parse import parse_formula
-from util import a, at, ce, lam, nom, pi
+from util import a, at, ce, lam, nom, pi, random_formula
 
 
 def test_bounds_validation():
@@ -367,84 +367,8 @@ def test_matches_plain_with_shared_atoms(sig_size):
         assert_same(sig_size, formula, Bounds(3, 1))
 
 
-# Random closed, arity-correct formulas over the size signature.  Names
-# include constants (z, s) and the pool's own binder name (x1), so that the
-# evaluator's eager path is exercised as well as its deferred one.
-
-_NAMES = ("N", "M", "z", "s", "x1")
-
-
-def _term(rng, scope, depth):
-    """A term of arity o; scope maps names to arities."""
-    options = [lambda v=v: a(v) for v, ar in scope.items() if ar == O]
-    options.append(lambda: a(nom(1)))
-    if "z" not in scope:
-        options.append(lambda: a("z"))
-    if depth > 0:
-        options += [
-            lambda: a("app", _term(rng, scope, depth - 1), _term(rng, scope, depth - 1)),
-            lambda: _lam(rng, scope, depth, lambda y, body: a("lam", lam(y, body))),
-        ]
-        if "s" not in scope:
-            options.append(lambda: a("s", _term(rng, scope, depth - 1)))
-        options += [
-            lambda v=v: a(v, _term(rng, scope, depth - 1))
-            for v, ar in scope.items()
-            if ar != O
-        ]
-    return rng.choice(options)()
-
-
-def _lam(rng, scope, depth, build):
-    y = rng.choice(("y", "z"))
-    return build(y, _term(rng, {**scope, y: O}, depth - 1))
-
-
-def _atom(rng, scope, ctx_var):
-    bindings = rng.choice((
-        (),
-        ((nom(1), at("tm")),),
-        ((nom(1), at("tm")), (nom(2), at("size", a(nom(1)), _term(rng, scope, 1)))),
-    ))
-    term = rng.choice((
-        lambda: _term(rng, scope, 2),
-        lambda: a(nom(1)),
-        lambda: _lam(rng, scope, 2, lam),
-    ))()
-    ty = rng.choice((
-        lambda: at("nat"),
-        lambda: at("tm"),
-        lambda: at("plus", *(_term(rng, scope, 1) for _ in range(3))),
-        lambda: at("size", _term(rng, scope, 1), _term(rng, scope, 1)),
-        lambda: pi("z", at("tm"), at("tm")),
-    ))()
-    return Holds(ce(*bindings, head=ctx_var), term, ty)
-
-
-def _formula(rng, scope, ctx_var, depth, schema):
-    if depth == 0:
-        return rng.choice((lambda: _atom(rng, scope, ctx_var), Top, Bot))()
-
-    def sub(sc=scope, cv=ctx_var):
-        return _formula(rng, sc, cv, depth - 1, schema)
-
-    def quantified(kind):
-        v, ar = rng.choice(_NAMES), rng.choice((O, Arrow(O, O)))
-        return kind(v, ar, sub({**scope, v: ar}))
-
-    return rng.choice((
-        lambda: _atom(rng, scope, ctx_var),
-        lambda: Imp(sub(), sub()),
-        lambda: Conj(sub(), sub()),
-        lambda: Disj(sub(), sub()),
-        lambda: quantified(ForallTm),
-        lambda: quantified(ExistsTm),
-        lambda: ForallCtx("G", schema, sub(scope, "G")),
-    ))()
-
-
 @pytest.mark.parametrize("size, seeds", [(2, 1000), (3, 200)])
 def test_matches_plain_on_random_formulas(size, seeds, sig_size, schemas_size):
     for seed in range(seeds):
-        f = _formula(random.Random(seed), {}, None, 4, schemas_size["Csize"])
+        f = random_formula(random.Random(seed), schemas_size)
         assert_same(sig_size, f, Bounds(size, 1))

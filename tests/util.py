@@ -1,6 +1,25 @@
 """Shorthand constructors for syntax trees in tests."""
 
-from lfport import Atom, AtomicType, CtxExpr, Lam, LFContext, Nominal, O, PiType
+from lfport import (
+    Arrow,
+    Atom,
+    AtomicType,
+    Bot,
+    Conj,
+    CtxExpr,
+    Disj,
+    ExistsTm,
+    ForallCtx,
+    ForallTm,
+    Holds,
+    Imp,
+    Lam,
+    LFContext,
+    Nominal,
+    O,
+    PiType,
+    Top,
+)
 from lfport.lf import BVar, _map_heads
 
 
@@ -36,3 +55,86 @@ def ctx(*bindings):
 
 def ce(*bindings, head=None):
     return CtxExpr(head, tuple(bindings))
+
+
+# ---------------------------------------------------------------------------
+# Random closed, arity-correct formulas over the size signature.  Names
+# include constants (z, s) and the pool's own binder name (x1), so that
+# quantifiers named like a pool term's constants are exercised too.
+
+NAMES = ("N", "M", "z", "s", "x1")
+
+
+def random_formula(rng, schemas, ctx_var=None, depth=4):
+    """A seeded random formula whose atoms are headed by `ctx_var` or, under
+    a context quantifier, by the `Csize` variable `G` it binds."""
+    return _formula(rng, {}, ctx_var, depth, schemas["Csize"])
+
+
+def _term(rng, scope, depth):
+    """A term of arity o; scope maps names to arities."""
+    options = [lambda v=v: a(v) for v, ar in scope.items() if ar == O]
+    options.append(lambda: a(nom(1)))
+    if "z" not in scope:
+        options.append(lambda: a("z"))
+    if depth > 0:
+        options += [
+            lambda: a("app", _term(rng, scope, depth - 1), _term(rng, scope, depth - 1)),
+            lambda: _lam(rng, scope, depth, lambda y, body: a("lam", lam(y, body))),
+        ]
+        if "s" not in scope:
+            options.append(lambda: a("s", _term(rng, scope, depth - 1)))
+        options += [
+            lambda v=v: a(v, _term(rng, scope, depth - 1))
+            for v, ar in scope.items()
+            if ar != O
+        ]
+    return rng.choice(options)()
+
+
+def _lam(rng, scope, depth, build):
+    y = rng.choice(("y", "z"))
+    return build(y, _term(rng, {**scope, y: O}, depth - 1))
+
+
+def _atom(rng, scope, ctx_var):
+    bindings = rng.choice((
+        (),
+        ((nom(1), at("tm")),),
+        ((nom(1), at("tm")), (nom(2), at("size", a(nom(1)), _term(rng, scope, 1)))),
+    ))
+    term = rng.choice((
+        lambda: _term(rng, scope, 2),
+        lambda: a(nom(1)),
+        lambda: _lam(rng, scope, 2, lam),
+    ))()
+    ty = rng.choice((
+        lambda: at("nat"),
+        lambda: at("tm"),
+        lambda: at("plus", *(_term(rng, scope, 1) for _ in range(3))),
+        lambda: at("size", _term(rng, scope, 1), _term(rng, scope, 1)),
+        lambda: pi("z", at("tm"), at("tm")),
+    ))()
+    return Holds(ce(*bindings, head=ctx_var), term, ty)
+
+
+def _formula(rng, scope, ctx_var, depth, schema):
+    if depth == 0:
+        return rng.choice((lambda: _atom(rng, scope, ctx_var), Top, Bot))()
+
+    def sub(sc=scope, cv=ctx_var):
+        return _formula(rng, sc, cv, depth - 1, schema)
+
+    def quantified(kind):
+        v, ar = rng.choice(NAMES), rng.choice((O, Arrow(O, O)))
+        return kind(v, ar, sub({**scope, v: ar}))
+
+    return rng.choice((
+        lambda: _atom(rng, scope, ctx_var),
+        lambda: Imp(sub(), sub()),
+        lambda: Conj(sub(), sub()),
+        lambda: Disj(sub(), sub()),
+        lambda: quantified(ForallTm),
+        lambda: quantified(ExistsTm),
+        lambda: ForallCtx("G", schema, sub(scope, "G"), "Csize"),
+    ))()
