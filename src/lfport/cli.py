@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .formula import ForallCtx, Formula, WfEnv, check_formula
+from .formula import ForallCtx, Formula, WfEnv, check_formula, open_ctx
 from .lf import LFContext, LFError, Signature, check_context, check_signature, check_type
 from .oracle import (
     INVALID,
@@ -31,7 +31,7 @@ from .parse import (
     parse_type_text,
 )
 from .pretty import block_scope, fmt_certificate, fmt_head, fmt_type
-from .schema import ContextSchema, check_schema, schema_instance
+from .schema import ContextSchema, CtxExpr, check_schema, schema_instance
 from .subord import SubordRel, compute_subordination, minimize
 from .subsume import (
     SubsumptionFailure,
@@ -86,7 +86,7 @@ def _load_open_formula(ws: Workspace, path: str, var: str, source_name: str) -> 
                 f"formula quantifies {var} at schema {f.schema_name}, "
                 f"but --from names {source_name}"
             )
-        f = f.body
+        f = open_ctx(f.body, CtxExpr(var))
     check_formula(ws.sig, f, WfEnv(ctx_schemas={var: ws.schemas[source_name]}))
     return f
 

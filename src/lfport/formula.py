@@ -3,6 +3,15 @@
 Formulas quantify over terms (at arity types) and over contexts (at context
 schemas); the atomic formula asserts a typing judgement together with the
 well-formedness of its context and type.
+
+Formulas are locally nameless, as LF syntax is.  A term quantifier binds an
+index in the LF index space: inside an atom under `k` LF binders, the `d`-th
+enclosing term quantifier (innermost first, from 0) is `BVar(k + d)`.  A
+context quantifier binds an index of its own kind, `BVar(c)` as an atom's
+`CtxExpr.head` for the `c`-th enclosing context quantifier.  Free term and
+context variables are names.  A quantifier's name is a display hint that
+takes no part in equality, so alpha-equivalent formulas are `==`, and
+substituting for a free name can never be captured.
 """
 
 from __future__ import annotations
@@ -13,21 +22,18 @@ from typing import Mapping, Optional
 from .lf import (
     Arity,
     Atom,
+    BVar,
     LFError,
     Signature,
     Term,
     TypeExpr,
-    _db_index,
     _nodes,
-    alpha_key,
+    _open_named,
     apply_subst,
     arity_check_term,
     arity_check_type,
     erase,
-    free_vars,
-    fresh_name,
     names_in,
-    rename_var,
 )
 from .schema import ContextSchema, CtxExpr
 
@@ -88,21 +94,21 @@ class Disj(Formula):
 
 @dataclass(frozen=True)
 class ForallTm(Formula):
-    var: str
+    var: str = field(compare=False)  # a display hint, like every binder's
     arity: Arity
     body: Formula
 
 
 @dataclass(frozen=True)
 class ExistsTm(Formula):
-    var: str
+    var: str = field(compare=False)
     arity: Arity
     body: Formula
 
 
 @dataclass(frozen=True)
 class ForallCtx(Formula):
-    var: str
+    var: str = field(compare=False)
     schema: ContextSchema
     body: Formula
     schema_name: Optional[str] = field(default=None, compare=False)
@@ -114,8 +120,8 @@ BOT = Bot()
 
 @dataclass(frozen=True)
 class WfEnv:
-    """Ambient arity assignment for term variables and schema assignment for
-    context variables."""
+    """Ambient arity assignment for free term variables and schema
+    assignment for free context variables."""
 
     term_arities: Mapping[str, Arity] = field(default_factory=dict)
     ctx_schemas: Mapping[str, ContextSchema] = field(default_factory=dict)
@@ -130,42 +136,49 @@ EMPTY_ENV = WfEnv()
 
 def check_formula(sig: Signature, f: Formula, env: WfEnv = EMPTY_ENV) -> None:
     actx = sig.arity_context()
-    _check(sig, actx, f, dict(env.term_arities), set(env.ctx_schemas))
+    _check(sig, actx, f, env.term_arities, set(env.ctx_schemas), (), (), 0)
 
 
-def _check(sig, actx, f, tscope: dict, cscope: set) -> None:
+def _check(sig, actx, f, free, cfree: set, names: tuple, local: tuple, cdepth: int) -> None:
+    # names, local: the hint and arity of each enclosing term quantifier,
+    # innermost first; cdepth: the number of enclosing context quantifiers.
+    # A message names a bound variable by its hint.
     match f:
         case Holds(ctx, term, ty):
-            if ctx.head is not None and ctx.head not in cscope:
-                raise UnboundContextVariable(
-                    f"context variable {ctx.head} is not bound"
-                )
+            head = ctx.head
+            if not (
+                head is None
+                or (head.index < cdepth if isinstance(head, BVar) else head in cfree)
+            ):
+                raise UnboundContextVariable(f"context variable {head} is not bound")
             for _, bty in ctx.bindings:
-                _scan_names(sig, bty, set(tscope))
-                if not arity_check_type(actx, bty, tscope):
-                    raise ArityCheckFailure(f"context binding type {bty!r}")
-            _scan_names(sig, term, set(tscope))
-            _scan_names(sig, ty, set(tscope))
-            if not arity_check_type(actx, ty, tscope):
-                raise ArityCheckFailure(f"type {ty!r} does not arity-kind")
-            if not arity_check_term(actx, term, erase(ty), tscope):
+                _scan_names(sig, bty, free)
+                if not arity_check_type(actx, bty, free, local):
+                    raise ArityCheckFailure(
+                        f"context binding type {_open_named(bty, names)!r}"
+                    )
+            _scan_names(sig, term, free)
+            _scan_names(sig, ty, free)
+            if not arity_check_type(actx, ty, free, local):
+                raise ArityCheckFailure(f"type {_open_named(ty, names)!r} does not arity-kind")
+            if not arity_check_term(actx, term, erase(ty), free, local):
                 raise ArityCheckFailure(
-                    f"term {term!r} does not arity-check at {erase(ty)!r}"
+                    f"term {_open_named(term, names)!r} does not arity-check at {erase(ty)!r}"
                 )
         case Top() | Bot():
             pass
         case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            _check(sig, actx, l, tscope, cscope)
-            _check(sig, actx, r, tscope, cscope)
+            _check(sig, actx, l, free, cfree, names, local, cdepth)
+            _check(sig, actx, r, free, cfree, names, local, cdepth)
         case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
-            _check(sig, actx, body, {**tscope, v: ar}, cscope)
-        case ForallCtx(v, _, body):
-            _check(sig, actx, body, tscope, cscope | {v})
+            _check(sig, actx, body, free, cfree, (v,) + names, (ar,) + local, cdepth)
+        case ForallCtx(_, _, body):
+            _check(sig, actx, body, free, cfree, names, local, cdepth + 1)
         case _:
             raise TypeError(f"not a formula: {f!r}")
 
 
-def _scan_names(sig, e, scope: set) -> None:
+def _scan_names(sig, e, scope) -> None:
     """Reject free term names that are neither in scope nor declared."""
     for n in _nodes(e):
         if (
@@ -177,21 +190,17 @@ def _scan_names(sig, e, scope: set) -> None:
             raise UnboundTermVariable(f"name {n.head} is not bound")
 
 
-def _subformulas(f: Formula, stop: Optional[str] = None):
-    """Every subformula of `f` in pre-order, left to right.  The body of a
-    `ForallCtx` rebinding the context variable `stop` is not entered.  A
-    non-formula raises TypeError where it is reached."""
+def _subformulas(f: Formula):
+    """Every subformula of `f` in pre-order, left to right.  A non-formula
+    raises TypeError where it is reached."""
     stack = [f]
     while stack:
         g = stack.pop()
         match g:
             case Imp() | Conj() | Disj():
                 stack += (g.right, g.left)
-            case ForallTm() | ExistsTm():
+            case ForallTm() | ExistsTm() | ForallCtx():
                 stack.append(g.body)
-            case ForallCtx():
-                if g.var != stop:
-                    stack.append(g.body)
             case Holds() | Top() | Bot():
                 pass
             case _:
@@ -199,8 +208,24 @@ def _subformulas(f: Formula, stop: Optional[str] = None):
         yield g
 
 
+def _term_names(f: Formula, names: tuple = ()) -> set[str]:
+    """Every term name `f` mentions: its free names, its binder hints, and
+    `names[i]` for each dangling index `i` below `len(names)`."""
+    match f:
+        case Holds(ctx, term, ty):
+            parts = (term, ty, *(t for _, t in ctx.bindings))
+            return set().union(*(names_in(_open_named(e, names)) for e in parts))
+        case ForallTm(v, _, body) | ExistsTm(v, _, body):
+            return {v} | _term_names(body, (v,) + names)
+        case ForallCtx(_, _, body):
+            return _term_names(body, names)
+        case Imp(l, r) | Conj(l, r) | Disj(l, r):
+            return _term_names(l, names) | _term_names(r, names)
+    return set()
+
+
 # ---------------------------------------------------------------------------
-# Substitution of context expressions for context variables.
+# Rebuilding formulas atom by atom.
 
 
 def _rebuild(f: Formula, each) -> Formula:
@@ -224,13 +249,37 @@ def _rebuild(f: Formula, each) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def rename_ctx_var(f: Formula, old: str, new: str) -> Formula:
+def _map_atoms(f: Formula, each, depth: int = 0, cdepth: int = 0) -> Formula:
+    """`f` with each atom `h` replaced by `each(h, d, c)`, where `d` and `c`
+    count the term and the context quantifiers of `f` above it (plus
+    `depth` and `cdepth`)."""
     match f:
-        case Holds(ctx, term, ty) if ctx.head == old:
-            return Holds(CtxExpr(new, ctx.bindings), term, ty)
-        case ForallCtx(v) if v == old:
-            return f
-    return _rebuild(f, lambda g: rename_ctx_var(g, old, new))
+        case Holds():
+            return each(f, depth, cdepth)
+        case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
+            return type(f)(v, ar, _map_atoms(body, each, depth + 1, cdepth))
+        case ForallCtx(v, cs, body, name):
+            return ForallCtx(v, cs, _map_atoms(body, each, depth, cdepth + 1), name)
+    return _rebuild(f, lambda g: _map_atoms(g, each, depth, cdepth))
+
+
+def _map_lf(h: Holds, fn) -> Holds:
+    """The atom with `fn` applied to its LF parts: the types its context
+    binds, its term and its type."""
+    bindings = tuple((n, fn(t)) for n, t in h.ctx.bindings)
+    return Holds(CtxExpr(h.ctx.head, bindings), fn(h.term), fn(h.ty))
+
+
+def _splice(h: Holds, repl: Optional[CtxExpr]) -> Holds:
+    """The atom with `repl` in place of its context variable: the explicit
+    bindings of the atom come after those of `repl`."""
+    if repl is None:
+        return h
+    return Holds(CtxExpr(repl.head, repl.bindings + h.ctx.bindings), h.term, h.ty)
+
+
+# ---------------------------------------------------------------------------
+# Substitution for context variables.
 
 
 def subst_ctx(f: Formula, sigma: Mapping[str, CtxExpr]) -> Formula:
@@ -238,133 +287,36 @@ def subst_ctx(f: Formula, sigma: Mapping[str, CtxExpr]) -> Formula:
     bindings at an occurrence are appended after the replacement's."""
     if not sigma:
         return f
-    match f:
-        case Holds(ctx, term, ty) if ctx.head is not None and ctx.head in sigma:
-            repl = sigma[ctx.head]
-            return Holds(CtxExpr(repl.head, repl.bindings + ctx.bindings), term, ty)
-        case ForallCtx(v, cs, body, name):
-            inner = {k: g for k, g in sigma.items() if k != v}
-            if not inner:
-                return f
-            range_heads = {g.head for g in inner.values() if g.head is not None}
-            if v in range_heads:
-                v2 = fresh_name(v, range_heads | ctx_var_names(body) | set(inner))
-                body = rename_ctx_var(body, v, v2)
-                v = v2
-            return ForallCtx(v, cs, subst_ctx(body, inner), name)
-    return _rebuild(f, lambda g: subst_ctx(g, sigma))
+    return _map_atoms(f, lambda h, d, c: _splice(h, sigma.get(h.ctx.head)))
+
+
+def open_ctx(body: Formula, ce: CtxExpr) -> Formula:
+    """The body of a context quantifier with no other one above it, with
+    its variable replaced by `ce`, which has no dangling index."""
+    return _map_atoms(body, lambda h, d, c: _splice(h, ce) if h.ctx.head == BVar(c) else h)
 
 
 # ---------------------------------------------------------------------------
-# Substitution of terms for term variables.
+# Substitution of terms for free term variables.
 
 
 def subst_terms(f: Formula, theta: Mapping[str, tuple[Term, Arity]]) -> Formula:
-    """Distribute an arity-indexed substitution over a formula, including
-    the types in explicit context bindings."""
+    """Distribute an arity-indexed substitution of locally closed terms
+    over a formula, including the types in explicit context bindings."""
     if not theta:
         return f
-    match f:
-        case Holds(ctx, term, ty):
-            bindings = tuple((n, apply_subst(t, theta)) for n, t in ctx.bindings)
-            return Holds(
-                CtxExpr(ctx.head, bindings),
-                apply_subst(term, theta),
-                apply_subst(ty, theta),
-            )
-        case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
-            v, body, inner = _shield_binder(v, body, theta)
-            return type(f)(v, ar, subst_terms(body, inner) if inner else body)
-    return _rebuild(f, lambda g: subst_terms(g, theta))
-
-
-def _shield_binder(var, body, theta):
-    inner = {k: v for k, v in theta.items() if k != var}
-    if not inner:
-        return var, body, inner
-    range_free: set[str] = set()
-    for t, _ in inner.values():
-        range_free |= free_vars(t)
-    if var in range_free:
-        var2 = fresh_name(var, range_free | formula_term_names(body) | set(inner))
-        body = _rename_term_var(body, var, var2)
-        var = var2
-    return var, body, inner
-
-
-def formula_term_names(f: Formula) -> set[str]:
-    """Every term-level name in a formula, bound or free."""
-    out: set[str] = set()
-    for g in _subformulas(f):
-        if isinstance(g, Holds):
-            out |= names_in(g.term) | names_in(g.ty)
-            for _, t in g.ctx.bindings:
-                out |= names_in(t)
-        elif isinstance(g, (ForallTm, ExistsTm)):
-            out.add(g.var)
-    return out
-
-
-def ctx_var_names(f: Formula) -> set[str]:
-    """Every context-variable name in a formula, bound or free."""
-    out: set[str] = set()
-    for g in _subformulas(f):
-        if isinstance(g, Holds):
-            if g.ctx.head is not None:
-                out.add(g.ctx.head)
-        elif isinstance(g, ForallCtx):
-            out.add(g.var)
-    return out
-
-
-def _rename_term_var(f: Formula, old: str, new: str) -> Formula:
-    match f:
-        case Holds(ctx, term, ty):
-            bindings = tuple((n, rename_var(t, old, new)) for n, t in ctx.bindings)
-            return Holds(
-                CtxExpr(ctx.head, bindings),
-                rename_var(term, old, new),
-                rename_var(ty, old, new),
-            )
-        case ForallTm(v) | ExistsTm(v) if v == old:
-            return f
-    return _rebuild(f, lambda g: _rename_term_var(g, old, new))
+    return _map_atoms(f, lambda h, d, c: _map_lf(h, lambda e: apply_subst(e, theta)))
 
 
 # ---------------------------------------------------------------------------
-# Alpha equivalence for formulas (term and context binders).
+# Alpha equivalence: binders are indices, so it is equality.
 
 
-def formula_key(f: Formula, tenv: tuple = (), cenv: tuple = ()):
-    match f:
-        case Holds(ctx, term, ty):
-            if ctx.head is None:
-                hk = None
-            else:
-                idx = _db_index(ctx.head, cenv)
-                hk = ("b", idx) if idx is not None else ("f", ctx.head)
-            bnd = tuple(
-                ((n.arity, n.index), alpha_key(t, tenv)) for n, t in ctx.bindings
-            )
-            return ("holds", hk, bnd, alpha_key(term, tenv), alpha_key(ty, tenv))
-        case Top():
-            return ("top",)
-        case Bot():
-            return ("bot",)
-        case Imp(l, r):
-            return ("imp", formula_key(l, tenv, cenv), formula_key(r, tenv, cenv))
-        case Conj(l, r):
-            return ("and", formula_key(l, tenv, cenv), formula_key(r, tenv, cenv))
-        case Disj(l, r):
-            return ("or", formula_key(l, tenv, cenv), formula_key(r, tenv, cenv))
-        case ForallTm(v, ar, body):
-            return ("all", ar, formula_key(body, tenv + (v,), cenv))
-        case ExistsTm(v, ar, body):
-            return ("ex", ar, formula_key(body, tenv + (v,), cenv))
-        case ForallCtx(v, cs, body):
-            return ("ctxall", cs, formula_key(body, tenv, cenv + (v,)))
-    raise TypeError(f"not a formula: {f!r}")
+def formula_key(f: Formula):
+    """A hashable key identical for alpha-equivalent formulas: the formula
+    itself."""
+    return f
 
 
 def formula_alpha_eq(f: Formula, g: Formula) -> bool:
-    return formula_key(f) == formula_key(g)
+    return f == g

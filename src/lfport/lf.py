@@ -1,10 +1,12 @@
 """Canonical-LF syntax and its formation judgements.
 
 The syntax is locally nameless: a bound variable is a de Bruijn index
-(`BVar`), and everything else (constants, schema and formula variables,
-nominals) is a name.  A binder keeps its surface name only as a display
-hint that takes no part in equality, so alpha-equivalent trees are `==`
-and hash alike, and substituting for a name can never be captured.
+(`BVar`), and everything else (constants, schema variables, free formula
+variables, nominals) is a name; a formula's term quantifiers bind indices
+in the same space, above an atom's LF binders (see `formula`).  A binder
+keeps its surface name only as a display hint that takes no part in
+equality, so alpha-equivalent trees are `==` and hash alike, and
+substituting for a name can never be captured.
 
 Terms are kept beta-normal by construction and the checkers enforce the
 eta-long discipline: a canonical term checked against a function type must
@@ -410,21 +412,32 @@ def _map_heads(e: Expr, f, depth: int = 0) -> Expr:
     raise TypeError(f"not an LF expression: {e!r}")
 
 
-def rename_var(e: Expr, old: Head, new: str) -> Expr:
-    """Replace the free name or nominal `old` by the name `new`."""
-    return _map_heads(e, lambda h, _: new if h == old else h)
-
-
-def _open_named(body: Expr, name: str) -> Expr:
-    """The body of a binder with its bound variable replaced by the free
-    name `name` (for printing)."""
+def _open_named(e: Expr, names) -> Expr:
+    """`e` with each dangling index `i` below `len(names)` replaced by the
+    free name `names[i]`, and the others lowered past them (for printing).
+    The body of one binder is opened with `(name,)`."""
 
     def head(h, d):
         if not isinstance(h, BVar) or h.index < d:
             return h
-        return name if h.index == d else BVar(h.index - 1)
+        i = h.index - d
+        return names[i] if i < len(names) else BVar(h.index - len(names))
 
-    return _map_heads(body, head)
+    return _map_heads(e, head)
+
+
+def _dangling(e: Expr) -> set[int]:
+    """The dangling indices of `e`, counted from its top: the binders
+    above `e` that it refers to."""
+    out: set[int] = set()
+
+    def head(h, d):
+        if isinstance(h, BVar) and h.index >= d:
+            out.add(h.index - d)
+        return h
+
+    _map_heads(e, head)
+    return out
 
 
 def _shift(term: Term, k: int) -> Term:
@@ -440,19 +453,10 @@ def _shift(term: Term, k: int) -> Term:
 # Alpha equivalence.
 
 
-def alpha_key(e: Expr, env: tuple[str, ...] = ()):
-    """A hashable key identical for alpha-equivalent expressions.  The LF
-    binders are indices already, so only the free names bound in `env`
-    (innermost last, as by formula quantifiers) are replaced, by their
-    de Bruijn positions."""
-    if not env:
-        return e
-
-    def position(h, _):
-        i = _db_index(h, env) if isinstance(h, str) else None
-        return h if i is None else ("b", i)
-
-    return _map_heads(e, position)
+def alpha_key(e: Expr):
+    """A hashable key identical for alpha-equivalent expressions: the
+    expression itself, since binders are indices."""
+    return e
 
 
 def alpha_eq(a: Expr, b: Expr) -> bool:

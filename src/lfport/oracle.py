@@ -10,15 +10,15 @@ transport metatheorems over the same bounded enumerations.
 
 The semantics is substitution: a quantifier substitutes each pool term (or
 schema instance) into its body.  The evaluator defers the term substitution
-to an environment of pool indices and applies it per atom, so an atom's
-context and type judgements are checked once per combination of the pool
-terms free in them, not once per atom; only the term judgement runs per
-atom.  These memos live for one `bounded_validity` call and are cleared
-when it returns.  Where substituting would rename a quantifier, or reach
-into a context instance, the evaluator substitutes eagerly as the plain
-semantics does, so verdicts and traces are exactly those of the plain
+to an environment of pool terms, which each atom applies to its dangling
+indices, so an atom's context and type judgements are checked once per
+combination of the pool terms they refer to, not once per atom; only the
+term judgement runs per atom.  These memos live for one `bounded_validity`
+call and are cleared when it returns.  A context quantifier instantiates
+its index in the body.  Verdicts and traces are exactly those of the plain
 substitution evaluator (a differential test in tests/test_oracle.py holds
-the two together).  LF binders are indices, which no substitution renames.
+the two together); a trace names a quantifier as substituting by name
+would have renamed it (see `_primed`).
 """
 
 from __future__ import annotations
@@ -38,10 +38,14 @@ from .formula import (
     Holds,
     Imp,
     Top,
+    _map_atoms,
+    _map_lf,
+    _rebuild,
     _subformulas,
+    _term_names,
     formula_key,
+    open_ctx,
     subst_ctx,
-    subst_terms,
 )
 from .lf import (
     AtomicType,
@@ -51,12 +55,14 @@ from .lf import (
     O,
     Signature,
     TypeDecl,
-    apply_subst,
+    _dangling,
+    _subst,
     check_context,
     check_term,
     check_type,
     erase,
     free_vars,
+    fresh_name,
     kind_arg_arities,
 )
 from .schema import (
@@ -167,19 +173,16 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
 
     Verdict and trace are those of the substitution semantics, which
     substitutes each pool term into the whole quantifier body.  Here the
-    substitution is deferred: the quantifier binds its variable to the pool
+    substitution is deferred: the quantifier binds its index to the pool
     term in an environment, and each atom applies the environment to its
     own parts.  An atom's context and type judgements are memoised, for
-    this call only, by the pool indices of the variables free in them, so
-    only the term judgement runs per atom.  Where substituting would rename
-    a quantifier (one named like a constant of the pool term, say), the
-    body is substituted eagerly instead, so the trace keeps the renamed
-    names.
+    this call only, by the pool indices of the quantifiers they refer to,
+    so only the term judgement runs per atom.
     """
     pools: dict = {}  # arity -> (terms, their free names)
     # Per-node data and memos live in a dict id(node) -> (node, ...): this
-    # one for the formula, and a fresh one for each eagerly substituted or
-    # context-instantiated body, dropped with it.
+    # one for the formula, and a fresh one for each body that a context
+    # instance or a renaming rebuilt, dropped with it.
     memo: dict = {}
 
     def pool(ar):
@@ -192,25 +195,20 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         """(pool term, verdict of the body) for a term quantifier, lazily."""
         rec = nodes.get(id(g))
         if rec is None:
-            # Deferring is exact when substituting the term renames no
-            # quantifier of the body.
             terms, fvs = pool(g.arity)
-            bound = _binders(g.body)
-            defer = [not fv & bound for fv in fvs]
-            # Memo keys name each variable with its arity and pool index:
-            # one atom may sit under binders of another order or arity
-            # elsewhere in the formula.
-            slots = [(g.var, g.arity, i) for i in range(len(terms))]
-            rec = nodes[id(g)] = (g, terms, defer, slots)
-        _, terms, defer, slots = rec
-        v, ar, body = g.var, g.arity, g.body
-        inner = tuple(e for e in env if e[0] != v)  # v shadows an outer v
-        for i, t in enumerate(terms):
-            if defer[i]:
-                yield t, ev(body, inner + ((v, slots[i], t, ar),), nodes)
+            # Memo keys name each pool term by its arity and pool index:
+            # one atom may sit under binders of another arity elsewhere.
+            entries = [((g.arity, i), t, g.arity) for i, t in enumerate(terms)]
+            # a pool term naming a quantifier of the body renames it
+            hints = {q.var for q in _subformulas(g.body) if isinstance(q, (ForallTm, ExistsTm))}
+            rec = nodes[id(g)] = (g, entries, fvs, [fv & hints for fv in fvs])
+        _, entries, fvs, clashes = rec
+        for i, entry in enumerate(entries):
+            if clashes[i]:
+                body = _primed(g.body, g.var, fvs[i], env)
+                yield entry[1], ev(body, env + (entry,), {})
             else:
-                eager = subst_terms(_eager(body, inner), {v: (t, ar)})
-                yield t, ev(eager, (), {})
+                yield entry[1], ev(g.body, env + (entry,), nodes)
 
     def by_instance(g, env):
         """(instance, verdict of the body) for a context quantifier, lazily;
@@ -222,46 +220,41 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             bounds.term_size_max,
             bounds.pool_nominals,
         ):
-            free = set().union(*(free_vars(t) for _, t in inst.bindings))
-            if any(e[0] in free for e in env):
-                # Substituting an outer term would reach into the instance.
-                eager = subst_ctx(_eager(g.body, env), {g.var: inst})
-                yield inst, ev(eager, (), {})
-            else:
-                yield inst, ev(subst_ctx(g.body, {g.var: inst}), env, {})
+            yield inst, ev(open_ctx(g.body, inst), env, {})
 
     def holds(g, env, nodes):
         """The first failing judgement of an atom, or None if they hold.  The
         memos keep trace lines: an LFError holds the frames of what it wraps."""
         rec = nodes.get(id(g))
         if rec is None:
-            in_ctx = set().union(*(free_vars(t) for _, t in g.ctx.bindings))
-            in_ty = in_ctx | free_vars(g.ty)
-            rec = nodes[id(g)] = (g, in_ctx, in_ty, free_vars(g.term), {}, {})
+            in_ctx = set().union(*(_dangling(t) for _, t in g.ctx.bindings))
+            in_ty = in_ctx | _dangling(g.ty)
+            refs = [sorted(r, reverse=True) for r in (in_ctx, in_ty, _dangling(g.term))]
+            rec = nodes[id(g)] = (g, *refs, {}, {})
         _, in_ctx, in_ty, in_term, ctx_memo, ty_memo = rec
-        key = tuple(e[1] for e in env if e[0] in in_ctx)
+        key = tuple(env[-1 - i][0] for i in in_ctx)
         hit = ctx_memo.get(key)
         if hit is None:
             lctx = LFContext(
-                tuple((n, _subst(t, env, in_ctx)) for n, t in g.ctx.bindings)
+                tuple((n, _apply(t, env, in_ctx)) for n, t in g.ctx.bindings)
             )
             hit = ctx_memo[key] = (lctx, _line(_fails(check_context, sig, lctx)))
         lctx, failure = hit
         if failure is not None:
             return failure
-        key = tuple(e[1] for e in env if e[0] in in_ty)
+        key = tuple(env[-1 - i][0] for i in in_ty)
         hit = ty_memo.get(key)
         if hit is None:
-            ty = _subst(g.ty, env, in_ty)
+            ty = _apply(g.ty, env, in_ty)
             hit = ty_memo[key] = (ty, _line(_fails(check_type, sig, lctx, ty)))
         ty, failure = hit
         if failure is not None:
             return failure
-        return _fails(check_term, sig, lctx, _subst(g.term, env, in_term), ty)
+        return _fails(check_term, sig, lctx, _apply(g.term, env, in_term), ty)
 
     def ev(g: Formula, env: tuple, nodes: dict) -> Verdict3:
-        # env: (var, (var, arity, pool index), term, arity) per enclosing
-        # quantifier whose substitution is deferred, outermost first.
+        # env: (memo slot, term, arity) per enclosing term quantifier,
+        # outermost first, so index i refers to env[-1 - i].
         match g:
             case Holds(ctx):
                 if ctx.head is not None:
@@ -352,21 +345,39 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     return Verdict3(verdict.value, tuple(map(_line, verdict.trace)))
 
 
-def _subst(e, env, free):
-    """Apply the deferred substitutions of the variables in `free` to an LF
-    expression, one at a time and outermost first, as the eager
-    substitution does."""
-    for v, _, t, ar in env:
-        if v in free:
-            e = apply_subst(e, {v: (t, ar)})
+def _apply(e, env, refs, offset: int = 0):
+    """`e` with the terms of `env` put in for its dangling indices `refs`
+    (highest first) beyond the `offset` lowest, one at a time and outermost
+    first, as the substitution semantics does."""
+    for i in refs:
+        _, t, ar = env[-1 - i]
+        e = _subst(e, {}, offset + i, (t, ar))
     return e
 
 
-def _eager(f: Formula, env) -> Formula:
-    """Apply every deferred substitution to a formula body."""
-    for v, _, t, ar in env:
-        f = subst_terms(f, {v: (t, ar)})
-    return f
+def _primed(body: Formula, q: str, free: set, env) -> Formula:
+    """`body` with the hints the substitution semantics would show once it
+    substituted a term with the free names `free` for the quantifier named
+    `q`: it renames a term quantifier it reaches whose name is in `free`,
+    priming it apart from `free`, `q` and the names its body mentions with
+    the terms of `env` put in, and it stops at one named `q`.  Only trace
+    lines show these names."""
+    every = range(len(env) - 1, -1, -1)
+
+    def walk(f, names):  # names: hints of the quantifiers from q's in
+        match f:
+            case ForallTm(v, ar, b) | ExistsTm(v, ar, b):
+                if v == q:
+                    return f
+                if v in free:
+                    closed = _map_atoms(b, lambda h, d, c: _map_lf(
+                        h, lambda e: _apply(e, env, every, d + len(names) + 1)
+                    ))
+                    v = fresh_name(v, free | {q} | _term_names(closed, (v,) + names))
+                return type(f)(v, ar, walk(b, (v,) + names))
+        return _rebuild(f, lambda g: walk(g, names))
+
+    return walk(body, (q,))
 
 
 def _fails(check, *args) -> LFError | None:
@@ -380,11 +391,6 @@ def _fails(check, *args) -> LFError | None:
 def _line(failure):
     """A trace line; a failing term judgement is formatted only here."""
     return f"judgement fails: {failure}" if isinstance(failure, LFError) else failure
-
-
-def _binders(f: Formula) -> set[str]:
-    """Every name a term quantifier binds somewhere in the formula."""
-    return {g.var for g in _subformulas(f) if isinstance(g, (ForallTm, ExistsTm))}
 
 
 # ---------------------------------------------------------------------------

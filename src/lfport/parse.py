@@ -2,11 +2,12 @@
 
 One file per syntax kind; `%` starts a line comment everywhere.  Each
 input is split into token texts by one regex pass; the line and column
-of a token are worked out only when a `ParseError` reports them.  An LF
-binder's name is resolved through the parser's scope: each occurrence it
-binds becomes a de Bruijn index, and the name stays on the binder as a
-display hint.  Formula quantifiers that reuse a name in scope are renamed
-apart.
+of a token are worked out only when a `ParseError` reports them.  A
+binder's name, of an LF binder or a formula quantifier, is resolved
+through the parser's scope: each occurrence it binds becomes a de Bruijn
+index, and the name stays on the binder as a display hint.  A quantifier
+that reuses the name of an enclosing one of its kind is hinted apart from
+the enclosing ones and from the names its body mentions.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from .formula import (
     Holds,
     Imp,
     _rebuild,
-    _rename_term_var,
-    ctx_var_names,
-    formula_term_names,
-    rename_ctx_var,
+    _subformulas,
+    _term_names,
 )
 from .lf import (
     Arity,
@@ -107,13 +106,15 @@ class _Parser:
         self.pos = 0
         self.nominal_mode = nominal_mode
         self.nominals: dict[str, Nominal] = {}
-        self.scope: list = []  # LF binder names, innermost last
+        self.scope: list = []  # LF binder and term quantifier names, innermost last
+        self.ctx_scope: list[str] = []  # context quantifier names
+        self.shadowed = False  # whether a quantifier reuses an enclosing name
         # each name an LF term mentions, with the scope position of its
         # binder (-1 when free), in the order parsed
         self.uses: list[tuple[str, int]] = []
 
     def under(self, var, parse):
-        """`parse()` with the LF binder `var` innermost in scope."""
+        """`parse()` with the binder `var` innermost in scope."""
         self.scope.append(var)
         out = parse()
         self.scope.pop()
@@ -251,27 +252,29 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Renaming shadowing formula quantifiers apart.
+# Hints for quantifiers that reuse an enclosing name.
 
 
-def _apart(var, body, path, names, rename):
-    """Rename the binder `var` of `body` apart from the enclosing binders in
-    `path`, avoiding every name `names(body)` lists."""
-    if var not in path:
-        return var, body
-    var2 = fresh_name(var, path | names(body))
-    return var2, rename(body, var, var2)
-
-
-def _std_formula(f: Formula, path: frozenset, cpath: frozenset) -> Formula:
+def _choose_hints(f: Formula, path: frozenset, cpath: frozenset) -> Formula:
+    """`f` with the hint of each quantifier that reuses the hint of an
+    enclosing one of its kind (in `path` or `cpath`) primed apart from those
+    and from the names its body mentions.  A hint depends on the hints
+    above it, which depend on their whole bodies, so they are chosen once
+    the formula is parsed."""
     match f:
         case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
-            v2, body = _apart(v, body, path, formula_term_names, _rename_term_var)
-            return type(f)(v2, ar, _std_formula(body, path | {v2}, cpath))
+            if v in path:
+                v = fresh_name(v, path | _term_names(body))
+            return type(f)(v, ar, _choose_hints(body, path | {v}, cpath))
         case ForallCtx(v, cs, body, name):
-            v2, body = _apart(v, body, cpath, ctx_var_names, rename_ctx_var)
-            return ForallCtx(v2, cs, _std_formula(body, path, cpath | {v2}), name)
-    return _rebuild(f, lambda g: _std_formula(g, path, cpath))
+            if v in cpath:
+                v = fresh_name(v, cpath | {
+                    g.var if isinstance(g, ForallCtx) else g.ctx.head
+                    for g in _subformulas(body)
+                    if isinstance(g, (ForallCtx, Holds))
+                })
+            return ForallCtx(v, cs, _choose_hints(body, path, cpath | {v}), name)
+    return _rebuild(f, lambda g: _choose_hints(g, path, cpath))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +343,7 @@ def parse_formula(text: str, schemas: Mapping[str, ContextSchema]) -> Formula:
     f = _parse_formula(p, schemas)
     if p.peek():
         p.fail(f"unexpected trailing input {p.peek()!r}")
-    return _std_formula(f, frozenset(), frozenset())
+    return _choose_hints(f, frozenset(), frozenset()) if p.shadowed else f
 
 
 def _parse_formula(p: _Parser, schemas) -> Formula:
@@ -352,15 +355,20 @@ def _parse_formula(p: _Parser, schemas) -> Formula:
         if name not in schemas:
             p.fail(f"schema {name} is not defined")
         p.expect(".")
-        return ForallCtx(var, schemas[name], _parse_formula(p, schemas), name)
+        p.shadowed |= var in p.ctx_scope
+        p.ctx_scope.append(var)
+        body = _parse_formula(p, schemas)
+        p.ctx_scope.pop()
+        return ForallCtx(var, schemas[name], body, name)
     if p.at("forall") or p.at("exists"):
         kw = p.next()
         var = p.ident()
         p.expect(":")
         ar = p.arity()
         p.expect(".")
-        body = _parse_formula(p, schemas)
-        return ForallTm(var, ar, body) if kw == "forall" else ExistsTm(var, ar, body)
+        p.shadowed |= var in p.scope
+        body = p.under(var, lambda: _parse_formula(p, schemas))
+        return (ForallTm if kw == "forall" else ExistsTm)(var, ar, body)
     return _parse_imp(p, schemas)
 
 
@@ -408,14 +416,15 @@ def _parse_fatom(p: _Parser, schemas) -> Formula:
 def _parse_atom(p: _Parser) -> Holds:
     p.expect("{")
     saved = dict(p.nominals)
-    head: Optional[str] = None
+    head = None
     bindings: list[tuple[Nominal, TypeExpr]] = []
     if not p.at("|-"):
         first = p.ident()
         if _NOMINAL_RE.match(first):
             bindings.append(_parse_binding_tail(p, first))
         else:
-            head = first
+            i = _db_index(first, p.ctx_scope)
+            head = first if i is None else BVar(i)
         while p.at(","):
             p.next()
             name = p.ident()

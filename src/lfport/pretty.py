@@ -3,8 +3,12 @@
 Printing is the inverse of parsing: the printed text parses back to an
 equal tree.  The printer chooses each LF binder's name from its hint and
 the names in scope (a block's variables and parameters for block types, the
-enclosing term quantifiers for formula atoms).  Output is deterministic so
-it can serve golden tests.
+enclosing term quantifiers for formula atoms), and prints a bound variable
+by the name chosen for its binder.  A formula quantifier prints its hint:
+the parser chooses hints apart from the enclosing quantifiers of their kind
+and from the names their bodies mention, so none captures a name (a tree
+built through the API with a hint that would capture prints ambiguously).
+Output is deterministic so it can serve golden tests.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .lf import (
     Arrow,
     Atom,
     AtomicType,
+    BVar,
     Kind,
     Lam,
     Nominal,
@@ -36,7 +41,7 @@ from .lf import (
     TermDecl,
     TypeExpr,
     TypeKind,
-    _open_named,
+    _dangling,
     free_vars,
     fresh_name,
     names_in,
@@ -53,21 +58,26 @@ def fmt_arity(a: Arity) -> str:
     return "o"
 
 
-def fmt_head(h) -> str:
+def fmt_head(h, scope: tuple = ()) -> str:
+    """A head as printed; a bound variable prints as the name `scope`
+    gives its binder."""
     if isinstance(h, Nominal):
         return f"n{h.index}"
+    if isinstance(h, BVar):
+        return scope[h.index]
     return h
 
 
-def _binder(hint: str, body, scope: frozenset):
-    """The printed name of a binder, its body with the bound variable
-    replaced by that name, and the scope of the body.  A hint that is in
-    scope, or that would capture a free name of the body, is primed apart
-    from both."""
+def _binder(hint: str, body, scope: tuple):
+    """The printed name of a binder, and the scope of its body.  A scope
+    names the binders above an expression, innermost first, and may end
+    with names bound outside it (a block's, say).  A hint that is in scope,
+    or that would capture a free name of the body, is primed apart from
+    both."""
     name = hint
     if hint in scope or hint in free_vars(body):
-        name = fresh_name(hint, scope | names_in(body))
-    return name, _open_named(body, name), scope | {name}
+        name = fresh_name(hint, {*scope, *names_in(body)})
+    return name, (name,) + scope
 
 
 def _fmt_spine(head: str, args, scope) -> str:
@@ -80,27 +90,27 @@ def _fmt_spine(head: str, args, scope) -> str:
     return " ".join(parts)
 
 
-def fmt_term(t: Term, scope: frozenset = frozenset()) -> str:
+def fmt_term(t: Term, scope: tuple = ()) -> str:
     match t:
         case Atom(head, args):
-            return _fmt_spine(fmt_head(head), args, scope)
+            return _fmt_spine(fmt_head(head, scope), args, scope)
         case Lam(var, body):
-            name, body, inner = _binder(var, body, scope)
+            name, inner = _binder(var, body, scope)
             return f"[{name}] {fmt_term(body, inner)}"
     raise TypeError(f"not a term: {t!r}")
 
 
 def _fmt_pi(pi, scope, fmt_body) -> str:
-    name, body, inner = _binder(pi.var, pi.body, scope)
-    if name not in free_vars(body):
+    name, inner = _binder(pi.var, pi.body, scope)
+    if 0 not in _dangling(pi.body):
         domain = fmt_type(pi.domain, scope)
         if isinstance(pi.domain, PiType):
             domain = f"({domain})"
-        return f"{domain} -> {fmt_body(body, inner)}"
-    return f"{{{name} : {fmt_type(pi.domain, scope)}}} {fmt_body(body, inner)}"
+        return f"{domain} -> {fmt_body(pi.body, inner)}"
+    return f"{{{name} : {fmt_type(pi.domain, scope)}}} {fmt_body(pi.body, inner)}"
 
 
-def fmt_type(t: TypeExpr, scope: frozenset = frozenset()) -> str:
+def fmt_type(t: TypeExpr, scope: tuple = ()) -> str:
     match t:
         case AtomicType(head, args):
             return _fmt_spine(head, args, scope)
@@ -109,7 +119,7 @@ def fmt_type(t: TypeExpr, scope: frozenset = frozenset()) -> str:
     raise TypeError(f"not a type expression: {t!r}")
 
 
-def fmt_kind(k: Kind, scope: frozenset = frozenset()) -> str:
+def fmt_kind(k: Kind, scope: tuple = ()) -> str:
     match k:
         case TypeKind():
             return "Type"
@@ -128,17 +138,18 @@ def fmt_signature(sig: Signature) -> str:
     return "\n".join(lines)
 
 
-def fmt_ctx(ce: CtxExpr, scope: frozenset = frozenset()) -> str:
+def fmt_ctx(ce: CtxExpr, scope: tuple = (), cscope: tuple = ()) -> str:
+    """`cscope` names the context quantifiers above, innermost first."""
     parts = []
     if ce.head is not None:
-        parts.append(ce.head)
+        parts.append(fmt_head(ce.head, cscope))
     parts.extend(f"{fmt_head(n)} : {fmt_type(t, scope)}" for n, t in ce.bindings)
     return ", ".join(parts)
 
 
-def block_scope(b: BlockSchema) -> frozenset:
+def block_scope(b: BlockSchema) -> tuple:
     """The names a block binds: its parameters and declaration variables."""
-    return frozenset(v for v, _ in b.params) | frozenset(y for y, _ in b.decl)
+    return tuple(v for v, _ in b.params) + tuple(y for y, _ in b.decl)
 
 
 def fmt_block(b: BlockSchema) -> str:
@@ -156,35 +167,38 @@ def fmt_schema(cs: ContextSchema) -> str:
 # 3 conjunction, 4 atoms.
 
 
-def fmt_formula(f: Formula, prec: int = 0, scope: frozenset = frozenset()) -> str:
-    """`scope` holds the names of the enclosing term quantifiers."""
+def fmt_formula(f: Formula, prec: int = 0, names: tuple = (), cnames: tuple = ()) -> str:
+    """`names` and `cnames` hold the hints of the enclosing term and context
+    quantifiers, innermost first: the names their indices print as."""
 
     def wrap(s: str, needed: int) -> str:
         return f"({s})" if prec > needed else s
 
+    def sub(g, p, names=names, cnames=cnames):
+        return fmt_formula(g, p, names, cnames)
+
     match f:
         case Holds(ctx, term, ty):
-            inner = fmt_ctx(ctx, scope)
+            inner = fmt_ctx(ctx, names, cnames)
             if inner:
                 inner += " "
-            return f"{{{inner}|- {fmt_term(term, scope)} : {fmt_type(ty, scope)}}}"
+            return f"{{{inner}|- {fmt_term(term, names)} : {fmt_type(ty, names)}}}"
         case Top():
             return "tt"
         case Bot():
             return "ff"
         case Imp(l, r):
-            return wrap(f"{fmt_formula(l, 2, scope)} => {fmt_formula(r, 1, scope)}", 1)
+            return wrap(f"{sub(l, 2)} => {sub(r, 1)}", 1)
         case Disj(l, r):
-            return wrap(f"{fmt_formula(l, 2, scope)} \\/ {fmt_formula(r, 3, scope)}", 2)
+            return wrap(f"{sub(l, 2)} \\/ {sub(r, 3)}", 2)
         case Conj(l, r):
-            return wrap(f"{fmt_formula(l, 3, scope)} /\\ {fmt_formula(r, 4, scope)}", 3)
+            return wrap(f"{sub(l, 3)} /\\ {sub(r, 4)}", 3)
         case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
             kw = "forall" if isinstance(f, ForallTm) else "exists"
-            body_text = fmt_formula(body, 0, scope | {v})
-            return wrap(f"{kw} {v} : {fmt_arity(ar)}. {body_text}", 1)
+            return wrap(f"{kw} {v} : {fmt_arity(ar)}. {sub(body, 0, (v,) + names)}", 1)
         case ForallCtx(v, cs, body, name):
             shown = name if name is not None else fmt_schema(cs)
-            return wrap(f"ctx {v} : {shown}. {fmt_formula(body, 0, scope)}", 1)
+            return wrap(f"ctx {v} : {shown}. {sub(body, 0, cnames=(v,) + cnames)}", 1)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -220,7 +234,7 @@ def fmt_certificate(cert) -> str:
         vdecl = m.variant.decl
         # the variant renames a target block: its types print apart from
         # the names of both
-        scope = block_scope(m.variant) | block_scope(cert.target.blocks[m.target_index])
+        scope = block_scope(m.variant) + block_scope(cert.target.blocks[m.target_index])
         for pos in m.keep_positions:
             v, t = vdecl[pos]
             lines.append(f"  keep {v} : {fmt_type(t, scope)}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .lf import (
     Arity,
@@ -75,9 +75,10 @@ class ContextSchema:
 @dataclass(frozen=True)
 class CtxExpr:
     """A context expression: an optional head context variable followed by
-    explicit nominal bindings."""
+    explicit nominal bindings.  Inside a formula the head of a bound
+    context variable is the `BVar` index of its quantifier."""
 
-    head: Optional[str] = None
+    head: Union[str, BVar, None] = None
     bindings: tuple[tuple[Nominal, TypeExpr], ...] = ()
 
     def __post_init__(self):

@@ -83,13 +83,9 @@ def tf_subord(rel: SubordRel, ty: TypeExpr, f: Formula, gamma: str) -> bool:
 
 
 def _gamma_atoms(f: Formula, gamma: str):
-    """The atoms of `f` headed by the context variable `gamma` where it is
-    free, left to right."""
-    return (
-        g
-        for g in _subformulas(f, stop=gamma)
-        if isinstance(g, Holds) and g.ctx.head == gamma
-    )
+    """The atoms of `f` headed by the free context variable `gamma`, left
+    to right."""
+    return (g for g in _subformulas(f) if isinstance(g, Holds) and g.ctx.head == gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +451,6 @@ def _val_deriv(gamma: str, f: Formula, positive: bool):
         return None
     tag = _VAL_QUANTIFIER.get(type(f))
     if tag is not None:
-        if isinstance(f, ForallCtx) and f.var == gamma:
-            return None
         d = _val_deriv(gamma, f.body, positive)
         return (tag, d) if d is not None else None
     if isinstance(f, Holds):
@@ -503,20 +497,26 @@ class TransportCertificate:
         return tuple(sorted(out))
 
     def verify(self, sig: Signature, rel: SubordRel) -> bool:
-        """Replay every recorded derivation under the checkers."""
+        """Replay every recorded derivation under the checkers.  Match `i`
+        must be that of target block `i`, which `transport_witness` reads
+        it for; an index or position out of range refutes the certificate."""
         if _val_deriv(self.gamma, self.formula, True) != self.valtop:
             return False
         if len(self.matches) != len(self.target.blocks):
             return False
-        for m in self.matches:
-            if not (0 <= m.source_index < len(self.source.blocks)):
+        for i, m in enumerate(self.matches):
+            if m.target_index != i or not (0 <= m.source_index < len(self.source.blocks)):
                 return False
-            block = self.target.blocks[m.target_index]
+            block = self.target.blocks[i]
             if make_variant(sig, dict(m.permutation), block) != m.variant:
                 return False
             sdecl = self.source.blocks[m.source_index].decl
             vdecl = m.variant.decl
-            if sdecl != tuple(vdecl[i] for i in m.keep_positions):
+            positions = range(len(vdecl))
+            drops = tuple(d.position for d in m.drops)
+            if any(p not in positions for p in m.keep_positions + drops):
+                return False
+            if sdecl != tuple(vdecl[p] for p in m.keep_positions):
                 return False
             if not prune_ok(rel, self.source, sdecl, vdecl):
                 return False

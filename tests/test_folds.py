@@ -11,7 +11,6 @@ import random
 import pytest
 
 import lfport.formula
-import lfport.oracle
 import lfport.parse
 import lfport.schema
 import lfport.subsume
@@ -45,7 +44,6 @@ from lfport.lf import (
     free_vars,
     names_in,
     nominals_in,
-    rename_var,
 )
 from lfport.parse import ParseError, _position, _tokenize
 from lfport.schema import NonPatternSchema, term_pool
@@ -127,24 +125,6 @@ def ref_names_in(e):
     raise TypeError(f"not an LF expression: {e!r}")
 
 
-def ref_swap_nominal(e, nom, var):
-    match e:
-        case Atom(head, args):
-            head2 = var if head == nom else head
-            return Atom(head2, tuple(ref_swap_nominal(a, nom, var) for a in args))
-        case Lam(v, body):
-            return Lam(v, ref_swap_nominal(body, nom, var))
-        case AtomicType(head, args):
-            return AtomicType(head, tuple(ref_swap_nominal(a, nom, var) for a in args))
-        case PiType(v, d, b):
-            return PiType(v, ref_swap_nominal(d, nom, var), ref_swap_nominal(b, nom, var))
-        case TypeKind():
-            return e
-        case PiKind(v, d, b):
-            return PiKind(v, ref_swap_nominal(d, nom, var), ref_swap_nominal(b, nom, var))
-    raise TypeError(f"not an LF expression: {e!r}")
-
-
 def ref_scan_names(sig, e, scope):
     match e:
         case Atom(head, args):
@@ -185,53 +165,6 @@ def ref_check_patterns(e, params, earlier):
             ref_check_patterns(b, params, earlier)
 
 
-def ref_binders(x):
-    # LF binders bind indices, not names
-    match x:
-        case Holds() | Top() | Bot():
-            return set()
-        case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            return ref_binders(l) | ref_binders(r)
-        case ForallTm(v, _, body) | ExistsTm(v, _, body):
-            return {v} | ref_binders(body)
-        case ForallCtx(_, _, body):
-            return ref_binders(body)
-    raise TypeError(f"not a formula: {x!r}")
-
-
-def ref_formula_term_names(f):
-    match f:
-        case Holds(ctx, term, ty):
-            out = ref_names_in(term) | ref_names_in(ty)
-            for _, bty in ctx.bindings:
-                out |= ref_names_in(bty)
-            return out
-        case Top() | Bot():
-            return set()
-        case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            return ref_formula_term_names(l) | ref_formula_term_names(r)
-        case ForallTm(v, _, body) | ExistsTm(v, _, body):
-            return ref_formula_term_names(body) | {v}
-        case ForallCtx(_, _, body):
-            return ref_formula_term_names(body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def ref_ctx_var_names(f):
-    match f:
-        case Holds(ctx, _, _):
-            return {ctx.head} if ctx.head is not None else set()
-        case Top() | Bot():
-            return set()
-        case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            return ref_ctx_var_names(l) | ref_ctx_var_names(r)
-        case ForallTm(_, _, body) | ExistsTm(_, _, body):
-            return ref_ctx_var_names(body)
-        case ForallCtx(v, _, body):
-            return ref_ctx_var_names(body) | {v}
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def ref_tf_subord(rel, ty, f, gamma):
     match f:
         case Holds(ctx, _, a):
@@ -244,10 +177,8 @@ def ref_tf_subord(rel, ty, f, gamma):
             return False
         case Imp(l, r) | Conj(l, r) | Disj(l, r):
             return ref_tf_subord(rel, ty, l, gamma) or ref_tf_subord(rel, ty, r, gamma)
-        case ForallTm(_, _, body) | ExistsTm(_, _, body):
+        case ForallTm(_, _, body) | ExistsTm(_, _, body) | ForallCtx(_, _, body):
             return ref_tf_subord(rel, ty, body, gamma)
-        case ForallCtx(v, _, body):
-            return v != gamma and ref_tf_subord(rel, ty, body, gamma)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -262,11 +193,8 @@ def ref_gamma_atom_types(f, gamma):
             case Imp(l, r) | Conj(l, r) | Disj(l, r):
                 walk(l)
                 walk(r)
-            case ForallTm(_, _, body) | ExistsTm(_, _, body):
+            case ForallTm(_, _, body) | ExistsTm(_, _, body) | ForallCtx(_, _, body):
                 walk(body)
-            case ForallCtx(v, _, body):
-                if v != gamma:
-                    walk(body)
 
     walk(f)
     return out
@@ -304,9 +232,7 @@ def ref_val_pos(gamma, f):
         case ExistsTm(_, _, body):
             d = ref_val_pos(gamma, body)
             return ("ex", d) if d is not None else None
-        case ForallCtx(v, _, body):
-            if v == gamma:
-                return None
+        case ForallCtx(_, _, body):
             d = ref_val_pos(gamma, body)
             return ("ctx", d) if d is not None else None
         case Holds() | Bot():
@@ -348,9 +274,7 @@ def ref_val_neg(gamma, f):
         case ExistsTm(_, _, body):
             d = ref_val_neg(gamma, body)
             return ("ex", d) if d is not None else None
-        case ForallCtx(v, _, body):
-            if v == gamma:
-                return None
+        case ForallCtx(_, _, body):
             d = ref_val_neg(gamma, body)
             return ("ctx", d) if d is not None else None
         case Top():
@@ -468,8 +392,6 @@ def test_lf_folds_raise_on_a_non_lf_node():
     for fold in (free_vars, nominals_in, names_in):
         with pytest.raises(TypeError, match="not an LF expression: 'junk'"):
             fold(bad)
-    with pytest.raises(TypeError):
-        lfport.oracle._binders(bad)
 
 
 def test_context_nominals_matches(lf_exprs, sig_stlc):
@@ -515,13 +437,6 @@ def test_check_patterns_raises_at_the_same_occurrence(lf_exprs):
     }
 
 
-def test_rename_var_replaces_a_nominal_as_swap_nominal_did(lf_exprs):
-    n1 = nom(1)
-    for e in lf_exprs:
-        for w in ("w1", "x1"):
-            assert rename_var(e, n1, w) == ref_swap_nominal(e, n1, w)
-
-
 # ---------------------------------------------------------------------------
 # Formula folds.
 
@@ -533,9 +448,6 @@ def _types():
 def test_formula_folds_match_the_recursive_walkers(schemas_size, rel_size):
     seen_stop = False
     for f in _random_formulas(schemas_size):
-        assert lfport.formula.formula_term_names(f) == ref_formula_term_names(f)
-        assert lfport.formula.ctx_var_names(f) == ref_ctx_var_names(f)
-        assert lfport.oracle._binders(f) == ref_binders(f)
         for gamma in ("G", "H"):
             got = lfport.subsume._gamma_atom_types(f, gamma)
             assert got == ref_gamma_atom_types(f, gamma)
@@ -553,8 +465,9 @@ def test_formula_folds_match_the_recursive_walkers(schemas_size, rel_size):
 
 
 def _no_ctx_quantifiers(f):
+    """`f` with each context quantifier dropped and its variable free."""
     if isinstance(f, ForallCtx):
-        return _no_ctx_quantifiers(f.body)
+        return _no_ctx_quantifiers(lfport.formula.open_ctx(f.body, lfport.schema.CtxExpr(f.var)))
     return lfport.formula._rebuild(f, _no_ctx_quantifiers)
 
 
@@ -576,9 +489,8 @@ def test_tf_subord_raises_at_the_same_uncovered_atom(schemas_size, rel_size):
 
 def test_formula_folds_raise_on_a_non_formula():
     bad = Imp(Holds(lfport.schema.CtxExpr("G"), a("z"), at("nat")), "junk")
-    for fold in (lfport.formula.formula_term_names, lfport.formula.ctx_var_names):
-        with pytest.raises(TypeError, match="not a formula: 'junk'"):
-            fold(bad)
+    with pytest.raises(TypeError, match="not a formula: 'junk'"):
+        list(lfport.formula._subformulas(bad))
     rel = SubordRel(frozenset({("nat", "nat")}), frozenset({"nat"}))
     # the left atom decides, so the right side is never reached ...
     assert lfport.subsume.tf_subord(rel, at("nat"), bad, "G")

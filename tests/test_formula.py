@@ -3,8 +3,10 @@
 import pytest
 
 from lfport import (
+    Conj,
     CtxExpr,
     ExistsTm,
+    ForallCtx,
     ForallTm,
     Holds,
     O,
@@ -18,9 +20,11 @@ from lfport.formula import (
     ArityCheckFailure,
     UnboundContextVariable,
     UnboundTermVariable,
+    open_ctx,
 )
+from lfport.lf import BVar
 from lfport.schema import ContextSchema
-from util import a, at, ce, nom
+from util import a, at, ce, nom, quantify
 
 
 def holds(ctx, term, ty):
@@ -34,11 +38,11 @@ def test_plus_formula_well_formed(sig_size, plus_closed):
 def test_unbound_context_variable(sig_size):
     f = holds(ce(head="G"), a("N1"), at("nat"))
     with pytest.raises(UnboundContextVariable):
-        check_formula(sig_size, ForallTm("N1", O, f))
+        check_formula(sig_size, quantify(ForallTm, "N1", O, f))
 
 
 def test_closed_quantified_atom(sig_size):
-    f = ForallTm("N", O, holds(ce(), a("N"), at("nat")))
+    f = quantify(ForallTm, "N", O, holds(ce(), a("N"), at("nat")))
     check_formula(sig_size, f)
 
 
@@ -49,7 +53,7 @@ def test_unbound_term_variable(sig_size):
 
 
 def test_arity_check_failure(sig_size):
-    f = ForallTm("N", O, holds(ce(), a("s"), at("nat")))
+    f = quantify(ForallTm, "N", O, holds(ce(), a("s"), at("nat")))
     with pytest.raises(ArityCheckFailure):
         check_formula(sig_size, f)
 
@@ -74,10 +78,27 @@ def test_subst_ctx_appends_explicit_bindings():
 
 
 def test_subst_ctx_respects_binders(schemas_size):
-    from lfport import ForallCtx
-
-    f = ForallCtx("G", schemas_size["Cempty"], holds(ce(head="G"), a("z"), at("nat")))
+    body = holds(ce(head="G"), a("z"), at("nat"))
+    f = quantify(ForallCtx, "G", schemas_size["Cempty"], body)
     assert subst_ctx(f, {"G": ce((nom(1), at("tm")))}) == f
+
+
+def test_subst_ctx_is_not_captured(schemas_size):
+    # a replacement headed by G, under a quantifier hinted G, stays free
+    body = Conj(holds(ce(head="G"), a("z"), at("nat")), holds(ce(head="H"), a("z"), at("nat")))
+    f = quantify(ForallCtx, "G", schemas_size["Cempty"], body)
+    out = subst_ctx(f, {"H": ce(head="G")})
+    assert out.body.left.ctx.head == BVar(0)
+    assert out.body.right.ctx.head == "G"
+
+
+def test_open_ctx_instantiates_the_quantifier(schemas_size):
+    inner = quantify(ForallCtx, "H", schemas_size["Cempty"], holds(ce(head="H"), a("z"), at("nat")))
+    body = Conj(holds(ce((nom(3), at("tm")), head="G"), a("z"), at("nat")), inner)
+    f = quantify(ForallCtx, "G", schemas_size["Cempty"], body)
+    out = open_ctx(f.body, ce((nom(1), at("tm"))))
+    assert out.left.ctx == ce((nom(1), at("tm")), (nom(3), at("tm")))
+    assert out.right == inner  # its own variable stays bound
 
 
 def test_subst_ctx_identity():
@@ -92,7 +113,7 @@ def test_subst_terms_atom():
 
 
 def test_subst_terms_shields_bound_variable():
-    f = ForallTm("N1", O, holds(ce(), a("N1"), at("nat")))
+    f = quantify(ForallTm, "N1", O, holds(ce(), a("N1"), at("nat")))
     assert subst_terms(f, {"N1": (a("z"), O)}) == f
 
 
@@ -116,8 +137,11 @@ def test_subst_operations_commute_when_independent():
 
 
 def test_check_formula_alpha_stable(sig_size):
-    f1 = ForallTm("N", O, ExistsTm("D", O, holds(ce(), a("D"), at("plus", a("N"), a("N"), a("N")))))
-    f2 = ForallTm("M", O, ExistsTm("E", O, holds(ce(), a("E"), at("plus", a("M"), a("M"), a("M")))))
+    def plus(n, d):
+        return holds(ce(), a(d), at("plus", a(n), a(n), a(n)))
+
+    f1 = quantify(ForallTm, "N", O, quantify(ExistsTm, "D", O, plus("N", "D")))
+    f2 = quantify(ForallTm, "M", O, quantify(ExistsTm, "E", O, plus("M", "E")))
     check_formula(sig_size, f1)
     check_formula(sig_size, f2)
     assert formula_alpha_eq(f1, f2)

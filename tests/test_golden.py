@@ -35,3 +35,19 @@ def test_random_formula_outcomes_are_unchanged():
     want = replay.load_formula_outcomes()
     assert len(want) == replay.FORMULAS
     assert replay.formula_outcomes() == want
+
+
+def test_rebinding_the_context_variable_transports_like_its_alpha_variant():
+    # `{G |- ..} \/ (ctx G : Cempty. tt)` with G free, and the same body under
+    # `ctx G : Cempty.`, whose inner binder the parser hints G'
+    argv = [
+        "transport", "fixtures/sig_size.lf", "fixtures/schemas_size.sch",
+        "--from", "Cempty", "--to", "Csize", "--var", "G", "--formula",
+    ]
+    free, closed = (
+        replay.run(argv + [f"tests/golden/{name}.fml"])
+        for name in ("gamma_rebound", "gamma_rebound_closed")
+    )
+    assert free["exit"] == closed["exit"] == 0
+    assert "valtop: or-right(ctx(top))" in free["stdout"]
+    assert free["stdout"].replace("ctx G :", "ctx G' :") == closed["stdout"]

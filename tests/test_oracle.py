@@ -26,14 +26,15 @@ from lfport import (
     check_type,
     enumerate_instances,
     subst_ctx,
-    subst_terms,
     term_pool,
     verify_minimization,
     verify_transport,
 )
-from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3
+from lfport.formula import _map_atoms, _map_lf, open_ctx
+from lfport.lf import BVar, _subst, free_vars
+from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3, _primed
 from lfport.parse import parse_formula
-from util import a, at, ce, lam, nom, pi, random_formula
+from util import a, at, ce, nom, quantify, random_formula
 
 
 def test_bounds_validation():
@@ -54,13 +55,13 @@ def test_top_and_bottom(sig_size):
 
 
 def test_existential_finds_z(sig_size):
-    f = ExistsTm("N", O, Holds(ce(), a("N"), at("nat")))
+    f = quantify(ExistsTm, "N", O, Holds(ce(), a("N"), at("nat")))
     verdict = bounded_validity(sig_size, f, Bounds(1, 1))
     assert verdict.value == VALID
 
 
 def test_existential_valid_is_monotone_in_bounds(sig_size):
-    f = ExistsTm("N", O, Holds(ce(), a("N"), at("nat")))
+    f = quantify(ExistsTm, "N", O, Holds(ce(), a("N"), at("nat")))
     for size in (1, 2, 3, 4):
         assert bounded_validity(sig_size, f, Bounds(size, 1)).value == VALID
 
@@ -82,12 +83,23 @@ def test_validity_deterministic(sig_size, plus_closed):
 
 
 def test_validity_alpha_stable(sig_size):
-    f1 = ExistsTm("N", O, Holds(ce(), a("N"), at("nat")))
-    f2 = ExistsTm("M", O, Holds(ce(), a("M"), at("nat")))
+    f1 = quantify(ExistsTm, "N", O, Holds(ce(), a("N"), at("nat")))
+    f2 = quantify(ExistsTm, "M", O, Holds(ce(), a("M"), at("nat")))
     b = Bounds(2, 1)
     assert bounded_validity(sig_size, f1, b).value == bounded_validity(
         sig_size, f2, b
     ).value
+
+
+def test_validity_alpha_stable_under_context_instances(sig_size, schemas_size):
+    # Each Csize instance binds `size x (s z)`: a quantifier named like the
+    # constant `s` must not capture it.
+    text = "ctx G : Csize. forall {} : o. {{G |- [y] app {} y : tm -> tm}} => tt"
+    f, g = (parse_formula(text.format(v, v), schemas_size) for v in ("s", "q"))
+    assert f == g
+    for b in (Bounds(2, 1), Bounds(3, 2)):
+        want = Verdict3(UNKNOWN, ("context range undecided within bounds",))
+        assert bounded_validity(sig_size, f, b) == bounded_validity(sig_size, g, b) == want
 
 
 def test_verify_minimization_small(sig_size, rel_size):
@@ -152,9 +164,15 @@ def test_report_rendering():
 # The environment evaluator against the plain substitution evaluator.
 
 
+def instantiate(body, term, arity):
+    """The body of a term quantifier with `term` put in for its variable."""
+    return _map_atoms(body, lambda h, d, c: _map_lf(h, lambda e: _subst(e, {}, d, (term, arity))))
+
+
 def plain_validity(sig, f, bounds):
     """Reference semantics: each quantifier substitutes every pool term
-    into its whole body, and each atom re-checks its context and type."""
+    into its whole body, and each atom re-checks its context and type.  A
+    trace names the quantifiers of a body as `_primed` renames them."""
     pools = {}
 
     def pool(ar):
@@ -212,7 +230,7 @@ def plain_validity(sig, f, bounds):
             case ForallTm(v, ar, body):
                 saw_unknown = False
                 for t in pool(ar):
-                    sub = ev(subst_terms(body, {v: (t, ar)}))
+                    sub = ev(instantiate(_primed(body, v, free_vars(t), ()), t, ar))
                     if sub.value == INVALID:
                         return Verdict3(
                             INVALID, (f"counterexample {v} = {t!r}",) + sub.trace
@@ -227,7 +245,7 @@ def plain_validity(sig, f, bounds):
                 return Verdict3(UNKNOWN, (note,))
             case ExistsTm(v, ar, body):
                 for t in pool(ar):
-                    sub = ev(subst_terms(body, {v: (t, ar)}))
+                    sub = ev(instantiate(_primed(body, v, free_vars(t), ()), t, ar))
                     if sub.value == VALID:
                         return Verdict3(VALID, (f"witness {v} = {t!r}",))
                 return Verdict3(UNKNOWN, ("existential pool exhausted",))
@@ -240,7 +258,7 @@ def plain_validity(sig, f, bounds):
                     bounds.term_size_max,
                     bounds.pool_nominals,
                 ):
-                    sub = ev(subst_ctx(body, {v: g_inst}))
+                    sub = ev(open_ctx(body, g_inst))
                     if sub.value == INVALID:
                         return Verdict3(
                             INVALID,
@@ -344,9 +362,9 @@ def test_matches_plain_on_traces(sig_size, schemas_size):
 
 
 def test_matches_plain_with_shadowed_binders(sig_size):
-    inner = ForallTm("N", O, Holds(ce(), a("N"), at("nat")))
-    f = ExistsTm("N", O, Conj(Holds(ce(), a("N"), at("tm")), inner))
-    g = ForallTm("N", O, Imp(Holds(ce(), a("N"), at("nat")), inner))
+    inner = quantify(ForallTm, "N", O, Holds(ce(), a("N"), at("nat")))
+    f = quantify(ExistsTm, "N", O, Conj(Holds(ce(), a("N"), at("tm")), inner))
+    g = quantify(ForallTm, "N", O, Imp(Holds(ce(), a("N"), at("nat")), inner))
     for formula in (f, g):
         assert_same(sig_size, formula, Bounds(3, 1))
 
@@ -354,12 +372,12 @@ def test_matches_plain_with_shadowed_binders(sig_size):
 def test_matches_plain_with_shared_atoms(sig_size):
     # Formulas are immutable, so one atom may sit under binders that come
     # in another order, or with another arity, elsewhere in the formula.
-    h = Holds(ce(), a("plus-z", a("M")), at("plus", a("N"), a("M"), a("M")))
+    h = Holds(ce(), a("plus-z", a(BVar(0))), at("plus", a(BVar(1)), a(BVar(0)), a(BVar(0))))
     nm = ForallTm("N", O, ForallTm("M", O, Imp(h, Top())))
     mn = ForallTm("M", O, ForallTm("N", O, h))
     mn_exists = ExistsTm("M", O, ExistsTm("N", O, Imp(h, Bot())))
     # Not arity-correct at o -> o, but both evaluators substitute the same.
-    k = Holds(ce(), a("z"), at("size", a("N"), a("z")))
+    k = Holds(ce(), a("z"), at("size", a(BVar(0)), a("z")))
     k1 = ForallTm("N", O, Imp(k, Top()))
     k2 = ForallTm("N", Arrow(O, O), k)
     shared = (Conj(nm, mn), Conj(mn, nm), Conj(nm, mn_exists), Conj(k1, k2))

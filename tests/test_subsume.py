@@ -44,7 +44,7 @@ from lfport.subsume import (
     TransportCertificate,
     TransportFailure,
 )
-from util import a, at, ce, nom, pi
+from util import a, at, ce, nom, pi, quantify
 
 B_EMPTY = BlockSchema((), ())
 B_SIZE = BlockSchema((), (("x", at("tm")), ("y", at("size", a("x"), a("s", a("z"))))))
@@ -621,6 +621,32 @@ def test_tampered_certificate_fails_replay(sig_size, rel_size, plus_body):
     assert not wrong_val.verify(sig_size, rel_size)
 
 
+def test_forged_block_matches_fail_replay(sig_stlc, rel_stlc, schemas_stlc, of_exists_body):
+    import dataclasses
+
+    cmix = schemas_stlc["Cmix"]
+    cert = transport_check(sig_stlc, rel_stlc, cmix, cmix, "G", of_exists_body)
+    assert cert.verify(sig_stlc, rel_stlc)
+    m0, m1 = cert.matches
+    assert m0.drops == () and m0.keep_positions == (0, 1)
+
+    def forged(m, **changes):
+        return dataclasses.replace(m, **changes)
+
+    drop = DropRecord(1, "y1", m0.variant.decl[1][1], (), ())
+    for matches in (
+        (m1, m1),  # target block 0 is never checked
+        (forged(m0, target_index=-1), m1),
+        (forged(m0, target_index=2), m1),
+        (m1, m0),
+        (forged(m0, keep_positions=(0, 2)), m1),
+        (forged(m0, keep_positions=(0, -1)), m1),
+        (forged(m0, keep_positions=(0,), drops=(dataclasses.replace(drop, position=2),)), m1),
+    ):
+        # a forged certificate is refuted, and never raises
+        assert dataclasses.replace(cert, matches=matches).verify(sig_stlc, rel_stlc) is False
+
+
 # ---------------------------------------------------------------------------
 # Lemma-level properties over bounded enumerations.
 
@@ -763,7 +789,7 @@ def test_val_neg_sound_on_ill_formed_instances(sig_size):
     from lfport import Bounds, ForallTm, bounded_validity, subst_ctx
     from lfport.oracle import VALID
 
-    f = ForallTm("N", O, Holds(ce(head="G"), a("N"), at("nat")))
+    f = quantify(ForallTm, "N", O, Holds(ce(head="G"), a("N"), at("nat")))
     assert val_neg("G", f)
     g = ce((nom(2), at("size", a(nom(1)), a("s", a("z")))))
     verdict = bounded_validity(sig_size, subst_ctx(f, {"G": g}), Bounds(3, 2))

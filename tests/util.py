@@ -20,6 +20,7 @@ from lfport import (
     PiType,
     Top,
 )
+from lfport.formula import _map_atoms, _map_lf
 from lfport.lf import BVar, _map_heads
 
 
@@ -35,6 +36,20 @@ def bind(var, body):
     """`body`, written with `var` as a free name, as the body of a binder of
     `var`: each free occurrence becomes the index of that binder."""
     return _map_heads(body, lambda h, d: BVar(d) if h == var else h)
+
+
+def quantify(kind, var, sort, body, *schema_name):
+    """`kind(var, sort, body)`, a formula quantifier, with `body` written
+    with `var` as a free name: each free occurrence becomes the index of
+    the quantifier, a context variable's for a `ForallCtx`, a term
+    variable's otherwise."""
+    if kind is ForallCtx:
+        def each(h, d, c):
+            return Holds(CtxExpr(BVar(c), h.ctx.bindings), h.term, h.ty) if h.ctx.head == var else h
+    else:
+        def each(h, d, c):
+            return _map_lf(h, lambda e: _map_heads(e, lambda x, k: BVar(k + d) if x == var else x))
+    return kind(var, sort, _map_atoms(body, each), *schema_name)
 
 
 def lam(var, body):
@@ -127,7 +142,7 @@ def _formula(rng, scope, ctx_var, depth, schema):
 
     def quantified(kind):
         v, ar = rng.choice(NAMES), rng.choice((O, Arrow(O, O)))
-        return kind(v, ar, sub({**scope, v: ar}))
+        return quantify(kind, v, ar, sub({**scope, v: ar}))
 
     return rng.choice((
         lambda: _atom(rng, scope, ctx_var),
@@ -136,5 +151,5 @@ def _formula(rng, scope, ctx_var, depth, schema):
         lambda: Disj(sub(), sub()),
         lambda: quantified(ForallTm),
         lambda: quantified(ExistsTm),
-        lambda: ForallCtx("G", schema, sub(scope, "G"), "Csize"),
+        lambda: quantify(ForallCtx, "G", schema, sub(scope, "G"), "Csize"),
     ))()
