@@ -477,7 +477,7 @@ def apply_subst(e: Expr, subst: Mapping[str, tuple[Term, Arity]]) -> Expr:
     """
     if not subst:
         return e
-    return _subst(e, subst, 0, None)
+    return _subst(e, subst, 0, ())
 
 
 def _instantiate(body: Expr, term: Term, arity: Arity) -> Expr:
@@ -485,20 +485,22 @@ def _instantiate(body: Expr, term: Term, arity: Arity) -> Expr:
     contracted at `arity`, and the body's other dangling indices lowered by
     one.  `term` may itself have dangling indices, which are shifted as it
     moves under the body's binders."""
-    return _subst(body, {}, 0, (term, arity))
+    return _subst(body, {}, 0, ((term, arity),))
 
 
-def _subst(e: Expr, subst: Subst, k: int, inst) -> Expr:
-    # `k` counts the binders of the walk so far; `inst`, when given, is the
-    # replacement for index k.
+def _subst(e: Expr, subst: Subst, k: int, inst: tuple) -> Expr:
+    # `k` counts the binders of the walk so far; `inst` holds (term, arity)
+    # replacements for the dangling indices 0, 1, ... of `e` at once, and
+    # the indices beyond them are lowered past them.
     match e:
         case Atom(head, args):
             new_args = tuple(_subst(a, subst, k, inst) for a in args)
             if isinstance(head, BVar):
-                if inst is not None and head.index >= k:
-                    if head.index > k:
-                        return Atom(BVar(head.index - 1), new_args)
-                    term, arity = inst
+                if inst and head.index >= k:
+                    i = head.index - k
+                    if i >= len(inst):
+                        return Atom(BVar(head.index - len(inst)), new_args)
+                    term, arity = inst[i]
                     return _contract(_shift(term, k), arity, new_args)
             elif head in subst:
                 repl, arity = subst[head]

@@ -196,19 +196,19 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         rec = nodes.get(id(g))
         if rec is None:
             terms, fvs = pool(g.arity)
-            # Memo keys name each pool term by its arity and pool index:
-            # one atom may sit under binders of another arity elsewhere.
-            entries = [((g.arity, i), t, g.arity) for i, t in enumerate(terms)]
             # a pool term naming a quantifier of the body renames it
             hints = {q.var for q in _subformulas(g.body) if isinstance(q, (ForallTm, ExistsTm))}
-            rec = nodes[id(g)] = (g, entries, fvs, [fv & hints for fv in fvs])
-        _, entries, fvs, clashes = rec
-        for i, entry in enumerate(entries):
+            rec = nodes[id(g)] = (g, terms, fvs, [fv & hints for fv in fvs])
+        _, terms, fvs, clashes = rec
+        inst, slots = env
+        for i, t in enumerate(terms):
+            # Memo keys name each pool term by its arity and pool index:
+            # one atom may sit under binders of another arity elsewhere.
+            inner = (((t, g.arity),) + inst, ((g.arity, i),) + slots)
             if clashes[i]:
-                body = _primed(g.body, g.var, fvs[i], env)
-                yield entry[1], ev(body, env + (entry,), {})
+                yield t, ev(_primed(g.body, g.var, fvs[i], inst), inner, {})
             else:
-                yield entry[1], ev(g.body, env + (entry,), nodes)
+                yield t, ev(g.body, inner, nodes)
 
     def by_instance(g, env):
         """(instance, verdict of the body) for a context quantifier, lazily;
@@ -229,32 +229,34 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         if rec is None:
             in_ctx = set().union(*(_dangling(t) for _, t in g.ctx.bindings))
             in_ty = in_ctx | _dangling(g.ty)
-            refs = [sorted(r, reverse=True) for r in (in_ctx, in_ty, _dangling(g.term))]
-            rec = nodes[id(g)] = (g, *refs, {}, {})
+            refs = (in_ctx, in_ty, _dangling(g.term))
+            rec = nodes[id(g)] = (g, *map(tuple, refs), {}, {})
         _, in_ctx, in_ty, in_term, ctx_memo, ty_memo = rec
-        key = tuple(env[-1 - i][0] for i in in_ctx)
+        inst, slots = env
+        key = tuple(slots[i] for i in in_ctx)
         hit = ctx_memo.get(key)
         if hit is None:
             lctx = LFContext(
-                tuple((n, _apply(t, env, in_ctx)) for n, t in g.ctx.bindings)
+                tuple((n, _close(t, inst, in_ctx)) for n, t in g.ctx.bindings)
             )
             hit = ctx_memo[key] = (lctx, _line(_fails(check_context, sig, lctx)))
         lctx, failure = hit
         if failure is not None:
             return failure
-        key = tuple(env[-1 - i][0] for i in in_ty)
+        key = tuple(slots[i] for i in in_ty)
         hit = ty_memo.get(key)
         if hit is None:
-            ty = _apply(g.ty, env, in_ty)
+            ty = _close(g.ty, inst, in_ty)
             hit = ty_memo[key] = (ty, _line(_fails(check_type, sig, lctx, ty)))
         ty, failure = hit
         if failure is not None:
             return failure
-        return _fails(check_term, sig, lctx, _apply(g.term, env, in_term), ty)
+        return _fails(check_term, sig, lctx, _close(g.term, inst, in_term), ty)
 
     def ev(g: Formula, env: tuple, nodes: dict) -> Verdict3:
-        # env: (memo slot, term, arity) per enclosing term quantifier,
-        # outermost first, so index i refers to env[-1 - i].
+        # env: the (term, arity) of each enclosing term quantifier, which
+        # `_subst` puts in for index i as the i-th, and its memo slot, both
+        # innermost first.
         match g:
             case Holds(ctx):
                 if ctx.head is not None:
@@ -336,7 +338,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         raise TypeError(f"not a formula: {g!r}")
 
     try:
-        verdict = ev(f, (), memo)
+        verdict = ev(f, ((), ()), memo)
     finally:
         # ev is a closure over itself, so the memos would otherwise outlive
         # the call until the next cycle collection.
@@ -345,24 +347,19 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     return Verdict3(verdict.value, tuple(map(_line, verdict.trace)))
 
 
-def _apply(e, env, refs, offset: int = 0):
-    """`e` with the terms of `env` put in for its dangling indices `refs`
-    (highest first) beyond the `offset` lowest, one at a time and outermost
-    first, as the substitution semantics does."""
-    for i in refs:
-        _, t, ar = env[-1 - i]
-        e = _subst(e, {}, offset + i, (t, ar))
-    return e
+def _close(e, inst: tuple, refs: tuple):
+    """An LF part of an atom with the pool terms of `inst` put in for its
+    dangling indices, which `refs` lists."""
+    return _subst(e, {}, 0, inst) if refs else e
 
 
-def _primed(body: Formula, q: str, free: set, env) -> Formula:
+def _primed(body: Formula, q: str, free: set, inst: tuple) -> Formula:
     """`body` with the hints the substitution semantics would show once it
     substituted a term with the free names `free` for the quantifier named
     `q`: it renames a term quantifier it reaches whose name is in `free`,
     priming it apart from `free`, `q` and the names its body mentions with
-    the terms of `env` put in, and it stops at one named `q`.  Only trace
-    lines show these names."""
-    every = range(len(env) - 1, -1, -1)
+    the terms of `inst` put in for the quantifiers above `q`, and it stops
+    at one named `q`.  Only trace lines show these names."""
 
     def walk(f, names):  # names: hints of the quantifiers from q's in
         match f:
@@ -371,7 +368,7 @@ def _primed(body: Formula, q: str, free: set, env) -> Formula:
                     return f
                 if v in free:
                     closed = _map_atoms(b, lambda h, d, c: _map_lf(
-                        h, lambda e: _apply(e, env, every, d + len(names) + 1)
+                        h, lambda e: _subst(e, {}, d + len(names) + 1, inst)
                     ))
                     v = fresh_name(v, free | {q} | _term_names(closed, (v,) + names))
                 return type(f)(v, ar, walk(b, (v,) + names))

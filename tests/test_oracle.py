@@ -166,7 +166,7 @@ def test_report_rendering():
 
 def instantiate(body, term, arity):
     """The body of a term quantifier with `term` put in for its variable."""
-    return _map_atoms(body, lambda h, d, c: _map_lf(h, lambda e: _subst(e, {}, d, (term, arity))))
+    return _map_atoms(body, lambda h, d, c: _map_lf(h, lambda e: _subst(e, {}, d, ((term, arity),))))
 
 
 def plain_validity(sig, f, bounds):
