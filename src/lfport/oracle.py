@@ -213,14 +213,14 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     def by_instance(g, env):
         """(instance, verdict of the body) for a context quantifier, lazily;
         each instantiated body has per-node memos of its own."""
-        for inst in enumerate_instances(
+        for instance in enumerate_instances(
             sig,
             g.schema,
             bounds.schema_blocks_max,
             bounds.term_size_max,
             bounds.pool_nominals,
         ):
-            yield inst, ev(open_ctx(g.body, inst), env, {})
+            yield instance, ev(open_ctx(g.body, instance), env, {})
 
     def holds(g, env, nodes):
         """The first failing judgement of an atom, or None if they hold.  The
@@ -254,9 +254,9 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         return _fails(check_term, sig, lctx, _close(g.term, inst, in_term), ty)
 
     def ev(g: Formula, env: tuple, nodes: dict) -> Verdict3:
-        # env: the (term, arity) of each enclosing term quantifier, which
-        # `_subst` puts in for index i as the i-th, and its memo slot, both
-        # innermost first.
+        # env: two tuples, innermost first: the (term, arity) of each
+        # enclosing term quantifier, which `_subst` puts in for an atom's
+        # dangling indices, and the memo slot of each.
         match g:
             case Holds(ctx):
                 if ctx.head is not None:
