@@ -33,7 +33,7 @@ from lfport import (
 from lfport.formula import _map_atoms, _map_lf, open_ctx
 from lfport.lf import BVar, _subst, free_vars
 from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3, _primed
-from lfport.parse import parse_formula
+from lfport.parse import parse_formula, parse_signature
 from util import a, at, ce, nom, quantify, random_formula
 
 
@@ -359,6 +359,23 @@ def test_matches_plain_on_traces(sig_size, schemas_size):
     for kind in ("counterexample N", "counterexample G", "witness", "judgement fails"):
         assert any(line.startswith(kind) for line in lines), kind
     assert "counterexample z' = Atom(head='plus-z', args=(Atom(head='z', args=()),))" in lines
+
+
+def test_matches_plain_naming_a_quantifier_renamed_past_a_dropped_argument():
+    # M's term [x1] lam ([x2] x2) drops the argument that mentions z', so
+    # putting N := z in renames the quantifier z to z', as substituting by
+    # name did; counting the dropped z' would give z''.
+    sig = parse_signature("nat : Type. z : nat. s : nat -> nat. tm : Type. lam : (tm -> tm) -> tm.")
+    f = parse_formula(
+        "forall M : o -> o. forall N : o. forall z' : o. forall z : o. "
+        "{ |- M (s z') : tm } => { |- N : nat } => { |- z : nat }",
+        {},
+    )
+    trace = assert_same(sig, f, Bounds(4, 1)).trace
+    assert trace[2:4] == (
+        "counterexample z' = Atom(head='z', args=())",
+        "counterexample z' = Atom(head='lam', args=(Lam(var='x1', body=Atom(head='z', args=())),))",
+    )
 
 
 def test_matches_plain_with_shadowed_binders(sig_size):
