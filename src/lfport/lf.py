@@ -414,8 +414,8 @@ def _map_heads(e: Expr, f, depth: int = 0) -> Expr:
 
 def _open_named(e: Expr, names) -> Expr:
     """`e` with each dangling index `i` below `len(names)` replaced by the
-    free name `names[i]`, and the others lowered past them (for printing).
-    The body of one binder is opened with `(name,)`."""
+    free name `names[i]`, and the others lowered past them (for messages
+    and name sets that show a bound variable by name)."""
 
     def head(h, d):
         if not isinstance(h, BVar) or h.index < d:

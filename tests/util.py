@@ -1,4 +1,4 @@
-"""Shorthand constructors for syntax trees in tests."""
+"""Shorthand constructors for syntax trees in tests, and seeded random formulas."""
 
 from lfport import (
     Arrow,
