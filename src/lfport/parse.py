@@ -108,7 +108,6 @@ class _Parser:
         self.nominals: dict[str, Nominal] = {}
         self.scope: list = []  # LF binder and term quantifier names, innermost last
         self.ctx_scope: list[str] = []  # context quantifier names
-        self.shadowed = False  # whether a quantifier reuses an enclosing name
         # each name an LF term mentions, with the scope position of its
         # binder (-1 when free), in the order parsed
         self.uses: list[tuple[str, int]] = []
@@ -343,7 +342,7 @@ def parse_formula(text: str, schemas: Mapping[str, ContextSchema]) -> Formula:
     f = _parse_formula(p, schemas)
     if p.peek():
         p.fail(f"unexpected trailing input {p.peek()!r}")
-    return _choose_hints(f, frozenset(), frozenset()) if p.shadowed else f
+    return _choose_hints(f, frozenset(), frozenset())
 
 
 def _parse_formula(p: _Parser, schemas) -> Formula:
@@ -355,7 +354,6 @@ def _parse_formula(p: _Parser, schemas) -> Formula:
         if name not in schemas:
             p.fail(f"schema {name} is not defined")
         p.expect(".")
-        p.shadowed |= var in p.ctx_scope
         p.ctx_scope.append(var)
         body = _parse_formula(p, schemas)
         p.ctx_scope.pop()
@@ -366,7 +364,6 @@ def _parse_formula(p: _Parser, schemas) -> Formula:
         p.expect(":")
         ar = p.arity()
         p.expect(".")
-        p.shadowed |= var in p.scope
         body = p.under(var, lambda: _parse_formula(p, schemas))
         return (ForallTm if kw == "forall" else ExistsTm)(var, ar, body)
     return _parse_imp(p, schemas)
