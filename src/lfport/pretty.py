@@ -4,10 +4,10 @@ Printing is the inverse of parsing: the printed text parses back to an
 equal tree.  The printer chooses each LF binder's name from its hint and
 the names in scope (a block's variables and parameters for block types, the
 enclosing term quantifiers for formula atoms), and prints a bound variable
-by the name chosen for its binder.  A formula quantifier prints its hint:
-the parser chooses hints apart from the enclosing quantifiers of their kind
-and from the names their bodies mention, so none captures a name (a tree
-built through the API with a hint that would capture prints ambiguously).
+by the name chosen for its binder.  A formula quantifier prints its hint
+unless that would hide a name its body shows, free or of an enclosing
+quantifier of its kind; then the hint is primed apart.  The parser hints
+quantifiers apart already, so a parsed formula prints its hints.
 Output is deterministic so it can serve golden tests.
 """
 
@@ -24,6 +24,9 @@ from .formula import (
     Holds,
     Imp,
     Top,
+    _map_atoms,
+    _subformulas,
+    _term_names,
 )
 from .lf import (
     Arity,
@@ -42,6 +45,7 @@ from .lf import (
     TypeExpr,
     TypeKind,
     _dangling,
+    _open_named,
     free_vars,
     fresh_name,
     names_in,
@@ -163,19 +167,47 @@ def fmt_schema(cs: ContextSchema) -> str:
     return " | ".join(fmt_block(b) for b in cs.blocks)
 
 
+def _hidden(q: Formula, names: tuple, cnames: tuple) -> tuple[set, set]:
+    """The term and the context names that the quantifier `q` would hide:
+    the names its atoms show, free or, in `names` and `cnames`, of the
+    quantifiers above `q`."""
+    terms: set[str] = set()
+    ctxs: set = set()
+
+    def visit(h, d, c):  # "" for the quantifiers from q in
+        for e in (h.term, h.ty, *(t for _, t in h.ctx.bindings)):
+            terms.update(free_vars(_open_named(e, ("",) * d + names)))
+        head = h.ctx.head
+        ctxs.add((("",) * c + cnames)[head.index] if isinstance(head, BVar) else head)
+        return h
+
+    _map_atoms(q, visit)
+    return terms, ctxs
+
+
 # Precedence levels: 0 quantifier body, 1 implication, 2 disjunction,
 # 3 conjunction, 4 atoms.
 
 
-def fmt_formula(f: Formula, prec: int = 0, names: tuple = (), cnames: tuple = ()) -> str:
-    """`names` and `cnames` hold the hints of the enclosing term and context
-    quantifiers, innermost first: the names their indices print as."""
+def fmt_formula(
+    f: Formula, prec: int = 0, names: tuple = (), cnames: tuple = (), free=None
+) -> str:
+    """`names` and `cnames` hold the names the enclosing term and context
+    quantifiers print as, innermost first.  `free` holds the free names of
+    the whole formula, of both kinds: a quantifier hinted like none of them
+    and like no enclosing one of its kind hides nothing."""
+    if free is None:
+        free = set()
+        for h in _subformulas(f):
+            if isinstance(h, Holds):
+                free.add(h.ctx.head)
+                free.update(*map(free_vars, (h.term, h.ty, *(t for _, t in h.ctx.bindings))))
 
     def wrap(s: str, needed: int) -> str:
         return f"({s})" if prec > needed else s
 
     def sub(g, p, names=names, cnames=cnames):
-        return fmt_formula(g, p, names, cnames)
+        return fmt_formula(g, p, names, cnames, free)
 
     match f:
         case Holds(ctx, term, ty):
@@ -195,9 +227,16 @@ def fmt_formula(f: Formula, prec: int = 0, names: tuple = (), cnames: tuple = ()
             return wrap(f"{sub(l, 3)} /\\ {sub(r, 4)}", 3)
         case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
             kw = "forall" if isinstance(f, ForallTm) else "exists"
+            if (v in names or v in free) and v in _hidden(f, names, cnames)[0]:
+                v = fresh_name(v, {*names, *_term_names(body)})
             return wrap(f"{kw} {v} : {fmt_arity(ar)}. {sub(body, 0, (v,) + names)}", 1)
         case ForallCtx(v, cs, body, name):
             shown = name if name is not None else fmt_schema(cs)
+            hidden = _hidden(f, names, cnames)[1] if v in cnames or v in free else ()
+            if v in hidden:
+                v = fresh_name(v, {*cnames, *hidden} | {
+                    g.var for g in _subformulas(body) if isinstance(g, ForallCtx)
+                })
             return wrap(f"ctx {v} : {shown}. {sub(body, 0, cnames=(v,) + cnames)}", 1)
     raise TypeError(f"not a formula: {f!r}")
 

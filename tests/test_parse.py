@@ -4,7 +4,18 @@ import pytest
 
 import random
 
-from lfport import Nominal, O, alpha_eq
+from lfport import (
+    Conj,
+    ForallCtx,
+    ForallTm,
+    Holds,
+    Imp,
+    Nominal,
+    O,
+    alpha_eq,
+    subst_ctx,
+    subst_terms,
+)
 from lfport.lf import BVar, PiType, TermDecl, TypeDecl
 from lfport.parse import (
     ParseError,
@@ -24,7 +35,7 @@ from lfport.pretty import (
     fmt_term,
     fmt_type,
 )
-from util import a, at, ce, lam, nom, pi, random_formula
+from util import a, at, ce, lam, nom, pi, quantify, random_formula
 
 
 def test_signature_fixture_shape(sig_size):
@@ -64,6 +75,23 @@ def test_schema_round_trip(schemas_stlc):
 def test_formula_round_trip(schemas_size, plus_closed, plus_body):
     for f in (plus_closed, plus_body):
         assert parse_formula(fmt_formula(f), schemas_size) == f
+
+
+def test_substituted_formulas_round_trip(schemas_size):
+    # a name substituted under a quantifier hinted like it stays free in
+    # print: the quantifier is primed, for a term and a context variable
+    body = Imp(Holds(ce(), a("z"), at("nat")), Holds(ce(), a("X"), at("nat")))
+    f = subst_terms(quantify(ForallTm, "z", O, body), {"X": (a("z"), O)})
+    assert fmt_formula(f) == "forall z' : o. {|- z' : nat} => {|- z : nat}"
+    body = Conj(Holds(ce(head="G"), a("z"), at("nat")), Holds(ce(head="H"), a("z"), at("nat")))
+    g = subst_ctx(quantify(ForallCtx, "G", schemas_size["Cempty"], body, "Cempty"),
+                  {"H": ce(head="G")})
+    assert fmt_formula(g) == "ctx G' : Cempty. {G' |- z : nat} /\\ {G |- z : nat}"
+    # a quantifier hinted like an enclosing one it does not hide
+    h = ForallTm("x", O, ForallTm("x", O, Holds(ce(), a(BVar(1)), at("nat"))))
+    assert fmt_formula(h) == "forall x : o. forall x' : o. {|- x : nat}"
+    for formula in (f, g, h):
+        assert parse_formula(fmt_formula(formula), schemas_size) == formula
 
 
 def test_term_round_trip():
