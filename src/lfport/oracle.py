@@ -17,8 +17,9 @@ term judgement runs per atom.  These memos live for one `bounded_validity`
 call and are cleared when it returns.  A context quantifier instantiates
 its index in the body.  Verdicts and traces are exactly those of the plain
 substitution evaluator (a differential test in tests/test_oracle.py holds
-the two together); a trace names a quantifier as substituting by name
-would have renamed it (see `_primed`).
+the two together).  A trace names a quantifier as substituting by name
+would have renamed it; the renamings are replayed only for the lines a
+trace keeps (see `_shown`), so the names take no part in evaluation.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .formula import (
     _map_atoms,
     _map_lf,
     _rebuild,
-    _subformulas,
     _term_names,
     formula_key,
     open_ctx,
@@ -179,40 +179,33 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     this call only, by the pool indices of the quantifiers they refer to,
     so only the term judgement runs per atom.
     """
-    pools: dict = {}  # arity -> (terms, their free names)
-    # Per-node data and memos live in a dict id(node) -> (node, ...): this
-    # one for the formula, and a fresh one for each body that a context
-    # instance or a renaming rebuilt, dropped with it.
+    pools: dict = {}  # arity -> terms
+    # Per-node memos live in a dict id(node) -> (node, ...): this one for
+    # the formula, and a fresh one for each body a context instance
+    # rebuilt, dropped with it.
     memo: dict = {}
-
-    def pool(ar):
-        if ar not in pools:
-            terms = term_pool(sig, ar, bounds.term_size_max, bounds.pool_nominals)
-            pools[ar] = (terms, [free_vars(t) for t in terms])
-        return pools[ar]
 
     def by_term(g, env, nodes):
         """(pool term, verdict of the body) for a term quantifier, lazily."""
-        rec = nodes.get(id(g))
-        if rec is None:
-            terms, fvs = pool(g.arity)
-            # a pool term naming a quantifier of the body renames it
-            hints = {q.var for q in _subformulas(g.body) if isinstance(q, (ForallTm, ExistsTm))}
-            rec = nodes[id(g)] = (g, terms, fvs, [fv & hints for fv in fvs])
-        _, terms, fvs, clashes = rec
-        inst, slots = env
-        for i, t in enumerate(terms):
+        if g.arity not in pools:
+            pools[g.arity] = term_pool(
+                sig, g.arity, bounds.term_size_max, bounds.pool_nominals
+            )
+        inst, slots, path = env
+        for i, t in enumerate(pools[g.arity]):
             # Memo keys name each pool term by its arity and pool index:
             # one atom may sit under binders of another arity elsewhere.
-            inner = (((t, g.arity),) + inst, ((g.arity, i),) + slots)
-            if clashes[i]:
-                yield t, ev(_primed(g.body, g.var, fvs[i], inst), inner, {})
-            else:
-                yield t, ev(g.body, inner, nodes)
+            inner = (
+                ((t, g.arity),) + inst,
+                ((g.arity, i),) + slots,
+                ((g, t, g.body),) + path,
+            )
+            yield t, ev(g.body, inner, nodes)
 
     def by_instance(g, env):
         """(instance, verdict of the body) for a context quantifier, lazily;
         each instantiated body has per-node memos of its own."""
+        inst, slots, path = env
         for instance in enumerate_instances(
             sig,
             g.schema,
@@ -220,7 +213,8 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             bounds.term_size_max,
             bounds.pool_nominals,
         ):
-            yield instance, ev(open_ctx(g.body, instance), env, {})
+            body = open_ctx(g.body, instance)
+            yield instance, ev(body, (inst, slots, ((g, instance, body),) + path), {})
 
     def holds(g, env, nodes):
         """The first failing judgement of an atom, or None if they hold.  The
@@ -232,7 +226,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             refs = (in_ctx, in_ty, _dangling(g.term))
             rec = nodes[id(g)] = (g, *map(tuple, refs), {}, {})
         _, in_ctx, in_ty, in_term, ctx_memo, ty_memo = rec
-        inst, slots = env
+        inst, slots, _ = env
         key = tuple(slots[i] for i in in_ctx)
         hit = ctx_memo.get(key)
         if hit is None:
@@ -254,9 +248,10 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         return _fails(check_term, sig, lctx, _close(g.term, inst, in_term), ty)
 
     def ev(g: Formula, env: tuple, nodes: dict) -> Verdict3:
-        # env: two tuples, innermost first: the (term, arity) of each
+        # env: three tuples, innermost first: the (term, arity) of each
         # enclosing term quantifier, which `_subst` puts in for an atom's
-        # dangling indices, and the memo slot of each.
+        # dangling indices; the memo slot of each; and the path of
+        # enclosing quantifiers that a trace line names `g` by.
         match g:
             case Holds(ctx):
                 if ctx.head is not None:
@@ -299,12 +294,12 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 if vl.value == VALID and vr.value == INVALID:
                     return Verdict3(INVALID, vr.trace)
                 return Verdict3(UNKNOWN)
-            case ForallTm(v):
+            case ForallTm():
                 saw_unknown = False
                 for t, sub in by_term(g, env, nodes):
                     if sub.value == INVALID:
                         return Verdict3(
-                            INVALID, (f"counterexample {v} = {t!r}",) + sub.trace
+                            INVALID, (("counterexample", f, env[2], g, t),) + sub.trace
                         )
                     if sub.value == UNKNOWN:
                         saw_unknown = True
@@ -314,10 +309,10 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                     else "universal valid at bound; domain is unbounded"
                 )
                 return Verdict3(UNKNOWN, (note,))
-            case ExistsTm(v):
+            case ExistsTm():
                 for t, sub in by_term(g, env, nodes):
                     if sub.value == VALID:
-                        return Verdict3(VALID, (f"witness {v} = {t!r}",))
+                        return Verdict3(VALID, (("witness", f, env[2], g, t),))
                 return Verdict3(UNKNOWN, ("existential pool exhausted",))
             case ForallCtx(v):
                 saw_unknown = False
@@ -338,7 +333,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         raise TypeError(f"not a formula: {g!r}")
 
     try:
-        verdict = ev(f, ((), ()), memo)
+        verdict = ev(f, ((), (), ()), memo)
     finally:
         # ev is a closure over itself, so the memos would otherwise outlive
         # the call until the next cycle collection.
@@ -353,13 +348,41 @@ def _close(e, inst: tuple, refs: tuple):
     return _subst(e, {}, 0, inst) if refs else e
 
 
-def _primed(body: Formula, q: str, free: set, inst: tuple) -> Formula:
-    """`body` with the hints the substitution semantics would show once it
-    substituted a term with the free names `free` for the quantifier named
-    `q`: it renames a term quantifier it reaches whose name is in `free`,
-    priming it apart from `free`, `q` and the names its body mentions with
-    the terms of `inst` put in for the quantifiers above `q`, and it stops
-    at one named `q`.  Only trace lines show these names."""
+def _shown(root: Formula, path: tuple, g: Formula) -> str:
+    """The name the substitution semantics gives the quantifier `g` of
+    `root`, reached through the quantifiers of `path` (innermost first, each
+    with its pool term or instance and the body evaluated under it).  The
+    semantics is replayed along the path on a copy of `root`, renaming as
+    substituting by name renames (see `_primed`)."""
+    orig = shown = root
+    for q, choice, body in reversed(path):
+        at = _twin(q, orig, shown)
+        if isinstance(q, ForallCtx):
+            shown = open_ctx(at.body, choice)
+        else:
+            inst = ((choice, q.arity),)
+            primed = _primed(at.body, at.var, free_vars(choice))
+            shown = _map_atoms(primed, lambda h, d, c: _map_lf(h, lambda e: _subst(e, {}, d, inst)))
+        orig = body
+    return _twin(g, orig, shown).var
+
+
+def _twin(g: Formula, f: Formula, h: Formula):
+    """The subformula of `h` in the place of `g` in `f`, which has the shape
+    of `h`; `g` is below connectives of `f` only."""
+    if g is f:
+        return h
+    if isinstance(f, (Imp, Conj, Disj)):
+        return _twin(g, f.left, h.left) or _twin(g, f.right, h.right)
+    return None
+
+
+def _primed(body: Formula, q: str, free: set) -> Formula:
+    """`body` with the hints that substituting a term with the free names
+    `free` by name for the quantifier named `q` shows: a term quantifier it
+    reaches whose name is in `free` is primed apart from `free`, `q` and the
+    names its body mentions, and one named `q` ends it.  The quantifiers
+    above `q` are instantiated already."""
 
     def walk(f, names):  # names: hints of the quantifiers from q's in
         match f:
@@ -367,10 +390,7 @@ def _primed(body: Formula, q: str, free: set, inst: tuple) -> Formula:
                 if v == q:
                     return f
                 if v in free:
-                    closed = _map_atoms(b, lambda h, d, c: _map_lf(
-                        h, lambda e: _subst(e, {}, d + len(names) + 1, inst)
-                    ))
-                    v = fresh_name(v, free | {q} | _term_names(closed, (v,) + names))
+                    v = fresh_name(v, free | {q} | _term_names(b, (v,) + names))
                 return type(f)(v, ar, walk(b, (v,) + names))
         return _rebuild(f, lambda g: walk(g, names))
 
@@ -385,9 +405,13 @@ def _fails(check, *args) -> LFError | None:
         return err.with_traceback(None)  # a trace may keep it, not the frames
 
 
-def _line(failure):
-    """A trace line; a failing term judgement is formatted only here."""
-    return f"judgement fails: {failure}" if isinstance(failure, LFError) else failure
+def _line(x):
+    """A trace line, formatted only here: a failing term judgement, or the
+    line of a term quantifier `g` of `root` with its term `t`."""
+    if isinstance(x, tuple):
+        word, root, path, g, t = x
+        return f"{word} {_shown(root, path, g)} = {t!r}"
+    return f"judgement fails: {x}" if isinstance(x, LFError) else x
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Bounded validity and the metatheorem harnesses."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,9 +31,10 @@ from lfport import (
     verify_minimization,
     verify_transport,
 )
-from lfport.formula import _map_atoms, _map_lf, open_ctx
-from lfport.lf import BVar, _subst, free_vars
-from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3, _primed
+from lfport import oracle
+from lfport.formula import _map_atoms, _map_lf, _rebuild, _subformulas, open_ctx
+from lfport.lf import BVar, _open_named, _subst, free_vars, fresh_name, names_in
+from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3
 from lfport.parse import parse_formula, parse_signature
 from util import a, at, ce, nom, quantify, random_formula
 
@@ -169,10 +171,52 @@ def instantiate(body, term, arity):
     return _map_atoms(body, lambda h, d, c: _map_lf(h, lambda e: _subst(e, {}, d, ((term, arity),))))
 
 
+def named(f, names=()):
+    """`f` with each term quantifier's index read as its hint, and each
+    dangling index `i` as `names[i]`."""
+    match f:
+        case Holds():
+            return _map_lf(f, lambda e: _open_named(e, names))
+        case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
+            return type(f)(v, ar, named(body, (v,) + names))
+    return _rebuild(f, lambda g: named(g, names))
+
+
+def names_of(f):
+    """Every term name of a named formula, bound or free."""
+    out = set()
+    for g in _subformulas(f):
+        if isinstance(g, Holds):
+            out.update(*(names_in(e) for e in (g.term, g.ty, *(t for _, t in g.ctx.bindings))))
+        elif isinstance(g, (ForallTm, ExistsTm)):
+            out.add(g.var)
+    return out
+
+
+def renamed_apart(body, q, free):
+    """The body of the quantifier named `q`, its quantifiers named as
+    substituting a term with the free names `free` for `q` by name names
+    them: one named in `free` is renamed apart from `free`, `q` and every
+    name its body shows, and one named `q` hides the body below it."""
+
+    def walk(f, names):
+        match f:
+            case ForallTm(v, ar, b) | ExistsTm(v, ar, b):
+                if v == q:
+                    return f
+                if v in free:
+                    v = fresh_name(v, free | {q} | names_of(named(b, (v,) + names)))
+                return type(f)(v, ar, walk(b, (v,) + names))
+        return _rebuild(f, lambda g: walk(g, names))
+
+    return walk(body, (q,))
+
+
 def plain_validity(sig, f, bounds):
     """Reference semantics: each quantifier substitutes every pool term
     into its whole body, and each atom re-checks its context and type.  A
-    trace names the quantifiers of a body as `_primed` renames them."""
+    trace names the quantifiers of a body as substituting by name renames
+    them."""
     pools = {}
 
     def pool(ar):
@@ -230,7 +274,7 @@ def plain_validity(sig, f, bounds):
             case ForallTm(v, ar, body):
                 saw_unknown = False
                 for t in pool(ar):
-                    sub = ev(instantiate(_primed(body, v, free_vars(t), ()), t, ar))
+                    sub = ev(instantiate(renamed_apart(body, v, free_vars(t)), t, ar))
                     if sub.value == INVALID:
                         return Verdict3(
                             INVALID, (f"counterexample {v} = {t!r}",) + sub.trace
@@ -245,7 +289,7 @@ def plain_validity(sig, f, bounds):
                 return Verdict3(UNKNOWN, (note,))
             case ExistsTm(v, ar, body):
                 for t in pool(ar):
-                    sub = ev(instantiate(_primed(body, v, free_vars(t), ()), t, ar))
+                    sub = ev(instantiate(renamed_apart(body, v, free_vars(t)), t, ar))
                     if sub.value == VALID:
                         return Verdict3(VALID, (f"witness {v} = {t!r}",))
                 return Verdict3(UNKNOWN, ("existential pool exhausted",))
@@ -378,6 +422,28 @@ def test_matches_plain_naming_a_quantifier_renamed_past_a_dropped_argument():
     )
 
 
+def test_judgements_checked_do_not_depend_on_hints(sig_size, monkeypatch):
+    # Quantifiers named like a constant of the pool terms are renamed in
+    # trace lines only: the body is evaluated with the memos of its alpha-
+    # variant, so context and type judgements are checked as often.
+    text = (
+        "forall M : o -> o. forall N : o. forall {} : o. forall {} : o. "
+        "{{ |- M (s {}) : tm }} => {{ |- N : nat }} => {{ |- {} : nat }}"
+    )
+    calls = Counter()
+    for name in ("check_context", "check_type", "check_term"):
+        check = getattr(oracle, name)
+        monkeypatch.setattr(
+            oracle, name, lambda *args, _n=name, _c=check: calls.update([_n]) or _c(*args)
+        )
+    counts = []
+    for hints in (("z'", "z"), ("b", "c")):
+        calls.clear()
+        bounded_validity(sig_size, parse_formula(text.format(*hints, *hints), {}), Bounds(3, 1))
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+
+
 def test_matches_plain_with_shadowed_binders(sig_size):
     inner = quantify(ForallTm, "N", O, Holds(ce(), a("N"), at("nat")))
     f = quantify(ExistsTm, "N", O, Conj(Holds(ce(), a("N"), at("tm")), inner))
@@ -397,9 +463,16 @@ def test_matches_plain_with_shared_atoms(sig_size):
     k = Holds(ce(), a("z"), at("size", a(BVar(0)), a("z")))
     k1 = ForallTm("N", O, Imp(k, Top()))
     k2 = ForallTm("N", Arrow(O, O), k)
-    shared = (Conj(nm, mn), Conj(mn, nm), Conj(nm, mn_exists), Conj(k1, k2))
+    # One quantifier, renamed past M's pool terms in one place only.
+    q = ForallTm("z", O, Holds(ce(), a(BVar(0)), at("tm")))
+    shared = (Conj(nm, mn), Conj(mn, nm), Conj(nm, mn_exists), Conj(k1, k2),
+              Disj(ForallTm("M", O, q), q))
     for formula in shared:
         assert_same(sig_size, formula, Bounds(3, 1))
+    trace = bounded_validity(sig_size, shared[-1], Bounds(3, 1)).trace
+    assert [line.split(" =")[0] for line in trace if line.startswith("counterexample")] == [
+        "counterexample M", "counterexample z'", "counterexample z"
+    ]
 
 
 @pytest.mark.parametrize("size, seeds", [(2, 1000), (3, 200)])
