@@ -20,7 +20,6 @@ from .lf import (
     TYPE,
     TypeDecl,
     TypeExpr,
-    alpha_eq,
     apply_subst,
     arity_check_term,
     arity_check_type,
@@ -54,7 +53,6 @@ from .formula import (
     Top,
     WfEnv,
     check_formula,
-    formula_alpha_eq,
     subst_ctx,
     subst_terms,
 )

@@ -316,7 +316,3 @@ def formula_key(f: Formula):
     """A hashable key identical for alpha-equivalent formulas: the formula
     itself."""
     return f
-
-
-def formula_alpha_eq(f: Formula, g: Formula) -> bool:
-    return f == g

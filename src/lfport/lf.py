@@ -459,10 +459,6 @@ def alpha_key(e: Expr):
     return e
 
 
-def alpha_eq(a: Expr, b: Expr) -> bool:
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # Arity-indexed (hereditary) substitution.
 

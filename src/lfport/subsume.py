@@ -6,10 +6,14 @@ extra bindings are not subordinate to the formula; block declarations prune
 relative to a schema when dropped entries cannot feed any type the schema
 can still generate.  Both relations are one embedding search, `_embeds`,
 that differs only in which bindings it may drop.  Schema subsumption
-searches block variants that align a target block with a source block under
-both relations, and the transport check combines that search with the
-structural validity analysis for ill-formed context substitutions.  Every
-search result is recorded in a replayable certificate.
+searches block variants that align a target block with a source block; an
+alignment keeps the source declaration and records each binding it drops
+with the non-subordination facts that license the drop, and it is accepted
+exactly when none of those facts fails.  The transport check combines that
+search with the structural validity analysis for ill-formed context
+substitutions, and records every search result in a replayable
+certificate.  Inputs are checked by the caller (`check_schema`,
+`check_formula`); nothing here checks them again.
 """
 
 from __future__ import annotations
@@ -29,30 +33,19 @@ from .formula import (
     Holds,
     Imp,
     Top,
-    WfEnv,
     _subformulas,
-    check_formula,
 )
 from .lf import (
-    Arity,
     Atom,
     AtomicType,
     Lam,
     LFError,
-    O,
     PiType,
     Signature,
     TypeExpr,
-    apply_subst,
-    erase,
+    _map_heads,
 )
-from .schema import (
-    BlockSchema,
-    ContextSchema,
-    CtxExpr,
-    check_schema,
-    segment_instance,
-)
+from .schema import BlockSchema, ContextSchema, CtxExpr, segment_instance
 from .subord import SubordRel, head_constant, type_leq
 
 
@@ -61,10 +54,6 @@ class SearchCapExceeded(LFError):
 
 
 class SegmentationMismatch(LFError):
-    pass
-
-
-class IllFormedInput(LFError):
     pass
 
 
@@ -90,9 +79,6 @@ def _gamma_atoms(f: Formula, gamma: str):
 
 # ---------------------------------------------------------------------------
 # Context-expression subsumption and pruning.
-
-Binding = tuple  # (str | Nominal, TypeExpr)
-
 
 def _embeds(small, big, droppable) -> bool:
     """Whether the binding list `small` embeds into `big`: working right to
@@ -137,34 +123,16 @@ def prune_ok(rel: SubordRel, schema: ContextSchema, small, big) -> bool:
 # Block-schema variants.
 
 
-def perm_subst(perm: Mapping[str, str], arities: Mapping[str, Arity]) -> dict:
-    """The substitution a variable permutation induces under an arity
-    context: each moved variable is replaced at its assigned arity (base
-    arity when unassigned)."""
-    return {
-        x: (Atom(z), arities.get(x, O))
-        for x, z in perm.items()
-        if x != z
-    }
-
-
-def blkctx(sig: Signature, block: BlockSchema) -> dict[str, Arity]:
-    """Arity assignment a block schema induces: the erased signature plus
-    the block's parameters and the erasures of its declaration types."""
-    out = dict(sig.arity_context().terms)
-    out.update(dict(block.params))
-    for y, ty in block.decl:
-        out[y] = erase(ty)
-    return out
-
-
-def make_variant(sig: Signature, perm: Mapping[str, str], block: BlockSchema) -> BlockSchema:
-    """Rename a block schema through a variable permutation: parameters and
-    declaration variables move, declaration types are rewritten through the
-    induced permutation substitution."""
-    ps = perm_subst(perm, blkctx(sig, block))
+def make_variant(perm: Mapping[str, str], block: BlockSchema) -> BlockSchema:
+    """Rename a block schema through a variable permutation: parameters,
+    declaration variables and the atoms they head move.  Bound variables
+    are indices, so the renaming cannot capture, and it never contracts a
+    redex, since only heads change."""
     params = tuple((perm.get(x, x), ar) for x, ar in block.params)
-    decl = tuple((perm.get(y, y), apply_subst(ty, ps)) for y, ty in block.decl)
+    decl = tuple(
+        (perm.get(y, y), _map_heads(ty, lambda h, _: perm.get(h, h)))
+        for y, ty in block.decl
+    )
     return BlockSchema(params, decl)
 
 
@@ -202,6 +170,43 @@ class SubsumptionFailure:
 def _gamma_atom_types(f: Formula, gamma: str) -> list[TypeExpr]:
     """Types of the `gamma`-headed atoms with no explicit bindings."""
     return [g.ty for g in _gamma_atoms(f, gamma) if not g.ctx.bindings]
+
+
+def _drop_basis(f: Formula, gamma: str, source: ContextSchema):
+    """What a dropped binding is judged against: the sorted head constants
+    of the formula's `gamma`-atom types and of the source schema's
+    declaration types, and whether some `gamma`-atom has explicit bindings
+    (every type influences such an atom, so nothing may be dropped)."""
+    formula_heads = sorted({head_constant(t) for t in _gamma_atom_types(f, gamma)})
+    schema_heads = sorted(
+        {head_constant(t) for block in source.blocks for _, t in block.decl}
+    )
+    return formula_heads, schema_heads, any(g.ctx.bindings for g in _gamma_atoms(f, gamma))
+
+
+def _alignment_drops(rel: SubordRel, sdecl, vdecl, keep, basis) -> Optional[tuple]:
+    """The drop records of the alignment that keeps positions `keep` of a
+    variant declaration, each with the non-subordination facts that
+    license it (its head against the heads of `_drop_basis`), or None when
+    the kept entries are not the source declaration or a drop is not
+    licensed: a `gamma`-atom has explicit bindings, or a recorded fact
+    fails (the heads are subordinate)."""
+    formula_heads, schema_heads, pinned = basis
+    if sdecl != tuple(vdecl[p] for p in keep):
+        return None
+    drops = []
+    for pos, (var, ty) in enumerate(vdecl):
+        if pos not in keep:
+            h = head_constant(ty)
+            d = DropRecord(
+                pos, var, ty,
+                tuple((h, b) for b in formula_heads),
+                tuple((h, b) for b in schema_heads),
+            )
+            if pinned or any(rel.holds(a, b) for a, b in d.formula_facts + d.schema_facts):
+                return None
+            drops.append(d)
+    return tuple(drops)
 
 
 def _derive_renaming(src, tgt, tgt_vars: set, src_vars: set, mapping: dict) -> bool:
@@ -282,7 +287,11 @@ def block_subsumes(
 
     Candidate alignments embed the source declaration as a subsequence of
     the target's; the renaming is derived by structural matching and closed
-    into a permutation.  First hit wins.
+    into a permutation.  First hit wins.  Declaration variables are
+    distinct, so the alignment is the only embedding of the source
+    declaration into the variant's, and both relations hold exactly when
+    every binding it drops may go: the alignment is decided by its drop
+    records (`_alignment_drops`), the facts the certificate prints.
 
     An alignment's renaming is the union of the renamings its entry pairs
     derive alone, and fails where two of them disagree: a renaming only
@@ -292,14 +301,13 @@ def block_subsumes(
     alignments tried, their order, the `search_cap` count and the result
     are those of matching every pair afresh per alignment.
     """
-    atom_types = _gamma_atom_types(f, gamma)
-    schema_types = [ty for block in source.blocks for _, ty in block.decl]
+    basis = _drop_basis(f, gamma, source)
     tdecl = target.decl
-    tgt_vars = {v for v, _ in target.params} | {y for y, _ in tdecl}
+    tgt_vars = _block_vars(target)
     attempts = 0
     for si, src in enumerate(source.blocks):
         sdecl = src.decl
-        src_vars = {v for v, _ in src.params} | {y for y, _ in sdecl}
+        src_vars = _block_vars(src)
         if len(sdecl) > len(tdecl):
             continue
         table: dict[tuple[int, int], Optional[dict[str, str]]] = {}
@@ -327,63 +335,35 @@ def block_subsumes(
             if len(set(mapping.values())) != len(mapping):
                 continue
             perm = _close_permutation(mapping)
-            variant = make_variant(sig, perm, target)
-            vdecl = variant.decl
-            if sdecl != tuple(vdecl[i] for i in keep):
-                continue
-            if not prune_ok(rel, source, sdecl, vdecl):
-                continue
-            if not ce_subsumes(rel, gamma, sdecl, vdecl, f):
-                continue
-            drops = []
-            for pos, (dv, dty) in enumerate(vdecl):
-                if pos in keep:
-                    continue
-                h = head_constant(dty)
-                formula_facts = tuple(
-                    sorted({(h, head_constant(a)) for a in atom_types})
+            variant = make_variant(perm, target)
+            drops = _alignment_drops(rel, sdecl, variant.decl, keep, basis)
+            if drops is not None:
+                return BlockMatch(
+                    target_index, si, tuple(sorted(perm.items())), variant, keep, drops
                 )
-                schema_facts = tuple(
-                    sorted({(h, head_constant(a)) for a in schema_types})
-                )
-                drops.append(DropRecord(pos, dv, dty, formula_facts, schema_facts))
-            return BlockMatch(
-                target_index,
-                si,
-                tuple(sorted(perm.items())),
-                variant,
-                keep,
-                tuple(drops),
-            )
     return None
+
+
+def _block_vars(block: BlockSchema) -> set[str]:
+    return {v for v, _ in block.params} | {y for y, _ in block.decl}
 
 
 def _diagnose_block(rel, target: BlockSchema, f, gamma, source: ContextSchema):
     """Name a binding that blocks the match: undroppable (by the formula or
     the schema) and without a counterpart in any source declaration."""
     schema_types = [ty for block in source.blocks for _, ty in block.decl]
+    tgt_vars = _block_vars(target)
     for var, ty in target.decl:
-        by_formula = tf_subord(rel, ty, f, gamma)
-        by_schema = any(type_leq(rel, ty, other) for other in schema_types)
-        if not (by_formula or by_schema):
+        if not (
+            tf_subord(rel, ty, f, gamma)
+            or any(type_leq(rel, ty, other) for other in schema_types)
+        ):
             continue
-        present = False
-        for block in source.blocks:
-            src_vars = {v for v, _ in block.params} | {y for y, _ in block.decl}
-            for _, sty in block.decl:
-                m: dict[str, str] = {}
-                if _derive_renaming(
-                    sty,
-                    ty,
-                    {v for v, _ in target.params} | {y for y, _ in target.decl},
-                    src_vars,
-                    m,
-                ):
-                    present = True
-                    break
-            if present:
-                break
-        if not present:
+        if not any(
+            _derive_renaming(sty, ty, tgt_vars, _block_vars(block), {})
+            for block in source.blocks
+            for _, sty in block.decl
+        ):
             return (var, ty)
     return None
 
@@ -398,7 +378,8 @@ def schema_subsumes(
     search_cap: int = 10000,
 ) -> Union[tuple[BlockMatch, ...], SubsumptionFailure]:
     """Every target block must have a variant that block-subsumes into the
-    source schema; an empty target succeeds unconditionally."""
+    source schema; an empty target succeeds unconditionally.  The schemas
+    must have passed `check_schema`, and `f` `check_formula`."""
     matches = []
     for ti, block in enumerate(target.blocks):
         m = block_subsumes(
@@ -497,39 +478,28 @@ class TransportCertificate:
         return tuple(sorted(out))
 
     def verify(self, sig: Signature, rel: SubordRel) -> bool:
-        """Replay every recorded derivation under the checkers.  Match `i`
-        must be that of target block `i`, which `transport_witness` reads
-        it for; an index or position out of range refutes the certificate."""
+        """Replay every recorded derivation.  Match `i` must be that of
+        target block `i`, which `transport_witness` reads it for; its keep
+        positions must rise through the variant's declaration, and its
+        drops must be those the search accepts the alignment with.
+        Anything else, an index or position out of range included, refutes
+        the certificate."""
         if _val_deriv(self.gamma, self.formula, True) != self.valtop:
             return False
         if len(self.matches) != len(self.target.blocks):
             return False
+        basis = _drop_basis(self.formula, self.gamma, self.source)
         for i, m in enumerate(self.matches):
             if m.target_index != i or not (0 <= m.source_index < len(self.source.blocks)):
                 return False
-            block = self.target.blocks[i]
-            if make_variant(sig, dict(m.permutation), block) != m.variant:
+            if make_variant(dict(m.permutation), self.target.blocks[i]) != m.variant:
+                return False
+            vdecl, keep = m.variant.decl, m.keep_positions
+            if tuple(p for p in range(len(vdecl)) if p in keep) != keep:
                 return False
             sdecl = self.source.blocks[m.source_index].decl
-            vdecl = m.variant.decl
-            positions = range(len(vdecl))
-            drops = tuple(d.position for d in m.drops)
-            if any(p not in positions for p in m.keep_positions + drops):
+            if m.drops != _alignment_drops(rel, sdecl, vdecl, keep, basis):
                 return False
-            if sdecl != tuple(vdecl[p] for p in m.keep_positions):
-                return False
-            if not prune_ok(rel, self.source, sdecl, vdecl):
-                return False
-            if not ce_subsumes(rel, self.gamma, sdecl, vdecl, self.formula):
-                return False
-            for d in m.drops:
-                if vdecl[d.position] != (d.var, d.ty):
-                    return False
-                if tf_subord(rel, d.ty, self.formula, self.gamma):
-                    return False
-                for a, b in d.formula_facts + d.schema_facts:
-                    if rel.holds(a, b):
-                        return False
         return True
 
 
@@ -553,13 +523,8 @@ def transport_check(
     target_name: Optional[str] = None,
 ) -> Union[TransportCertificate, TransportFailure]:
     """Check the two side conditions of the transportation rule and bundle
-    the evidence into a certificate."""
-    try:
-        check_schema(sig, source)
-        check_schema(sig, target)
-        check_formula(sig, f, WfEnv(ctx_schemas={gamma: source}))
-    except LFError as err:
-        raise IllFormedInput(str(err)) from err
+    the evidence into a certificate.  The schemas must have passed
+    `check_schema`, and `f` `check_formula` with `gamma` at `source`."""
     result = schema_subsumes(rel, sig, source, f, gamma, target, search_cap)
     if isinstance(result, SubsumptionFailure):
         return TransportFailure(

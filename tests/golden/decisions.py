@@ -3,8 +3,10 @@
 The benchmark's generator (`perfbench/gen.py`, imported, never changed)
 writes both decision streams into a temporary directory, and each decision
 runs through `lfport.cli.main` in this process.  `decisions.json` holds,
-per decision, a SHA-256 prefix of its exit code, stdout and stderr.  The
-check takes 10 to 30 s, so CI runs it as a step of its own, not as a test:
+per decision, a SHA-256 prefix of its exit code, stdout and stderr.  Each
+accepted decision's certificate is also rebuilt from the inputs the command
+line loads and must pass `TransportCertificate.verify`.  The check takes
+10 to 30 s, so CI runs it as a step of its own, not as a test:
 
     PYTHONPATH=src python tests/golden/decisions.py            # compare
     PYTHONPATH=src python tests/golden/decisions.py --record   # rewrite
@@ -30,14 +32,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
 
 import gen  # noqa: E402
-from lfport.cli import main  # noqa: E402
+from lfport.cli import _load_open_formula, load_workspace, main  # noqa: E402
+from lfport.subsume import TransportCertificate, transport_check  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "decisions.json"
 SEEDS = (3, 7)
 COUNT = 2400  # decisions per stream, as the benchmark makes them
 
 
-def _digest(argv: list[str]) -> str:
+def _run(argv: list[str]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -45,11 +48,22 @@ def _digest(argv: list[str]) -> str:
         except SystemExit as exc:
             code = exc.code
     text = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def digests() -> dict[str, list[str]]:
-    """Seed -> the digest of each decision's output, in stream order."""
+def _replays(sig: str, d: dict, sch: str, fml: str) -> bool:
+    """Whether the certificate of an accepted decision passes `verify`."""
+    ws = load_workspace(sig, sch)
+    f = _load_open_formula(ws, fml, d["var"], d["source"])
+    cert = transport_check(
+        ws.sig, ws.rel, ws.schemas[d["source"]], ws.schemas[d["target"]], d["var"], f
+    )
+    return isinstance(cert, TransportCertificate) and cert.verify(ws.sig, ws.rel)
+
+
+def digests(replayed: dict[str, bool]) -> dict[str, list[str]]:
+    """Seed -> the digest of each decision's output, in stream order; each
+    accepted decision goes into `replayed` with whether it replays."""
     out = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -61,17 +75,23 @@ def digests() -> dict[str, list[str]]:
                     Path(f"d{i}.sch").write_text(d["schemas"], encoding="utf-8")
                     Path(f"d{i}.fml").write_text(d["formula"], encoding="utf-8")
                     sig = str(ROOT / "perfbench" / "inputs" / f"sig_{d['signature']}.lf")
-                    out[str(seed)].append(_digest([
+                    code, digest = _run([
                         "transport", sig, f"d{i}.sch", "--from", d["source"],
                         "--to", d["target"], "--formula", f"d{i}.fml", "--var", d["var"],
-                    ]))
+                    ])
+                    out[str(seed)].append(digest)
+                    if code == 0:
+                        replayed[f"seed {seed} decision {i}"] = _replays(
+                            sig, d, f"d{i}.sch", f"d{i}.fml"
+                        )
         finally:
             os.chdir(cwd)
     return out
 
 
 if __name__ == "__main__":
-    got = digests()
+    replayed: dict[str, bool] = {}
+    got = digests(replayed)
     if sys.argv[1:] == ["--record"]:
         GOLDEN.write_text(json.dumps(got, indent=0) + "\n", encoding="utf-8")
         sys.exit(0)
@@ -84,6 +104,10 @@ if __name__ == "__main__":
     ]
     for line in bad[:20]:
         print(f"differs: {line}")
+    refuted = [label for label, ok in replayed.items() if not ok]
+    for line in refuted[:20]:
+        print(f"certificate refuted: {line}")
     total = sum(map(len, want.values()))
     print(f"{total - len(bad)} of {total} decisions match")
-    sys.exit(1 if bad else 0)
+    print(f"{len(replayed) - len(refuted)} of {len(replayed)} accepted certificates replay")
+    sys.exit(1 if bad or refuted else 0)

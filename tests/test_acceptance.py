@@ -175,7 +175,7 @@ def test_criterion_7_variant_properties(sig_stlc, schemas_stlc):
             shuffled = pool[:]
             rng.shuffle(shuffled)
             perm = dict(zip(pool, shuffled))
-            variants = [make_variant(sig_stlc, perm, b) for b in cmix.blocks]
+            variants = [make_variant(perm, b) for b in cmix.blocks]
             check_schema(sig_stlc, ContextSchema(tuple(variants)))
             for block, variant in zip(cmix.blocks, variants):
                 for segment in segments:

@@ -2,9 +2,11 @@
 
 import contextlib
 import io
+import sys
 
 import pytest
 
+import lfport
 from lfport import cli
 from lfport.cli import main
 from conftest import FIXTURES
@@ -147,6 +149,26 @@ def test_transport_schema_mismatch_is_input_error(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_transport_checks_each_input_once(monkeypatch, capsys):
+    # load_workspace checks the two schemas of the file and
+    # _load_open_formula the formula; the transport check relies on them
+    calls = {}
+    for fn in (lfport.check_schema, lfport.check_formula):
+        def counted(*args, _fn=fn):
+            calls[_fn.__name__] = calls.get(_fn.__name__, 0) + 1
+            return _fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "lfport" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    code, _, _ = run(
+        capsys, "transport", SIG, SCHEMAS,
+        "--from", "Cempty", "--to", "Csize", "--formula", PLUS, "--var", "G",
+    )
+    assert code == 0
+    assert calls == {"check_schema": 2, "check_formula": 1}
 
 
 def test_validate_atom(tmp_path, capsys):

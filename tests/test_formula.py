@@ -12,7 +12,6 @@ from lfport import (
     O,
     WfEnv,
     check_formula,
-    formula_alpha_eq,
     subst_ctx,
     subst_terms,
 )
@@ -144,10 +143,10 @@ def test_check_formula_alpha_stable(sig_size):
     f2 = quantify(ForallTm, "M", O, quantify(ExistsTm, "E", O, plus("M", "E")))
     check_formula(sig_size, f1)
     check_formula(sig_size, f2)
-    assert formula_alpha_eq(f1, f2)
+    assert f1 == f2
 
 
 def test_formula_alpha_distinguishes_nominals():
     f1 = Holds(ce((nom(1), at("tm"))), a(nom(1)), at("tm"))
     f2 = Holds(ce((nom(2), at("tm"))), a(nom(2)), at("tm"))
-    assert not formula_alpha_eq(f1, f2)
+    assert f1 != f2

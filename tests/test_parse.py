@@ -12,7 +12,6 @@ from lfport import (
     Imp,
     Nominal,
     O,
-    alpha_eq,
     subst_ctx,
     subst_terms,
 )
@@ -59,10 +58,10 @@ def test_signature_round_trip(sig_size):
     for d1, d2 in zip(sig_size.decls, reparsed.decls):
         assert d1.name == d2.name
         if isinstance(d1, TermDecl):
-            assert alpha_eq(d1.type, d2.type)
+            assert d1.type == d2.type
             assert d1.type == d2.type
         else:
-            assert alpha_eq(d1.kind, d2.kind)
+            assert d1.kind == d2.kind
             assert d1.kind == d2.kind
 
 
@@ -102,7 +101,7 @@ def test_term_round_trip():
         a("plus-s", a("z"), a("z"), a("z"), a("plus-z", a("z"))),
     ]
     for t in terms:
-        assert alpha_eq(parse_term_text(fmt_term(t)), t)
+        assert parse_term_text(fmt_term(t)) == t
         assert parse_term_text(fmt_term(t)) == t
 
 
@@ -115,7 +114,7 @@ def test_type_round_trip():
     ]
     for ty in types:
         reparsed = parse_type_text(fmt_type(ty), ce((nom(1), at("tm"))))
-        assert alpha_eq(reparsed, ty)
+        assert reparsed == ty
         assert reparsed == ty
 
 

@@ -11,7 +11,6 @@ from lfport import (
     CtxExpr,
     LFContext,
     O,
-    alpha_eq,
     block_instance,
     check_context,
     check_schema,
@@ -206,7 +205,7 @@ def test_block_instance_higher_order_pattern(sig_size):
     out = block_instance(sig_size, block, segment)
     assert out is not None
     # the target ties F's position to the constant graph, so F is constant
-    assert alpha_eq(out["F"], lam("v", a("s", a("z"))))
+    assert out["F"] == lam("v", a("s", a("z")))
 
 
 def test_block_instance_keeps_the_targets_own_binders(sig_size):
@@ -465,7 +464,7 @@ def test_block_instance_is_stable_under_shadowing_target_binders(sig_size):
             verdicts.add(outs[0] is not None)
             assert all((o is None) == (outs[0] is None) for o in outs), (block, k)
             if outs[0] is not None:
-                assert all(alpha_eq(o["F"], outs[0]["F"]) for o in outs)
+                assert all(o["F"] == outs[0]["F"] for o in outs)
     assert verdicts == {True, False}
 
 

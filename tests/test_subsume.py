@@ -7,6 +7,8 @@ import random
 import pytest
 
 from lfport import (
+    Arrow,
+    Atom,
     Bot,
     BlockSchema,
     ContextSchema,
@@ -15,7 +17,7 @@ from lfport import (
     LFContext,
     O,
     Top,
-    alpha_eq,
+    apply_subst,
     block_instance,
     block_subsumes,
     ce_subsumes,
@@ -31,7 +33,7 @@ from lfport import (
     val_neg,
     val_pos,
 )
-from lfport.lf import LFError, UnknownConstant
+from lfport.lf import LFError, UnknownConstant, erase, free_vars
 from lfport.parse import parse_schemas
 from lfport.subord import head_constant, type_leq
 from lfport.schema import enumerate_instances
@@ -143,8 +145,7 @@ def _ce_subsumes_by_search(rel, gamma, small, big, f):
         name, ty = big[j - 1]
         if (
             i > 0
-            and small[i - 1][0] == name
-            and alpha_eq(small[i - 1][1], ty)
+            and small[i - 1] == (name, ty)
             and go(i - 1, j - 1)
         ):
             return True
@@ -167,8 +168,7 @@ def _prune_ok_by_search(rel, schema, small, big):
         name, ty = big[j - 1]
         if (
             i > 0
-            and small[i - 1][0] == name
-            and alpha_eq(small[i - 1][1], ty)
+            and small[i - 1] == (name, ty)
             and go(i - 1, j - 1)
         ):
             return True
@@ -236,21 +236,21 @@ def test_embedding_search_matches_the_recursive_searches(
 # Variants.
 
 
-def test_variant_identity(sig_size):
-    assert make_variant(sig_size, {}, B_SIZE) == B_SIZE
+def test_variant_identity():
+    assert make_variant({}, B_SIZE) == B_SIZE
 
 
-def test_variant_renames_decl_vars(sig_size):
+def test_variant_renames_decl_vars():
     perm = {"x": "u", "y": "v", "u": "x", "v": "y"}
-    out = make_variant(sig_size, perm, B_SIZE)
+    out = make_variant(perm, B_SIZE)
     assert out == BlockSchema(
         (), (("u", at("tm")), ("v", at("size", a("u"), a("s", a("z")))))
     )
 
 
-def test_variant_renames_parameters(sig_stlc):
+def test_variant_renames_parameters():
     b_of = BlockSchema((("T", O),), (("x", at("tm")), ("y", at("of", a("x"), a("T")))))
-    out = make_variant(sig_stlc, {"T": "S", "S": "T"}, b_of)
+    out = make_variant({"T": "S", "S": "T"}, b_of)
     assert out == BlockSchema(
         (("S", O),), (("x", at("tm")), ("y", at("of", a("x"), a("S"))))
     )
@@ -267,7 +267,7 @@ def test_variant_preserves_well_formedness(sig_stlc, schemas_stlc):
         rng.shuffle(shuffled)
         perm = dict(zip(pool, shuffled))
         for block in blocks:
-            check_schema(sig_stlc, ContextSchema((make_variant(sig_stlc, perm, block),)))
+            check_schema(sig_stlc, ContextSchema((make_variant(perm, block),)))
 
 
 def test_variant_preserves_instances(sig_stlc, schemas_stlc):
@@ -286,7 +286,7 @@ def test_variant_preserves_instances(sig_stlc, schemas_stlc):
         rng.shuffle(shuffled)
         perm = dict(zip(pool, shuffled))
         for block in blocks:
-            variant = make_variant(sig_stlc, perm, block)
+            variant = make_variant(perm, block)
             for segment in segments:
                 before = block_instance(sig_stlc, block, segment) is not None
                 after = block_instance(sig_stlc, variant, segment) is not None
@@ -347,8 +347,34 @@ def test_schema_subsumes_empty_target(rel_size, sig_size, plus_body):
 
 # ---------------------------------------------------------------------------
 # The variant search derives each (source entry, target entry) renaming
-# once per source block.  The reference below matches every pair afresh
-# for each alignment, as the search used to.
+# once per source block, renames variants by their atom heads, and decides
+# an alignment by the drops it records.  The reference below matches every
+# pair afresh for each alignment, builds each variant by hereditary
+# substitution, and decides by the two embedding searches, as the search
+# used to.
+
+
+def _perm_subst(perm, arities):
+    """The substitution a variable permutation induces: each moved variable
+    is replaced at its assigned arity (base arity when unassigned)."""
+    return {x: (Atom(z), arities.get(x, O)) for x, z in perm.items() if x != z}
+
+
+def _blkctx(sig, block):
+    """The arities a block schema induces: the erased signature, the
+    block's parameters and the erasures of its declaration types."""
+    out = dict(sig.arity_context().terms)
+    out.update(dict(block.params))
+    for y, ty in block.decl:
+        out[y] = erase(ty)
+    return out
+
+
+def _variant_by_substitution(sig, perm, block):
+    ps = _perm_subst(perm, _blkctx(sig, block))
+    params = tuple((perm.get(x, x), ar) for x, ar in block.params)
+    decl = tuple((perm.get(y, y), apply_subst(ty, ps)) for y, ty in block.decl)
+    return BlockSchema(params, decl)
 
 
 def _block_subsumes_by_alignment(rel, sig, target, f, gamma, source, search_cap):
@@ -384,7 +410,7 @@ def _block_subsumes_by_alignment(rel, sig, target, f, gamma, source, search_cap)
             if not ok or len(set(mapping.values())) != len(mapping):
                 continue
             perm = lfport.subsume._close_permutation(mapping)
-            variant = make_variant(sig, perm, target)
+            variant = _variant_by_substitution(sig, perm, target)
             vdecl = variant.decl
             if sdecl != tuple(vdecl[i] for i in keep):
                 continue
@@ -432,9 +458,14 @@ _BLOCK_NAMES = ("x", "y", "u", "v", "w", "x1", "y1", "T")
 
 def _random_block(rng, size):
     # Names repeat across blocks, and types within one, so that many
-    # alignments share entry pairs and renamings conflict.
+    # alignments share entry pairs and renamings conflict.  A parameter of
+    # arity o -> o is applied to a bare variable, as the pattern fragment
+    # allows, and its name varies so that renamings move it.
     params = (("T", O),) if rng.random() < 0.4 else ()
-    names = [n for n in _BLOCK_NAMES if not (params and n == "T")]
+    if rng.random() < 0.4:
+        params += ((rng.choice("FH"), Arrow(O, O)),)
+    higher = [v for v, ar in params if ar != O]
+    names = [n for n in _BLOCK_NAMES if n not in dict(params)]
     tms = []
     decl = []
     for y in rng.sample(names, size):
@@ -448,8 +479,10 @@ def _random_block(rng, size):
             choices += [
                 at("size", a(x), a("s", a("z"))),
                 at("size", a(x), a("z")),
-                at("of", a(x), a("T") if params else a("b")),
+                at("of", a(x), a("T") if ("T", O) in params else a("b")),
             ]
+            if higher:
+                choices += [at("size", a(higher[0], a(x)), a("z"))] * 2
         ty = rng.choice(choices)
         if ty == at("tm"):
             tms.append(y)
@@ -469,14 +502,37 @@ def test_pair_table_search_matches_the_per_alignment_search(
 ):
     counter = _TopLevelCalls(lfport.subsume._derive_renaming)
     monkeypatch.setattr(lfport.subsume, "_derive_renaming", counter)
-    rng = random.Random(4)
     kinds = set()
+
+    def variant(perm, block):
+        # every variant the search builds, rejected or not, is the one
+        # hereditary substitution builds
+        out = make_variant(perm, block)
+        assert out == _variant_by_substitution(sig_stlc, perm, block)
+        if any(
+            ar != O and perm.get(v, v) != v and any(v in free_vars(ty) for _, ty in block.decl)
+            for v, ar in block.params
+        ):
+            kinds.add("higher-order renamed")
+        return out
+
+    monkeypatch.setattr(lfport.subsume, "make_variant", variant)
+    # every binding influences a gamma-atom with explicit bindings
+    pinned = Holds(ce((nom(9), at("tm")), head="G"), a(nom(9)), at("tm"))
+    rng = random.Random(4)
     for _ in range(300):
-        source = ContextSchema(
-            tuple(_random_block(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 3)))
-        )
+        blocks = tuple(_random_block(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 3)))
         target = _random_block(rng, rng.randint(0, 7))
-        for f in (plus_body, of_exists_body):
+        if rng.random() < 0.3:
+            # a renamed prefix of the target, so that alignments renaming
+            # every kind of variable succeed
+            names = _BLOCK_NAMES + ("F", "H")
+            perm = dict(zip(names, rng.sample(names, len(names))))
+            prefix = BlockSchema(target.params, target.decl[: rng.randint(0, len(target.decl))])
+            blocks += (_variant_by_substitution(sig_stlc, perm, prefix),)
+        source = ContextSchema(blocks)
+        found = []
+        for f in (plus_body, of_exists_body, pinned):
             args = (rel_stlc, sig_stlc, target, f, "G", source)
             counter.calls = 0
             want, attempts = _block_subsumes_by_alignment(*args, 10**9)
@@ -490,6 +546,12 @@ def test_pair_table_search_matches_the_per_alignment_search(
             )
             if want is not None and len(source.blocks[want.source_index].decl) > 1:
                 kinds.add("aligned")
+            if f is pinned:
+                # the rule refuses every drop that the other formulas allow
+                assert want is None or want.drops == ()
+                if any(m is not None and m.drops for m in found):
+                    kinds.add("pinned")
+            found.append(want)
             for cap in {0, attempts - 1, attempts, attempts + 1} - {-1}:
                 expect = _search_outcome(_block_subsumes_by_alignment, *args, cap)
                 got = _search_outcome(block_subsumes, *args, cap)
@@ -498,7 +560,10 @@ def test_pair_table_search_matches_the_per_alignment_search(
                     assert got is SearchCapExceeded
                 else:
                     assert got == expect[0]
-    assert kinds == {"none", "drop", "keep-all", "aligned", "capped"}
+    assert kinds == {
+        "none", "drop", "keep-all", "aligned", "capped", "pinned",
+        "higher-order renamed",
+    }
 
 
 def test_pair_table_bounds_the_renamings_derived(
@@ -621,7 +686,9 @@ def test_tampered_certificate_fails_replay(sig_size, rel_size, plus_body):
     assert not wrong_val.verify(sig_size, rel_size)
 
 
-def test_forged_block_matches_fail_replay(sig_stlc, rel_stlc, schemas_stlc, of_exists_body):
+def test_forged_block_matches_fail_replay(
+    sig_stlc, rel_stlc, schemas_stlc, of_exists_body, sig_size, rel_size, plus_body
+):
     import dataclasses
 
     cmix = schemas_stlc["Cmix"]
@@ -645,6 +712,23 @@ def test_forged_block_matches_fail_replay(sig_stlc, rel_stlc, schemas_stlc, of_e
     ):
         # a forged certificate is refuted, and never raises
         assert dataclasses.replace(cert, matches=matches).verify(sig_stlc, rel_stlc) is False
+
+    # drop records that no longer match the derivation: the keep and drop
+    # positions must partition the variant, and each drop's facts are the
+    # ones the search records
+    cert = transport_check(sig_size, rel_size, C_EMPTY, C_SIZE, "G", plus_body)
+    assert cert.verify(sig_size, rel_size)
+    (m,) = cert.matches
+    d0, d1 = m.drops
+    assert d0.formula_facts == (("tm", "nat"), ("tm", "plus"))
+    for drops in (
+        (d1,),  # deleted
+        (d0, d1, d1),  # duplicated
+        (dataclasses.replace(d0, formula_facts=(), schema_facts=()), d1),  # emptied
+        (dataclasses.replace(d0, formula_facts=(("tm", "nat"),)), d1),  # edited
+    ):
+        forged = dataclasses.replace(cert, matches=(dataclasses.replace(m, drops=drops),))
+        assert forged.verify(sig_size, rel_size) is False
 
 
 # ---------------------------------------------------------------------------

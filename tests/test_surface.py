@@ -20,11 +20,11 @@ EXPORTS = [
     "Lam", "Nominal", "O", "ParseError", "PiKind", "PiType", "Signature",
     "SubordRel", "TYPE", "Term", "TermDecl", "Top", "TransportCertificate",
     "TransportFailure", "TypeDecl", "TypeExpr", "Verdict3", "WfEnv",
-    "alpha_eq", "apply_subst", "arity_check_term", "arity_check_type",
+    "apply_subst", "arity_check_term", "arity_check_type",
     "block_instance", "block_subsumes", "bounded_validity", "ce_subsumes",
     "check_context", "check_formula", "check_schema", "check_signature",
     "check_term", "check_type", "compute_subordination",
-    "enumerate_instances", "erase", "formula", "formula_alpha_eq",
+    "enumerate_instances", "erase", "formula",
     "head_constant", "lf", "make_variant", "minimize", "oracle", "parse",
     "parse_context", "parse_formula", "parse_schemas", "parse_signature",
     "parse_term_text", "parse_type_text", "prune_ok", "schema",
