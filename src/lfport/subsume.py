@@ -18,7 +18,7 @@ certificate.  Inputs are checked by the caller (`check_schema`,
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
@@ -271,19 +271,32 @@ def _close_permutation(mapping: Mapping[str, str]) -> dict[str, str]:
     return perm
 
 
+def _undroppable(rel: SubordRel, basis, decl) -> tuple[bool, ...]:
+    """For each position of a target declaration, whether no alignment may
+    drop its binding: a `gamma`-atom has explicit bindings, or the head of
+    its type is subordinate to a head of `_drop_basis`.  A variant renames
+    no type head, so this holds for every variant of the declaration."""
+    formula_heads, schema_heads, pinned = basis
+    heads = set(formula_heads + schema_heads)
+    undroppable_heads = {a for a, b in rel.pairs if b in heads}
+    return tuple(pinned or head_constant(ty) in undroppable_heads for _, ty in decl)
+
+
 def block_subsumes(
     rel: SubordRel,
-    sig: Signature,
     target: BlockSchema,
     f: Formula,
     gamma: str,
     source: ContextSchema,
     search_cap: int = 10000,
     target_index: int = 0,
+    basis: Optional[tuple] = None,
 ) -> Optional[BlockMatch]:
     """Find a source block and a variant of the target block whose
     declaration both prunes (relative to the whole source schema) and
-    ce-subsumes into the source declaration.
+    ce-subsumes into the source declaration.  The inputs must be checked
+    (`check_schema`, `check_formula`); `basis` is `_drop_basis(f, gamma,
+    source)`, computed here when not given.
 
     Candidate alignments embed the source declaration as a subsequence of
     the target's; the renaming is derived by structural matching and closed
@@ -294,53 +307,72 @@ def block_subsumes(
     records (`_alignment_drops`), the facts the certificate prints.
 
     An alignment's renaming is the union of the renamings its entry pairs
-    derive alone, and fails where two of them disagree: a renaming only
-    grows by `setdefault`s that must agree.  So each (source entry, target
-    entry) pair is matched once per source block, on first use, into a
-    table, and every alignment containing the pair merges the entry.  The
-    alignments tried, their order, the `search_cap` count and the result
-    are those of matching every pair afresh per alignment.
+    derive alone, and fails where two of them disagree.  So each (source
+    entry, target entry) pair is matched once per source block, on first
+    use, into a table, and the keep positions are chosen depth-first, in
+    lexicographic order.  Extending a prefix by a position first asks
+    whether that skips an undroppable position (`_undroppable`), then
+    merges the pair's table entry into the prefix's renaming; when either
+    fails, every alignment the extension stands for is refused, and
+    `math.comb` counts them.  A complete alignment is refused, without a
+    variant, when it leaves an undroppable position after its last kept
+    one or its renaming is not injective; otherwise its variant's drop
+    records decide it.  The alignments tried, their order, the
+    `search_cap` count and the result are those of matching every pair
+    afresh per alignment.
     """
-    basis = _drop_basis(f, gamma, source)
+    if basis is None:
+        basis = _drop_basis(f, gamma, source)
     tdecl = target.decl
+    n = len(tdecl)
+    fixed = _undroppable(rel, basis, tdecl)
     tgt_vars = _block_vars(target)
     attempts = 0
-    for si, src in enumerate(source.blocks):
-        sdecl = src.decl
-        src_vars = _block_vars(src)
-        if len(sdecl) > len(tdecl):
-            continue
-        table: dict[tuple[int, int], Optional[dict[str, str]]] = {}
-        for keep in itertools.combinations(range(len(tdecl)), len(sdecl)):
-            attempts += 1
-            if attempts > search_cap:
-                raise SearchCapExceeded(
-                    f"variant search exceeded {search_cap} alignment attempts"
-                )
-            mapping: dict[str, str] = {}
-            ok = True
-            for k, ti in enumerate(keep):
-                if (k, ti) not in table:
-                    table[k, ti] = _entry_renaming(
-                        sdecl[k], tdecl[ti], tgt_vars, src_vars
-                    )
-                entry = table[k, ti]
-                if entry is None or any(
-                    mapping.setdefault(x, y) != y for x, y in entry.items()
-                ):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if len(set(mapping.values())) != len(mapping):
-                continue
+
+    def count(alignments: int) -> None:
+        nonlocal attempts
+        attempts += alignments
+        if attempts > search_cap:
+            raise SearchCapExceeded(
+                f"variant search exceeded {search_cap} alignment attempts"
+            )
+
+    def extend(si, sdecl, src_vars, table, keep, mapping) -> Optional[BlockMatch]:
+        k, m = len(keep), len(sdecl)
+        start = keep[-1] + 1 if keep else 0
+        if k == m:
+            count(1)
+            if any(fixed[start:]) or len(set(mapping.values())) != len(mapping):
+                return None
             perm = _close_permutation(mapping)
             variant = make_variant(perm, target)
             drops = _alignment_drops(rel, sdecl, variant.decl, keep, basis)
-            if drops is not None:
-                return BlockMatch(
-                    target_index, si, tuple(sorted(perm.items())), variant, keep, drops
-                )
+            if drops is None:
+                return None
+            return BlockMatch(
+                target_index, si, tuple(sorted(perm.items())), variant, keep, drops
+            )
+        for t in range(start, n - m + k + 1):
+            if t > start and fixed[t - 1]:
+                count(math.comb(n - t, m - k))
+                return None
+            if (k, t) not in table:
+                table[k, t] = _entry_renaming(sdecl[k], tdecl[t], tgt_vars, src_vars)
+            entry = table[k, t]
+            merged = dict(mapping)
+            if entry is None or any(merged.setdefault(x, y) != y for x, y in entry.items()):
+                count(math.comb(n - t - 1, m - k - 1))
+                continue
+            found = extend(si, sdecl, src_vars, table, keep + (t,), merged)
+            if found is not None:
+                return found
+        return None
+
+    for si, src in enumerate(source.blocks):
+        if len(src.decl) <= n:
+            found = extend(si, src.decl, _block_vars(src), {}, (), {})
+            if found is not None:
+                return found
     return None
 
 
@@ -348,18 +380,15 @@ def _block_vars(block: BlockSchema) -> set[str]:
     return {v for v, _ in block.params} | {y for y, _ in block.decl}
 
 
-def _diagnose_block(rel, target: BlockSchema, f, gamma, source: ContextSchema):
-    """Name a binding that blocks the match: undroppable (by the formula or
-    the schema) and without a counterpart in any source declaration."""
-    schema_types = [ty for block in source.blocks for _, ty in block.decl]
+def _diagnose_block(rel, target: BlockSchema, source: ContextSchema, basis):
+    """Name a binding that blocks the match: undroppable by `basis`, the
+    `_drop_basis` the search judged the drops by, and without a
+    counterpart in any source declaration.  The inputs must be checked: a
+    type head the relation does not cover raises no `UnknownConstant`
+    here."""
     tgt_vars = _block_vars(target)
-    for var, ty in target.decl:
-        if not (
-            tf_subord(rel, ty, f, gamma)
-            or any(type_leq(rel, ty, other) for other in schema_types)
-        ):
-            continue
-        if not any(
+    for (var, ty), fixed in zip(target.decl, _undroppable(rel, basis, target.decl)):
+        if fixed and not any(
             _derive_renaming(sty, ty, tgt_vars, _block_vars(block), {})
             for block in source.blocks
             for _, sty in block.decl
@@ -370,7 +399,6 @@ def _diagnose_block(rel, target: BlockSchema, f, gamma, source: ContextSchema):
 
 def schema_subsumes(
     rel: SubordRel,
-    sig: Signature,
     source: ContextSchema,
     f: Formula,
     gamma: str,
@@ -379,14 +407,16 @@ def schema_subsumes(
 ) -> Union[tuple[BlockMatch, ...], SubsumptionFailure]:
     """Every target block must have a variant that block-subsumes into the
     source schema; an empty target succeeds unconditionally.  The schemas
-    must have passed `check_schema`, and `f` `check_formula`."""
+    must have passed `check_schema`, and `f` `check_formula`: the drop
+    basis is computed once, here, and both the search of each block and
+    the diagnosis of a refused one judge a binding undroppable by it, so
+    an unchecked type head raises no `UnknownConstant`."""
+    basis = _drop_basis(f, gamma, source)
     matches = []
     for ti, block in enumerate(target.blocks):
-        m = block_subsumes(
-            rel, sig, block, f, gamma, source, search_cap, target_index=ti
-        )
+        m = block_subsumes(rel, block, f, gamma, source, search_cap, ti, basis)
         if m is None:
-            binding = _diagnose_block(rel, block, f, gamma, source)
+            binding = _diagnose_block(rel, block, source, basis)
             if binding is not None:
                 msg = f"binding {binding[0]} cannot be dropped or matched"
             else:
@@ -525,7 +555,7 @@ def transport_check(
     """Check the two side conditions of the transportation rule and bundle
     the evidence into a certificate.  The schemas must have passed
     `check_schema`, and `f` `check_formula` with `gamma` at `source`."""
-    result = schema_subsumes(rel, sig, source, f, gamma, target, search_cap)
+    result = schema_subsumes(rel, source, f, gamma, target, search_cap)
     if isinstance(result, SubsumptionFailure):
         return TransportFailure(
             "subsumption",

@@ -297,51 +297,51 @@ def test_variant_preserves_instances(sig_stlc, schemas_stlc):
 # Fig. 7: block and schema subsumption.
 
 
-def test_block_subsumes_into_empty_source(rel_size, sig_size, plus_body):
-    m = block_subsumes(rel_size, sig_size, B_SIZE, plus_body, "G", C_EMPTY)
+def test_block_subsumes_into_empty_source(rel_size, plus_body):
+    m = block_subsumes(rel_size, B_SIZE, plus_body, "G", C_EMPTY)
     assert m is not None
     assert m.source_index == 0
     assert m.keep_positions == ()
     assert len(m.drops) == 2
 
 
-def test_block_subsumes_nat_binding_fails(rel_size, sig_size, plus_body):
+def test_block_subsumes_nat_binding_fails(rel_size, plus_body):
     target = BlockSchema((), (("x", at("nat")),))
-    assert block_subsumes(rel_size, sig_size, target, plus_body, "G", C_EMPTY) is None
+    assert block_subsumes(rel_size, target, plus_body, "G", C_EMPTY) is None
 
 
-def test_block_subsumes_reflexive(rel_size, sig_size, plus_body):
-    m = block_subsumes(rel_size, sig_size, B_SIZE, plus_body, "G", C_SIZE)
+def test_block_subsumes_reflexive(rel_size, plus_body):
+    m = block_subsumes(rel_size, B_SIZE, plus_body, "G", C_SIZE)
     assert m is not None
     assert m.keep_positions == (0, 1)
     assert m.drops == ()
 
 
-def test_block_subsumes_aligns_renamed_variables(rel_size, sig_size, plus_body):
+def test_block_subsumes_aligns_renamed_variables(rel_size, plus_body):
     renamed = BlockSchema(
         (), (("u", at("tm")), ("v", at("size", a("u"), a("s", a("z")))))
     )
-    m = block_subsumes(rel_size, sig_size, renamed, plus_body, "G", C_SIZE)
+    m = block_subsumes(rel_size, renamed, plus_body, "G", C_SIZE)
     assert m is not None
     assert dict(m.permutation)["u"] == "x"
     assert dict(m.permutation)["v"] == "y"
 
 
-def test_schema_subsumes_empty_to_size(rel_size, sig_size, plus_body):
-    out = schema_subsumes(rel_size, sig_size, C_EMPTY, plus_body, "G", C_SIZE)
+def test_schema_subsumes_empty_to_size(rel_size, plus_body):
+    out = schema_subsumes(rel_size, C_EMPTY, plus_body, "G", C_SIZE)
     assert not isinstance(out, SubsumptionFailure)
 
 
-def test_schema_subsumes_fails_for_tm_formula(rel_size, sig_size, tm_size_body):
-    out = schema_subsumes(rel_size, sig_size, C_EMPTY, tm_size_body, "G", C_SIZE)
+def test_schema_subsumes_fails_for_tm_formula(rel_size, tm_size_body):
+    out = schema_subsumes(rel_size, C_EMPTY, tm_size_body, "G", C_SIZE)
     assert isinstance(out, SubsumptionFailure)
     assert out.undroppable is not None
     assert out.undroppable[0] == "x"
     assert out.undroppable[1] == at("tm")
 
 
-def test_schema_subsumes_empty_target(rel_size, sig_size, plus_body):
-    out = schema_subsumes(rel_size, sig_size, C_SIZE, plus_body, "G", ContextSchema())
+def test_schema_subsumes_empty_target(rel_size, plus_body):
+    out = schema_subsumes(rel_size, C_SIZE, plus_body, "G", ContextSchema())
     assert out == ()
 
 
@@ -377,8 +377,10 @@ def _variant_by_substitution(sig, perm, block):
     return BlockSchema(params, decl)
 
 
-def _block_subsumes_by_alignment(rel, sig, target, f, gamma, source, search_cap):
-    """The per-alignment search; returns the match and the attempts made."""
+def _block_subsumes_by_alignment(rel, sig, target, f, gamma, source, search_cap, tried=None):
+    """The per-alignment search; returns the match and the attempts made.
+    Each alignment tried is appended to `tried` with the number of its
+    leading entry pairs that match."""
     atom_types = lfport.subsume._gamma_atom_types(f, gamma)
     schema_types = [ty for block in source.blocks for _, ty in block.decl]
     tdecl = target.decl
@@ -396,18 +398,19 @@ def _block_subsumes_by_alignment(rel, sig, target, f, gamma, source, search_cap)
                     f"variant search exceeded {search_cap} alignment attempts"
                 )
             mapping = {}
-            ok = True
+            matched = 0
             for (sy, sty), ti in zip(sdecl, keep):
                 ty_name, tty = tdecl[ti]
                 if not lfport.subsume._derive_renaming(
                     sty, tty, tgt_vars, src_vars, mapping
                 ):
-                    ok = False
                     break
                 if mapping.setdefault(ty_name, sy) != sy:
-                    ok = False
                     break
-            if not ok or len(set(mapping.values())) != len(mapping):
+                matched += 1
+            if tried is not None:
+                tried.append((keep, matched))
+            if matched < len(keep) or len(set(mapping.values())) != len(mapping):
                 continue
             perm = lfport.subsume._close_permutation(mapping)
             variant = _variant_by_substitution(sig, perm, target)
@@ -490,11 +493,76 @@ def _random_block(rng, size):
     return BlockSchema(params, tuple(decl))
 
 
+def _long_block(rng, size):
+    # A random block padded to `size` entries with closed bindings at
+    # random positions, the first and the last included; whether one is
+    # undroppable depends on the formula and the source schema.
+    block = _random_block(rng, rng.randint(0, 5))
+    decl = list(block.decl)
+    pads = [at("tm"), at("nat"), at("tp"), pi("w", at("tm"), at("size", a("w"), a("z")))]
+    for i in range(size - len(decl)):
+        decl.insert(rng.randint(0, len(decl)), (f"p{i}", rng.choice(pads)))
+    return BlockSchema(block.params, tuple(decl))
+
+
+def _undroppable_by_types(rel, decl, f, gamma, source):
+    """Whether each binding of a declaration is undroppable, judged type
+    by type: subordinate to the formula or to a type of the source schema."""
+    schema_types = [ty for block in source.blocks for _, ty in block.decl]
+    return tuple(
+        tf_subord(rel, ty, f, gamma) or any(type_leq(rel, ty, t) for t in schema_types)
+        for _, ty in decl
+    )
+
+
+def _skip_kinds(tried, fixed):
+    """How the search that abandons prefixes skips each tried alignment:
+    at a skipped undroppable position, at a failed prefix shorter than
+    the alignment, or, complete, for an undroppable position after its
+    last kept one."""
+    kinds = set()
+    for keep, matched in tried:
+        starts = (0,) + tuple(p + 1 for p in keep)
+        if any(
+            fixed[p]
+            for k in range(min(matched + 1, len(keep)))
+            for p in range(starts[k], keep[k])
+        ):
+            kinds.add("undroppable skipped")
+        elif matched < len(keep) - 1:
+            kinds.add("prefix skipped")
+        elif matched == len(keep) and any(fixed[starts[-1]:]):
+            kinds.add("undroppable trailing")
+    return kinds
+
+
 def _search_outcome(fn, *args):
     try:
         return fn(*args)
     except SearchCapExceeded:
         return SearchCapExceeded
+
+
+def _subsumption_cases(sig):
+    """Target blocks of 0-7 entries, then of 12-40, each with a source
+    schema of 1-3 random blocks of 0-3 entries, sometimes joined by a
+    renamed prefix of the target, so that alignments renaming every kind
+    of variable succeed."""
+    names = _BLOCK_NAMES + ("F", "H")
+    for seed, count, sizes in ((4, 300, (0, 7)), (5, 40, (12, 40))):
+        rng = random.Random(seed)
+        for _ in range(count):
+            blocks = tuple(
+                _random_block(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 3))
+            )
+            size = rng.randint(*sizes)
+            target = _random_block(rng, size) if size <= 7 else _long_block(rng, size)
+            if rng.random() < 0.3:
+                perm = dict(zip(names, rng.sample(names, len(names))))
+                longest = len(target.decl) if size <= 7 else 3
+                prefix = BlockSchema(target.params, target.decl[: rng.randint(0, longest)])
+                blocks += (_variant_by_substitution(sig, perm, prefix),)
+            yield target, ContextSchema(blocks)
 
 
 def test_pair_table_search_matches_the_per_alignment_search(
@@ -517,29 +585,35 @@ def test_pair_table_search_matches_the_per_alignment_search(
         return out
 
     monkeypatch.setattr(lfport.subsume, "make_variant", variant)
+    alignment_drops = lfport.subsume._alignment_drops
+
+    def drops(rel, sdecl, vdecl, keep, basis):
+        # no alignment that drops an undroppable binding gets this far
+        assert all(p in keep for p, undroppable in enumerate(fixed) if undroppable)
+        return alignment_drops(rel, sdecl, vdecl, keep, basis)
+
+    monkeypatch.setattr(lfport.subsume, "_alignment_drops", drops)
     # every binding influences a gamma-atom with explicit bindings
     pinned = Holds(ce((nom(9), at("tm")), head="G"), a(nom(9)), at("tm"))
-    rng = random.Random(4)
-    for _ in range(300):
-        blocks = tuple(_random_block(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 3)))
-        target = _random_block(rng, rng.randint(0, 7))
-        if rng.random() < 0.3:
-            # a renamed prefix of the target, so that alignments renaming
-            # every kind of variable succeed
-            names = _BLOCK_NAMES + ("F", "H")
-            perm = dict(zip(names, rng.sample(names, len(names))))
-            prefix = BlockSchema(target.params, target.decl[: rng.randint(0, len(target.decl))])
-            blocks += (_variant_by_substitution(sig_stlc, perm, prefix),)
-        source = ContextSchema(blocks)
+    for target, source in _subsumption_cases(sig_stlc):
         found = []
         for f in (plus_body, of_exists_body, pinned):
-            args = (rel_stlc, sig_stlc, target, f, "G", source)
+            args = (target, f, "G", source)
+            fixed = _undroppable_by_types(rel_stlc, target.decl, f, "G", source)
             counter.calls = 0
-            want, attempts = _block_subsumes_by_alignment(*args, 10**9)
+            tried = []
+            want, attempts = _block_subsumes_by_alignment(
+                rel_stlc, sig_stlc, *args, 10**9, tried
+            )
             parent_calls = counter.calls
             counter.calls = 0
-            assert block_subsumes(*args, 10**9) == want
+            assert block_subsumes(rel_stlc, *args, 10**9) == want
             assert counter.calls <= parent_calls
+            kinds |= _skip_kinds(tried, fixed)
+            if len(target.decl) >= 12 and f is not pinned:
+                kinds |= {
+                    f"undroppable {end}" for end, p in (("first", 0), ("last", -1)) if fixed[p]
+                }
             kinds.add(
                 "none" if want is None
                 else "drop" if want.drops else "keep-all"
@@ -553,8 +627,17 @@ def test_pair_table_search_matches_the_per_alignment_search(
                     kinds.add("pinned")
             found.append(want)
             for cap in {0, attempts - 1, attempts, attempts + 1} - {-1}:
-                expect = _search_outcome(_block_subsumes_by_alignment, *args, cap)
-                got = _search_outcome(block_subsumes, *args, cap)
+                # the reference counts an alignment before trying it, so it
+                # raises exactly when it would try more than `cap`; it is
+                # rerun where that is cheap, on the short targets
+                expect = (
+                    _search_outcome(
+                        _block_subsumes_by_alignment, rel_stlc, sig_stlc, *args, cap
+                    )
+                    if len(target.decl) < 12
+                    else SearchCapExceeded if cap < attempts else (want, attempts)
+                )
+                got = _search_outcome(block_subsumes, rel_stlc, *args, cap)
                 if expect is SearchCapExceeded:
                     kinds.add("capped")
                     assert got is SearchCapExceeded
@@ -562,8 +645,40 @@ def test_pair_table_search_matches_the_per_alignment_search(
                     assert got == expect[0]
     assert kinds == {
         "none", "drop", "keep-all", "aligned", "capped", "pinned",
-        "higher-order renamed",
+        "higher-order renamed", "prefix skipped", "undroppable skipped",
+        "undroppable trailing", "undroppable first", "undroppable last",
     }
+
+
+def _diagnose_block_by_types(rel, target, f, gamma, source):
+    """The diagnosis judging each binding by its type, as it used to."""
+    tgt_vars = lfport.subsume._block_vars(target)
+    for (var, ty), fixed in zip(
+        target.decl, _undroppable_by_types(rel, target.decl, f, gamma, source)
+    ):
+        if fixed and not any(
+            lfport.subsume._derive_renaming(
+                sty, ty, tgt_vars, lfport.subsume._block_vars(block), {}
+            )
+            for block in source.blocks
+            for _, sty in block.decl
+        ):
+            return (var, ty)
+    return None
+
+
+def test_diagnosis_by_the_drop_basis_matches_the_diagnosis_by_types(
+    sig_stlc, rel_stlc, plus_body, of_exists_body
+):
+    pinned = Holds(ce((nom(9), at("tm")), head="G"), a(nom(9)), at("tm"))
+    outcomes = set()
+    for target, source in _subsumption_cases(sig_stlc):
+        for f in (plus_body, of_exists_body, pinned):
+            basis = lfport.subsume._drop_basis(f, "G", source)
+            want = _diagnose_block_by_types(rel_stlc, target, f, "G", source)
+            assert lfport.subsume._diagnose_block(rel_stlc, target, source, basis) == want
+            outcomes.add((f is pinned, want is None))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_pair_table_bounds_the_renamings_derived(
@@ -586,7 +701,7 @@ def test_pair_table_bounds_the_renamings_derived(
         cs = ContextSchema(blocks)
         counter.calls = 0
         counter.limit = sum(len(b.decl) for b in blocks) * len(target.decl)
-        m = block_subsumes(rel_stlc, sig_stlc, target, plus_body, "G", cs)
+        m = block_subsumes(rel_stlc, target, plus_body, "G", cs)
         assert (m is not None) == hit
         if hit:
             assert m.keep_positions == (30, 31)
