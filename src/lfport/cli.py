@@ -168,7 +168,9 @@ def _cmd_subsumes(args) -> int:
     source = _require_schema(ws, args.source)
     target = _require_schema(ws, args.target)
     f = _load_open_formula(ws, args.formula, args.var, args.source)
-    result = schema_subsumes(ws.rel, source, f, args.var, target, args.search_cap)
+    result = schema_subsumes(
+        ws.rel, source, f, args.var, target, search_cap=args.search_cap
+    )
     if isinstance(result, SubsumptionFailure):
         print(f"{args.source} does not subsume {args.target}")
         print(f"failing target block {result.target_index}: {result.message}")

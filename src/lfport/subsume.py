@@ -184,28 +184,40 @@ def _drop_basis(f: Formula, gamma: str, source: ContextSchema):
     return formula_heads, schema_heads, any(g.ctx.bindings for g in _gamma_atoms(f, gamma))
 
 
+def _undroppable(rel: SubordRel, basis, decl) -> tuple[bool, ...]:
+    """For each binding of a declaration, whether no alignment may drop
+    it: a `gamma`-atom has explicit bindings, or the head of its type is
+    subordinate to a head of `_drop_basis`, so a fact its drop record
+    would print fails.  A variant renames no type head, so the marks of a
+    target declaration hold for every variant of it."""
+    formula_heads, schema_heads, pinned = basis
+    basis_heads = formula_heads + schema_heads
+    return tuple(
+        pinned or any((h, b) in rel.pairs for b in basis_heads)
+        for h in map(head_constant, (ty for _, ty in decl))
+    )
+
+
 def _alignment_drops(rel: SubordRel, sdecl, vdecl, keep, basis) -> Optional[tuple]:
     """The drop records of the alignment that keeps positions `keep` of a
     variant declaration, each with the non-subordination facts that
     license it (its head against the heads of `_drop_basis`), or None when
-    the kept entries are not the source declaration or a drop is not
-    licensed: a `gamma`-atom has explicit bindings, or a recorded fact
-    fails (the heads are subordinate)."""
-    formula_heads, schema_heads, pinned = basis
+    the kept entries are not the source declaration or a dropped binding
+    is undroppable (`_undroppable`)."""
+    formula_heads, schema_heads, _ = basis
     if sdecl != tuple(vdecl[p] for p in keep):
         return None
     drops = []
-    for pos, (var, ty) in enumerate(vdecl):
+    for pos, ((var, ty), fixed) in enumerate(zip(vdecl, _undroppable(rel, basis, vdecl))):
         if pos not in keep:
+            if fixed:
+                return None
             h = head_constant(ty)
-            d = DropRecord(
+            drops.append(DropRecord(
                 pos, var, ty,
                 tuple((h, b) for b in formula_heads),
                 tuple((h, b) for b in schema_heads),
-            )
-            if pinned or any(rel.holds(a, b) for a, b in d.formula_facts + d.schema_facts):
-                return None
-            drops.append(d)
+            ))
     return tuple(drops)
 
 
@@ -271,32 +283,20 @@ def _close_permutation(mapping: Mapping[str, str]) -> dict[str, str]:
     return perm
 
 
-def _undroppable(rel: SubordRel, basis, decl) -> tuple[bool, ...]:
-    """For each position of a target declaration, whether no alignment may
-    drop its binding: a `gamma`-atom has explicit bindings, or the head of
-    its type is subordinate to a head of `_drop_basis`.  A variant renames
-    no type head, so this holds for every variant of the declaration."""
-    formula_heads, schema_heads, pinned = basis
-    heads = set(formula_heads + schema_heads)
-    undroppable_heads = {a for a, b in rel.pairs if b in heads}
-    return tuple(pinned or head_constant(ty) in undroppable_heads for _, ty in decl)
-
-
 def block_subsumes(
     rel: SubordRel,
     target: BlockSchema,
     f: Formula,
     gamma: str,
     source: ContextSchema,
+    *,
     search_cap: int = 10000,
     target_index: int = 0,
-    basis: Optional[tuple] = None,
 ) -> Optional[BlockMatch]:
     """Find a source block and a variant of the target block whose
     declaration both prunes (relative to the whole source schema) and
     ce-subsumes into the source declaration.  The inputs must be checked
-    (`check_schema`, `check_formula`); `basis` is `_drop_basis(f, gamma,
-    source)`, computed here when not given.
+    (`check_schema`, `check_formula`).
 
     Candidate alignments embed the source declaration as a subsequence of
     the target's; the renaming is derived by structural matching and closed
@@ -321,8 +321,7 @@ def block_subsumes(
     `search_cap` count and the result are those of matching every pair
     afresh per alignment.
     """
-    if basis is None:
-        basis = _drop_basis(f, gamma, source)
+    basis = _drop_basis(f, gamma, source)
     tdecl = target.decl
     n = len(tdecl)
     fixed = _undroppable(rel, basis, tdecl)
@@ -347,9 +346,7 @@ def block_subsumes(
             perm = _close_permutation(mapping)
             variant = make_variant(perm, target)
             drops = _alignment_drops(rel, sdecl, variant.decl, keep, basis)
-            if drops is None:
-                return None
-            return BlockMatch(
+            return None if drops is None else BlockMatch(
                 target_index, si, tuple(sorted(perm.items())), variant, keep, drops
             )
         for t in range(start, n - m + k + 1):
@@ -380,12 +377,13 @@ def _block_vars(block: BlockSchema) -> set[str]:
     return {v for v, _ in block.params} | {y for y, _ in block.decl}
 
 
-def _diagnose_block(rel, target: BlockSchema, source: ContextSchema, basis):
-    """Name a binding that blocks the match: undroppable by `basis`, the
-    `_drop_basis` the search judged the drops by, and without a
+def _diagnose_block(rel, target: BlockSchema, f, gamma, source: ContextSchema):
+    """Name a binding that blocks the match: undroppable by the drop basis
+    the search judged the drops by (`_undroppable`), and without a
     counterpart in any source declaration.  The inputs must be checked: a
     type head the relation does not cover raises no `UnknownConstant`
     here."""
+    basis = _drop_basis(f, gamma, source)
     tgt_vars = _block_vars(target)
     for (var, ty), fixed in zip(target.decl, _undroppable(rel, basis, target.decl)):
         if fixed and not any(
@@ -403,20 +401,22 @@ def schema_subsumes(
     f: Formula,
     gamma: str,
     target: ContextSchema,
+    *,
     search_cap: int = 10000,
 ) -> Union[tuple[BlockMatch, ...], SubsumptionFailure]:
     """Every target block must have a variant that block-subsumes into the
     source schema; an empty target succeeds unconditionally.  The schemas
-    must have passed `check_schema`, and `f` `check_formula`: the drop
-    basis is computed once, here, and both the search of each block and
-    the diagnosis of a refused one judge a binding undroppable by it, so
-    an unchecked type head raises no `UnknownConstant`."""
-    basis = _drop_basis(f, gamma, source)
+    must have passed `check_schema`, and `f` `check_formula`: the search of
+    each block and the diagnosis of a refused one judge a binding
+    undroppable by the same drop basis, so an unchecked type head raises
+    no `UnknownConstant`."""
     matches = []
     for ti, block in enumerate(target.blocks):
-        m = block_subsumes(rel, block, f, gamma, source, search_cap, ti, basis)
+        m = block_subsumes(
+            rel, block, f, gamma, source, search_cap=search_cap, target_index=ti
+        )
         if m is None:
-            binding = _diagnose_block(rel, block, source, basis)
+            binding = _diagnose_block(rel, block, f, gamma, source)
             if binding is not None:
                 msg = f"binding {binding[0]} cannot be dropped or matched"
             else:
@@ -555,7 +555,7 @@ def transport_check(
     """Check the two side conditions of the transportation rule and bundle
     the evidence into a certificate.  The schemas must have passed
     `check_schema`, and `f` `check_formula` with `gamma` at `source`."""
-    result = schema_subsumes(rel, source, f, gamma, target, search_cap)
+    result = schema_subsumes(rel, source, f, gamma, target, search_cap=search_cap)
     if isinstance(result, SubsumptionFailure):
         return TransportFailure(
             "subsumption",

@@ -536,9 +536,9 @@ def _skip_kinds(tried, fixed):
     return kinds
 
 
-def _search_outcome(fn, *args):
+def _search_outcome(fn, *args, **kwargs):
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except SearchCapExceeded:
         return SearchCapExceeded
 
@@ -607,7 +607,7 @@ def test_pair_table_search_matches_the_per_alignment_search(
             )
             parent_calls = counter.calls
             counter.calls = 0
-            assert block_subsumes(rel_stlc, *args, 10**9) == want
+            assert block_subsumes(rel_stlc, *args, search_cap=10**9) == want
             assert counter.calls <= parent_calls
             kinds |= _skip_kinds(tried, fixed)
             if len(target.decl) >= 12 and f is not pinned:
@@ -637,7 +637,7 @@ def test_pair_table_search_matches_the_per_alignment_search(
                     if len(target.decl) < 12
                     else SearchCapExceeded if cap < attempts else (want, attempts)
                 )
-                got = _search_outcome(block_subsumes, rel_stlc, *args, cap)
+                got = _search_outcome(block_subsumes, rel_stlc, *args, search_cap=cap)
                 if expect is SearchCapExceeded:
                     kinds.add("capped")
                     assert got is SearchCapExceeded
@@ -674,9 +674,8 @@ def test_diagnosis_by_the_drop_basis_matches_the_diagnosis_by_types(
     outcomes = set()
     for target, source in _subsumption_cases(sig_stlc):
         for f in (plus_body, of_exists_body, pinned):
-            basis = lfport.subsume._drop_basis(f, "G", source)
             want = _diagnose_block_by_types(rel_stlc, target, f, "G", source)
-            assert lfport.subsume._diagnose_block(rel_stlc, target, source, basis) == want
+            assert lfport.subsume._diagnose_block(rel_stlc, target, f, "G", source) == want
             outcomes.add((f is pinned, want is None))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
@@ -802,7 +801,8 @@ def test_tampered_certificate_fails_replay(sig_size, rel_size, plus_body):
 
 
 def test_forged_block_matches_fail_replay(
-    sig_stlc, rel_stlc, schemas_stlc, of_exists_body, sig_size, rel_size, plus_body
+    sig_stlc, rel_stlc, schemas_stlc, of_exists_body, sig_size, rel_size, plus_body,
+    tm_size_body,
 ):
     import dataclasses
 
@@ -844,6 +844,25 @@ def test_forged_block_matches_fail_replay(
     ):
         forged = dataclasses.replace(cert, matches=(dataclasses.replace(m, drops=drops),))
         assert forged.verify(sig_size, rel_size) is False
+
+    # the same drops under a formula that tm is subordinate to, recorded
+    # with the facts the search prints for it: the drop of x is refused
+    formula_heads, schema_heads, _ = lfport.subsume._drop_basis(tm_size_body, "G", C_EMPTY)
+    drops = tuple(
+        dataclasses.replace(
+            d,
+            formula_facts=tuple((head_constant(d.ty), b) for b in formula_heads),
+            schema_facts=tuple((head_constant(d.ty), b) for b in schema_heads),
+        )
+        for d in m.drops
+    )
+    forged = dataclasses.replace(
+        cert,
+        formula=tm_size_body,
+        valtop=lfport.subsume._val_deriv("G", tm_size_body, True),
+        matches=(dataclasses.replace(m, drops=drops),),
+    )
+    assert forged.verify(sig_size, rel_size) is False
 
 
 # ---------------------------------------------------------------------------
