@@ -15,7 +15,14 @@ indices, so an atom's context and type judgements are checked once per
 combination of the pool terms they refer to, not once per atom; only the
 term judgement runs per atom.  These memos live for one `bounded_validity`
 call and are cleared when it returns.  A context quantifier instantiates
-its index in the body.  Verdicts and traces are exactly those of the plain
+its index in the body.
+
+Each verdict comes with its read set: the term quantifiers whose pool term
+its value depended on (an atom reads those its deciding judgement refers
+to).  A term quantifier stops at the first pool term whose verdict did not
+read it: the evaluator is deterministic and its memos are pure, so every
+later pool term would give the same value, and the trace of such a later
+verdict is never kept.  Verdicts and traces are exactly those of the plain
 substitution evaluator (a differential test in tests/test_oracle.py holds
 the two together).  A trace names a quantifier as substituting by name
 would have renamed it; the renamings are replayed only for the lines a
@@ -178,6 +185,15 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     own parts.  An atom's context and type judgements are memoised, for
     this call only, by the pool indices of the quantifiers they refer to,
     so only the term judgement runs per atom.
+
+    Each evaluation also returns a read set: a bit mask with bit `i` set
+    when the verdict's value depended on the pool term of the `i`-th
+    enclosing term quantifier, innermost first, as dangling indices count.
+    An atom reads the indices its deciding judgement refers to (its
+    context's, its type's, or its type's and term's), a connective what the
+    children it evaluated read, and a term quantifier what its bodies read,
+    less its own bit 0.  A term quantifier stops at the first body that
+    does not read bit 0.
     """
     pools: dict = {}  # arity -> terms
     # Per-node memos live in a dict id(node) -> (node, ...): this one for
@@ -186,7 +202,8 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     memo: dict = {}
 
     def by_term(g, env, nodes):
-        """(pool term, verdict of the body) for a term quantifier, lazily."""
+        """(pool term, verdict of the body, its read set) for a term
+        quantifier, lazily."""
         if g.arity not in pools:
             pools[g.arity] = term_pool(
                 sig, g.arity, bounds.term_size_max, bounds.pool_nominals
@@ -200,11 +217,12 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 ((g.arity, i),) + slots,
                 ((g, t, g.body),) + path,
             )
-            yield t, ev(g.body, inner, nodes)
+            yield t, *ev(g.body, inner, nodes)
 
     def by_instance(g, env):
-        """(instance, verdict of the body) for a context quantifier, lazily;
-        each instantiated body has per-node memos of its own."""
+        """(instance, verdict of the body, its read set) for a context
+        quantifier, lazily; each instantiated body has per-node memos of its
+        own."""
         inst, slots, path = env
         for instance in enumerate_instances(
             sig,
@@ -214,18 +232,25 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             bounds.pool_nominals,
         ):
             body = open_ctx(g.body, instance)
-            yield instance, ev(body, (inst, slots, ((g, instance, body),) + path), {})
+            yield instance, *ev(body, (inst, slots, ((g, instance, body),) + path), {})
 
     def holds(g, env, nodes):
-        """The first failing judgement of an atom, or None if they hold.  The
-        memos keep trace lines: an LFError holds the frames of what it wraps."""
+        """The first failing judgement of an atom, or None if they hold, and
+        the read set of the judgement that decided it.  The memos keep trace
+        lines: an LFError holds the frames of what it wraps."""
         rec = nodes.get(id(g))
         if rec is None:
             in_ctx = set().union(*(_dangling(t) for _, t in g.ctx.bindings))
             in_ty = in_ctx | _dangling(g.ty)
-            refs = (in_ctx, in_ty, _dangling(g.term))
-            rec = nodes[id(g)] = (g, *map(tuple, refs), {}, {})
-        _, in_ctx, in_ty, in_term, ctx_memo, ty_memo = rec
+            in_term = _dangling(g.term)
+            # the read sets of a verdict decided by the context, the type
+            # and the term judgement
+            reads = tuple(
+                sum(1 << i for i in refs) for refs in (in_ctx, in_ty, in_ty | in_term)
+            )
+            refs = map(tuple, (in_ctx, in_ty, in_term))
+            rec = nodes[id(g)] = (g, *refs, reads, {}, {})
+        _, in_ctx, in_ty, in_term, reads, ctx_memo, ty_memo = rec
         inst, slots, _ = env
         key = tuple(slots[i] for i in in_ctx)
         hit = ctx_memo.get(key)
@@ -236,7 +261,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             hit = ctx_memo[key] = (lctx, _line(_fails(check_context, sig, lctx)))
         lctx, failure = hit
         if failure is not None:
-            return failure
+            return failure, reads[0]
         key = tuple(slots[i] for i in in_ty)
         hit = ty_memo.get(key)
         if hit is None:
@@ -244,84 +269,99 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             hit = ty_memo[key] = (ty, _line(_fails(check_type, sig, lctx, ty)))
         ty, failure = hit
         if failure is not None:
-            return failure
-        return _fails(check_term, sig, lctx, _close(g.term, inst, in_term), ty)
+            return failure, reads[1]
+        term = _close(g.term, inst, in_term)
+        return _fails(check_term, sig, lctx, term, ty), reads[2]
 
-    def ev(g: Formula, env: tuple, nodes: dict) -> Verdict3:
+    def ev(g: Formula, env: tuple, nodes: dict) -> tuple[Verdict3, int]:
         # env: three tuples, innermost first: the (term, arity) of each
         # enclosing term quantifier, which `_subst` puts in for an atom's
         # dangling indices; the memo slot of each; and the path of
-        # enclosing quantifiers that a trace line names `g` by.
+        # enclosing quantifiers that a trace line names `g` by.  Returns
+        # the verdict and its read set.
         match g:
             case Holds(ctx):
                 if ctx.head is not None:
                     raise ValueError("bounded_validity needs a closed formula")
-                failure = holds(g, env, nodes)
+                failure, reads = holds(g, env, nodes)
                 if failure is not None:
-                    return Verdict3(INVALID, (failure,))
-                return Verdict3(VALID)
+                    return Verdict3(INVALID, (failure,)), reads
+                return Verdict3(VALID), reads
             case Top():
-                return Verdict3(VALID)
+                return Verdict3(VALID), 0
             case Bot():
-                return Verdict3(INVALID)
+                return Verdict3(INVALID), 0
             case Conj(l, r):
-                vl = ev(l, env, nodes)
+                vl, reads = ev(l, env, nodes)
                 if vl.value == INVALID:
-                    return Verdict3(INVALID, vl.trace)
-                vr = ev(r, env, nodes)
+                    return Verdict3(INVALID, vl.trace), reads
+                vr, rr = ev(r, env, nodes)
+                reads |= rr
                 if vr.value == INVALID:
-                    return Verdict3(INVALID, vr.trace)
+                    return Verdict3(INVALID, vr.trace), reads
                 if vl.value == VALID and vr.value == VALID:
-                    return Verdict3(VALID)
-                return Verdict3(UNKNOWN, vl.trace + vr.trace)
+                    return Verdict3(VALID), reads
+                return Verdict3(UNKNOWN, vl.trace + vr.trace), reads
             case Disj(l, r):
-                vl = ev(l, env, nodes)
+                vl, reads = ev(l, env, nodes)
                 if vl.value == VALID:
-                    return Verdict3(VALID)
-                vr = ev(r, env, nodes)
+                    return Verdict3(VALID), reads
+                vr, rr = ev(r, env, nodes)
+                reads |= rr
                 if vr.value == VALID:
-                    return Verdict3(VALID)
+                    return Verdict3(VALID), reads
                 if vl.value == INVALID and vr.value == INVALID:
-                    return Verdict3(INVALID, vl.trace + vr.trace)
-                return Verdict3(UNKNOWN)
+                    return Verdict3(INVALID, vl.trace + vr.trace), reads
+                return Verdict3(UNKNOWN), reads
             case Imp(l, r):
-                vl = ev(l, env, nodes)
+                vl, reads = ev(l, env, nodes)
                 if vl.value == INVALID:
-                    return Verdict3(VALID)
-                vr = ev(r, env, nodes)
+                    return Verdict3(VALID), reads
+                vr, rr = ev(r, env, nodes)
+                reads |= rr
                 if vr.value == VALID:
-                    return Verdict3(VALID)
+                    return Verdict3(VALID), reads
                 if vl.value == VALID and vr.value == INVALID:
-                    return Verdict3(INVALID, vr.trace)
-                return Verdict3(UNKNOWN)
+                    return Verdict3(INVALID, vr.trace), reads
+                return Verdict3(UNKNOWN), reads
             case ForallTm():
                 saw_unknown = False
-                for t, sub in by_term(g, env, nodes):
+                reads = 0
+                for t, sub, r in by_term(g, env, nodes):
+                    reads |= r
                     if sub.value == INVALID:
-                        return Verdict3(
-                            INVALID, (("counterexample", f, env[2], g, t),) + sub.trace
-                        )
+                        trace = (("counterexample", f, env[2], g, t),) + sub.trace
+                        return Verdict3(INVALID, trace), reads >> 1
                     if sub.value == UNKNOWN:
                         saw_unknown = True
+                    if not r & 1:
+                        break
                 note = (
                     "universal range undecided within bounds"
                     if saw_unknown
                     else "universal valid at bound; domain is unbounded"
                 )
-                return Verdict3(UNKNOWN, (note,))
+                return Verdict3(UNKNOWN, (note,)), reads >> 1
             case ExistsTm():
-                for t, sub in by_term(g, env, nodes):
+                reads = 0
+                for t, sub, r in by_term(g, env, nodes):
+                    reads |= r
                     if sub.value == VALID:
-                        return Verdict3(VALID, (("witness", f, env[2], g, t),))
-                return Verdict3(UNKNOWN, ("existential pool exhausted",))
+                        trace = (("witness", f, env[2], g, t),)
+                        return Verdict3(VALID, trace), reads >> 1
+                    if not r & 1:
+                        break
+                return Verdict3(UNKNOWN, ("existential pool exhausted",)), reads >> 1
             case ForallCtx(v):
                 saw_unknown = False
-                for g_inst, sub in by_instance(g, env):
+                reads = 0
+                for g_inst, sub, r in by_instance(g, env):
+                    reads |= r
                     if sub.value == INVALID:
                         return Verdict3(
                             INVALID,
                             (f"counterexample {v} = {g_inst!r}",) + sub.trace,
-                        )
+                        ), reads
                     if sub.value == UNKNOWN:
                         saw_unknown = True
                 note = (
@@ -329,11 +369,11 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                     if saw_unknown
                     else "context quantifier valid at bound; domain is unbounded"
                 )
-                return Verdict3(UNKNOWN, (note,))
+                return Verdict3(UNKNOWN, (note,)), reads
         raise TypeError(f"not a formula: {g!r}")
 
     try:
-        verdict = ev(f, ((), (), ()), memo)
+        verdict, _ = ev(f, ((), (), ()), memo)
     finally:
         # ev is a closure over itself, so the memos would otherwise outlive
         # the call until the next cycle collection.

@@ -444,6 +444,82 @@ def test_judgements_checked_do_not_depend_on_hints(sig_size, monkeypatch):
     assert counts[0] == counts[1]
 
 
+# Formulas on which a term quantifier stops early, because a body's verdict
+# did not read its variable, with the trace each gives at Bounds(3, 2).
+LAM_X1 = "Atom(head='lam', args=(Lam(var='x1', body=Atom(head=BVar(index=0), args=())),))"
+PLUS_Z = "Atom(head='plus-z', args=(Atom(head='z', args=()),))"
+NOT_NAT = (
+    "judgement fails: synthesized AtomicType(head='plus', args=(Atom(head='z', args=()), "
+    "Atom(head='z', args=()), Atom(head='z', args=()))), expected AtomicType(head='nat', args=())"
+)
+TM_NOT_NAT = (
+    "judgement fails: synthesized AtomicType(head='tm', args=()), expected AtomicType(head='nat', args=())"
+)
+SKIPPED = {
+    # the first body is Unknown without reading N: the universal must still
+    # note that its range was undecided
+    "forall N : o. forall M : o. { |- M : nat } => tt": (
+        "universal range undecided within bounds",
+    ),
+    # existentials whose bodies read only the outer index
+    "forall N : o. exists M : o. { |- N : nat }": (
+        "universal range undecided within bounds",
+    ),
+    "exists N : o. exists M : o. { |- N : tm }": (f"witness N = {LAM_X1}",),
+    # unreferenced binders of arity o -> o
+    "forall F : o -> o. exists N : o. { |- N : nat }": (
+        "universal valid at bound; domain is unbounded",
+    ),
+    "exists F : o -> o. { |- z : tm }": ("existential pool exhausted",),
+    # the left side fails whatever M is until N is a tm; then M is read
+    "forall N : o. forall M : o. { |- N : tm } => { |- M : nat }": (
+        f"counterexample N = {LAM_X1}", f"counterexample M = {PLUS_Z}", NOT_NAT,
+    ),
+    # a failing context or type reads the variables it mentions: the left
+    # side fails until N is a tm, so N must not stop at z
+    "forall N : o. { n1 : size N z |- z : nat } => { |- N : nat }": (
+        f"counterexample N = {LAM_X1}", TM_NOT_NAT,
+    ),
+    "forall N : o. { |- [y] y : {y : size N z} size N z } => { |- N : nat }": (
+        f"counterexample N = {LAM_X1}", TM_NOT_NAT,
+    ),
+    # term quantifiers around and under a context quantifier whose bodies
+    # read no term variable
+    "forall N : o. ctx G : Csize. { G |- z : nat }": (
+        "universal range undecided within bounds",
+    ),
+    "ctx G : Csize. forall N : o. { G |- z : nat }": (
+        "context range undecided within bounds",
+    ),
+    "ctx G : Csize. forall N : o. { G |- z : nat } /\\ { G |- N : nat }": (
+        "counterexample G = CtxExpr(head=None, bindings=())", f"counterexample N = {PLUS_Z}", NOT_NAT,
+    ),
+}
+
+
+def test_matches_plain_where_a_quantifier_stops_early(sig_size, schemas_size):
+    for text, trace in SKIPPED.items():
+        f = parse_formula(text, schemas_size)
+        assert_same(sig_size, f, Bounds(2, 1))
+        assert assert_same(sig_size, f, Bounds(3, 2)).trace == trace, text
+
+
+def test_quantifiers_stop_where_the_body_does_not_read_them(
+    sig_size, plus_closed, monkeypatch
+):
+    # On plus, `exists D. {|- D : plus N1 N2 N3}` fails at its type judgement
+    # for every D when `plus N1 N2 N3` is ill-formed; the evaluator that
+    # tries every D makes 359 term judgements at Bounds(3, 1).
+    calls = Counter()
+    check = oracle.check_term
+    monkeypatch.setattr(
+        oracle, "check_term", lambda *args: calls.update(["check_term"]) or check(*args)
+    )
+    verdict = bounded_validity(sig_size, plus_closed, Bounds(3, 1))
+    assert calls["check_term"] < 359
+    assert verdict == plain_validity(sig_size, plus_closed, Bounds(3, 1))
+
+
 def test_matches_plain_with_shadowed_binders(sig_size):
     inner = quantify(ForallTm, "N", O, Holds(ce(), a("N"), at("nat")))
     f = quantify(ExistsTm, "N", O, Conj(Holds(ce(), a("N"), at("tm")), inner))
@@ -480,3 +556,16 @@ def test_matches_plain_on_random_formulas(size, seeds, sig_size, schemas_size):
     for seed in range(seeds):
         f = random_formula(random.Random(seed), schemas_size)
         assert_same(sig_size, f, Bounds(size, 1))
+
+
+@pytest.mark.parametrize("schema", ["Cof", "Cmix"])
+@pytest.mark.parametrize("blocks, seeds", [(1, 200), (2, 20)])
+def test_matches_plain_on_random_formulas_over_parameterised_schemas(
+    schema, blocks, seeds, sig_stlc, schemas_stlc
+):
+    # A block parameter `T : o` ranges over the whole pool, so most
+    # instances are ill-formed, and every atom under them fails at its
+    # context; every instance is evaluated at term size 2.
+    for seed in range(seeds):
+        f = random_formula(random.Random(seed), schemas_stlc, schema=schema)
+        assert_same(sig_stlc, f, Bounds(2, blocks))

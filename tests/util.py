@@ -73,17 +73,19 @@ def ce(*bindings, head=None):
 
 
 # ---------------------------------------------------------------------------
-# Random closed, arity-correct formulas over the size signature.  Names
-# include constants (z, s) and the pool's own binder name (x1), so that
-# quantifiers named like a pool term's constants are exercised too.
+# Random closed, arity-correct formulas over the size signature, or the stlc
+# signature that extends it.  Names include constants (z, s) and the pool's
+# own binder name (x1), so that quantifiers named like a pool term's
+# constants are exercised too.
 
 NAMES = ("N", "M", "z", "s", "x1")
 
 
-def random_formula(rng, schemas, ctx_var=None, depth=4):
+def random_formula(rng, schemas, ctx_var=None, depth=4, schema="Csize"):
     """A seeded random formula whose atoms are headed by `ctx_var` or, under
-    a context quantifier, by the `Csize` variable `G` it binds."""
-    return _formula(rng, {}, ctx_var, depth, schemas["Csize"])
+    a context quantifier, by the variable `G` it binds, which ranges over
+    `schemas[schema]`."""
+    return _formula(rng, {}, ctx_var, depth, (schema, schemas[schema]))
 
 
 def _term(rng, scope, depth):
@@ -134,6 +136,7 @@ def _atom(rng, scope, ctx_var):
 
 
 def _formula(rng, scope, ctx_var, depth, schema):
+    # schema: the (name, schema) a context quantifier ranges over
     if depth == 0:
         return rng.choice((lambda: _atom(rng, scope, ctx_var), Top, Bot))()
 
@@ -151,5 +154,5 @@ def _formula(rng, scope, ctx_var, depth, schema):
         lambda: Disj(sub(), sub()),
         lambda: quantified(ForallTm),
         lambda: quantified(ExistsTm),
-        lambda: quantify(ForallCtx, "G", schema, sub(scope, "G"), "Csize"),
+        lambda: quantify(ForallCtx, "G", schema[1], sub(scope, "G"), schema[0]),
     ))()
