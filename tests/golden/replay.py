@@ -10,6 +10,9 @@ outcome of parsing each (`ok`, or the error's class and message, whose
 seeded random formulas (`tests/util.py`) over the size fixtures: the
 printed text of each, the text printed after parsing it back, and the
 outcome of `check_formula` and of `bounded_validity` at two bounds.
+`texts.json` lists seeded edits of type and term texts with the outcome of
+`parse_type_text` or `parse_term_text` on each, with and without a context
+whose nominals they resolve against.
 Stdlib only, so it runs on interpreters without pytest:
 
     PYTHONPATH=src python tests/golden/replay.py            # replay
@@ -31,23 +34,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "tests"))
 
-from lfport import Bounds, bounded_validity, check_formula  # noqa: E402
+from lfport import Arrow, Bounds, O, TermDecl, bounded_validity, check_formula  # noqa: E402
 from lfport.cli import main  # noqa: E402
+from lfport.lf import erase, nominals_in  # noqa: E402
 from lfport.parse import (  # noqa: E402
     parse_context,
     parse_formula,
     parse_schemas,
     parse_signature,
+    parse_term_text,
+    parse_type_text,
 )
-from lfport.pretty import fmt_formula  # noqa: E402
+from lfport.pretty import block_scope, fmt_formula, fmt_term, fmt_type  # noqa: E402
+from lfport.schema import term_pool  # noqa: E402
 from util import random_formula  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "cli.json"
 PARSE_GOLDEN = Path(__file__).resolve().parent / "parse_errors.json"
 FORMULA_GOLDEN = Path(__file__).resolve().parent / "formulas.json"
+TEXT_GOLDEN = Path(__file__).resolve().parent / "texts.json"
 EDITS_PER_FILE = 30
 EDIT_CHARS = "!%\n\t .:,(){}[]|->=a1'"
 FORMULAS = 3000
+EDITS_PER_TEXT = 12
 
 
 def run(argv: list[str]) -> dict:
@@ -78,6 +87,22 @@ def mismatches() -> list[str]:
     ]
 
 
+def _edits(rng: random.Random, text: str, count: int):
+    """`count` seeded edits of `text`: a truncation, or a character
+    replaced, deleted or inserted; each with its description."""
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(EDIT_CHARS)
+        op = rng.choice(("truncate", "replace", "delete", "insert"))
+        edited = {
+            "truncate": text[:i],
+            "replace": text[:i] + c + text[i + 1 :],
+            "delete": text[:i] + text[i + 1 :],
+            "insert": text[:i] + c + text[i:],
+        }[op]
+        yield f"{op} {i}" + (f" {c!r}" if op in ("replace", "insert") else ""), edited
+
+
 def parse_outcomes() -> list[list[str]]:
     """[file, edit, outcome, message] for `EDITS_PER_FILE` seeded edits of
     each fixture file: a truncation, or a character replaced, deleted or
@@ -97,17 +122,7 @@ def parse_outcomes() -> list[list[str]]:
     out = []
     for path in sorted(fixtures.iterdir()):
         text = path.read_text(encoding="utf-8")
-        for _ in range(EDITS_PER_FILE):
-            i = rng.randrange(len(text) + 1)
-            c = rng.choice(EDIT_CHARS)
-            op = rng.choice(("truncate", "replace", "delete", "insert"))
-            edited = {
-                "truncate": text[:i],
-                "replace": text[:i] + c + text[i + 1 :],
-                "delete": text[:i] + text[i + 1 :],
-                "insert": text[:i] + c + text[i:],
-            }[op]
-            edit = f"{op} {i}" + (f" {c!r}" if op in ("replace", "insert") else "")
+        for edit, edited in _edits(rng, text, EDITS_PER_FILE):
             try:
                 parsers[path.suffix](edited)
                 outcome = ["ok", ""]
@@ -119,6 +134,52 @@ def parse_outcomes() -> list[list[str]]:
 
 def load_parse_outcomes() -> list[list[str]]:
     return json.loads(PARSE_GOLDEN.read_text(encoding="utf-8"))
+
+
+def text_outcomes() -> list[list]:
+    """[parser, text, edit, outcome without a context, outcome with one]
+    for the unedited text and `EDITS_PER_TEXT` seeded edits of each type
+    and term text: the README's `size n1 (s z)`, the declared types of
+    `sig_stlc.lf` and the block declaration types of `schemas_stlc.sch` as
+    printed, and a sample of the printed terms of the signature's pools of
+    arity `o` and `o -> o` with the context's nominals as heads.  The
+    context is `ctx_size.lfc` with `n3 : tm -> tm` added, so a nominal it
+    binds resolves to another arity than an unbound one.  An outcome is the
+    tree and the arity of each nominal in it, or the error's class and
+    message."""
+    fixtures = ROOT / "fixtures"
+    sig = parse_signature((fixtures / "sig_stlc.lf").read_text(encoding="utf-8"))
+    schemas = parse_schemas((fixtures / "schemas_stlc.sch").read_text(encoding="utf-8"))
+    ce = parse_context((fixtures / "ctx_size.lfc").read_text(encoding="utf-8") + ", n3 : tm -> tm")
+    types = ["size n1 (s z)"]
+    types += [fmt_type(d.type) for d in sig.decls if isinstance(d, TermDecl)]
+    for cs in schemas.values():
+        for block in cs.blocks:
+            types += [fmt_type(ty, block_scope(block)) for _, ty in block.decl]
+    extra = tuple((n, erase(ty)) for n, ty in ce.bindings)
+    terms = [fmt_term(t) for t in term_pool(sig, O, 3, extra_heads=extra)[::8]]
+    terms += [fmt_term(t) for t in term_pool(sig, Arrow(O, O), 3, extra_heads=extra)[::5]]
+    rng = random.Random(13)
+    out = []
+    for name, parser, texts in (
+        ("type", parse_type_text, types),
+        ("term", parse_term_text, terms),
+    ):
+        for text in dict.fromkeys(texts):
+            for edit, edited in [("none", text), *_edits(rng, text, EDITS_PER_TEXT)]:
+                row = [name, text, edit]
+                for context in (None, ce):
+                    tree = _outcome(lambda: parser(edited, context))
+                    if not isinstance(tree, list):
+                        arities = sorted(f"{n!r} : {n.arity!r}" for n in nominals_in(tree))
+                        tree = [repr(tree), arities]
+                    row.append(tree)
+                out.append(row)
+    return out
+
+
+def load_text_outcomes() -> list[list]:
+    return json.loads(TEXT_GOLDEN.read_text(encoding="utf-8"))
 
 
 def _outcome(call):
@@ -161,6 +222,8 @@ def record() -> None:
     PARSE_GOLDEN.write_text(json.dumps(parse_outcomes(), indent=1) + "\n", encoding="utf-8")
     rows = ",\n".join(map(json.dumps, formula_outcomes()))  # one formula a line
     FORMULA_GOLDEN.write_text(f"[\n{rows}\n]\n", encoding="utf-8")
+    rows = ",\n".join(map(json.dumps, text_outcomes()))  # one text a line
+    TEXT_GOLDEN.write_text(f"[\n{rows}\n]\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -176,4 +239,6 @@ if __name__ == "__main__":
     print(f"parse outcomes {'match' if parsed else 'differ'}")
     formulas = formula_outcomes() == load_formula_outcomes()
     print(f"random formula outcomes {'match' if formulas else 'differ'}")
-    sys.exit(1 if bad or not parsed or not formulas else 0)
+    texts = text_outcomes() == load_text_outcomes()
+    print(f"type and term text outcomes {'match' if texts else 'differ'}")
+    sys.exit(1 if bad or not parsed or not formulas or not texts else 0)

@@ -12,7 +12,9 @@ quantifiers shadow, rebind the context variable or are named like a
 constant.  `tests/golden/parse_errors.json` holds the parse outcome of
 seeded edits of every fixture file, and `tests/golden/formulas.json` the
 printed text, reprinted text, check outcome and bounded validity of
-seeded random formulas.
+seeded random formulas.  `tests/golden/texts.json` holds the outcome of
+`parse_type_text` and `parse_term_text` on seeded edits of type and term
+texts, which the command line reaches only through `minimize --type`.
 `tests/golden/replay.py` replays them (and re-records them when an output
 change is intended).
 """
@@ -35,6 +37,12 @@ def test_random_formula_outcomes_are_unchanged():
     want = replay.load_formula_outcomes()
     assert len(want) == replay.FORMULAS
     assert replay.formula_outcomes() == want
+
+
+def test_type_and_term_text_outcomes_are_unchanged():
+    want = replay.load_text_outcomes()
+    assert len(want) == 442
+    assert replay.text_outcomes() == want
 
 
 def test_rebinding_the_context_variable_transports_like_its_alpha_variant():
