@@ -30,8 +30,8 @@ from .parse import (
     parse_signature,
     parse_type_text,
 )
-from .pretty import block_scope, fmt_certificate, fmt_head, fmt_type
-from .schema import ContextSchema, CtxExpr, check_schema, schema_instance
+from .pretty import fmt_certificate, fmt_head, fmt_type
+from .schema import ContextSchema, CtxExpr, block_scope, check_schema, schema_instance
 from .subord import SubordRel, compute_subordination, minimize
 from .subsume import (
     SubsumptionFailure,
@@ -96,11 +96,7 @@ def _load_open_formula(ws: Workspace, path: str, var: str, source_name: str) -> 
 
 
 def _cmd_check(args) -> int:
-    try:
-        sig = parse_signature(_read(args.signature))
-    except (ParseError, InputError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    sig = parse_signature(_read(args.signature))
     try:
         check_signature(sig)
     except LFError as err:

@@ -252,9 +252,6 @@ class Signature:
     def type_of(self, name: str) -> Optional[TypeExpr]:
         return self._types.get(name)
 
-    def type_constants(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.decls if isinstance(d, TypeDecl))
-
     def arity_context(self) -> "ArityContext":
         """The erased view of the signature (term constant arities plus the
         argument arities of each type constant), shared read-only by every

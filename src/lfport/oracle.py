@@ -31,7 +31,6 @@ trace keeps (see `_shown`), so the names take no part in evaluation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,7 +60,6 @@ from .lf import (
     Nominal,
     O,
     Signature,
-    TypeDecl,
     _dangling,
     _subst,
     check_context,
@@ -70,13 +68,12 @@ from .lf import (
     erase,
     free_vars,
     fresh_name,
-    kind_arg_arities,
+    fresh_nominal,
 )
 from .schema import (
     ContextSchema,
-    _compositions,
+    _spines,
     enumerate_instances,
-    min_term_size,
     schema_instance,
     term_pool,
     term_pool_exact,
@@ -458,42 +455,27 @@ def _line(x):
 # Bounded-context enumeration used by the minimization harness.
 
 
-def _ok(thunk) -> bool:
-    try:
-        thunk()
-        return True
-    except LFError:
-        return False
-
-
 def candidate_types(sig, ctx: LFContext, size_max: int, cap: int | None = None):
     """Atomic types over the signature's type constants with spine terms
     from the bounded pool (context nominals usable as heads).  Arity-correct
-    but not necessarily well-formed; ordered by constant then size."""
+    but not necessarily well-formed; ordered by constant then size.  `cap`
+    ends the list at an applied type only."""
     extra = tuple(
         (binder, erase(ty))
         for binder, ty in ctx.bindings
         if isinstance(binder, Nominal)
     )
+    pool = lambda ar, s: term_pool_exact(sig, ar, s, extra_heads=extra)
     out = []
-    for d in sig.decls:
-        if not isinstance(d, TypeDecl):
-            continue
-        arg_ars = kind_arg_arities(d.kind)
+    for name, arg_ars in sig.arity_context().type_args.items():
         if not arg_ars:
-            out.append(AtomicType(d.name))
+            out.append(AtomicType(name))
             continue
-        mins = [min_term_size(a) for a in arg_ars]
-        for total in range(sum(mins), size_max):
-            for split in _compositions(total, mins):
-                pools = [
-                    term_pool_exact(sig, ar, s, extra_heads=extra)
-                    for ar, s in zip(arg_ars, split)
-                ]
-                for combo in itertools.product(*pools):
-                    out.append(AtomicType(d.name, combo))
-                    if cap is not None and len(out) >= cap:
-                        return out
+        for total in range(size_max):
+            for spine in _spines(arg_ars, total, pool):
+                out.append(AtomicType(name, spine))
+                if cap is not None and len(out) >= cap:
+                    return out
     return out
 
 
@@ -511,18 +493,14 @@ def enumerate_lf_contexts(
     for _ in range(max_bindings):
         nxt = []
         for ctx in frontier:
-            used = [
-                b.index
-                for b, _ in ctx.bindings
-                if isinstance(b, Nominal) and b.arity == O
-            ]
+            # every binder is a nominal this loop chose
+            nom = fresh_nominal(O, (b for b, _ in ctx.bindings))
             step = 0
             for ty in candidate_types(sig, ctx, size_max):
                 if step >= per_step:
                     break
-                if not _ok(lambda: check_type(sig, ctx, ty)):
+                if _fails(check_type, sig, ctx, ty) is not None:
                     continue
-                nom = Nominal(O, max(used, default=0) + 1)
                 nxt.append(ctx.extend(nom, ty))
                 step += 1
                 if len(out) + len(nxt) >= total_cap:
@@ -556,11 +534,11 @@ def verify_minimization(
             identity = reduced == ctx
             report.record(
                 "minimized context well-formed",
-                identity or _ok(lambda: check_context(sig, reduced)),
+                identity or _fails(check_context, sig, reduced) is None,
                 where,
             )
-            ok_full = _ok(lambda: check_type(sig, ctx, ty))
-            ok_min = ok_full if identity else _ok(lambda: check_type(sig, reduced, ty))
+            ok_full = _fails(check_type, sig, ctx, ty) is None
+            ok_min = ok_full if identity else _fails(check_type, sig, reduced, ty) is None
             report.record(
                 "type formation agrees under minimization",
                 ok_full == ok_min,
@@ -574,8 +552,8 @@ def verify_minimization(
                 )
                 continue
             for m in terms:
-                t_full = _ok(lambda: check_term(sig, ctx, m, ty))
-                t_min = _ok(lambda: check_term(sig, reduced, m, ty))
+                t_full = _fails(check_term, sig, ctx, m, ty) is None
+                t_min = _fails(check_term, sig, reduced, m, ty) is None
                 report.record(
                     "term checking agrees under minimization",
                     t_full == t_min,
@@ -614,7 +592,7 @@ def verify_transport(
             bounds.term_size_max,
             bounds.pool_nominals,
         )
-        if _ok(lambda: check_context(sig, LFContext(g.bindings)))
+        if _fails(check_context, sig, LFContext(g.bindings)) is None
     ]
     validity_cache: dict = {}
 
@@ -634,7 +612,7 @@ def verify_transport(
         )
         report.record(
             "witness context well-formed",
-            _ok(lambda: check_context(sig, LFContext(g_small.bindings))),
+            _fails(check_context, sig, LFContext(g_small.bindings)) is None,
             where,
         )
         report.record(

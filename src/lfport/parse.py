@@ -337,11 +337,21 @@ def _parse_block(p: _Parser) -> BlockSchema:
     return BlockSchema(tuple(params), tuple(decls))
 
 
-def parse_formula(text: str, schemas: Mapping[str, ContextSchema]) -> Formula:
+def _parse_whole(text: str, parse, ce: Optional[CtxExpr] = None):
+    """The parser of `text` in formula syntax, with the nominals `ce` binds
+    in scope, and what `parse` reads with it, which must be all of `text`."""
     p = _Parser(text, nominal_mode=True)
-    f = _parse_formula(p, schemas)
+    if ce is not None:
+        for n, _ in ce.bindings:
+            p.nominals[f"n{n.index}"] = n
+    out = parse(p)
     if p.peek():
         p.fail(f"unexpected trailing input {p.peek()!r}")
+    return p, out
+
+
+def parse_formula(text: str, schemas: Mapping[str, ContextSchema]) -> Formula:
+    _, f = _parse_whole(text, lambda p: _parse_formula(p, schemas))
     return _choose_hints(f, frozenset(), frozenset())
 
 
@@ -451,7 +461,14 @@ def _parse_binding_tail(p: _Parser, name: str) -> tuple[Nominal, TypeExpr]:
 
 def parse_context(text: str) -> CtxExpr:
     """A standalone context file: comma-separated nominal bindings."""
-    p = _Parser(text, nominal_mode=True)
+    p, bindings = _parse_whole(text, _parse_bindings)
+    try:
+        return CtxExpr(None, tuple(bindings))
+    except ValueError as err:
+        p.fail(str(err))
+
+
+def _parse_bindings(p: _Parser) -> list[tuple[Nominal, TypeExpr]]:
     bindings = []
     if p.peek():
         while True:
@@ -463,32 +480,13 @@ def parse_context(text: str) -> CtxExpr:
                 p.next()
                 continue
             break
-        if p.peek():
-            p.fail(f"unexpected trailing input {p.peek()!r}")
-    try:
-        return CtxExpr(None, tuple(bindings))
-    except ValueError as err:
-        p.fail(str(err))
+    return bindings
 
 
 def parse_type_text(text: str, ce: Optional[CtxExpr] = None) -> TypeExpr:
     """A standalone type, resolving nominal names against `ce`'s bindings."""
-    p = _Parser(text, nominal_mode=True)
-    if ce is not None:
-        for n, _ in ce.bindings:
-            p.nominals[f"n{n.index}"] = n
-    ty = p.type_expr()
-    if p.peek():
-        p.fail(f"unexpected trailing input {p.peek()!r}")
-    return ty
+    return _parse_whole(text, _Parser.type_expr, ce)[1]
 
 
 def parse_term_text(text: str, ce: Optional[CtxExpr] = None) -> Term:
-    p = _Parser(text, nominal_mode=True)
-    if ce is not None:
-        for n, _ in ce.bindings:
-            p.nominals[f"n{n.index}"] = n
-    t = p.term()
-    if p.peek():
-        p.fail(f"unexpected trailing input {p.peek()!r}")
-    return t
+    return _parse_whole(text, _Parser.term, ce)[1]

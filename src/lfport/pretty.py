@@ -50,7 +50,7 @@ from .lf import (
     fresh_name,
     names_in,
 )
-from .schema import BlockSchema, ContextSchema, CtxExpr
+from .schema import BlockSchema, ContextSchema, CtxExpr, block_scope
 
 
 def fmt_arity(a: Arity) -> str:
@@ -149,11 +149,6 @@ def fmt_ctx(ce: CtxExpr, scope: tuple = (), cscope: tuple = ()) -> str:
         parts.append(fmt_head(ce.head, cscope))
     parts.extend(f"{fmt_head(n)} : {fmt_type(t, scope)}" for n, t in ce.bindings)
     return ", ".join(parts)
-
-
-def block_scope(b: BlockSchema) -> tuple:
-    """The names a block binds: its parameters and declaration variables."""
-    return tuple(v for v, _ in b.params) + tuple(y for y, _ in b.decl)
 
 
 def fmt_block(b: BlockSchema) -> str:

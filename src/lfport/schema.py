@@ -30,7 +30,6 @@ from .lf import (
     PiType,
     Signature,
     Term,
-    TermDecl,
     TypeExpr,
     _map_heads,
     _nodes,
@@ -65,6 +64,11 @@ class PoolEmpty(LFError):
 class BlockSchema:
     params: tuple[tuple[str, Arity], ...]
     decl: tuple[tuple[str, TypeExpr], ...]
+
+
+def block_scope(b: BlockSchema) -> tuple[str, ...]:
+    """The names a block binds: its parameters and declaration variables."""
+    return tuple(v for v, _ in b.params) + tuple(y for y, _ in b.decl)
 
 
 @dataclass(frozen=True)
@@ -113,25 +117,33 @@ def check_schema(sig: Signature, cs: ContextSchema) -> None:
 
 
 def _check_patterns(e, params, earlier) -> None:
-    """Raise NonPatternSchema unless every parameter occurrence in `e` is
-    applied to distinct bare variables: local binders, earlier declaration
-    variables of the block (`earlier`) or nominals.  These are exactly the
-    spines `_solve_param` accepts, checked in its order."""
+    """Raise NonPatternSchema unless every parameter occurrence in `e` has
+    a pattern spine (`_pattern_spine`); earlier declaration variables of
+    the block (`earlier`) count as variables, since matching replaces them
+    with nominals."""
     for n in _nodes(e):
-        if not (isinstance(n, Atom) and n.head in params):
-            continue
-        for arg in n.args:
-            if not isinstance(arg, Atom) or arg.args:
-                raise NonPatternSchema(
-                    f"parameter {n.head} applied to a non-variable argument"
-                )
-            x = arg.head
-            if not (isinstance(x, (Nominal, BVar)) or x in earlier):
-                raise NonPatternSchema(
-                    f"parameter {n.head} applied to the free name {x}"
-                )
-        if len({arg.head for arg in n.args}) != len(n.args):
-            raise NonPatternSchema(f"parameter {n.head} applied to repeated arguments")
+        if isinstance(n, Atom) and n.head in params:
+            _pattern_spine(n.head, n.args, earlier)
+
+
+def _pattern_spine(param, spine, earlier=()) -> dict:
+    """The position of each argument of `spine`, keyed by its head.  Raise
+    NonPatternSchema unless the arguments are distinct bare variables:
+    local binders, nominals or names in `earlier`."""
+    positions: dict = {}
+    for arg in spine:
+        if not isinstance(arg, Atom) or arg.args:
+            raise NonPatternSchema(
+                f"parameter {param} applied to a non-variable argument"
+            )
+        if not (isinstance(arg.head, (Nominal, BVar)) or arg.head in earlier):
+            raise NonPatternSchema(
+                f"parameter {param} applied to the free name {arg.head}"
+            )
+        positions.setdefault(arg.head, len(positions))
+    if len(positions) != len(spine):
+        raise NonPatternSchema(f"parameter {param} applied to repeated arguments")
+    return positions
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +225,9 @@ def _match_term(pat, tgt, params, solution) -> bool:
 
 
 def _solve_param(param, spine, tgt, solution) -> bool:
-    # Spine arguments must be distinct nominals or bound variables; the
-    # solution abstracts their images in `tgt`, and fails if `tgt` mentions
-    # any other variable bound outside it.
-    images: dict = {}
-    for arg in spine:
-        if not isinstance(arg, Atom) or arg.args:
-            raise NonPatternSchema(
-                f"parameter {param} applied to a non-variable argument"
-            )
-        if not isinstance(arg.head, (Nominal, BVar)):
-            raise NonPatternSchema(
-                f"parameter {param} applied to the free name {arg.head}"
-            )
-        images.setdefault(arg.head, len(images))
-    if len(images) != len(spine):
-        raise NonPatternSchema(f"parameter {param} applied to repeated arguments")
+    # The solution abstracts the images of the spine's variables in `tgt`,
+    # and fails if `tgt` mentions any other variable bound outside it.
+    images = _pattern_spine(param, spine)
     n = len(spine)
     captured = False
 
@@ -318,13 +317,11 @@ def _pool_heads(
     nominals: int,
     extra_heads: Iterable[tuple[Head, Arity]],
 ) -> tuple[tuple[Head, Arity], ...]:
-    heads: list[tuple[Head, Arity]] = [
-        (d.name, erase(d.type)) for d in sig.decls if isinstance(d, TermDecl)
-    ]
-    heads.extend(extra_heads)
-    for k in range(1, nominals + 1):
-        heads.append((Nominal(O, k), O))
-    return tuple(heads)
+    return (
+        *sig.arity_context().terms.items(),
+        *extra_heads,
+        *((Nominal(O, k), O) for k in range(1, nominals + 1)),
+    )
 
 
 def term_pool(
@@ -379,34 +376,28 @@ def _pool_exact(heads, arity, size, scope) -> tuple[Term, ...]:
                 out.append(Lam(var, body))
     else:
         bound = [(BVar(len(scope) - 1 - i), ar) for i, ar in enumerate(scope)]
-        candidates = list(heads) + bound
-        for head, har in candidates:
-            want = arity_args(har)
-            need = size - 1
-            if not want:
-                if need == 0:
-                    out.append(Atom(head))
-                continue
-            mins = [min_term_size(a) for a in want]
-            if sum(mins) > need:
-                continue
-            for split in _compositions(need, mins):
-                for combo in itertools.product(
-                    *(
-                        _pool_exact(heads, a, s, scope)
-                        for a, s in zip(want, split)
-                    )
-                ):
-                    out.append(Atom(head, combo))
+        pool = lambda a, s: _pool_exact(heads, a, s, scope)
+        for head, har in list(heads) + bound:
+            for spine in _spines(arity_args(har), size - 1, pool):
+                out.append(Atom(head, spine))
     return tuple(out)
+
+
+def _spines(arities, size: int, pool):
+    """Every argument spine of the given arities whose sizes sum to `size`,
+    an argument of arity `a` and size `s` drawn from `pool(a, s)`: by the
+    split of the size, then lexicographically."""
+    mins = [min_term_size(a) for a in arities]
+    for split in _compositions(size, mins):
+        yield from itertools.product(*(pool(a, s) for a, s in zip(arities, split)))
 
 
 def _compositions(total: int, mins: list[int]):
     """All splits of `total` into len(mins) parts with the given minimums,
     lexicographically ordered."""
-    if len(mins) == 1:
-        if total >= mins[0]:
-            yield (total,)
+    if not mins:
+        if total == 0:
+            yield ()
         return
     rest_min = sum(mins[1:])
     for first in range(mins[0], total - rest_min + 1):

@@ -46,7 +46,7 @@ def head_constant(ty: TypeExpr) -> str:
 def compute_subordination(sig: Signature) -> SubordRel:
     """Least relation closed under index subordination, reflexivity and
     transitivity, computed as a fixpoint over the signature."""
-    constants = sig.type_constants()
+    constants = sig.arity_context().type_args
     pairs = {(a, a) for a in constants}
     for d in sig.decls:
         if isinstance(d, TypeDecl):

@@ -45,7 +45,7 @@ from .lf import (
     TypeExpr,
     _map_heads,
 )
-from .schema import BlockSchema, ContextSchema, CtxExpr, segment_instance
+from .schema import BlockSchema, ContextSchema, CtxExpr, block_scope, segment_instance
 from .subord import SubordRel, head_constant, type_leq
 
 
@@ -325,7 +325,7 @@ def block_subsumes(
     tdecl = target.decl
     n = len(tdecl)
     fixed = _undroppable(rel, basis, tdecl)
-    tgt_vars = _block_vars(target)
+    tgt_vars = block_scope(target)
     attempts = 0
 
     def count(alignments: int) -> None:
@@ -367,14 +367,10 @@ def block_subsumes(
 
     for si, src in enumerate(source.blocks):
         if len(src.decl) <= n:
-            found = extend(si, src.decl, _block_vars(src), {}, (), {})
+            found = extend(si, src.decl, block_scope(src), {}, (), {})
             if found is not None:
                 return found
     return None
-
-
-def _block_vars(block: BlockSchema) -> set[str]:
-    return {v for v, _ in block.params} | {y for y, _ in block.decl}
 
 
 def _diagnose_block(rel, target: BlockSchema, f, gamma, source: ContextSchema):
@@ -384,10 +380,10 @@ def _diagnose_block(rel, target: BlockSchema, f, gamma, source: ContextSchema):
     type head the relation does not cover raises no `UnknownConstant`
     here."""
     basis = _drop_basis(f, gamma, source)
-    tgt_vars = _block_vars(target)
+    tgt_vars = block_scope(target)
     for (var, ty), fixed in zip(target.decl, _undroppable(rel, basis, target.decl)):
         if fixed and not any(
-            _derive_renaming(sty, ty, tgt_vars, _block_vars(block), {})
+            _derive_renaming(sty, ty, tgt_vars, block_scope(block), {})
             for block in source.blocks
             for _, sty in block.decl
         ):
@@ -509,7 +505,9 @@ class TransportCertificate:
 
     def verify(self, sig: Signature, rel: SubordRel) -> bool:
         """Replay every recorded derivation.  Match `i` must be that of
-        target block `i`, which `transport_witness` reads it for; its keep
+        target block `i`, which `transport_witness` reads it for; its
+        permutation must be a bijection on names that block or its source
+        block binds, as every permutation the search produces is; its keep
         positions must rise through the variant's declaration, and its
         drops must be those the search accepts the alignment with.
         Anything else, an index or position out of range included, refutes
@@ -522,13 +520,20 @@ class TransportCertificate:
         for i, m in enumerate(self.matches):
             if m.target_index != i or not (0 <= m.source_index < len(self.source.blocks)):
                 return False
-            if make_variant(dict(m.permutation), self.target.blocks[i]) != m.variant:
+            block, src = self.target.blocks[i], self.source.blocks[m.source_index]
+            perm = dict(m.permutation)
+            if (
+                len(perm) != len(m.permutation)
+                or set(perm.values()) != set(perm)
+                or not set(perm) <= {*block_scope(block), *block_scope(src)}
+            ):
+                return False
+            if make_variant(perm, block) != m.variant:
                 return False
             vdecl, keep = m.variant.decl, m.keep_positions
             if tuple(p for p in range(len(vdecl)) if p in keep) != keep:
                 return False
-            sdecl = self.source.blocks[m.source_index].decl
-            if m.drops != _alignment_drops(rel, sdecl, vdecl, keep, basis):
+            if m.drops != _alignment_drops(rel, src.decl, vdecl, keep, basis):
                 return False
         return True
 

@@ -45,8 +45,8 @@ from lfport.parse import (  # noqa: E402
     parse_term_text,
     parse_type_text,
 )
-from lfport.pretty import block_scope, fmt_formula, fmt_term, fmt_type  # noqa: E402
-from lfport.schema import term_pool  # noqa: E402
+from lfport.pretty import fmt_formula, fmt_term, fmt_type  # noqa: E402
+from lfport.schema import block_scope, term_pool  # noqa: E402
 from util import random_formula  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "cli.json"

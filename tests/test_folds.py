@@ -4,8 +4,16 @@ Every fold runs over one pre-order iterator (`lf._nodes` for LF
 expressions, `formula._subformulas` for formulas).  The references below
 are the per-node recursive walkers they replaced; each fold must give the
 same result, and raise the same error at the same first offending node.
+
+So do two rules that had a copy each: the term pools and `candidate_types`
+enumerate argument spines by one generator (`schema._spines`), and
+`check_schema` and `block_instance` judge a parameter's spine by one rule
+(`schema._pattern_spine`).  The loops and the spine check they replaced are
+kept below as references too.
 """
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -38,15 +46,29 @@ from lfport import (
 )
 from lfport.lf import (
     BVar,
+    TermDecl,
     TypeKind,
     UnknownConstant,
+    _map_heads,
+    arity_args,
     context_nominals,
+    erase,
     free_vars,
+    kind_arg_arities,
     names_in,
     nominals_in,
 )
 from lfport.parse import ParseError, _position, _tokenize
-from lfport.schema import NonPatternSchema, term_pool
+from lfport.oracle import candidate_types
+from lfport.schema import (
+    BlockSchema,
+    ContextSchema,
+    NonPatternSchema,
+    block_instance,
+    check_schema,
+    min_term_size,
+    term_pool,
+)
 from lfport.subord import type_leq
 from util import a, at, nom, pi, random_formula
 
@@ -330,6 +352,116 @@ def ref_tokenize(text):
     return tokens
 
 
+def ref_pool_heads(sig, nominals, extra_heads):
+    heads = [(d.name, erase(d.type)) for d in sig.decls if isinstance(d, TermDecl)]
+    heads.extend(extra_heads)
+    for k in range(1, nominals + 1):
+        heads.append((Nominal(O, k), O))
+    return tuple(heads)
+
+
+def ref_compositions(total, mins):
+    if len(mins) == 1:
+        if total >= mins[0]:
+            yield (total,)
+        return
+    rest_min = sum(mins[1:])
+    for first in range(mins[0], total - rest_min + 1):
+        for rest in ref_compositions(total - first, mins[1:]):
+            yield (first,) + rest
+
+
+@functools.lru_cache(maxsize=1024)
+def ref_pool_exact(heads, arity, size, scope):
+    out = []
+    if isinstance(arity, Arrow):
+        if size >= 2:
+            var = f"x{len(scope) + 1}"
+            for body in ref_pool_exact(heads, arity.right, size - 1, scope + (arity.left,)):
+                out.append(Lam(var, body))
+    else:
+        bound = [(BVar(len(scope) - 1 - i), ar) for i, ar in enumerate(scope)]
+        for head, har in list(heads) + bound:
+            want = arity_args(har)
+            need = size - 1
+            if not want:
+                if need == 0:
+                    out.append(Atom(head))
+                continue
+            mins = [min_term_size(a) for a in want]
+            if sum(mins) > need:
+                continue
+            for split in ref_compositions(need, mins):
+                for combo in itertools.product(
+                    *(ref_pool_exact(heads, a, s, scope) for a, s in zip(want, split))
+                ):
+                    out.append(Atom(head, combo))
+    return tuple(out)
+
+
+def ref_term_pool(sig, arity, size_max, nominals=0, extra_heads=()):
+    heads = ref_pool_heads(sig, nominals, extra_heads)
+    sizes = range(1, size_max + 1)
+    return tuple(t for size in sizes for t in ref_pool_exact(heads, arity, size, ()))
+
+
+def ref_candidate_types(sig, ctx, size_max, cap=None):
+    extra = tuple((b, erase(ty)) for b, ty in ctx.bindings if isinstance(b, Nominal))
+    heads = ref_pool_heads(sig, 0, extra)
+    out = []
+    for d in sig.decls:
+        if not isinstance(d, TypeDecl):
+            continue
+        arg_ars = kind_arg_arities(d.kind)
+        if not arg_ars:
+            out.append(AtomicType(d.name))
+            continue
+        mins = [min_term_size(a) for a in arg_ars]
+        for total in range(sum(mins), size_max):
+            for split in ref_compositions(total, mins):
+                pools = [ref_pool_exact(heads, ar, s, ()) for ar, s in zip(arg_ars, split)]
+                for combo in itertools.product(*pools):
+                    out.append(AtomicType(d.name, combo))
+                    if cap is not None and len(out) >= cap:
+                        return out
+    return out
+
+
+def ref_solve_param(param, spine, tgt, solution):
+    images = {}
+    for arg in spine:
+        if not isinstance(arg, Atom) or arg.args:
+            raise NonPatternSchema(f"parameter {param} applied to a non-variable argument")
+        if not isinstance(arg.head, (Nominal, BVar)):
+            raise NonPatternSchema(f"parameter {param} applied to the free name {arg.head}")
+        images.setdefault(arg.head, len(images))
+    if len(images) != len(spine):
+        raise NonPatternSchema(f"parameter {param} applied to repeated arguments")
+    n = len(spine)
+    captured = False
+
+    def abstract(h, d):
+        nonlocal captured
+        if isinstance(h, BVar):
+            if h.index < d:
+                return h
+            h = BVar(h.index - d)
+            captured = captured or h not in images
+        if h in images:
+            return BVar(d + n - 1 - images[h])
+        return h
+
+    candidate = _map_heads(tgt, abstract)
+    if captured:
+        return False
+    for k in range(n, 0, -1):
+        candidate = Lam(f"w{k}", candidate)
+    if param in solution:
+        return solution[param] == candidate
+    solution[param] = candidate
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Inputs.
 
@@ -556,3 +688,101 @@ def test_pool_cache_is_bounded_and_transparent(sig_stlc):
     assert info.currsize <= 1024
     for ar, size in keys:
         assert lfport.schema.term_pool_exact(sig_stlc, ar, size) == fresh[ar, size]
+
+
+# ---------------------------------------------------------------------------
+# Argument spines, shared by the term pools and the candidate types.
+
+
+def test_term_pool_matches_the_old_loop(sig_size, sig_stlc):
+    extras = ((), ((nom(1), O), (Nominal(Arrow(O, O), 2), Arrow(O, O))))
+    arities = (O, Arrow(O, O), Arrow(Arrow(O, O), O), Arrow(O, Arrow(O, O)))
+    for sig in (sig_size, sig_stlc):
+        for extra, nominals, ar in itertools.product(extras, (0, 1), arities):
+            want = ref_term_pool(sig, ar, 5, nominals, extra)
+            assert term_pool(sig, ar, 5, nominals, extra) == want
+            heads = ref_pool_heads(sig, nominals, extra)
+            for size in range(1, 6):
+                got = lfport.schema.term_pool_exact(sig, ar, size, nominals, extra)
+                assert got == ref_pool_exact(heads, ar, size, ())
+
+
+def test_candidate_types_match_the_old_loop_at_every_cap(sig_size, sig_stlc):
+    contexts = (LFContext(), LFContext(((nom(1), at("tm")),)))
+    nullary_past_cap = 0
+    for sig, ctx in itertools.product((sig_size, sig_stlc), contexts):
+        for size_max in range(1, 6):
+            want = ref_candidate_types(sig, ctx, size_max)
+            assert candidate_types(sig, ctx, size_max) == want
+            for cap in range(1, len(want) + 1):
+                got = candidate_types(sig, ctx, size_max, cap)
+                assert got == ref_candidate_types(sig, ctx, size_max, cap)
+                nullary_past_cap += len(got) > cap
+    # a nullary type appended at the cap does not end the list
+    assert nullary_past_cap
+
+
+# ---------------------------------------------------------------------------
+# The pattern spine rule, shared by check_schema and block_instance.
+
+
+_CLOSED = (a("z"), a("s", a("z")), a("app", a("z"), a("z")), a("b"))
+
+
+def _random_spine_block(rng):
+    """A block whose declarations apply its parameters of one to three
+    arguments to spines of bare variables, non-variables, constants,
+    parameters, earlier declaration variables and nominals, some with a
+    repeated argument and some under a binder; and a segment of its shape,
+    with a closed term or a bound variable for each parameter occurrence."""
+    params = (
+        ("P", Arrow(O, O)),
+        ("Q", Arrow(O, Arrow(O, O))),
+        ("R", Arrow(O, Arrow(O, Arrow(O, O)))),
+        ("T", O),
+    )
+    decl, segment = [("x", at("tm"))], [(nom(1), at("tm"))]
+
+    def slot(under):
+        """A pattern for an argument of `of`, and a target for it."""
+        if rng.random() < 0.3:
+            t = rng.choice(_CLOSED)
+            return t, t
+        args = [a(y) for y, _ in decl] + [a("z"), a("s", a("z")), a("T"), a(nom(7))]
+        bound = (a(BVar(0)),) if under else ()
+        head = rng.choice("PQR")
+        spine = [rng.choice(args + list(bound)) for _ in range("PQR".index(head) + 1)]
+        if len(spine) > 1 and rng.random() < 0.3:
+            spine[1] = spine[0]
+        return a(head, *spine), rng.choice(_CLOSED + bound)
+
+    for k in range(rng.randint(1, 3)):
+        under = rng.random() < 0.4
+        (pat, tgt), (pat2, tgt2) = slot(under), slot(False)
+        if under:
+            pat, tgt = a("lam", Lam("w", pat)), a("lam", Lam("w", tgt))
+        decl.append((f"y{k}", at("of", pat, pat2)))
+        segment.append((nom(k + 2), at("of", tgt, tgt2)))
+    return BlockSchema(params, tuple(decl)), tuple(segment)
+
+
+def test_the_pattern_spine_rule_matches_the_two_old_checks(sig_stlc, monkeypatch):
+    rng = random.Random(31)
+    cases = [_random_spine_block(rng) for _ in range(400)]
+    new = [
+        (_outcome(check_schema, sig_stlc, ContextSchema((block,))),
+         _outcome(block_instance, sig_stlc, block, segment))
+        for block, segment in cases
+    ]
+    monkeypatch.setattr(lfport.schema, "_check_patterns", ref_check_patterns)
+    monkeypatch.setattr(lfport.schema, "_solve_param", ref_solve_param)
+    old = [
+        (_outcome(check_schema, sig_stlc, ContextSchema((block,))),
+         _outcome(block_instance, sig_stlc, block, segment))
+        for block, segment in cases
+    ]
+    assert new == old
+    raised = {out[2] for pair in new for out in pair if out[0] == "raised"}
+    assert {m.split(" applied to ")[1].split()[0] for m in raised} == {"a", "the", "repeated"}
+    # some blocks pass the check, and some segments match
+    assert any(c == ("ok", None) for c, _ in new) and any(i[0] == "ok" and i[1] for _, i in new)

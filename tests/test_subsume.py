@@ -652,13 +652,13 @@ def test_pair_table_search_matches_the_per_alignment_search(
 
 def _diagnose_block_by_types(rel, target, f, gamma, source):
     """The diagnosis judging each binding by its type, as it used to."""
-    tgt_vars = lfport.subsume._block_vars(target)
+    tgt_vars = lfport.schema.block_scope(target)
     for (var, ty), fixed in zip(
         target.decl, _undroppable_by_types(rel, target.decl, f, gamma, source)
     ):
         if fixed and not any(
             lfport.subsume._derive_renaming(
-                sty, ty, tgt_vars, lfport.subsume._block_vars(block), {}
+                sty, ty, tgt_vars, lfport.schema.block_scope(block), {}
             )
             for block in source.blocks
             for _, sty in block.decl
@@ -863,6 +863,38 @@ def test_forged_block_matches_fail_replay(
         matches=(dataclasses.replace(m, drops=drops),),
     )
     assert forged.verify(sig_size, rel_size) is False
+
+    # permutations the search never closes a renaming into, each with the
+    # variant and drop records that follow from it
+    def permuted(cert, perm, **changes):
+        (m,) = cert.matches
+        variant = make_variant(dict(perm), cert.target.blocks[0])
+        drops = tuple(
+            dataclasses.replace(d, var=variant.decl[d.position][0], ty=variant.decl[d.position][1])
+            for d in m.drops
+        )
+        match = dataclasses.replace(m, permutation=perm, variant=variant, drops=drops)
+        return dataclasses.replace(cert, matches=(match,), **changes)
+
+    # a swap with the constant b, which neither block binds, turns Cof's
+    # block into the source block {}(x : tm, y : of x b); the witness of an
+    # instance of Cof at another type than b is then no source instance
+    cof = schemas_stlc["Cof"]
+    cert = transport_check(sig_stlc, rel_stlc, cof, cof, "G", of_exists_body)
+    assert cert.verify(sig_stlc, rel_stlc)
+    source = parse_schemas("schema S := {}(x : tm, y : of x b).")["S"]
+    forged = permuted(cert, (("T", "b"), ("b", "T")), source=source)
+    assert forged.verify(sig_stlc, rel_stlc) is False
+    instance = ce((nom(1), at("tm")), (nom(2), at("of", a(nom(1)), a("arr", a("b"), a("b")))))
+    witness = transport_witness(sig_stlc, forged, instance)
+    assert witness == instance and not lfport.schema_instance(sig_stlc, source, witness)
+    # x -> y, y -> y is not a bijection, and its variant binds y twice; nor
+    # are a repeated key or a map onto a name outside its keys
+    cert = transport_check(sig_size, rel_size, C_EMPTY, C_SIZE, "G", plus_body)
+    with pytest.raises(LFError):
+        check_schema(sig_size, ContextSchema((make_variant({"x": "y", "y": "y"}, B_SIZE),)))
+    for perm in ((("x", "y"), ("y", "y")), (("x", "x"), ("x", "x")), (("x", "y"),)):
+        assert permuted(cert, perm).verify(sig_size, rel_size) is False
 
 
 # ---------------------------------------------------------------------------
