@@ -260,12 +260,14 @@ class Signature:
 
     @functools.cached_property
     def _arity_context(self) -> "ArityContext":
-        terms = {d.name: erase(d.type) for d in self.decls if isinstance(d, TermDecl)}
-        types = {
-            d.name: kind_arg_arities(d.kind)
-            for d in self.decls
-            if isinstance(d, TypeDecl)
-        }
+        # in declaration order, each name at its first declaration
+        terms: dict = {}
+        types: dict = {}
+        for d in self.decls:
+            if isinstance(d, TermDecl):
+                terms.setdefault(d.name, erase(d.type))
+            else:
+                types.setdefault(d.name, kind_arg_arities(d.kind))
         return ArityContext(MappingProxyType(terms), MappingProxyType(types))
 
 

@@ -13,9 +13,11 @@ schema instance) into its body.  The evaluator defers the term substitution
 to an environment of pool terms, which each atom applies to its dangling
 indices, so an atom's context and type judgements are checked once per
 combination of the pool terms they refer to, not once per atom; only the
-term judgement runs per atom.  These memos live for one `bounded_validity`
-call and are cleared when it returns.  A context quantifier instantiates
-its index in the body.
+term judgement runs per atom.  A context quantifier binds its instance in
+the environment the same way: an atom headed by its variable puts the
+instance's bindings in front of its own, and keeps its judgements with the
+instance.  These memos live for one `bounded_validity` call and are cleared
+when it returns.
 
 Each verdict comes with its read set: the term quantifiers whose pool term
 its value depended on (an atom reads those its deciding judgement refers
@@ -55,6 +57,7 @@ from .formula import (
 )
 from .lf import (
     AtomicType,
+    BVar,
     LFContext,
     LFError,
     Nominal,
@@ -176,66 +179,55 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     """Evaluate a closed, arity-checked formula at the bounds.
 
     Verdict and trace are those of the substitution semantics, which
-    substitutes each pool term into the whole quantifier body.  Here the
-    substitution is deferred: the quantifier binds its index to the pool
-    term in an environment, and each atom applies the environment to its
-    own parts.  An atom's context and type judgements are memoised, for
-    this call only, by the pool indices of the quantifiers they refer to,
-    so only the term judgement runs per atom.
+    substitutes each pool term or instance into the whole quantifier body.
+    Here the substitution is deferred: the quantifier binds its index to
+    its choice in an environment, and each atom applies the environment to
+    its own parts.  An atom's context and type judgements are memoised, for
+    this call only, by the pool indices of the quantifiers they refer to, so
+    only the term judgement runs per atom.
 
     Each evaluation also returns a read set: a bit mask with bit `i` set
     when the verdict's value depended on the pool term of the `i`-th
     enclosing term quantifier, innermost first, as dangling indices count.
     An atom reads the indices its deciding judgement refers to (its
     context's, its type's, or its type's and term's), a connective what the
-    children it evaluated read, and a term quantifier what its bodies read,
-    less its own bit 0.  A term quantifier stops at the first body that
-    does not read bit 0.
+    children it evaluated read, and a quantifier what its bodies read, less
+    its own bit 0 for a term quantifier.  A term quantifier stops at the
+    first body that does not read bit 0.
     """
     pools: dict = {}  # arity -> terms
-    # Per-node memos live in a dict id(node) -> (node, ...): this one for
-    # the formula, and a fresh one for each body a context instance
-    # rebuilt, dropped with it.
+    # Per-node memos, id(node) -> (node, ...).  An atom headed by a context
+    # variable keeps its judgements in its instance's dict, dropped with it.
     memo: dict = {}
 
-    def by_term(g, env, nodes):
-        """(pool term, verdict of the body, its read set) for a term
-        quantifier, lazily."""
+    def choices(g, env):
+        """(pool term or instance, the environment its body is evaluated
+        in) for a quantifier, lazily."""
+        inst, slots, path, ctxs = env
+        if isinstance(g, ForallCtx):
+            own = _bound_nominals(g.body)
+            for instance in enumerate_instances(
+                sig, g.schema, bounds.schema_blocks_max, bounds.term_size_max, bounds.pool_nominals
+            ):
+                # as putting the instance in for the variable would raise
+                if not own.isdisjoint(n for n, _ in instance.bindings):
+                    raise ValueError("context expression binds a nominal twice")
+                yield instance, (inst, slots, ((g, instance),) + path, ((instance, {}),) + ctxs)
+            return
         if g.arity not in pools:
             pools[g.arity] = term_pool(
                 sig, g.arity, bounds.term_size_max, bounds.pool_nominals
             )
-        inst, slots, path = env
         for i, t in enumerate(pools[g.arity]):
             # Memo keys name each pool term by its arity and pool index:
             # one atom may sit under binders of another arity elsewhere.
-            inner = (
-                ((t, g.arity),) + inst,
-                ((g.arity, i),) + slots,
-                ((g, t, g.body),) + path,
-            )
-            yield t, *ev(g.body, inner, nodes)
+            yield t, (((t, g.arity),) + inst, ((g.arity, i),) + slots, ((g, t),) + path, ctxs)
 
-    def by_instance(g, env):
-        """(instance, verdict of the body, its read set) for a context
-        quantifier, lazily; each instantiated body has per-node memos of its
-        own."""
-        inst, slots, path = env
-        for instance in enumerate_instances(
-            sig,
-            g.schema,
-            bounds.schema_blocks_max,
-            bounds.term_size_max,
-            bounds.pool_nominals,
-        ):
-            body = open_ctx(g.body, instance)
-            yield instance, *ev(body, (inst, slots, ((g, instance, body),) + path), {})
-
-    def holds(g, env, nodes):
+    def holds(g, env):
         """The first failing judgement of an atom, or None if they hold, and
         the read set of the judgement that decided it.  The memos keep trace
         lines: an LFError holds the frames of what it wraps."""
-        rec = nodes.get(id(g))
+        rec = memo.get(id(g))
         if rec is None:
             in_ctx = set().union(*(_dangling(t) for _, t in g.ctx.bindings))
             in_ty = in_ctx | _dangling(g.ty)
@@ -246,15 +238,18 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 sum(1 << i for i in refs) for refs in (in_ctx, in_ty, in_ty | in_term)
             )
             refs = map(tuple, (in_ctx, in_ty, in_term))
-            rec = nodes[id(g)] = (g, *refs, reads, {}, {})
-        _, in_ctx, in_ty, in_term, reads, ctx_memo, ty_memo = rec
-        inst, slots, _ = env
+            rec = memo[id(g)] = (g, *refs, reads, ({}, {}))
+        _, in_ctx, in_ty, in_term, reads, memos = rec
+        inst, slots, _, ctxs = env
+        front = ()
+        if g.ctx.head is not None:  # its context starts with the instance
+            instance, nodes = ctxs[g.ctx.head.index]
+            front, memos = instance.bindings, nodes.setdefault(id(g), ({}, {}))
+        ctx_memo, ty_memo = memos
         key = tuple(slots[i] for i in in_ctx)
         hit = ctx_memo.get(key)
         if hit is None:
-            lctx = LFContext(
-                tuple((n, _close(t, inst, in_ctx)) for n, t in g.ctx.bindings)
-            )
+            lctx = LFContext(front + tuple((n, _close(t, inst, in_ctx)) for n, t in g.ctx.bindings))
             hit = ctx_memo[key] = (lctx, _line(_fails(check_context, sig, lctx)))
         lctx, failure = hit
         if failure is not None:
@@ -270,17 +265,20 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         term = _close(g.term, inst, in_term)
         return _fails(check_term, sig, lctx, term, ty), reads[2]
 
-    def ev(g: Formula, env: tuple, nodes: dict) -> tuple[Verdict3, int]:
-        # env: three tuples, innermost first: the (term, arity) of each
+    def ev(g: Formula, env: tuple) -> tuple[Verdict3, int]:
+        # env: four tuples, innermost first: the (term, arity) of each
         # enclosing term quantifier, which `_subst` puts in for an atom's
-        # dangling indices; the memo slot of each; and the path of
-        # enclosing quantifiers that a trace line names `g` by.  Returns
-        # the verdict and its read set.
+        # dangling indices; the memo slot of each; the path of enclosing
+        # quantifiers, each with its choice, that a trace line names `g`
+        # by; and the (instance, memo dict) of each enclosing context
+        # quantifier.  Returns the verdict and its read set.
         match g:
             case Holds(ctx):
-                if ctx.head is not None:
+                if ctx.head is not None and (
+                    isinstance(ctx.head, str) or ctx.head.index >= len(env[3])
+                ):
                     raise ValueError("bounded_validity needs a closed formula")
-                failure, reads = holds(g, env, nodes)
+                failure, reads = holds(g, env)
                 if failure is not None:
                     return Verdict3(INVALID, (failure,)), reads
                 return Verdict3(VALID), reads
@@ -289,10 +287,10 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             case Bot():
                 return Verdict3(INVALID), 0
             case Conj(l, r):
-                vl, reads = ev(l, env, nodes)
+                vl, reads = ev(l, env)
                 if vl.value == INVALID:
                     return Verdict3(INVALID, vl.trace), reads
-                vr, rr = ev(r, env, nodes)
+                vr, rr = ev(r, env)
                 reads |= rr
                 if vr.value == INVALID:
                     return Verdict3(INVALID, vr.trace), reads
@@ -300,10 +298,10 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                     return Verdict3(VALID), reads
                 return Verdict3(UNKNOWN, vl.trace + vr.trace), reads
             case Disj(l, r):
-                vl, reads = ev(l, env, nodes)
+                vl, reads = ev(l, env)
                 if vl.value == VALID:
                     return Verdict3(VALID), reads
-                vr, rr = ev(r, env, nodes)
+                vr, rr = ev(r, env)
                 reads |= rr
                 if vr.value == VALID:
                     return Verdict3(VALID), reads
@@ -311,72 +309,73 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                     return Verdict3(INVALID, vl.trace + vr.trace), reads
                 return Verdict3(UNKNOWN), reads
             case Imp(l, r):
-                vl, reads = ev(l, env, nodes)
+                vl, reads = ev(l, env)
                 if vl.value == INVALID:
                     return Verdict3(VALID), reads
-                vr, rr = ev(r, env, nodes)
+                vr, rr = ev(r, env)
                 reads |= rr
                 if vr.value == VALID:
                     return Verdict3(VALID), reads
                 if vl.value == VALID and vr.value == INVALID:
                     return Verdict3(INVALID, vr.trace), reads
                 return Verdict3(UNKNOWN), reads
-            case ForallTm():
+            case ForallTm() | ExistsTm() | ForallCtx():
+                # a term quantifier's own read bit is bit 0 of its bodies'
+                bit = not isinstance(g, ForallCtx)
+                word, stop = (
+                    ("witness", VALID) if isinstance(g, ExistsTm) else ("counterexample", INVALID)
+                )
                 saw_unknown = False
                 reads = 0
-                for t, sub, r in by_term(g, env, nodes):
+                for choice, inner in choices(g, env):
+                    sub, r = ev(g.body, inner)
                     reads |= r
-                    if sub.value == INVALID:
-                        trace = (("counterexample", f, env[2], g, t),) + sub.trace
-                        return Verdict3(INVALID, trace), reads >> 1
-                    if sub.value == UNKNOWN:
-                        saw_unknown = True
-                    if not r & 1:
+                    if sub.value == stop:
+                        # a witness line stands alone in its trace
+                        rest = sub.trace if stop == INVALID else ()
+                        return Verdict3(stop, ((word, f, env[2], g, choice),) + rest), reads >> bit
+                    saw_unknown |= sub.value == UNKNOWN
+                    if bit and not r & 1:
                         break
-                note = (
-                    "universal range undecided within bounds"
-                    if saw_unknown
-                    else "universal valid at bound; domain is unbounded"
-                )
-                return Verdict3(UNKNOWN, (note,)), reads >> 1
-            case ExistsTm():
-                reads = 0
-                for t, sub, r in by_term(g, env, nodes):
-                    reads |= r
-                    if sub.value == VALID:
-                        trace = (("witness", f, env[2], g, t),)
-                        return Verdict3(VALID, trace), reads >> 1
-                    if not r & 1:
-                        break
-                return Verdict3(UNKNOWN, ("existential pool exhausted",)), reads >> 1
-            case ForallCtx(v):
-                saw_unknown = False
-                reads = 0
-                for g_inst, sub, r in by_instance(g, env):
-                    reads |= r
-                    if sub.value == INVALID:
-                        return Verdict3(
-                            INVALID,
-                            (f"counterexample {v} = {g_inst!r}",) + sub.trace,
-                        ), reads
-                    if sub.value == UNKNOWN:
-                        saw_unknown = True
-                note = (
-                    "context range undecided within bounds"
-                    if saw_unknown
-                    else "context quantifier valid at bound; domain is unbounded"
-                )
-                return Verdict3(UNKNOWN, (note,)), reads
+                return Verdict3(UNKNOWN, (_EXHAUSTED[type(g)][saw_unknown],)), reads >> bit
         raise TypeError(f"not a formula: {g!r}")
 
     try:
-        verdict, _ = ev(f, ((), (), ()), memo)
+        verdict, _ = ev(f, ((), (), (), ()))
     finally:
         # ev is a closure over itself, so the memos would otherwise outlive
         # the call until the next cycle collection.
         memo.clear()
         pools.clear()
     return Verdict3(verdict.value, tuple(map(_line, verdict.trace)))
+
+
+# The note of a quantifier whose range ran out, without and with an Unknown
+# body.
+_EXHAUSTED = {
+    ForallTm: (
+        "universal valid at bound; domain is unbounded",
+        "universal range undecided within bounds",
+    ),
+    ExistsTm: ("existential pool exhausted",) * 2,
+    ForallCtx: (
+        "context quantifier valid at bound; domain is unbounded",
+        "context range undecided within bounds",
+    ),
+}
+
+
+def _bound_nominals(f: Formula, c: int = 0) -> set:
+    """The nominals that the atoms of `f` headed by `BVar(c)` bind
+    explicitly."""
+    match f:
+        case Holds(ctx):
+            return {n for n, _ in ctx.bindings} if ctx.head == BVar(c) else set()
+        case ForallTm() | ExistsTm() | ForallCtx():
+            return _bound_nominals(f.body, c + isinstance(f, ForallCtx))
+        case Imp(l, r) | Conj(l, r) | Disj(l, r):
+            return _bound_nominals(l, c) | _bound_nominals(r, c)
+    return set()
 
 
 def _close(e, inst: tuple, refs: tuple):
@@ -388,11 +387,11 @@ def _close(e, inst: tuple, refs: tuple):
 def _shown(root: Formula, path: tuple, g: Formula) -> str:
     """The name the substitution semantics gives the quantifier `g` of
     `root`, reached through the quantifiers of `path` (innermost first, each
-    with its pool term or instance and the body evaluated under it).  The
-    semantics is replayed along the path on a copy of `root`, renaming as
-    substituting by name renames (see `_primed`)."""
+    with its pool term or instance).  The semantics is replayed along the
+    path on a copy of `root`, renaming as substituting by name renames (see
+    `_primed`)."""
     orig = shown = root
-    for q, choice, body in reversed(path):
+    for q, choice in reversed(path):
         at = _twin(q, orig, shown)
         if isinstance(q, ForallCtx):
             shown = open_ctx(at.body, choice)
@@ -400,7 +399,7 @@ def _shown(root: Formula, path: tuple, g: Formula) -> str:
             inst = ((choice, q.arity),)
             primed = _primed(at.body, at.var, free_vars(choice))
             shown = _map_atoms(primed, lambda h, d, c: _map_lf(h, lambda e: _subst(e, {}, d, inst)))
-        orig = body
+        orig = q.body
     return _twin(g, orig, shown).var
 
 
@@ -444,10 +443,10 @@ def _fails(check, *args) -> LFError | None:
 
 def _line(x):
     """A trace line, formatted only here: a failing term judgement, or the
-    line of a term quantifier `g` of `root` with its term `t`."""
+    line of a quantifier `g` of `root` with its pool term or instance."""
     if isinstance(x, tuple):
-        word, root, path, g, t = x
-        return f"{word} {_shown(root, path, g)} = {t!r}"
+        word, root, path, g, choice = x
+        return f"{word} {_shown(root, path, g)} = {choice!r}"
     return f"judgement fails: {x}" if isinstance(x, LFError) else x
 
 
@@ -479,13 +478,12 @@ def candidate_types(sig, ctx: LFContext, size_max: int, cap: int | None = None):
     return out
 
 
-def enumerate_lf_contexts(
-    sig,
-    max_bindings: int,
-    size_max: int,
-    per_step: int = 8,
-    total_cap: int = 400,
-):
+# Extensions kept per context, and contexts in all, of `enumerate_lf_contexts`.
+PER_STEP = 8
+TOTAL_CAP = 400
+
+
+def enumerate_lf_contexts(sig, max_bindings: int, size_max: int):
     """Well-formed LF contexts built by repeatedly extending with a
     well-formed candidate type; breadth-first, deterministic, capped."""
     out = [LFContext()]
@@ -497,21 +495,21 @@ def enumerate_lf_contexts(
             nom = fresh_nominal(O, (b for b, _ in ctx.bindings))
             step = 0
             for ty in candidate_types(sig, ctx, size_max):
-                if step >= per_step:
+                if step >= PER_STEP:
                     break
                 if _fails(check_type, sig, ctx, ty) is not None:
                     continue
                 nxt.append(ctx.extend(nom, ty))
                 step += 1
-                if len(out) + len(nxt) >= total_cap:
+                if len(out) + len(nxt) >= TOTAL_CAP:
                     break
-            if len(out) + len(nxt) >= total_cap:
+            if len(out) + len(nxt) >= TOTAL_CAP:
                 break
         out.extend(nxt)
         frontier = nxt
-        if len(out) >= total_cap:
+        if len(out) >= TOTAL_CAP:
             break
-    return out[:total_cap]
+    return out[:TOTAL_CAP]
 
 
 def verify_minimization(
@@ -583,17 +581,6 @@ def verify_transport(
     if isinstance(cert, TransportFailure):
         report.refused = f"no certificate: {cert.message}"
         return report
-    instances = [
-        g
-        for g in enumerate_instances(
-            sig,
-            target,
-            bounds.schema_blocks_max,
-            bounds.term_size_max,
-            bounds.pool_nominals,
-        )
-        if _fails(check_context, sig, LFContext(g.bindings)) is None
-    ]
     validity_cache: dict = {}
 
     def cached_validity(g: Formula) -> Verdict3:
@@ -602,7 +589,11 @@ def verify_transport(
             validity_cache[key] = bounded_validity(sig, g, bounds)
         return validity_cache[key]
 
-    for g_big in instances:
+    for g_big in enumerate_instances(
+        sig, target, bounds.schema_blocks_max, bounds.term_size_max, bounds.pool_nominals
+    ):
+        if _fails(check_context, sig, LFContext(g_big.bindings)) is not None:
+            continue
         g_small = transport_witness(sig, cert, g_big)
         where = lambda: f"G' = {g_big.bindings!r}"
         report.record(

@@ -379,6 +379,19 @@ def test_signature_lookups_agree_with_a_linear_scan(sig_stlc):
     assert dup.type_of("z") == at("nat")
 
 
+def test_arity_context_resolves_a_name_to_its_first_declaration():
+    # as kind_of and type_of do, with the names in declaration order
+    from lfport.parse import parse_signature
+    from lfport.schema import term_pool
+
+    actx = Signature(_decls_with_duplicates()).arity_context()
+    assert list(actx.terms.items()) == [("z", O), ("s", Arrow(O, O))]
+    assert list(actx.type_args.items()) == [("nat", ()), ("tm", ()), ("s", ())]
+    sig = parse_signature("nat : Type. c : nat. c : nat -> nat.")
+    assert dict(sig.arity_context().terms) == {"c": O}
+    assert term_pool(sig, O, 2) == (a("c"),)
+
+
 def test_arity_context_is_computed_once_per_signature(sig_stlc, schemas_stlc):
     from lfport.lf import ArityContext, kind_arg_arities
     from lfport.schema import check_schema

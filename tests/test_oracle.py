@@ -35,7 +35,7 @@ from lfport import oracle
 from lfport.formula import _map_atoms, _map_lf, _rebuild, _subformulas, open_ctx
 from lfport.lf import BVar, _open_named, _subst, free_vars, fresh_name, names_in
 from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3
-from lfport.parse import parse_formula, parse_signature
+from lfport.parse import parse_formula, parse_schemas, parse_signature
 from util import a, at, ce, nom, quantify, random_formula
 
 
@@ -422,6 +422,18 @@ def test_matches_plain_naming_a_quantifier_renamed_past_a_dropped_argument():
     )
 
 
+def counting(monkeypatch):
+    """A counter of the judgement checks `bounded_validity` makes, by
+    checker name, from now on."""
+    calls = Counter()
+    for name in ("check_context", "check_type", "check_term"):
+        check = getattr(oracle, name)
+        monkeypatch.setattr(
+            oracle, name, lambda *args, _n=name, _c=check: calls.update([_n]) or _c(*args)
+        )
+    return calls
+
+
 def test_judgements_checked_do_not_depend_on_hints(sig_size, monkeypatch):
     # Quantifiers named like a constant of the pool terms are renamed in
     # trace lines only: the body is evaluated with the memos of its alpha-
@@ -430,12 +442,7 @@ def test_judgements_checked_do_not_depend_on_hints(sig_size, monkeypatch):
         "forall M : o -> o. forall N : o. forall {} : o. forall {} : o. "
         "{{ |- M (s {}) : tm }} => {{ |- N : nat }} => {{ |- {} : nat }}"
     )
-    calls = Counter()
-    for name in ("check_context", "check_type", "check_term"):
-        check = getattr(oracle, name)
-        monkeypatch.setattr(
-            oracle, name, lambda *args, _n=name, _c=check: calls.update([_n]) or _c(*args)
-        )
+    calls = counting(monkeypatch)
     counts = []
     for hints in (("z'", "z"), ("b", "c")):
         calls.clear()
@@ -510,11 +517,7 @@ def test_quantifiers_stop_where_the_body_does_not_read_them(
     # On plus, `exists D. {|- D : plus N1 N2 N3}` fails at its type judgement
     # for every D when `plus N1 N2 N3` is ill-formed; the evaluator that
     # tries every D makes 359 term judgements at Bounds(3, 1).
-    calls = Counter()
-    check = oracle.check_term
-    monkeypatch.setattr(
-        oracle, "check_term", lambda *args: calls.update(["check_term"]) or check(*args)
-    )
+    calls = counting(monkeypatch)
     verdict = bounded_validity(sig_size, plus_closed, Bounds(3, 1))
     assert calls["check_term"] < 359
     assert verdict == plain_validity(sig_size, plus_closed, Bounds(3, 1))
@@ -569,3 +572,82 @@ def test_matches_plain_on_random_formulas_over_parameterised_schemas(
     for seed in range(seeds):
         f = random_formula(random.Random(seed), schemas_stlc, schema=schema)
         assert_same(sig_stlc, f, Bounds(2, blocks))
+
+
+# ---------------------------------------------------------------------------
+# Context quantifiers bind their instance in the environment.
+
+SIZE_N1 = at("size", a(nom(1)), a("s", a("z")))
+
+
+def test_matches_plain_on_an_outer_context_variable_under_an_inner_one(sig_size, schemas_size):
+    # {H |- n1 : tm} => {G, n9 : size n1 (s z) |- n9 : size n1 (s z)}: the
+    # right atom's context is G's instance, not the inner H's.
+    cs = schemas_size["Csize"]
+    inner = Holds(ce(head=BVar(0)), a(nom(1)), at("tm"))
+    outer = Holds(ce((nom(9), SIZE_N1), head=BVar(1)), a(nom(9)), SIZE_N1)
+    f = ForallCtx("G", cs, ForallTm("N", O, ForallCtx("H", cs, Imp(inner, outer))))
+    assert_same(sig_size, f, Bounds(2, 1))
+    trace = assert_same(sig_size, f, Bounds(2, 2)).trace
+    assert trace[0] == "counterexample G = CtxExpr(head=None, bindings=())"
+    assert trace[2].startswith("counterexample H = CtxExpr(head=None, bindings=((n1,")
+
+
+def test_matches_plain_with_an_atom_shared_under_context_quantifiers(sig_stlc, schemas_stlc):
+    # One atom object under a Cof and a Cmix quantifier: its context is
+    # whichever instance its own quantifier is at.
+    h = Holds(ce(head=BVar(0)), a(nom(1)), at("tm"))
+    f = Disj(
+        ForallCtx("G", schemas_stlc["Cof"], Imp(h, Bot())),
+        ForallCtx("H", schemas_stlc["Cmix"], h),
+    )
+    assert_same(sig_stlc, f, Bounds(2, 1))
+    trace = assert_same(sig_stlc, f, Bounds(2, 2)).trace
+    assert [line.split(" =")[0] for line in trace[:2]] == ["counterexample G", "counterexample H"]
+    assert "AtomicType(head='of', args=(Atom(head=n1, args=()), Atom(head='b', args=()))" in trace[0]
+
+
+def test_a_nominal_clash_raises_at_its_instance(sig_size, schemas_size, monkeypatch):
+    # {G |- z : nat} \/ {G, n1 : tm |- n1 : tm}: the empty instance is
+    # evaluated, and the next one, which binds n1 as well, raises before its
+    # body runs, although the evaluation would never reach the right atom.
+    left = Holds(ce(head=BVar(0)), a("z"), at("nat"))
+    right = Holds(ce((nom(1), at("tm")), head=BVar(0)), a(nom(1)), at("tm"))
+    f = ForallCtx("G", schemas_size["Csize"], Disj(left, right))
+    clash = (ValueError, "context expression binds a nominal twice")
+    assert assert_same(sig_size, f, Bounds(2, 1)) == clash
+    calls = counting(monkeypatch)
+    with pytest.raises(ValueError):
+        bounded_validity(sig_size, f, Bounds(2, 1))
+    assert calls == {"check_context": 1, "check_type": 1, "check_term": 1}
+    # below a term quantifier and an inner context quantifier
+    g = ForallCtx("G", schemas_size["Csize"], ForallTm("N", O, ForallCtx("H", schemas_size["Cempty"], Disj(
+        Holds(ce(head=BVar(1)), a("z"), at("nat")),
+        Holds(ce((nom(1), at("tm")), head=BVar(1)), a(nom(1)), at("tm")),
+    ))))
+    assert assert_same(sig_size, g, Bounds(2, 1)) == clash
+
+
+def test_matches_plain_over_a_schema_with_duplicate_blocks(sig_size):
+    # The repeated block yields each instance once.
+    schemas = parse_schemas(
+        "schema Cdup := {}(x : tm, y : size x (s z)) | {}(x : tm, y : size x (s z))."
+    )
+    for text in (
+        "ctx G : Cdup. { G |- n1 : tm } => { G |- n2 : size n1 z }",
+        "ctx G : Cdup. forall N : o. { G |- N : nat } => { G, n9 : size n1 N |- n9 : size n1 N }",
+        "forall N : o. ctx G : Cdup. { G |- n3 : tm } \\/ { G |- N : nat }",
+    ):
+        f = parse_formula(text, schemas)
+        for bounds in (Bounds(2, 1), Bounds(2, 2), Bounds(3, 2)):
+            assert_same(sig_size, f, bounds)
+
+
+def test_atoms_without_the_context_variable_are_checked_once(sig_size, schemas_size, monkeypatch):
+    # Csize has 4 instances at 3 blocks: { |- z : nat } is checked once, not
+    # once per instance, and { G |- z : nat } once per instance.
+    f = parse_formula("ctx G : Csize. { |- z : nat } /\\ { G |- z : nat }", schemas_size)
+    calls = counting(monkeypatch)
+    verdict = bounded_validity(sig_size, f, Bounds(2, 3))
+    assert calls["check_type"] == 5
+    assert verdict == plain_validity(sig_size, f, Bounds(2, 3))
