@@ -33,12 +33,7 @@ from .parse import (
 from .pretty import fmt_certificate, fmt_head, fmt_type
 from .schema import ContextSchema, CtxExpr, block_scope, check_schema, schema_instance
 from .subord import SubordRel, compute_subordination, minimize
-from .subsume import (
-    SubsumptionFailure,
-    TransportFailure,
-    schema_subsumes,
-    transport_check,
-)
+from .subsume import TransportFailure, schema_subsumes, transport_check
 
 
 class InputError(Exception):
@@ -74,21 +69,6 @@ def _read(path: str) -> str:
     if not p.exists():
         raise InputError(f"no such file: {path}")
     return p.read_text(encoding="utf-8")
-
-
-def _load_open_formula(ws: Workspace, path: str, var: str, source_name: str) -> Formula:
-    """Formula for subsumption commands: either the bare body with `var`
-    free, or the full context-quantified statement, which is unwrapped."""
-    f = parse_formula(_read(path), ws.schemas)
-    if isinstance(f, ForallCtx) and f.var == var:
-        if f.schema != ws.schemas[source_name]:
-            raise InputError(
-                f"formula quantifies {var} at schema {f.schema_name}, "
-                f"but --from names {source_name}"
-            )
-        f = open_ctx(f.body, CtxExpr(var))
-    check_formula(ws.sig, f, WfEnv(ctx_schemas={var: ws.schemas[source_name]}))
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +139,41 @@ def _require_schema(ws: Workspace, name: str) -> ContextSchema:
     return ws.schemas[name]
 
 
-def _cmd_subsumes(args) -> int:
-    ws = load_workspace(args.signature, args.schemas)
+def _transport_inputs(ws: Workspace, args) -> tuple[ContextSchema, ContextSchema, Formula]:
+    """The schemas `--from` and `--to` name, then the formula of
+    `--formula` with `--var` free: either the bare body, or the full
+    context-quantified statement, which is unwrapped."""
     source = _require_schema(ws, args.source)
     target = _require_schema(ws, args.target)
-    f = _load_open_formula(ws, args.formula, args.var, args.source)
+    f = parse_formula(_read(args.formula), ws.schemas)
+    if isinstance(f, ForallCtx) and f.var == args.var:
+        if f.schema != source:
+            raise InputError(
+                f"formula quantifies {args.var} at schema {f.schema_name}, "
+                f"but --from names {args.source}"
+            )
+        f = open_ctx(f.body, CtxExpr(args.var))
+    check_formula(ws.sig, f, WfEnv(ctx_schemas={args.var: source}))
+    return source, target, f
+
+
+def _print_undroppable(failure: TransportFailure, target: ContextSchema) -> None:
+    if failure.binding is not None:
+        v, t = failure.binding
+        scope = block_scope(target.blocks[failure.target_index])
+        print(f"undroppable binding: {v} : {fmt_type(t, scope)}")
+
+
+def _cmd_subsumes(args) -> int:
+    ws = load_workspace(args.signature, args.schemas)
+    source, target, f = _transport_inputs(ws, args)
     result = schema_subsumes(
         ws.rel, source, f, args.var, target, search_cap=args.search_cap
     )
-    if isinstance(result, SubsumptionFailure):
+    if isinstance(result, TransportFailure):
         print(f"{args.source} does not subsume {args.target}")
-        print(f"failing target block {result.target_index}: {result.message}")
-        if result.undroppable is not None:
-            v, t = result.undroppable
-            print(f"undroppable binding: {v} : {fmt_type(t, block_scope(result.block))}")
+        print(f"failing {result.message}")
+        _print_undroppable(result, target)
         return 1
     print(f"{args.source} subsumes {args.target}")
     for m in result:
@@ -182,9 +183,7 @@ def _cmd_subsumes(args) -> int:
 
 def _cmd_transport(args) -> int:
     ws = load_workspace(args.signature, args.schemas)
-    source = _require_schema(ws, args.source)
-    target = _require_schema(ws, args.target)
-    f = _load_open_formula(ws, args.formula, args.var, args.source)
+    source, target, f = _transport_inputs(ws, args)
     result = transport_check(
         ws.sig,
         ws.rel,
@@ -199,10 +198,7 @@ def _cmd_transport(args) -> int:
     if isinstance(result, TransportFailure):
         print(f"transport fails at the {result.side} side condition")
         print(result.message)
-        if result.binding is not None:
-            v, t = result.binding
-            scope = block_scope(target.blocks[result.target_index])
-            print(f"undroppable binding: {v} : {fmt_type(t, scope)}")
+        _print_undroppable(result, target)
         return 1
     print(fmt_certificate(result))
     return 0
@@ -233,9 +229,7 @@ def _cmd_oracle(args) -> int:
             raise InputError(
                 "transport verification needs --from, --to, --var and --formula"
             )
-        source = _require_schema(ws, args.source)
-        target = _require_schema(ws, args.target)
-        f = _load_open_formula(ws, args.formula, args.var, args.source)
+        source, target, f = _transport_inputs(ws, args)
         reports.append(
             verify_transport(ws.sig, ws.rel, source, target, args.var, f, bounds)
         )

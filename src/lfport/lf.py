@@ -631,24 +631,18 @@ def _binder_nominals(ctx: LFContext, local: tuple) -> list[Nominal]:
 
 def _close(parts: tuple, ctx: LFContext, local: tuple) -> list:
     """Message parts with each dangling index closed by the nominal of its
-    binder in `local`; indices beyond `local` are lowered past it."""
-    noms: list[Nominal] = []
-
-    def head(h, d):
-        if not isinstance(h, BVar) or h.index < d:
-            return h
-        i = h.index - d
-        if i >= len(local):
-            return BVar(i - len(local))
-        if not noms:
-            noms.extend(_binder_nominals(ctx, local))
-        return noms[i]
-
+    binder in `local`; indices beyond `local` are lowered past it.  Choosing
+    the nominals scans every binder, so it is done only when a part needs one."""
+    trees = [Atom(p) if isinstance(p, BVar) else p for p in parts]
+    named = any(
+        i < len(local) for t in trees if isinstance(t, (Term, TypeExpr)) for i in _dangling(t)
+    )
+    noms = _binder_nominals(ctx, local) if named else [None] * len(local)
     return [
-        head(p, 0) if isinstance(p, BVar)
-        else _map_heads(p, head) if isinstance(p, (Term, TypeExpr))
+        _open_named(t, noms).head if isinstance(p, BVar)
+        else _open_named(t, noms) if isinstance(t, (Term, TypeExpr))
         else p
-        for p in parts
+        for p, t in zip(parts, trees)
     ]
 
 

@@ -33,6 +33,7 @@ trace keeps (see `_shown`), so the names take no part in evaluation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -195,7 +196,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     its own bit 0 for a term quantifier.  A term quantifier stops at the
     first body that does not read bit 0.
     """
-    pools: dict = {}  # arity -> terms
+    ranges: dict = {}  # arity -> pool terms, schema -> instances
     # Per-node memos, id(node) -> (node, ...).  An atom headed by a context
     # variable keeps its judgements in its instance's dict, dropped with it.
     memo: dict = {}
@@ -204,21 +205,24 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         """(pool term or instance, the environment its body is evaluated
         in) for a quantifier, lazily."""
         inst, slots, path, ctxs = env
-        if isinstance(g, ForallCtx):
+        over_ctx = isinstance(g, ForallCtx)
+        domain = g.schema if over_ctx else g.arity
+        chosen = ranges.get(domain)
+        if chosen is None:
+            sizes = (bounds.term_size_max, bounds.pool_nominals)
+            chosen = ranges[domain] = (
+                enumerate_instances(sig, domain, bounds.schema_blocks_max, *sizes)
+                if over_ctx else term_pool(sig, domain, *sizes)
+            )
+        if over_ctx:
             own = _bound_nominals(g.body)
-            for instance in enumerate_instances(
-                sig, g.schema, bounds.schema_blocks_max, bounds.term_size_max, bounds.pool_nominals
-            ):
+            for instance in chosen:
                 # as putting the instance in for the variable would raise
                 if not own.isdisjoint(n for n, _ in instance.bindings):
                     raise ValueError("context expression binds a nominal twice")
                 yield instance, (inst, slots, ((g, instance),) + path, ((instance, {}),) + ctxs)
             return
-        if g.arity not in pools:
-            pools[g.arity] = term_pool(
-                sig, g.arity, bounds.term_size_max, bounds.pool_nominals
-            )
-        for i, t in enumerate(pools[g.arity]):
+        for i, t in enumerate(chosen):
             # Memo keys name each pool term by its arity and pool index:
             # one atom may sit under binders of another arity elsewhere.
             yield t, (((t, g.arity),) + inst, ((g.arity, i),) + slots, ((g, t),) + path, ctxs)
@@ -346,7 +350,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         # ev is a closure over itself, so the memos would otherwise outlive
         # the call until the next cycle collection.
         memo.clear()
-        pools.clear()
+        ranges.clear()
     return Verdict3(verdict.value, tuple(map(_line, verdict.trace)))
 
 
@@ -484,32 +488,28 @@ TOTAL_CAP = 400
 
 
 def enumerate_lf_contexts(sig, max_bindings: int, size_max: int):
-    """Well-formed LF contexts built by repeatedly extending with a
-    well-formed candidate type; breadth-first, deterministic, capped."""
-    out = [LFContext()]
-    frontier = [LFContext()]
-    for _ in range(max_bindings):
-        nxt = []
-        for ctx in frontier:
-            # every binder is a nominal this loop chose
-            nom = fresh_nominal(O, (b for b, _ in ctx.bindings))
-            step = 0
-            for ty in candidate_types(sig, ctx, size_max):
-                if step >= PER_STEP:
-                    break
-                if _fails(check_type, sig, ctx, ty) is not None:
-                    continue
-                nxt.append(ctx.extend(nom, ty))
-                step += 1
-                if len(out) + len(nxt) >= TOTAL_CAP:
-                    break
-            if len(out) + len(nxt) >= TOTAL_CAP:
-                break
-        out.extend(nxt)
-        frontier = nxt
-        if len(out) >= TOTAL_CAP:
-            break
-    return out[:TOTAL_CAP]
+    """Well-formed LF contexts, lazily and breadth-first from the empty
+    one: each context with fewer than `max_bindings` bindings is extended
+    by its first `PER_STEP` well-formed candidate types, and the whole
+    enumeration ends after `TOTAL_CAP` contexts.  Deterministic."""
+
+    def breadth_first():
+        level = [LFContext()]
+        yield level[0]
+        for _ in range(max_bindings):
+            level, parents = [], level
+            for ctx in parents:
+                # every binder is a nominal this generator chose
+                nom = fresh_nominal(O, (b for b, _ in ctx.bindings))
+                well_formed = (
+                    ty for ty in candidate_types(sig, ctx, size_max)
+                    if _fails(check_type, sig, ctx, ty) is None
+                )
+                for ty in itertools.islice(well_formed, PER_STEP):
+                    level.append(ctx.extend(nom, ty))
+                    yield level[-1]
+
+    return itertools.islice(breadth_first(), TOTAL_CAP)
 
 
 def verify_minimization(

@@ -45,7 +45,7 @@ def head_constant(ty: TypeExpr) -> str:
 
 def compute_subordination(sig: Signature) -> SubordRel:
     """Least relation closed under index subordination, reflexivity and
-    transitivity, computed as a fixpoint over the signature."""
+    transitivity."""
     constants = sig.arity_context().type_args
     pairs = {(a, a) for a in constants}
     for d in sig.decls:
@@ -57,18 +57,14 @@ def compute_subordination(sig: Signature) -> SubordRel:
         while isinstance(classifier, (PiKind, PiType)):
             pairs.add((head_constant(classifier.domain), target))
             classifier = classifier.body
-    # transitive closure by a worklist over the pair set
-    work = list(pairs)
-    while work:
-        a, b = work.pop()
-        for c, d in list(pairs):
-            if c == b and (a, d) not in pairs:
-                pairs.add((a, d))
-                work.append((a, d))
-            if d == a and (c, b) not in pairs:
-                pairs.add((c, b))
-                work.append((c, b))
-    return SubordRel(frozenset(pairs), frozenset(constants))
+    # transitive closure: Warshall's algorithm, on the set of names above each
+    names = {x for pair in pairs for x in pair}
+    above = {a: {b for x, b in pairs if x == a} for a in names}
+    for k in names:
+        for i in names:
+            if k in above[i]:
+                above[i] |= above[k]
+    return SubordRel(frozenset((a, b) for a in names for b in above[a]), frozenset(constants))
 
 
 def type_leq(rel: SubordRel, a: TypeExpr, b: TypeExpr) -> bool:

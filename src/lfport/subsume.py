@@ -160,11 +160,11 @@ class BlockMatch:
 
 
 @dataclass(frozen=True)
-class SubsumptionFailure:
-    target_index: int
-    block: BlockSchema
-    undroppable: Optional[tuple[str, TypeExpr]]
+class TransportFailure:
+    side: str  # "subsumption" or "validity"
     message: str
+    target_index: Optional[int] = None
+    binding: Optional[tuple[str, TypeExpr]] = None
 
 
 def _gamma_atom_types(f: Formula, gamma: str) -> list[TypeExpr]:
@@ -399,9 +399,10 @@ def schema_subsumes(
     target: ContextSchema,
     *,
     search_cap: int = 10000,
-) -> Union[tuple[BlockMatch, ...], SubsumptionFailure]:
+) -> Union[tuple[BlockMatch, ...], TransportFailure]:
     """Every target block must have a variant that block-subsumes into the
-    source schema; an empty target succeeds unconditionally.  The schemas
+    source schema; an empty target succeeds unconditionally, and the first
+    refused block is a failure at the subsumption side.  The schemas
     must have passed `check_schema`, and `f` `check_formula`: the search of
     each block and the diagnosis of a refused one judge a binding
     undroppable by the same drop basis, so an unchecked type head raises
@@ -417,7 +418,7 @@ def schema_subsumes(
                 msg = f"binding {binding[0]} cannot be dropped or matched"
             else:
                 msg = "no source block declaration embeds into this block"
-            return SubsumptionFailure(ti, block, binding, msg)
+            return TransportFailure("subsumption", f"target block {ti}: {msg}", ti, binding)
         matches.append(m)
     return tuple(matches)
 
@@ -538,14 +539,6 @@ class TransportCertificate:
         return True
 
 
-@dataclass(frozen=True)
-class TransportFailure:
-    side: str  # "subsumption" or "validity"
-    message: str
-    target_index: Optional[int] = None
-    binding: Optional[tuple[str, TypeExpr]] = None
-
-
 def transport_check(
     sig: Signature,
     rel: SubordRel,
@@ -561,13 +554,8 @@ def transport_check(
     the evidence into a certificate.  The schemas must have passed
     `check_schema`, and `f` `check_formula` with `gamma` at `source`."""
     result = schema_subsumes(rel, source, f, gamma, target, search_cap=search_cap)
-    if isinstance(result, SubsumptionFailure):
-        return TransportFailure(
-            "subsumption",
-            f"target block {result.target_index}: {result.message}",
-            result.target_index,
-            result.undroppable,
-        )
+    if isinstance(result, TransportFailure):
+        return result
     valtop = _val_deriv(gamma, f, True)
     if valtop is None:
         return TransportFailure(

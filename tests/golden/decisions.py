@@ -17,6 +17,7 @@ Record only when a change of output is intended, or after a change to
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -32,7 +33,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
 
 import gen  # noqa: E402
-from lfport.cli import _load_open_formula, load_workspace, main  # noqa: E402
+from lfport.cli import _transport_inputs, load_workspace, main  # noqa: E402
 from lfport.subsume import TransportCertificate, transport_check  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "decisions.json"
@@ -54,10 +55,9 @@ def _run(argv: list[str]):
 def _replays(sig: str, d: dict, sch: str, fml: str) -> bool:
     """Whether the certificate of an accepted decision passes `verify`."""
     ws = load_workspace(sig, sch)
-    f = _load_open_formula(ws, fml, d["var"], d["source"])
-    cert = transport_check(
-        ws.sig, ws.rel, ws.schemas[d["source"]], ws.schemas[d["target"]], d["var"], f
-    )
+    args = argparse.Namespace(source=d["source"], target=d["target"], formula=fml, var=d["var"])
+    source, target, f = _transport_inputs(ws, args)
+    cert = transport_check(ws.sig, ws.rel, source, target, d["var"], f)
     return isinstance(cert, TransportCertificate) and cert.verify(ws.sig, ws.rel)
 
 

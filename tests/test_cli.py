@@ -153,7 +153,7 @@ def test_transport_schema_mismatch_is_input_error(capsys):
 
 def test_transport_checks_each_input_once(monkeypatch, capsys):
     # load_workspace checks the two schemas of the file and
-    # _load_open_formula the formula; the transport check relies on them
+    # _transport_inputs the formula; the transport check relies on them
     calls = {}
     for fn in (lfport.check_schema, lfport.check_formula):
         def counted(*args, _fn=fn):

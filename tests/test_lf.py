@@ -1,6 +1,7 @@
 """Core LF: erasure, hereditary substitution, formation judgements."""
 
 import copy
+import random
 
 import pytest
 
@@ -25,14 +26,23 @@ from lfport import (
 )
 from lfport.lf import (
     ArgumentTypeMismatch,
+    AtomicType,
+    BVar,
     DuplicateName,
     HeadUnbound,
     IllFormedClassifier,
     IllFormedType,
     NotEtaLong,
+    PiType,
     SpineArity,
     SubstFailure,
+    Term,
+    TypeExpr,
     TypeMismatch,
+    _binder_nominals,
+    _close,
+    _map_heads,
+    _open_named,
 )
 from lfport.pretty import fmt_term
 from util import a, at, ce, ctx, lam, nom, pi
@@ -424,3 +434,69 @@ def test_arity_context_is_computed_once_per_signature(sig_stlc, schemas_stlc):
     for cs in schemas_stlc.values():
         check_schema(sig_stlc, cs)
     assert actx == fresh(sig_stlc)
+
+
+# ---------------------------------------------------------------------------
+# Closing the dangling indices of message parts, against the head map that
+# `_close` ran before it called `_open_named`.
+
+
+def ref_close(parts, ctx, local):
+    noms = []
+
+    def head(h, d):
+        if not isinstance(h, BVar) or h.index < d:
+            return h
+        i = h.index - d
+        if i >= len(local):
+            return BVar(i - len(local))
+        if not noms:
+            noms.extend(_binder_nominals(ctx, local))
+        return noms[i]
+
+    return [
+        head(p, 0) if isinstance(p, BVar)
+        else _map_heads(p, head) if isinstance(p, (Term, TypeExpr))
+        else p
+        for p in parts
+    ]
+
+
+def random_part(rng, outer, depth=0):
+    """A term or type whose dangling indices are below `outer`."""
+    if rng.random() < 0.3:
+        body = random_part(rng, outer, depth + 1)
+        if isinstance(body, TypeExpr):
+            return PiType("x", at("tm"), body)
+        return Lam("x", body)
+    heads = ["z", nom(1), nom(2)] + [BVar(i) for i in range(depth + outer)]
+    args = tuple(Atom(rng.choice(heads), ()) for _ in range(rng.randrange(3)))
+    return Atom(rng.choice(heads), args) if rng.random() < 0.5 else AtomicType("size", args)
+
+
+def test_close_matches_the_head_map_on_in_range_parts():
+    rng = random.Random(7)
+    domains = (at("tm"), at("nat"), pi("w", at("tm"), at("tm")), at("size", a(nom(1)), a("z")))
+    for _ in range(500):
+        local = tuple(
+            (rng.choice(domains), *(random_part(rng, 0) for _ in range(rng.randrange(3))))
+            for _ in range(rng.randrange(1, 4))
+        )
+        g = ctx(*rng.sample([(nom(1), at("tm")), (nom(3), at("nat"))], rng.randrange(3)))
+        parts = (
+            random_part(rng, len(local)),
+            BVar(rng.randrange(len(local))),
+            "text",
+            random_part(rng, len(local)),
+        )
+        assert _close(parts, g, local) == ref_close(parts, g, local)
+
+
+def test_close_lowers_an_index_beyond_local_under_a_binder_by_the_length_of_local():
+    tm = at("tm")
+    local = ((tm, tm),)
+    # at the top of the part, and under one binder of it
+    assert _close((BVar(3), Atom(BVar(3))), LFContext(), local) == [BVar(2), Atom(BVar(2))]
+    out = _close((Lam("x", Atom(BVar(3))),), LFContext(), local)
+    assert out == [Lam("x", Atom(BVar(2)))] == [_open_named(Lam("x", Atom(BVar(3))), ["n1"])]
+    assert _close((Lam("x", Atom(BVar(1))),), LFContext(), local) == [Lam("x", Atom(nom(1)))]

@@ -33,7 +33,7 @@ from lfport import (
 )
 from lfport import oracle
 from lfport.formula import _map_atoms, _map_lf, _rebuild, _subformulas, open_ctx
-from lfport.lf import BVar, _open_named, _subst, free_vars, fresh_name, names_in
+from lfport.lf import BVar, _open_named, _subst, free_vars, fresh_name, fresh_nominal, names_in
 from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3
 from lfport.parse import parse_formula, parse_schemas, parse_signature
 from util import a, at, ce, nom, quantify, random_formula
@@ -651,3 +651,89 @@ def test_atoms_without_the_context_variable_are_checked_once(sig_size, schemas_s
     verdict = bounded_validity(sig_size, f, Bounds(2, 3))
     assert calls["check_type"] == 5
     assert verdict == plain_validity(sig_size, f, Bounds(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# One range per domain and call: a quantifier's pool terms or instances.
+
+FORALL_CTX_OF = (
+    "forall M : o. ctx G : Cof. { G |- M : tm } => "
+    "exists T : o. { G |- M : tm } /\\ { |- T : tp }"
+)
+
+
+def test_instances_are_enumerated_once_per_call(sig_stlc, schemas_stlc, monkeypatch):
+    # The context quantifier is evaluated once per pool term of M, 25 of
+    # them at term size 3, but its schema's instances are enumerated once.
+    f = parse_formula(FORALL_CTX_OF, schemas_stlc)
+    calls = []
+    real = oracle.enumerate_instances
+    monkeypatch.setattr(
+        oracle, "enumerate_instances", lambda *args: calls.append(args) or real(*args)
+    )
+    assert len(term_pool(sig_stlc, O, 3)) == 25
+    verdict = bounded_validity(sig_stlc, f, Bounds(3, 2))
+    assert verdict == Verdict3(UNKNOWN, ("universal range undecided within bounds",))
+    assert len(calls) == 1
+    bounded_validity(sig_stlc, f, Bounds(3, 2))
+    assert len(calls) == 2  # the ranges live for one call
+
+
+def test_matches_plain_on_a_context_quantifier_under_a_term_quantifier(sig_stlc, schemas_stlc):
+    # Two are refuted, at the empty instance and at one that types n2.
+    outcomes = []
+    for text in (
+        FORALL_CTX_OF,
+        "forall M : o. ctx G : Cmix. { G |- M : tm } => exists T : o. { G |- n2 : of M T }",
+        "forall T : o. ctx G : Cof. { G |- n1 : tm } => { G |- n2 : of n1 T }",
+        "forall T : o. ctx G : Cof. { G, n5 : of n1 T |- n5 : of n1 T } \\/ { |- T : tm }",
+    ):
+        f = parse_formula(text, schemas_stlc)
+        outcomes.append(assert_same(sig_stlc, f, Bounds(2, 2)).value)
+    assert outcomes == [UNKNOWN, UNKNOWN, INVALID, INVALID]
+
+
+# ---------------------------------------------------------------------------
+# The bounded LF contexts against the hand-written loop they replaced.
+
+
+def ref_enumerate_lf_contexts(sig, max_bindings, size_max):
+    out = [LFContext()]
+    frontier = [LFContext()]
+    for _ in range(max_bindings):
+        nxt = []
+        for ctx in frontier:
+            nom_ = fresh_nominal(O, (b for b, _ in ctx.bindings))
+            step = 0
+            for ty in oracle.candidate_types(sig, ctx, size_max):
+                if step >= oracle.PER_STEP:
+                    break
+                if oracle._fails(oracle.check_type, sig, ctx, ty) is not None:
+                    continue
+                nxt.append(ctx.extend(nom_, ty))
+                step += 1
+                if len(out) + len(nxt) >= oracle.TOTAL_CAP:
+                    break
+            if len(out) + len(nxt) >= oracle.TOTAL_CAP:
+                break
+        out.extend(nxt)
+        frontier = nxt
+        if len(out) >= oracle.TOTAL_CAP:
+            break
+    return out[:oracle.TOTAL_CAP]
+
+
+def test_lf_contexts_match_the_hand_written_loop(sig_size, sig_stlc, monkeypatch):
+    calls = counting(monkeypatch)
+    capped = set()
+    for sig in (sig_size, sig_stlc):
+        for blocks in range(1, 5):
+            for size in range(2, 5):
+                calls.clear()
+                want = ref_enumerate_lf_contexts(sig, blocks, size)
+                checks = calls["check_type"]
+                calls.clear()
+                assert list(oracle.enumerate_lf_contexts(sig, blocks, size)) == want
+                assert calls["check_type"] == checks, (blocks, size)
+                capped.add(len(want) == oracle.TOTAL_CAP)
+    assert capped == {True, False}

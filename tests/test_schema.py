@@ -1,6 +1,7 @@
 """Context schemas: well-formedness, instances, bounded enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -496,3 +497,85 @@ def test_parameter_solutions_never_capture_a_binder():
             matched = _match_type(pat, parse_type_text(text), {"F": Arrow(O, O)}, solution)
             assert matched == (want is not None), (x, text)
             assert solution.get("F") == want, (x, text)
+
+
+# ---------------------------------------------------------------------------
+# Segmentation against brute force.
+
+# Block 1 ends with block 0's declaration, so a segmentation that takes the
+# last binding for block 0 can leave a prefix that does not segment.
+C_OVERLAP = parse_schemas(
+    "schema C := {}(x : tm) | {}(u : nat, x : tm) | {}(x : tm, y : size x (s z))"
+    " | {N : o}(u : nat, x : tm, y : size x N)."
+)["C"]
+
+
+def brute_segmentation(sig, cs, bindings):
+    """The first segmentation, blocks tried in schema order from the end of
+    the context, by plain backtracking without remembered prefixes."""
+
+    def go(k):
+        if k == 0:
+            return []
+        for bi, block in enumerate(cs.blocks):
+            m = len(block.decl)
+            if 0 < m <= k and block_instance(sig, block, bindings[k - m : k]) is not None:
+                rest = go(k - m)
+                if rest is not None:
+                    return rest + [(bi, k - m, k)]
+        return None
+
+    return go(len(bindings))
+
+
+def random_overlap_context(rng):
+    """Block instantiations of `C_OVERLAP` with stray bindings between."""
+    bindings = []
+
+    def fresh(ty):
+        bindings.append((nom(len(bindings) + 1), ty))
+        return a(bindings[-1][0])
+
+    for _ in range(rng.randrange(6)):
+        n = rng.choice((a("z"), a("s", a("z"))))
+        kind = rng.randrange(5)
+        if kind in (1, 3):
+            fresh(at("nat"))
+        if kind < 4:
+            x = fresh(at("tm"))
+            if kind >= 2:
+                fresh(at("size", x, n if kind == 3 else a("s", a("z"))))
+        else:  # a stray binding, possibly ill-typed for every block
+            tms = [a(v) for v, ty in bindings if ty == at("tm")]
+            fresh(rng.choice([at("nat"), at("tm")] + [at("size", t, n) for t in tms]))
+    return ce(*bindings)
+
+
+def test_segmentation_backtracks_past_a_dead_prefix(sig_size):
+    schema = parse_schemas("schema C := {}(x : tm) | {}(u : nat, x : tm).")["C"]
+    g = ce((nom(1), at("nat")), (nom(2), at("tm")))
+    assert segment_instance(sig_size, schema, g) == [(1, 0, 2)]
+    assert brute_segmentation(sig_size, schema, g.bindings) == [(1, 0, 2)]
+
+
+def test_segmentation_matches_brute_force_in_linear_block_instance_calls(sig_size, monkeypatch):
+    check_schema(sig_size, C_OVERLAP)
+    rng = random.Random(5)
+    calls = []
+    real = lfport.schema.block_instance
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lfport.schema, "block_instance", counted)
+    outcomes = set()
+    for _ in range(400):
+        g = random_overlap_context(rng)
+        want = brute_segmentation(sig_size, C_OVERLAP, g.bindings)
+        calls.clear()
+        got = segment_instance(sig_size, C_OVERLAP, g)
+        assert got == want, g
+        assert len(calls) <= len(g.bindings) * len(C_OVERLAP.blocks), g
+        outcomes.add(got is not None)
+    assert outcomes == {True, False}

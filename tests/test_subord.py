@@ -1,6 +1,7 @@
 """Subordination relation and context minimization."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,7 +16,8 @@ from lfport import (
     minimize,
     type_leq,
 )
-from lfport.lf import O, UnknownConstant
+from lfport.lf import O, PiKind, PiType, UnknownConstant
+from lfport.parse import parse_signature
 from util import a, at, ctx, nom, pi
 
 PAPER_PAIRS = {
@@ -112,3 +114,66 @@ def test_head_stable_under_substitution():
     dep = pi("x", at("tm"), at("size", a("x"), a("N")))
     out = apply_subst(dep, {"N": (a("z"), O)})
     assert head_constant(out) == "size"
+
+
+# ---------------------------------------------------------------------------
+# The transitive closure against the worklist it replaced.
+
+
+def ref_direct_pairs(sig):
+    """Reflexivity and index subordination, before any closure."""
+    pairs = {(a, a) for a in sig.arity_context().type_args}
+    for d in sig.decls:
+        if isinstance(d, TypeDecl):
+            target, classifier = d.name, d.kind
+        else:
+            target, classifier = head_constant(d.type), d.type
+        while isinstance(classifier, (PiKind, PiType)):
+            pairs.add((head_constant(classifier.domain), target))
+            classifier = classifier.body
+    return pairs
+
+
+def ref_worklist_closure(pairs):
+    pairs = set(pairs)
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        for c, d in list(pairs):
+            if c == b and (a, d) not in pairs:
+                pairs.add((a, d))
+                work.append((a, d))
+            if d == a and (c, b) not in pairs:
+                pairs.add((c, b))
+                work.append((c, b))
+    return pairs
+
+
+def test_a_chain_is_closed_transitively():
+    sig = parse_signature("a : Type. b : Type. c : Type. f : a -> b. g : b -> c.")
+    rel = compute_subordination(sig)
+    assert rel.holds("a", "c") and not rel.holds("c", "a")
+    assert set(rel.pairs) == ref_worklist_closure(ref_direct_pairs(sig)) == {
+        ("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("a", "c"),
+    }
+
+
+def test_closure_matches_the_worklist_on_random_relations():
+    rng = random.Random(3)
+    closed = 0
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        decls = [f"c{i} : Type." for i in range(n)]
+        for k in range(rng.randrange(2 * n + 1)):
+            # a type family indexed by a constant, or a constructor from two
+            # constants to a third
+            x, y, z = (rng.randrange(n) for _ in range(3))
+            decls.append(
+                f"t{k} : c{x} -> Type." if rng.random() < 0.2 else f"f{k} : c{x} -> c{y} -> c{z}."
+            )
+        sig = parse_signature(" ".join(decls))
+        direct = ref_direct_pairs(sig)
+        want = ref_worklist_closure(direct)
+        assert set(compute_subordination(sig).pairs) == want, decls
+        closed += want != direct
+    assert closed > 50

@@ -42,7 +42,6 @@ from lfport.subsume import (
     BlockMatch,
     DropRecord,
     SearchCapExceeded,
-    SubsumptionFailure,
     TransportCertificate,
     TransportFailure,
 )
@@ -329,15 +328,15 @@ def test_block_subsumes_aligns_renamed_variables(rel_size, plus_body):
 
 def test_schema_subsumes_empty_to_size(rel_size, plus_body):
     out = schema_subsumes(rel_size, C_EMPTY, plus_body, "G", C_SIZE)
-    assert not isinstance(out, SubsumptionFailure)
+    assert not isinstance(out, TransportFailure)
 
 
 def test_schema_subsumes_fails_for_tm_formula(rel_size, tm_size_body):
     out = schema_subsumes(rel_size, C_EMPTY, tm_size_body, "G", C_SIZE)
-    assert isinstance(out, SubsumptionFailure)
-    assert out.undroppable is not None
-    assert out.undroppable[0] == "x"
-    assert out.undroppable[1] == at("tm")
+    assert isinstance(out, TransportFailure)
+    assert out.binding is not None
+    assert out.binding[0] == "x"
+    assert out.binding[1] == at("tm")
 
 
 def test_schema_subsumes_empty_target(rel_size, plus_body):
@@ -895,6 +894,29 @@ def test_forged_block_matches_fail_replay(
         check_schema(sig_size, ContextSchema((make_variant({"x": "y", "y": "y"}, B_SIZE),)))
     for perm in ((("x", "y"), ("y", "y")), (("x", "x"), ("x", "x")), (("x", "y"),)):
         assert permuted(cert, perm).verify(sig_size, rel_size) is False
+
+
+def test_a_missing_match_or_a_variant_off_its_permutation_fails_replay(
+    sig_stlc, rel_stlc, schemas_stlc, of_exists_body
+):
+    import dataclasses
+
+    cmix = schemas_stlc["Cmix"]
+    cert = transport_check(sig_stlc, rel_stlc, cmix, cmix, "G", of_exists_body)
+    assert cert.verify(sig_stlc, rel_stlc)
+    m0, m1 = cert.matches
+    # one match fewer than the target has blocks
+    assert dataclasses.replace(cert, matches=(m0,)).verify(sig_stlc, rel_stlc) is False
+    # a valid permutation whose variant is not make_variant(permutation, block):
+    # the variant of the other block, and one declaration variable renamed
+    block = cert.target.blocks[0]
+    assert m0.variant == make_variant(dict(m0.permutation), block)
+    (_, ty), *rest = m0.variant.decl
+    renamed = BlockSchema(m0.variant.params, (("w", ty), *rest))
+    for variant in (m1.variant, renamed):
+        forged = dataclasses.replace(m0, variant=variant)
+        matches = (forged, m1)
+        assert dataclasses.replace(cert, matches=matches).verify(sig_stlc, rel_stlc) is False
 
 
 # ---------------------------------------------------------------------------
