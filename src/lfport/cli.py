@@ -49,15 +49,29 @@ class Workspace:
     schemas: dict[str, ContextSchema] = field(default_factory=dict)
 
 
-def load_workspace(sig_path: str, schemas_path: str | None = None) -> Workspace:
-    sig = parse_signature(_read(sig_path))
+# Distinct signature texts kept by `_checked_signature`.
+_SIGNATURE_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_SIGNATURE_MEMO_SIZE)
+def _checked_signature(text: str) -> tuple[Signature, SubordRel]:
+    """The signature `text` declares, checked, with its subordination
+    relation; parsed and checked once per process for each distinct text.
+    Keyed by the text, so an edited file is checked again.  A raised error is
+    not kept, so an ill-formed signature fails alike on every call.  Both
+    results are frozen, so every call may share them."""
+    sig = parse_signature(text)
     check_signature(sig)
-    ws = Workspace(sig, compute_subordination(sig))
+    return sig, compute_subordination(sig)
+
+
+def load_workspace(sig_path: str, schemas_path: str | None = None) -> Workspace:
+    ws = Workspace(*_checked_signature(_read(sig_path)))
     if schemas_path is not None:
         schemas = parse_schemas(_read(schemas_path))
         for name, cs in schemas.items():
             try:
-                check_schema(sig, cs)
+                check_schema(ws.sig, cs)
             except LFError as err:
                 raise InputError(f"schema {name}: {err}") from err
         ws.schemas = schemas
@@ -65,10 +79,12 @@ def load_workspace(sig_path: str, schemas_path: str | None = None) -> Workspace:
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        raise InputError(f"no such file: {path}") from None
+    except OSError as err:
+        raise InputError(f"cannot read {path}: {err.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +92,8 @@ def _read(path: str) -> str:
 
 
 def _cmd_check(args) -> int:
-    sig = parse_signature(_read(args.signature))
     try:
-        check_signature(sig)
+        sig, _ = _checked_signature(_read(args.signature))
     except LFError as err:
         print(f"ill-formed signature: {err}")
         return 1

@@ -9,7 +9,8 @@ import pytest
 import lfport
 from lfport import cli
 from lfport.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, read
+from golden import replay
 
 SIG = str(FIXTURES / "sig_size.lf")
 SIG_STLC = str(FIXTURES / "sig_stlc.lf")
@@ -288,6 +289,16 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "subord", "no-such-file.lf")
     assert code == 2
     assert "no such file" in err
+    # a path through a regular file names no file either
+    assert run(capsys, "check", SIG + "/x") == (2, "", f"error: no such file: {SIG}/x\n")
+
+
+def test_unreadable_path_is_input_error(capsys):
+    code, out, err = run(capsys, "check", str(FIXTURES))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {FIXTURES}: ")
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exits_two(capsys):
@@ -361,3 +372,50 @@ def test_one_parser_serves_every_call(monkeypatch):
     assert shared == fresh
     assert {code for code, _, _ in shared} == {0, 1, 2}
     assert shared[0] == shared[4] and shared[2][0] == 2 and shared[11][0] == 0
+
+
+def test_signature_memo_is_transparent():
+    # every golden command line gives the same outcome with the memo cleared
+    # before it as in one warm sequence of calls
+    argvs = [case["argv"] for case in replay.load()]
+    cold = []
+    for argv in argvs:
+        cli._checked_signature.cache_clear()
+        cold.append(replay.run(argv))
+    cli._checked_signature.cache_clear()
+    warm = [replay.run(argv) for argv in argvs]
+    assert cli._checked_signature.cache_info().hits > 0
+    assert warm == cold
+
+
+def test_signature_memo_answers_for_the_current_text(tmp_path, capsys):
+    # one path, rewritten between calls: each call answers for the text the
+    # file holds then
+    sig = tmp_path / "sig.lf"
+    path = str(sig)
+    sig.write_text(read("sig_size.lf"))
+    assert run(capsys, "check", path) == (0, "ok: signature with 12 declarations\n", "")
+    sig.write_text("nat : Type.\nnat : Type.\n")
+    code, out, _ = run(capsys, "check", path)
+    assert code == 1
+    assert out.startswith("ill-formed signature: ")
+    sig.write_text(read("sig_stlc.lf"))
+    assert run(capsys, "check", path) == (0, "ok: signature with 18 declarations\n", "")
+    assert run(capsys, "subord", path) == run(capsys, "subord", SIG_STLC)
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [("nat : Type.\nnat : Type.\n", 1), ("c : .\n", 2)],
+    ids=["ill-formed", "parse-error"],
+)
+def test_signature_memo_keeps_no_failure(tmp_path, capsys, text, code):
+    bad = tmp_path / "bad.lf"
+    bad.write_text(text)
+    first = run(capsys, "check", str(bad))
+    assert first[0] == code
+    assert run(capsys, "check", str(bad)) == first
+
+
+def test_signature_memo_is_bounded():
+    assert cli._checked_signature.cache_info().maxsize is not None
