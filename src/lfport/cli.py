@@ -172,6 +172,12 @@ def _transport_inputs(ws: Workspace, args) -> tuple[ContextSchema, ContextSchema
     return source, target, f
 
 
+def _search_cap(args) -> int:
+    if args.search_cap < 0:
+        raise InputError(f"--search-cap must be non-negative, not {args.search_cap}")
+    return args.search_cap
+
+
 def _print_undroppable(failure: TransportFailure, target: ContextSchema) -> None:
     if failure.binding is not None:
         v, t = failure.binding
@@ -180,11 +186,10 @@ def _print_undroppable(failure: TransportFailure, target: ContextSchema) -> None
 
 
 def _cmd_subsumes(args) -> int:
+    cap = _search_cap(args)
     ws = load_workspace(args.signature, args.schemas)
     source, target, f = _transport_inputs(ws, args)
-    result = schema_subsumes(
-        ws.rel, source, f, args.var, target, search_cap=args.search_cap
-    )
+    result = schema_subsumes(ws.rel, source, f, args.var, target, search_cap=cap)
     if isinstance(result, TransportFailure):
         print(f"{args.source} does not subsume {args.target}")
         print(f"failing {result.message}")
@@ -197,6 +202,7 @@ def _cmd_subsumes(args) -> int:
 
 
 def _cmd_transport(args) -> int:
+    cap = _search_cap(args)
     ws = load_workspace(args.signature, args.schemas)
     source, target, f = _transport_inputs(ws, args)
     result = transport_check(
@@ -206,7 +212,7 @@ def _cmd_transport(args) -> int:
         target,
         args.var,
         f,
-        args.search_cap,
+        cap,
         source_name=args.source,
         target_name=args.target,
     )

@@ -26,9 +26,9 @@ read it: the evaluator is deterministic and its memos are pure, so every
 later pool term would give the same value, and the trace of such a later
 verdict is never kept.  Verdicts and traces are exactly those of the plain
 substitution evaluator (a differential test in tests/test_oracle.py holds
-the two together).  A trace names a quantifier as substituting by name
-would have renamed it; the renamings are replayed only for the lines a
-trace keeps (see `_shown`), so the names take no part in evaluation.
+the two together).  Formulas are locally nameless, so substitution renames
+no quantifier, and a trace names each by its own hint, which for a parsed
+formula is the name `fmt_formula` prints; hints take no part in evaluation.
 """
 
 from __future__ import annotations
@@ -48,12 +48,7 @@ from .formula import (
     Holds,
     Imp,
     Top,
-    _map_atoms,
-    _map_lf,
-    _rebuild,
-    _term_names,
     formula_key,
-    open_ctx,
     subst_ctx,
 )
 from .lf import (
@@ -70,8 +65,6 @@ from .lf import (
     check_term,
     check_type,
     erase,
-    free_vars,
-    fresh_name,
     fresh_nominal,
 )
 from .schema import (
@@ -204,7 +197,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     def choices(g, env):
         """(pool term or instance, the environment its body is evaluated
         in) for a quantifier, lazily."""
-        inst, slots, path, ctxs = env
+        inst, slots, ctxs = env
         over_ctx = isinstance(g, ForallCtx)
         domain = g.schema if over_ctx else g.arity
         chosen = ranges.get(domain)
@@ -220,12 +213,12 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 # as putting the instance in for the variable would raise
                 if not own.isdisjoint(n for n, _ in instance.bindings):
                     raise ValueError("context expression binds a nominal twice")
-                yield instance, (inst, slots, ((g, instance),) + path, ((instance, {}),) + ctxs)
+                yield instance, (inst, slots, ((instance, {}),) + ctxs)
             return
         for i, t in enumerate(chosen):
             # Memo keys name each pool term by its arity and pool index:
             # one atom may sit under binders of another arity elsewhere.
-            yield t, (((t, g.arity),) + inst, ((g.arity, i),) + slots, ((g, t),) + path, ctxs)
+            yield t, (((t, g.arity),) + inst, ((g.arity, i),) + slots, ctxs)
 
     def holds(g, env):
         """The first failing judgement of an atom, or None if they hold, and
@@ -244,7 +237,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             refs = map(tuple, (in_ctx, in_ty, in_term))
             rec = memo[id(g)] = (g, *refs, reads, ({}, {}))
         _, in_ctx, in_ty, in_term, reads, memos = rec
-        inst, slots, _, ctxs = env
+        inst, slots, ctxs = env
         front = ()
         if g.ctx.head is not None:  # its context starts with the instance
             instance, nodes = ctxs[g.ctx.head.index]
@@ -270,16 +263,15 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         return _fails(check_term, sig, lctx, term, ty), reads[2]
 
     def ev(g: Formula, env: tuple) -> tuple[Verdict3, int]:
-        # env: four tuples, innermost first: the (term, arity) of each
+        # env: three tuples, innermost first: the (term, arity) of each
         # enclosing term quantifier, which `_subst` puts in for an atom's
-        # dangling indices; the memo slot of each; the path of enclosing
-        # quantifiers, each with its choice, that a trace line names `g`
-        # by; and the (instance, memo dict) of each enclosing context
-        # quantifier.  Returns the verdict and its read set.
+        # dangling indices; the memo slot of each; and the (instance, memo
+        # dict) of each enclosing context quantifier.  Returns the verdict
+        # and its read set.
         match g:
             case Holds(ctx):
                 if ctx.head is not None and (
-                    isinstance(ctx.head, str) or ctx.head.index >= len(env[3])
+                    isinstance(ctx.head, str) or ctx.head.index >= len(env[2])
                 ):
                     raise ValueError("bounded_validity needs a closed formula")
                 failure, reads = holds(g, env)
@@ -337,7 +329,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                     if sub.value == stop:
                         # a witness line stands alone in its trace
                         rest = sub.trace if stop == INVALID else ()
-                        return Verdict3(stop, ((word, f, env[2], g, choice),) + rest), reads >> bit
+                        return Verdict3(stop, ((word, g.var, choice),) + rest), reads >> bit
                     saw_unknown |= sub.value == UNKNOWN
                     if bit and not r & 1:
                         break
@@ -345,7 +337,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         raise TypeError(f"not a formula: {g!r}")
 
     try:
-        verdict, _ = ev(f, ((), (), (), ()))
+        verdict, _ = ev(f, ((), (), ()))
     finally:
         # ev is a closure over itself, so the memos would otherwise outlive
         # the call until the next cycle collection.
@@ -388,55 +380,6 @@ def _close(e, inst: tuple, refs: tuple):
     return _subst(e, {}, 0, inst) if refs else e
 
 
-def _shown(root: Formula, path: tuple, g: Formula) -> str:
-    """The name the substitution semantics gives the quantifier `g` of
-    `root`, reached through the quantifiers of `path` (innermost first, each
-    with its pool term or instance).  The semantics is replayed along the
-    path on a copy of `root`, renaming as substituting by name renames (see
-    `_primed`)."""
-    orig = shown = root
-    for q, choice in reversed(path):
-        at = _twin(q, orig, shown)
-        if isinstance(q, ForallCtx):
-            shown = open_ctx(at.body, choice)
-        else:
-            inst = ((choice, q.arity),)
-            primed = _primed(at.body, at.var, free_vars(choice))
-            shown = _map_atoms(primed, lambda h, d, c: _map_lf(h, lambda e: _subst(e, {}, d, inst)))
-        orig = q.body
-    return _twin(g, orig, shown).var
-
-
-def _twin(g: Formula, f: Formula, h: Formula):
-    """The subformula of `h` in the place of `g` in `f`, which has the shape
-    of `h`; `g` is below connectives of `f` only."""
-    if g is f:
-        return h
-    if isinstance(f, (Imp, Conj, Disj)):
-        return _twin(g, f.left, h.left) or _twin(g, f.right, h.right)
-    return None
-
-
-def _primed(body: Formula, q: str, free: set) -> Formula:
-    """`body` with the hints that substituting a term with the free names
-    `free` by name for the quantifier named `q` shows: a term quantifier it
-    reaches whose name is in `free` is primed apart from `free`, `q` and the
-    names its body mentions, and one named `q` ends it.  The quantifiers
-    above `q` are instantiated already."""
-
-    def walk(f, names):  # names: hints of the quantifiers from q's in
-        match f:
-            case ForallTm(v, ar, b) | ExistsTm(v, ar, b):
-                if v == q:
-                    return f
-                if v in free:
-                    v = fresh_name(v, free | {q} | _term_names(b, (v,) + names))
-                return type(f)(v, ar, walk(b, (v,) + names))
-        return _rebuild(f, lambda g: walk(g, names))
-
-    return walk(body, (q,))
-
-
 def _fails(check, *args) -> LFError | None:
     try:
         check(*args)
@@ -447,10 +390,10 @@ def _fails(check, *args) -> LFError | None:
 
 def _line(x):
     """A trace line, formatted only here: a failing term judgement, or the
-    line of a quantifier `g` of `root` with its pool term or instance."""
+    line of a quantifier with its hint and its pool term or instance."""
     if isinstance(x, tuple):
-        word, root, path, g, choice = x
-        return f"{word} {_shown(root, path, g)} = {choice!r}"
+        word, var, choice = x
+        return f"{word} {var} = {choice!r}"
     return f"judgement fails: {x}" if isinstance(x, LFError) else x
 
 

@@ -189,9 +189,9 @@ def test_validate_bottom(tmp_path, capsys):
 
 
 def test_validate_binder_named_like_a_constant(tmp_path, capsys):
-    # The binder z shares its name with the constant z.  Once N is
-    # instantiated with a term mentioning z, the binder is renamed apart
-    # and the trace reports it as z'.
+    # The binder z shares its name with the constant z.  Instantiating N
+    # with a term mentioning z renames nothing: the trace names the binder
+    # z, as the formula writes it.
     f = tmp_path / "z.fml"
     f.write_text("forall N : o. forall z : o. { |- N : nat } => { |- z : nat }\n")
     code, out, _ = run(capsys, "validate", SIG, "--formula", str(f))
@@ -199,7 +199,7 @@ def test_validate_binder_named_like_a_constant(tmp_path, capsys):
     assert out == (
         "Invalid\n"
         "  counterexample N = Atom(head='z', args=())\n"
-        "  counterexample z' = Atom(head='plus-z', args=(Atom(head='z', args=()),))\n"
+        "  counterexample z = Atom(head='plus-z', args=(Atom(head='z', args=()),))\n"
         "  judgement fails: synthesized AtomicType(head='plus', args=("
         "Atom(head='z', args=()), Atom(head='z', args=()), Atom(head='z', args=()))),"
         " expected AtomicType(head='nat', args=())\n"
@@ -330,6 +330,16 @@ def test_search_cap_exceeded_is_input_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: variant search exceeded 0 alignment attempts\n"
+
+
+@pytest.mark.parametrize("command", ["transport", "subsumes"])
+def test_negative_search_cap_is_input_error(capsys, command):
+    code, out, err = run(
+        capsys, command, SIG, SCHEMAS, "--from", "Cempty", "--to", "Csize",
+        "--formula", PLUS, "--var", "G", "--search-cap", "-1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --search-cap must be non-negative, not -1\n"
 
 
 def _outcome(argv):

@@ -1,6 +1,7 @@
 """Bounded validity and the metatheorem harnesses."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -32,10 +33,14 @@ from lfport import (
     verify_transport,
 )
 from lfport import oracle
-from lfport.formula import _map_atoms, _map_lf, _rebuild, _subformulas, open_ctx
-from lfport.lf import BVar, _open_named, _subst, free_vars, fresh_name, fresh_nominal, names_in
+from lfport.formula import _map_atoms, _map_lf, _subformulas, open_ctx
+from lfport.lf import BVar, _subst, fresh_nominal
 from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3
 from lfport.parse import parse_formula, parse_schemas, parse_signature
+from lfport.pretty import fmt_formula
+from lfport.subsume import _val_deriv
+from conftest import FIXTURES
+from golden import replay
 from util import a, at, ce, nom, quantify, random_formula
 
 
@@ -171,52 +176,10 @@ def instantiate(body, term, arity):
     return _map_atoms(body, lambda h, d, c: _map_lf(h, lambda e: _subst(e, {}, d, ((term, arity),))))
 
 
-def named(f, names=()):
-    """`f` with each term quantifier's index read as its hint, and each
-    dangling index `i` as `names[i]`."""
-    match f:
-        case Holds():
-            return _map_lf(f, lambda e: _open_named(e, names))
-        case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
-            return type(f)(v, ar, named(body, (v,) + names))
-    return _rebuild(f, lambda g: named(g, names))
-
-
-def names_of(f):
-    """Every term name of a named formula, bound or free."""
-    out = set()
-    for g in _subformulas(f):
-        if isinstance(g, Holds):
-            out.update(*(names_in(e) for e in (g.term, g.ty, *(t for _, t in g.ctx.bindings))))
-        elif isinstance(g, (ForallTm, ExistsTm)):
-            out.add(g.var)
-    return out
-
-
-def renamed_apart(body, q, free):
-    """The body of the quantifier named `q`, its quantifiers named as
-    substituting a term with the free names `free` for `q` by name names
-    them: one named in `free` is renamed apart from `free`, `q` and every
-    name its body shows, and one named `q` hides the body below it."""
-
-    def walk(f, names):
-        match f:
-            case ForallTm(v, ar, b) | ExistsTm(v, ar, b):
-                if v == q:
-                    return f
-                if v in free:
-                    v = fresh_name(v, free | {q} | names_of(named(b, (v,) + names)))
-                return type(f)(v, ar, walk(b, (v,) + names))
-        return _rebuild(f, lambda g: walk(g, names))
-
-    return walk(body, (q,))
-
-
 def plain_validity(sig, f, bounds):
     """Reference semantics: each quantifier substitutes every pool term
     into its whole body, and each atom re-checks its context and type.  A
-    trace names the quantifiers of a body as substituting by name renames
-    them."""
+    trace names each quantifier by its hint."""
     pools = {}
 
     def pool(ar):
@@ -274,7 +237,7 @@ def plain_validity(sig, f, bounds):
             case ForallTm(v, ar, body):
                 saw_unknown = False
                 for t in pool(ar):
-                    sub = ev(instantiate(renamed_apart(body, v, free_vars(t)), t, ar))
+                    sub = ev(instantiate(body, t, ar))
                     if sub.value == INVALID:
                         return Verdict3(
                             INVALID, (f"counterexample {v} = {t!r}",) + sub.trace
@@ -289,7 +252,7 @@ def plain_validity(sig, f, bounds):
                 return Verdict3(UNKNOWN, (note,))
             case ExistsTm(v, ar, body):
                 for t in pool(ar):
-                    sub = ev(instantiate(renamed_apart(body, v, free_vars(t)), t, ar))
+                    sub = ev(instantiate(body, t, ar))
                     if sub.value == VALID:
                         return Verdict3(VALID, (f"witness {v} = {t!r}",))
                 return Verdict3(UNKNOWN, ("existential pool exhausted",))
@@ -402,13 +365,12 @@ def test_matches_plain_on_traces(sig_size, schemas_size):
             lines += assert_same(sig_size, f, bounds).trace
     for kind in ("counterexample N", "counterexample G", "witness", "judgement fails"):
         assert any(line.startswith(kind) for line in lines), kind
-    assert "counterexample z' = Atom(head='plus-z', args=(Atom(head='z', args=()),))" in lines
+    assert "counterexample z = Atom(head='plus-z', args=(Atom(head='z', args=()),))" in lines
 
 
-def test_matches_plain_naming_a_quantifier_renamed_past_a_dropped_argument():
-    # M's term [x1] lam ([x2] x2) drops the argument that mentions z', so
-    # putting N := z in renames the quantifier z to z', as substituting by
-    # name did; counting the dropped z' would give z''.
+def test_matches_plain_naming_quantifiers_as_written():
+    # Putting pool terms that mention the constant z in for M and N renames
+    # no quantifier: z' and z are named as the formula writes them.
     sig = parse_signature("nat : Type. z : nat. s : nat -> nat. tm : Type. lam : (tm -> tm) -> tm.")
     f = parse_formula(
         "forall M : o -> o. forall N : o. forall z' : o. forall z : o. "
@@ -418,8 +380,34 @@ def test_matches_plain_naming_a_quantifier_renamed_past_a_dropped_argument():
     trace = assert_same(sig, f, Bounds(4, 1)).trace
     assert trace[2:4] == (
         "counterexample z' = Atom(head='z', args=())",
-        "counterexample z' = Atom(head='lam', args=(Lam(var='x1', body=Atom(head='z', args=())),))",
+        "counterexample z = Atom(head='lam', args=(Lam(var='x1', body=Atom(head='z', args=())),))",
     )
+
+
+def hints(f):
+    """The hints of the quantifiers of `f`, in pre-order."""
+    return [g.var for g in _subformulas(f) if isinstance(g, (ForallTm, ExistsTm, ForallCtx))]
+
+
+def test_a_parsed_formula_hints_each_quantifier_as_printed():
+    # A trace names each quantifier by its hint: for the fixture and golden
+    # formulas, and the printed random formulas, that is the name
+    # fmt_formula prints, and printing and parsing again keeps it.
+    schemas = {}
+    for path in sorted(FIXTURES.glob("*.sch")):
+        schemas.update(parse_schemas(path.read_text(encoding="utf-8")))
+    texts = [
+        path.read_text(encoding="utf-8")
+        for path in sorted([*FIXTURES.glob("*.fml"), *replay.GOLDEN.parent.glob("*.fml")])
+        if path.name != "bad_trailing.fml"  # a parse error
+    ]
+    texts += [row[0] for row in replay.load_formula_outcomes()]
+    for text in texts:
+        f = parse_formula(text, schemas)
+        printed = fmt_formula(f)
+        assert re.findall(r"\b(?:forall|exists|ctx) (\S+) :", printed) == hints(f), text
+        assert hints(parse_formula(printed, schemas)) == hints(f), text
+    assert len(texts) == 16 + replay.FORMULAS
 
 
 def counting(monkeypatch):
@@ -435,9 +423,9 @@ def counting(monkeypatch):
 
 
 def test_judgements_checked_do_not_depend_on_hints(sig_size, monkeypatch):
-    # Quantifiers named like a constant of the pool terms are renamed in
-    # trace lines only: the body is evaluated with the memos of its alpha-
-    # variant, so context and type judgements are checked as often.
+    # Hints take no part in evaluation: quantifiers named like a constant of
+    # the pool terms are evaluated with the memos of their alpha-variant, so
+    # context and type judgements are checked as often.
     text = (
         "forall M : o -> o. forall N : o. forall {} : o. forall {} : o. "
         "{{ |- M (s {}) : tm }} => {{ |- N : nat }} => {{ |- {} : nat }}"
@@ -542,7 +530,7 @@ def test_matches_plain_with_shared_atoms(sig_size):
     k = Holds(ce(), a("z"), at("size", a(BVar(0)), a("z")))
     k1 = ForallTm("N", O, Imp(k, Top()))
     k2 = ForallTm("N", Arrow(O, O), k)
-    # One quantifier, renamed past M's pool terms in one place only.
+    # One quantifier, under M in one place only: it is named z in both.
     q = ForallTm("z", O, Holds(ce(), a(BVar(0)), at("tm")))
     shared = (Conj(nm, mn), Conj(mn, nm), Conj(nm, mn_exists), Conj(k1, k2),
               Disj(ForallTm("M", O, q), q))
@@ -550,7 +538,7 @@ def test_matches_plain_with_shared_atoms(sig_size):
         assert_same(sig_size, formula, Bounds(3, 1))
     trace = bounded_validity(sig_size, shared[-1], Bounds(3, 1)).trace
     assert [line.split(" =")[0] for line in trace if line.startswith("counterexample")] == [
-        "counterexample M", "counterexample z'", "counterexample z"
+        "counterexample M", "counterexample z", "counterexample z"
     ]
 
 
@@ -691,6 +679,39 @@ def test_matches_plain_on_a_context_quantifier_under_a_term_quantifier(sig_stlc,
         f = parse_formula(text, schemas_stlc)
         outcomes.append(assert_same(sig_stlc, f, Bounds(2, 2)).value)
     assert outcomes == [UNKNOWN, UNKNOWN, INVALID, INVALID]
+
+
+# ---------------------------------------------------------------------------
+# The validity premise of the transport rule against the semantics.
+
+
+@pytest.mark.parametrize("schema", ["Cof", "Cmix"])
+def test_validity_premise_holds_under_ill_formed_instances(schema, sig_stlc, schemas_stlc):
+    # Where `_val_deriv` derives that a formula is valid (or invalid) under
+    # any ill-formed instance of G, no ill-formed instance refutes (or
+    # proves) it at the bounds.
+    bounds = Bounds(2, 1)
+    ill_formed = [
+        g for g in enumerate_instances(sig_stlc, schemas_stlc[schema], 1, 2)
+        if oracle._fails(check_context, sig_stlc, LFContext(g.bindings)) is not None
+    ]
+    opposite = {True: INVALID, False: VALID}
+    checked, clashes = Counter(), 0
+    for seed in range(150):
+        f = random_formula(random.Random(seed), schemas_stlc, ctx_var="G", schema=schema)
+        polarities = [pol for pol in (True, False) if _val_deriv("G", f, pol) is not None]
+        if not polarities:
+            continue
+        for g in ill_formed:
+            try:
+                verdict = bounded_validity(sig_stlc, subst_ctx(f, {"G": g}), bounds)
+            except ValueError:  # the instance binds a nominal the atom binds
+                clashes += 1
+                continue
+            for pol in polarities:
+                assert verdict.value != opposite[pol], (seed, g, pol)
+                checked[pol] += 1
+    assert checked[True] and checked[False], (checked, clashes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 
 from lfport import (
     Conj,
+    ContextSchema,
     ForallCtx,
     ForallTm,
     Holds,
@@ -34,6 +35,7 @@ from lfport.pretty import (
     fmt_term,
     fmt_type,
 )
+from test_subsume import _random_block
 from util import a, at, ce, lam, nom, pi, quantify, random_formula
 
 
@@ -69,6 +71,13 @@ def test_schema_round_trip(schemas_stlc):
     for name, cs in schemas_stlc.items():
         text = f"schema {name} := {fmt_schema(cs)}."
         assert parse_schemas(text) == {name: cs}
+
+
+def test_random_schemas_round_trip():
+    for seed in range(2000):
+        rng = random.Random(seed)
+        cs = ContextSchema(tuple(_random_block(rng, rng.randint(0, 5)) for _ in range(rng.randint(1, 3))))
+        assert parse_schemas(f"schema S := {fmt_schema(cs)}.") == {"S": cs}, seed
 
 
 def test_formula_round_trip(schemas_size, plus_closed, plus_body):
