@@ -33,6 +33,8 @@ from .lf import (
     arity_check_term,
     arity_check_type,
     erase,
+    free_vars,
+    fresh_name,
     names_in,
 )
 from .schema import ContextSchema, CtxExpr
@@ -208,20 +210,61 @@ def _subformulas(f: Formula):
         yield g
 
 
-def _term_names(f: Formula, names: tuple = ()) -> set[str]:
-    """Every term name `f` mentions: its free names, its binder hints, and
-    `names[i]` for each dangling index `i` below `len(names)`."""
+def _lf_parts(h: Holds) -> tuple:
+    """An atom's term, its type and the types its context binds."""
+    return (h.term, h.ty, *(t for _, t in h.ctx.bindings))
+
+
+def _term_names(f: Formula) -> set[str]:
+    """Every term name `f` mentions: its free names and its binder hints."""
+    return {
+        n
+        for g in _subformulas(f)
+        if isinstance(g, (Holds, ForallTm, ExistsTm))
+        for n in (set().union(*map(names_in, _lf_parts(g))) if isinstance(g, Holds) else {g.var})
+    }
+
+
+def _free_names(f: Formula) -> set[str]:
+    """The free term names that `f` shows."""
+    return {
+        n for h in _subformulas(f) if isinstance(h, Holds) for e in _lf_parts(h) for n in free_vars(e)
+    }
+
+
+def _quantifier_name(g: Formula, path, free) -> str:
+    """The name of the quantifier `g`: its hint, primed apart from `path`
+    and from the names its body mentions when the hint is in `path` (the
+    names of the enclosing quantifiers of its kind) or is a name in `free`
+    that the body shows free.  A parsed body shows no name free under a
+    quantifier that binds it, so the parser passes no `free` names."""
+    v = g.var
+    if v not in path and v not in free:
+        return v
+    if isinstance(g, ForallCtx):
+        subs = list(_subformulas(g.body))
+        shown = {h.ctx.head for h in subs if isinstance(h, Holds)}
+        mentioned = shown | {h.var for h in subs if isinstance(h, ForallCtx)}
+    else:
+        shown = () if v in path else _free_names(g.body)
+        mentioned = _term_names(g.body)
+    if v in path or v in shown:
+        return fresh_name(v, {*path, *mentioned})
+    return v
+
+
+def _choose_hints(f: Formula, path=frozenset(), cpath=frozenset()) -> Formula:
+    """`f` with each quantifier hinted by its `_quantifier_name` under the
+    names chosen above it (`path`, `cpath`), which depend on their whole
+    bodies: so the parser chooses them once the formula is parsed."""
     match f:
-        case Holds(ctx, term, ty):
-            parts = (term, ty, *(t for _, t in ctx.bindings))
-            return set().union(*(names_in(_open_named(e, names)) for e in parts))
-        case ForallTm(v, _, body) | ExistsTm(v, _, body):
-            return {v} | _term_names(body, (v,) + names)
-        case ForallCtx(_, _, body):
-            return _term_names(body, names)
-        case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            return _term_names(l, names) | _term_names(r, names)
-    return set()
+        case ForallTm(_, ar, body) | ExistsTm(_, ar, body):
+            v = _quantifier_name(f, path, ())
+            return type(f)(v, ar, _choose_hints(body, path | {v}, cpath))
+        case ForallCtx(_, cs, body, name):
+            v = _quantifier_name(f, cpath, ())
+            return ForallCtx(v, cs, _choose_hints(body, path, cpath | {v}), name)
+    return _rebuild(f, lambda g: _choose_hints(g, path, cpath))
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +277,10 @@ def _rebuild(f: Formula, each) -> Formula:
     match f:
         case Holds() | Top() | Bot():
             return f
-        case Imp(l, r):
-            return Imp(each(l), each(r))
-        case Conj(l, r):
-            return Conj(each(l), each(r))
-        case Disj(l, r):
-            return Disj(each(l), each(r))
-        case ForallTm(v, ar, body):
-            return ForallTm(v, ar, each(body))
-        case ExistsTm(v, ar, body):
-            return ExistsTm(v, ar, each(body))
+        case Imp(l, r) | Conj(l, r) | Disj(l, r):
+            return type(f)(each(l), each(r))
+        case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
+            return type(f)(v, ar, each(body))
         case ForallCtx(v, cs, body, name):
             return ForallCtx(v, cs, each(body), name)
     raise TypeError(f"not a formula: {f!r}")
@@ -264,8 +301,7 @@ def _map_atoms(f: Formula, each, depth: int = 0, cdepth: int = 0) -> Formula:
 
 
 def _map_lf(h: Holds, fn) -> Holds:
-    """The atom with `fn` applied to its LF parts: the types its context
-    binds, its term and its type."""
+    """The atom with `fn` applied to its LF parts (`_lf_parts`)."""
     bindings = tuple((n, fn(t)) for n, t in h.ctx.bindings)
     return Holds(CtxExpr(h.ctx.head, bindings), fn(h.term), fn(h.ty))
 

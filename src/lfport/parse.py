@@ -6,8 +6,9 @@ of a token are worked out only when a `ParseError` reports them.  A
 binder's name, of an LF binder or a formula quantifier, is resolved
 through the parser's scope: each occurrence it binds becomes a de Bruijn
 index, and the name stays on the binder as a display hint.  A quantifier
-that reuses the name of an enclosing one of its kind is hinted apart from
-the enclosing ones and from the names its body mentions.
+that reuses an enclosing name of its kind is primed apart, by the rule the
+printer shares (`formula._quantifier_name`).  A block's lists and a
+context's bindings are comma-separated, with no trailing comma.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from .formula import (
     Formula,
     Holds,
     Imp,
-    _rebuild,
-    _subformulas,
-    _term_names,
+    _choose_hints,
 )
 from .lf import (
     Arity,
@@ -144,6 +143,17 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.texts[self.pos] == text
 
+    def comma_list(self, close: str, item) -> list:
+        """What `item()` reads, repeated with a comma between, up to the
+        token `close`, which is left unread; empty if `close` is next."""
+        out = []
+        if not self.at(close):
+            out.append(item())
+            while self.at(","):
+                self.next()
+                out.append(item())
+        return out
+
     def at_arg(self) -> bool:
         """Whether a spine argument, a name or `(`, starts here."""
         text = self.texts[self.pos]
@@ -251,32 +261,6 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Hints for quantifiers that reuse an enclosing name.
-
-
-def _choose_hints(f: Formula, path: frozenset, cpath: frozenset) -> Formula:
-    """`f` with the hint of each quantifier that reuses the hint of an
-    enclosing one of its kind (in `path` or `cpath`) primed apart from those
-    and from the names its body mentions.  A hint depends on the hints
-    above it, which depend on their whole bodies, so they are chosen once
-    the formula is parsed."""
-    match f:
-        case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
-            if v in path:
-                v = fresh_name(v, path | _term_names(body))
-            return type(f)(v, ar, _choose_hints(body, path | {v}, cpath))
-        case ForallCtx(v, cs, body, name):
-            if v in cpath:
-                v = fresh_name(v, cpath | {
-                    g.var if isinstance(g, ForallCtx) else g.ctx.head
-                    for g in _subformulas(body)
-                    if isinstance(g, (ForallCtx, Holds))
-                })
-            return ForallCtx(v, cs, _choose_hints(body, path, cpath | {v}), name)
-    return _rebuild(f, lambda g: _choose_hints(g, path, cpath))
-
-
-# ---------------------------------------------------------------------------
 # Entry points.
 
 
@@ -317,24 +301,19 @@ def parse_schemas(text: str) -> dict[str, ContextSchema]:
 
 def _parse_block(p: _Parser) -> BlockSchema:
     p.expect("{")
-    params = []
-    while not p.at("}"):
-        v = p.ident()
-        p.expect(":")
-        params.append((v, p.arity()))
-        if p.at(","):
-            p.next()
+    params = p.comma_list("}", lambda: _parse_named(p, p.arity))
     p.expect("}")
     p.expect("(")
-    decls = []
-    while not p.at(")"):
-        y = p.ident()
-        p.expect(":")
-        decls.append((y, p.type_expr()))
-        if p.at(","):
-            p.next()
+    decls = p.comma_list(")", lambda: _parse_named(p, p.type_expr))
     p.expect(")")
     return BlockSchema(tuple(params), tuple(decls))
+
+
+def _parse_named(p: _Parser, classifier):
+    """`name : C`, with `C` read by `classifier()`."""
+    name = p.ident()
+    p.expect(":")
+    return name, classifier()
 
 
 def _parse_whole(text: str, parse, ce: Optional[CtxExpr] = None):
@@ -352,7 +331,7 @@ def _parse_whole(text: str, parse, ce: Optional[CtxExpr] = None):
 
 def parse_formula(text: str, schemas: Mapping[str, ContextSchema]) -> Formula:
     _, f = _parse_whole(text, lambda p: _parse_formula(p, schemas))
-    return _choose_hints(f, frozenset(), frozenset())
+    return _choose_hints(f)
 
 
 def _parse_formula(p: _Parser, schemas) -> Formula:
@@ -434,10 +413,7 @@ def _parse_atom(p: _Parser) -> Holds:
             head = first if i is None else BVar(i)
         while p.at(","):
             p.next()
-            name = p.ident()
-            if not _NOMINAL_RE.match(name):
-                p.fail(f"explicit context bindings must bind nominals, found {name!r}")
-            bindings.append(_parse_binding_tail(p, name))
+            bindings.append(_parse_binding(p, "explicit context bindings"))
     p.expect("|-")
     term = p.term()
     p.expect(":")
@@ -451,6 +427,13 @@ def _parse_atom(p: _Parser) -> Holds:
     return Holds(ctx, term, ty)
 
 
+def _parse_binding(p: _Parser, what: str) -> tuple[Nominal, TypeExpr]:
+    name = p.ident()
+    if not _NOMINAL_RE.match(name):
+        p.fail(f"{what} must bind nominals, found {name!r}")
+    return _parse_binding_tail(p, name)
+
+
 def _parse_binding_tail(p: _Parser, name: str) -> tuple[Nominal, TypeExpr]:
     p.expect(":")
     ty = p.type_expr()
@@ -461,26 +444,13 @@ def _parse_binding_tail(p: _Parser, name: str) -> tuple[Nominal, TypeExpr]:
 
 def parse_context(text: str) -> CtxExpr:
     """A standalone context file: comma-separated nominal bindings."""
-    p, bindings = _parse_whole(text, _parse_bindings)
+    p, bindings = _parse_whole(
+        text, lambda p: p.comma_list("", lambda: _parse_binding(p, "context bindings"))
+    )
     try:
         return CtxExpr(None, tuple(bindings))
     except ValueError as err:
         p.fail(str(err))
-
-
-def _parse_bindings(p: _Parser) -> list[tuple[Nominal, TypeExpr]]:
-    bindings = []
-    if p.peek():
-        while True:
-            name = p.ident()
-            if not _NOMINAL_RE.match(name):
-                p.fail(f"context bindings must bind nominals, found {name!r}")
-            bindings.append(_parse_binding_tail(p, name))
-            if p.at(","):
-                p.next()
-                continue
-            break
-    return bindings
 
 
 def parse_type_text(text: str, ce: Optional[CtxExpr] = None) -> TypeExpr:

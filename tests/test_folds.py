@@ -50,6 +50,7 @@ from lfport.lf import (
     TypeKind,
     UnknownConstant,
     _map_heads,
+    _open_named,
     arity_args,
     context_nominals,
     erase,
@@ -220,6 +221,20 @@ def ref_gamma_atom_types(f, gamma):
 
     walk(f)
     return out
+
+
+def ref_term_names(f, names=()):
+    match f:
+        case Holds(ctx, term, ty):
+            parts = (term, ty, *(t for _, t in ctx.bindings))
+            return set().union(*(names_in(_open_named(e, names)) for e in parts))
+        case ForallTm(v, _, body) | ExistsTm(v, _, body):
+            return {v} | ref_term_names(body, (v,) + names)
+        case ForallCtx(_, _, body):
+            return ref_term_names(body, names)
+        case Imp(l, r) | Conj(l, r) | Disj(l, r):
+            return ref_term_names(l, names) | ref_term_names(r, names)
+    return set()
 
 
 def ref_val_pos(gamma, f):
@@ -580,6 +595,10 @@ def _types():
 def test_formula_folds_match_the_recursive_walkers(schemas_size, rel_size):
     seen_stop = False
     for f in _random_formulas(schemas_size):
+        # on every subformula: an index bound inside it names a hint the fold
+        # adds anyway, and a dangling one adds no name
+        for g in lfport.formula._subformulas(f):
+            assert lfport.formula._term_names(g) == ref_term_names(g)
         for gamma in ("G", "H"):
             got = lfport.subsume._gamma_atom_types(f, gamma)
             assert got == ref_gamma_atom_types(f, gamma)
