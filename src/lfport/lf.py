@@ -12,7 +12,12 @@ Terms are kept beta-normal by construction and the checkers enforce the
 eta-long discipline: a canonical term checked against a function type must
 be an abstraction.  Substitution is arity-indexed and re-normalizes on the
 fly; its recursion is bounded by the arity annotations, so ill-matched
-annotations surface as ``SubstFailure`` instead of divergence.
+annotations surface as ``SubstFailure`` instead of divergence.  It shares
+every subtree that has no dangling index to replace: each node caches its
+reach, one more than its largest dangling index, and a subtree that has
+no name to substitute and reaches no further than the binders walked so
+far comes back as it is.  So opening a non-dependent Pi type, or a scope
+that never mentions its binder, rebuilds nothing.
 
 The checkers go under a binder by extending a local context of binder
 types, so a bound variable stays an index and hereditary substitution runs
@@ -157,8 +162,19 @@ class BVar:
 Head = Union[str, Nominal, BVar]
 
 
+class _Node:
+    """What every LF term, type and kind has: its reach, kept in the node's
+    `__dict__` once read, so it takes no part in `==`, `hash` or `repr`."""
+
+    @functools.cached_property
+    def reach(self) -> int:
+        """One more than the largest dangling index, or 0 when the node is
+        locally closed."""
+        return _reach(self)
+
+
 @dataclass(frozen=True)
-class Term:
+class Term(_Node):
     pass
 
 
@@ -175,7 +191,7 @@ class Lam(Term):
 
 
 @dataclass(frozen=True)
-class TypeExpr:
+class TypeExpr(_Node):
     pass
 
 
@@ -193,7 +209,7 @@ class PiType(TypeExpr):
 
 
 @dataclass(frozen=True)
-class Kind:
+class Kind(_Node):
     pass
 
 
@@ -439,9 +455,48 @@ def _dangling(e: Expr) -> set[int]:
     return out
 
 
+def _reach(e: Expr) -> int:
+    # Bottom-up over the nodes whose reach is not known yet: collected in
+    # pre-order on an explicit stack, then filled in reverse, children
+    # first.  No recursion, so a tree as deep as the checkers take costs
+    # them no frames.
+    todo = []
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        match n:
+            case Atom() | AtomicType():
+                kids = n.args
+            case Lam():
+                kids = (n.body,)
+            case PiType() | PiKind():
+                kids = (n.domain, n.body)
+            case TypeKind():
+                kids = ()
+            case _:
+                raise TypeError(f"not an LF expression: {n!r}")
+        if "reach" not in n.__dict__:
+            todo.append(n)
+            stack += kids
+    for n in reversed(todo):
+        match n:
+            case Atom(head, args) | AtomicType(head, args):
+                r = max([a.reach for a in args], default=0)
+                if isinstance(head, BVar) and head.index >= r:
+                    r = head.index + 1
+            case Lam(_, body):
+                r = max(body.reach - 1, 0)
+            case PiType(_, domain, body) | PiKind(_, domain, body):
+                r = max(domain.reach, body.reach - 1)
+            case _:
+                r = 0
+        n.__dict__["reach"] = r
+    return e.__dict__["reach"]
+
+
 def _shift(term: Term, k: int) -> Term:
     """`term` moved under `k` more binders: its dangling indices grow by k."""
-    if not k:
+    if not k or not term.reach:
         return term
     return _map_heads(
         term, lambda h, d: BVar(h.index + k) if isinstance(h, BVar) and h.index >= d else h
@@ -486,7 +541,10 @@ def _instantiate(body: Expr, term: Term, arity: Arity) -> Expr:
 def _subst(e: Expr, subst: Subst, k: int, inst: tuple) -> Expr:
     # `k` counts the binders of the walk so far; `inst` holds (term, arity)
     # replacements for the dangling indices 0, 1, ... of `e` at once, and
-    # the indices beyond them are lowered past them.
+    # the indices beyond them are lowered past them.  A subtree with no name
+    # to replace and no index at or beyond `k` comes back as it is.
+    if not subst and e.reach <= k:
+        return e
     match e:
         case Atom(head, args):
             new_args = tuple(_subst(a, subst, k, inst) for a in args)

@@ -234,9 +234,8 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             reads = tuple(
                 sum(1 << i for i in refs) for refs in (in_ctx, in_ty, in_ty | in_term)
             )
-            refs = map(tuple, (in_ctx, in_ty, in_term))
-            rec = memo[id(g)] = (g, *refs, reads, ({}, {}))
-        _, in_ctx, in_ty, in_term, reads, memos = rec
+            rec = memo[id(g)] = (g, tuple(in_ctx), tuple(in_ty), reads, ({}, {}))
+        _, in_ctx, in_ty, reads, memos = rec
         inst, slots, ctxs = env
         front = ()
         if g.ctx.head is not None:  # its context starts with the instance
@@ -246,7 +245,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         key = tuple(slots[i] for i in in_ctx)
         hit = ctx_memo.get(key)
         if hit is None:
-            lctx = LFContext(front + tuple((n, _close(t, inst, in_ctx)) for n, t in g.ctx.bindings))
+            lctx = LFContext(front + tuple((n, _subst(t, {}, 0, inst)) for n, t in g.ctx.bindings))
             hit = ctx_memo[key] = (lctx, _line(_fails(check_context, sig, lctx)))
         lctx, failure = hit
         if failure is not None:
@@ -254,12 +253,12 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         key = tuple(slots[i] for i in in_ty)
         hit = ty_memo.get(key)
         if hit is None:
-            ty = _close(g.ty, inst, in_ty)
+            ty = _subst(g.ty, {}, 0, inst)
             hit = ty_memo[key] = (ty, _line(_fails(check_type, sig, lctx, ty)))
         ty, failure = hit
         if failure is not None:
             return failure, reads[1]
-        term = _close(g.term, inst, in_term)
+        term = _subst(g.term, {}, 0, inst)
         return _fails(check_term, sig, lctx, term, ty), reads[2]
 
     def ev(g: Formula, env: tuple) -> tuple[Verdict3, int]:
@@ -372,12 +371,6 @@ def _bound_nominals(f: Formula, c: int = 0) -> set:
         case Imp(l, r) | Conj(l, r) | Disj(l, r):
             return _bound_nominals(l, c) | _bound_nominals(r, c)
     return set()
-
-
-def _close(e, inst: tuple, refs: tuple):
-    """An LF part of an atom with the pool terms of `inst` put in for its
-    dangling indices, which `refs` lists."""
-    return _subst(e, {}, 0, inst) if refs else e
 
 
 def _fails(check, *args) -> LFError | None:

@@ -248,6 +248,18 @@ def test_validate_deep_input_is_input_error(tmp_path, capsys, text):
     assert err == "error: input nested too deeply\n"
 
 
+def test_validate_deep_open_term_is_decided(tmp_path, capsys):
+    # Substituting each pool term for N walks all 400 levels; the reach that
+    # lets it share closed subtrees is found without recursion, so it takes
+    # no frames from that walk or from the checkers.
+    f = tmp_path / "deep.fml"
+    f.write_text("forall N : o. { |- " + "s (" * 400 + "N" + ")" * 400 + " : nat }\n")
+    code, out, err = run(capsys, "validate", SIG, "--formula", str(f))
+    assert code == 1
+    assert out.splitlines()[0] == "Invalid"
+    assert err == ""
+
+
 def test_oracle_small(capsys):
     code, out, _ = run(capsys, "oracle", SIG, "--term-size", "3", "--blocks", "2")
     assert code == 0
