@@ -10,7 +10,10 @@ substituting for a name can never be captured.
 
 Terms are kept beta-normal by construction and the checkers enforce the
 eta-long discipline: a canonical term checked against a function type must
-be an abstraction.  Substitution is arity-indexed and re-normalizes on the
+be an abstraction.  Checking a term against an atomic type is its synthesis
+(`synth_term`) followed by one comparison of the synthesized type with the
+expected one, so a caller that checks one term against many types can
+synthesize it once.  Substitution is arity-indexed and re-normalizes on the
 fly; its recursion is bounded by the arity annotations, so ill-matched
 annotations surface as ``SubstFailure`` instead of divergence.  It shares
 every subtree that has no dangling index to replace: each node caches its
@@ -793,13 +796,34 @@ def _check_type(sig: Signature, ctx: LFContext, local: tuple, ty: TypeExpr) -> N
     raise TypeError(f"not a type expression: {ty!r}")
 
 
+def synth_term(sig: Signature, ctx: LFContext, term: Term) -> TypeExpr:
+    """The type an atomic term synthesizes: its head's type instantiated
+    along its spine, which may still be a function type when the head is
+    under-applied.  An abstraction synthesizes no type; it raises what
+    checking it against an atomic type raises.  Against an atomic type,
+    `check_term` is this followed by `_compare`."""
+    return _synth(sig, ctx, (), term)
+
+
+def _compare(
+    term: Term, have: TypeExpr, ty: TypeExpr, ctx: LFContext, local: tuple = ()
+) -> None:
+    """Raise unless `have`, the type `term` synthesized, is the atomic type
+    `ty` it is checked against."""
+    if isinstance(have, PiType):
+        raise NotEtaLong("head of {!r} is under-applied", term, context=(ctx, local))
+    if have != ty:
+        raise TypeMismatch("synthesized {!r}, expected {!r}", have, ty, context=(ctx, local))
+
+
 def _check_term(
     sig: Signature, ctx: LFContext, local: tuple, term: Term, ty: TypeExpr
 ) -> None:
+    if not isinstance(ty, PiType):
+        _compare(term, _synth(sig, ctx, local, term), ty, ctx, local)
+        return
     match term:
         case Lam(_, body):
-            if not isinstance(ty, PiType):
-                raise TypeMismatch("abstraction checked against an atomic type")
             _open(ty.body, ty.domain)
             try:
                 _check_term(sig, ctx, ((ty.domain, body, ty.body),) + local, body, ty.body)
@@ -808,22 +832,17 @@ def _check_term(
                 raise
             return
         case Atom():
-            if isinstance(ty, PiType):
-                raise NotEtaLong(
-                    "atomic term checked against a function type; expected an abstraction"
-                )
-            have = _synth_atom(sig, ctx, local, term)
-            if isinstance(have, PiType):
-                raise NotEtaLong("head of {!r} is under-applied", term, context=(ctx, local))
-            if have != ty:
-                raise TypeMismatch(
-                    "synthesized {!r}, expected {!r}", have, ty, context=(ctx, local)
-                )
-            return
+            raise NotEtaLong(
+                "atomic term checked against a function type; expected an abstraction"
+            )
     raise TypeError(f"not a term: {term!r}")
 
 
-def _synth_atom(sig: Signature, ctx: LFContext, local: tuple, term: Atom) -> TypeExpr:
+def _synth(sig: Signature, ctx: LFContext, local: tuple, term: Term) -> TypeExpr:
+    if isinstance(term, Lam):
+        raise TypeMismatch("abstraction checked against an atomic type")
+    if not isinstance(term, Atom):
+        raise TypeError(f"not a term: {term!r}")
     head = term.head
     if isinstance(head, BVar):
         ty = _shift(local[head.index][0], head.index + 1) if head.index < len(local) else None

@@ -12,12 +12,15 @@ The semantics is substitution: a quantifier substitutes each pool term (or
 schema instance) into its body.  The evaluator defers the term substitution
 to an environment of pool terms, which each atom applies to its dangling
 indices, so an atom's context and type judgements are checked once per
-combination of the pool terms they refer to, not once per atom; only the
-term judgement runs per atom.  A context quantifier binds its instance in
-the environment the same way: an atom headed by its variable puts the
-instance's bindings in front of its own, and keeps its judgements with the
-instance.  These memos live for one `bounded_validity` call and are cleared
-when it returns.
+combination of the pool terms they refer to, not once per evaluation.
+Against an atomic type, the term judgement is the term's synthesis and a
+comparison of the synthesized type with the atom's: the synthesis is
+memoised by the pool terms the atom's context and term refer to, and only
+the comparison runs per evaluation.  A context quantifier binds its
+instance in the environment the same way: an atom headed by its variable
+puts the instance's bindings in front of its own, and keeps its judgements
+with the instance.  These memos live for one `bounded_validity` call and
+are cleared when it returns.
 
 Each verdict comes with its read set: the term quantifiers whose pool term
 its value depended on (an atom reads those its deciding judgement refers
@@ -58,7 +61,9 @@ from .lf import (
     LFError,
     Nominal,
     O,
+    PiType,
     Signature,
+    _compare,
     _dangling,
     _subst,
     check_context,
@@ -66,6 +71,7 @@ from .lf import (
     check_type,
     erase,
     fresh_nominal,
+    synth_term,
 )
 from .schema import (
     ContextSchema,
@@ -177,8 +183,10 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     Here the substitution is deferred: the quantifier binds its index to
     its choice in an environment, and each atom applies the environment to
     its own parts.  An atom's context and type judgements are memoised, for
-    this call only, by the pool indices of the quantifiers they refer to, so
-    only the term judgement runs per atom.
+    this call only, by the pool indices of the quantifiers they refer to,
+    and so is its term's synthesis, by those its context and term refer to;
+    against an atomic type only the comparison of the synthesized type with
+    the atom's runs per evaluation.
 
     Each evaluation also returns a read set: a bit mask with bit `i` set
     when the verdict's value depended on the pool term of the `i`-th
@@ -234,14 +242,15 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             reads = tuple(
                 sum(1 << i for i in refs) for refs in (in_ctx, in_ty, in_ty | in_term)
             )
-            rec = memo[id(g)] = (g, tuple(in_ctx), tuple(in_ty), reads, ({}, {}))
-        _, in_ctx, in_ty, reads, memos = rec
+            in_synth = tuple(in_ctx | in_term)
+            rec = memo[id(g)] = (g, tuple(in_ctx), tuple(in_ty), in_synth, reads, ({}, {}, {}))
+        _, in_ctx, in_ty, in_synth, reads, memos = rec
         inst, slots, ctxs = env
         front = ()
         if g.ctx.head is not None:  # its context starts with the instance
             instance, nodes = ctxs[g.ctx.head.index]
-            front, memos = instance.bindings, nodes.setdefault(id(g), ({}, {}))
-        ctx_memo, ty_memo = memos
+            front, memos = instance.bindings, nodes.setdefault(id(g), ({}, {}, {}))
+        ctx_memo, ty_memo, synth_memo = memos
         key = tuple(slots[i] for i in in_ctx)
         hit = ctx_memo.get(key)
         if hit is None:
@@ -258,8 +267,20 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         ty, failure = hit
         if failure is not None:
             return failure, reads[1]
-        term = _subst(g.term, {}, 0, inst)
-        return _fails(check_term, sig, lctx, term, ty), reads[2]
+        if isinstance(ty, PiType):
+            term = _subst(g.term, {}, 0, inst)
+            return _fails(check_term, sig, lctx, term, ty), reads[2]
+        # against an atomic type, the term judgement is the term's synthesis,
+        # which does not read the type, and a comparison
+        key = tuple(slots[i] for i in in_synth)
+        hit = synth_memo.get(key)
+        if hit is None:
+            term = _subst(g.term, {}, 0, inst)
+            hit = synth_memo[key] = (term, _fails(synth_term, sig, lctx, term))
+        term, have = hit
+        if isinstance(have, LFError):
+            return have, reads[2]
+        return _fails(_compare, term, have, ty, lctx), reads[2]
 
     def ev(g: Formula, env: tuple) -> tuple[Verdict3, int]:
         # env: three tuples, innermost first: the (term, arity) of each
@@ -373,10 +394,11 @@ def _bound_nominals(f: Formula, c: int = 0) -> set:
     return set()
 
 
-def _fails(check, *args) -> LFError | None:
+def _fails(check, *args):
+    """The LFError that `check(*args)` raises, or else what it returns: None
+    for a checker, a type for `synth_term`."""
     try:
-        check(*args)
-        return None
+        return check(*args)
     except LFError as err:
         return err.with_traceback(None)  # a trace may keep it, not the frames
 
@@ -454,7 +476,9 @@ def verify_minimization(
     """Re-check, over the bounded enumeration, that context minimization
     preserves context well-formedness and the type and term checking
     verdicts.  Pairs where minimization drops nothing hold by identity and
-    are recorded without re-running the checkers."""
+    are recorded without re-running the checkers.  A pool term is
+    synthesized once under each context it is checked in, and its type
+    compared with each candidate type."""
     report = OracleReport("context minimization")
     size = bounds.term_size_max
     for ctx in enumerate_lf_contexts(sig, bounds.schema_blocks_max, size):
@@ -462,7 +486,22 @@ def verify_minimization(
             (b, erase(t)) for b, t in ctx.bindings if isinstance(b, Nominal)
         )
         terms = term_pool(sig, O, size, extra_heads=extra)[:24]
+        # Every candidate type is atomic, so checking a pool term against it
+        # is the term's synthesis, which does not read the type, and a
+        # comparison.  A sub-context of `ctx` is named by its binders.
+        synthesized = {}  # (binders, pool index) -> type or LFError
+
+        def checks(g: LFContext, binders: tuple, i: int, ty: AtomicType) -> bool:
+            have = synthesized.get((binders, i))
+            if have is None:
+                have = synthesized[binders, i] = _fails(synth_term, sig, g, terms[i])
+            if isinstance(have, LFError):
+                return False
+            return _fails(_compare, terms[i], have, ty, g) is None
+
+        all_binders = tuple(b for b, _ in ctx.bindings)
         for ty in candidate_types(sig, ctx, size, cap=80):
+            assert isinstance(ty, AtomicType)
             reduced = minimize(rel, ctx, ty)
             where = lambda: f"G = {ctx.bindings!r}, A = {ty!r}"
             identity = reduced == ctx
@@ -485,9 +524,10 @@ def verify_minimization(
                     "term checking agrees under minimization", len(terms)
                 )
                 continue
-            for m in terms:
-                t_full = _fails(check_term, sig, ctx, m, ty) is None
-                t_min = _fails(check_term, sig, reduced, m, ty) is None
+            kept = tuple(b for b, _ in reduced.bindings)
+            for i, m in enumerate(terms):
+                t_full = checks(ctx, all_binders, i, ty)
+                t_min = checks(reduced, kept, i, ty)
                 report.record(
                     "term checking agrees under minimization",
                     t_full == t_min,

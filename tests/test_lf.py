@@ -32,6 +32,7 @@ from lfport.lf import (
     HeadUnbound,
     IllFormedClassifier,
     IllFormedType,
+    LFError,
     NotEtaLong,
     PiType,
     SpineArity,
@@ -41,9 +42,14 @@ from lfport.lf import (
     TypeMismatch,
     _binder_nominals,
     _close,
+    _compare,
     _map_heads,
     _open_named,
+    arity_args,
+    synth_term,
 )
+from lfport.oracle import candidate_types, enumerate_lf_contexts
+from lfport.schema import term_pool
 from lfport.pretty import fmt_term
 from util import a, at, ce, ctx, lam, nom, pi
 
@@ -94,6 +100,67 @@ def test_subst_composition_for_disjoint_parts():
     chained = apply_subst(apply_subst(e, th1), th2)
     joint = apply_subst(e, {**th1, **th2})
     assert chained == joint
+
+
+# Random canonical terms over heads of these arities, for the laws of
+# hereditary substitution.
+HEADS = {"c": O, "f": Arrow(O, O), "g": Arrow(O, Arrow(O, O)), "h": Arrow(Arrow(O, O), O)}
+ARITIES = (O, Arrow(O, O), Arrow(O, Arrow(O, O)), Arrow(Arrow(O, O), O))
+
+
+def random_term(rng, arity, free, local=(), depth=0):
+    """A random eta-long term of `arity` over HEADS, the names in `free`
+    (name -> arity) and the enclosing binders `local`, innermost first."""
+    if isinstance(arity, Arrow):
+        return Lam("v", random_term(rng, arity.right, free, (arity.left,) + local, depth + 1))
+    heads = [*HEADS.items(), *free.items(), *((BVar(i), ar) for i, ar in enumerate(local))]
+    if depth >= 4:
+        heads = [(h, ar) for h, ar in heads if ar == O]
+    head, ar = rng.choice(heads)
+    return Atom(head, tuple(random_term(rng, x, free, local, depth + 1) for x in arity_args(ar)))
+
+
+def eta(head, arity):
+    """The eta-long form of `head` at `arity`; an index head counts the
+    binders above the result."""
+    args = arity_args(arity)
+    n = len(args)
+    top = BVar(head.index + n) if isinstance(head, BVar) else head
+    body = Atom(top, tuple(eta(BVar(n - 1 - i), x) for i, x in enumerate(args)))
+    for _ in args:
+        body = Lam("v", body)
+    return body
+
+
+def test_subst_identity_on_random_terms():
+    # putting a name's eta-long form, or the name itself, in for it changes
+    # nothing, at every arity
+    rng = random.Random(11)
+    for _ in range(400):
+        ax = rng.choice(ARITIES)
+        e = random_term(rng, rng.choice(ARITIES), {"x": ax})
+        assert apply_subst(e, {"x": (eta("x", ax), ax)}) == e
+        assert apply_subst(e, {"x": (Atom("x"), ax)}) == e
+
+
+def test_subst_composition_on_random_terms():
+    # [N/y][M/x]e = [[N/y]M/x][N/y]e for a closed N, and both are the
+    # simultaneous substitution when M is closed too
+    rng = random.Random(13)
+    actx = Signature().arity_context()
+    for _ in range(400):
+        ax, ay, ae = (rng.choice(ARITIES) for _ in range(3))
+        e = random_term(rng, ae, {"x": ax, "y": ay})
+        m = random_term(rng, ax, {"y": ay})
+        n = random_term(rng, ay, {})
+        th_n = {"y": (n, ay)}
+        chained = apply_subst(apply_subst(e, {"x": (m, ax)}), th_n)
+        assert chained == apply_subst(apply_subst(e, th_n), {"x": (apply_subst(m, th_n), ax)})
+        assert arity_check_term(actx, chained, ae, dict(HEADS))
+        closed = random_term(rng, ax, {})
+        joint = apply_subst(e, {"x": (closed, ax), **th_n})
+        assert joint == apply_subst(apply_subst(e, {"x": (closed, ax)}), th_n)
+        assert joint == apply_subst(apply_subst(e, th_n), {"x": (closed, ax)})
 
 
 def test_subst_avoids_capture():
@@ -500,3 +567,42 @@ def test_close_lowers_an_index_beyond_local_under_a_binder_by_the_length_of_loca
     out = _close((Lam("x", Atom(BVar(3))),), LFContext(), local)
     assert out == [Lam("x", Atom(BVar(2)))] == [_open_named(Lam("x", Atom(BVar(3))), ["n1"])]
     assert _close((Lam("x", Atom(BVar(1))),), LFContext(), local) == [Lam("x", Atom(nom(1)))]
+
+
+# ---------------------------------------------------------------------------
+# Checking against an atomic type is synthesis followed by a comparison.
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+        return None
+    except LFError as err:
+        return type(err), str(err)
+
+
+def _synth_then_compare(sig, ctx, term, ty):
+    _compare(term, synth_term(sig, ctx, term), ty, ctx)
+
+
+def test_check_term_is_synthesis_then_comparison(sig_size, sig_stlc):
+    seen = set()
+    for sig in (sig_size, sig_stlc):
+        extra = ((nom(1), O), (nom(2), O))  # unbound in the shorter contexts
+        terms = [
+            *term_pool(sig, O, 3, extra_heads=extra),
+            *term_pool(sig, Arrow(O, O), 3, extra_heads=extra),
+            # constants of function type, under-applied
+            *(Atom(d.name) for d in sig.decls if isinstance(d, TermDecl) and isinstance(d.type, PiType)),
+        ]
+        for g in enumerate_lf_contexts(sig, 2, 3):
+            for ty in candidate_types(sig, g, 3):
+                for m in terms:
+                    want = _outcome(check_term, sig, g, m, ty)
+                    assert _outcome(_synth_then_compare, sig, g, m, ty) == want, (g, m, ty)
+                    seen.add(want)
+    assert None in seen
+    assert (TypeMismatch, "abstraction checked against an atomic type") in seen
+    assert (NotEtaLong, "head of Atom(head='s', args=()) is under-applied") in seen
+    assert (HeadUnbound, "head n2 is not bound") in seen
+    assert any(w and w[1].startswith("synthesized ") for w in seen)

@@ -29,6 +29,7 @@ from lfport import (
     check_term,
     check_type,
     enumerate_instances,
+    minimize,
     subst_ctx,
     term_pool,
     verify_minimization,
@@ -414,12 +415,15 @@ def test_a_parsed_formula_hints_each_quantifier_as_printed():
 
 def counting(monkeypatch):
     """A counter of the judgement checks `bounded_validity` makes, by
-    checker name, from now on."""
+    checker name, from now on.  A term's synthesis, which the oracle
+    memoises and then compares with each atomic type, counts as a term
+    judgement."""
     calls = Counter()
-    for name in ("check_context", "check_type", "check_term"):
+    for name in ("check_context", "check_type", "check_term", "synth_term"):
+        kind = "check_term" if name == "synth_term" else name
         check = getattr(oracle, name)
         monkeypatch.setattr(
-            oracle, name, lambda *args, _n=name, _c=check: calls.update([_n]) or _c(*args)
+            oracle, name, lambda *args, _k=kind, _c=check: calls.update([_k]) or _c(*args)
         )
     return calls
 
@@ -511,6 +515,63 @@ def test_quantifiers_stop_where_the_body_does_not_read_them(
     verdict = bounded_validity(sig_size, plus_closed, Bounds(3, 1))
     assert calls["check_term"] < 359
     assert verdict == plain_validity(sig_size, plus_closed, Bounds(3, 1))
+
+
+def test_a_term_is_synthesized_once_per_pool_term_it_mentions(sig_size, monkeypatch):
+    # `{ |- D : plus z z N }` mentions N in its type only, so each D is
+    # synthesized once and compared with the type of every N it meets.  At
+    # Bounds(3, 1), `plus z z N` is witnessed at N = z by the third D, and
+    # `plus z (s z) N` at N = s z by the sixth, after all 10 D failed for
+    # N = z: 16 (N, D) pairs, a term judgement each in the plain evaluator.
+    plain = Counter()
+    real = check_term
+    monkeypatch.setitem(
+        globals(), "check_term", lambda *args: plain.update(["check_term"]) or real(*args)
+    )
+    calls = counting(monkeypatch)
+    pool = term_pool(sig_size, O, 3)
+    for spine, pairs, synthesized in (("z z", 3, 3), ("z (s z)", 16, len(pool))):
+        f = parse_formula(f"exists N : o. exists D : o. {{ |- D : plus {spine} N }}", {})
+        plain.clear()
+        calls.clear()
+        assert assert_same(sig_size, f, Bounds(3, 1)).value == VALID
+        assert (plain["check_term"], calls["check_term"]) == (pairs, synthesized), spine
+
+
+def test_an_atom_is_synthesized_once_per_choice_of_the_pool_terms_it_mentions(
+    sig_size, monkeypatch
+):
+    # { |- M (s z') : tm } mentions M and z', not N or z.  Each atom builds
+    # its (empty) context once, so the context a synthesis runs under tells
+    # the atoms apart; they are first synthesized in formula order.
+    text = (
+        "forall M : o -> o. forall N : o. forall z' : o. forall z : o. "
+        "{{ |- M (s z') : tm }} => {{ |- N : {} }} => {{ |- z : nat }}"
+    )
+    by_atom = Counter()
+    synth = oracle.synth_term
+    monkeypatch.setattr(
+        oracle, "synth_term", lambda *args: by_atom.update([id(args[1])]) or synth(*args)
+    )
+    pairs = len(term_pool(sig_size, Arrow(O, O), 4)) * len(term_pool(sig_size, O, 4))
+    assert pairs == 21 * 32
+    for ty in ("nat", "tm"):
+        # M (s z') is never a tm at size 3, so the other atoms are never
+        # reached, and each of the 6 * 10 pairs is reached once
+        by_atom.clear()
+        assert_same(sig_size, parse_formula(text.format(ty), {}), Bounds(3, 1))
+        assert list(by_atom.values()) == [60], ty
+    # At size 4 (too many evaluations for the plain evaluator here), the
+    # counterexample M, [x1] lam ([x2] x2), is the last of the 21.  Each M
+    # before it fails with all 32 z', and it holds with z' = z, under which
+    # N = z is a nat and z fails at its third pool term.  With `N : tm`,
+    # every N that is not a tm makes the implication hold under that M, so
+    # every z' is tried again for each such N, and synthesized once.
+    for ty, counts in (("nat", [20 * 32 + 1, 1, 3]), ("tm", [pairs, 10, 3])):
+        by_atom.clear()
+        verdict = bounded_validity(sig_size, parse_formula(text.format(ty), {}), Bounds(4, 1))
+        assert verdict.value == INVALID
+        assert list(by_atom.values()) == counts, ty
 
 
 def test_matches_plain_with_shadowed_binders(sig_size):
@@ -773,3 +834,47 @@ def test_lf_contexts_match_the_hand_written_loop(sig_size, sig_stlc, monkeypatch
                 assert calls["check_type"] == checks, (blocks, size)
                 capped.add(len(want) == oracle.TOTAL_CAP)
     assert capped == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# The minimization harness against a loop that runs `check_term` for every
+# term obligation.
+
+
+def ref_verify_minimization(sig, rel, bounds):
+    ok = lambda check, *args: oracle._fails(check, *args) is None
+    report = OracleReport("context minimization")
+    size = bounds.term_size_max
+    for g in oracle.enumerate_lf_contexts(sig, bounds.schema_blocks_max, size):
+        extra = tuple((b, oracle.erase(t)) for b, t in g.bindings if isinstance(b, Nominal))
+        terms = term_pool(sig, O, size, extra_heads=extra)[:24]
+        for ty in oracle.candidate_types(sig, g, size, cap=80):
+            reduced = minimize(rel, g, ty)
+            where = f"G = {g.bindings!r}, A = {ty!r}"
+            report.record("minimized context well-formed", ok(check_context, sig, reduced), where)
+            ok_full = ok(check_type, sig, g, ty)
+            report.record(
+                "type formation agrees under minimization",
+                ok_full == ok(check_type, sig, reduced, ty),
+                where,
+            )
+            if not ok_full:
+                continue
+            for m in terms:
+                report.record(
+                    "term checking agrees under minimization",
+                    ok(check_term, sig, g, m, ty) == ok(check_term, sig, reduced, m, ty),
+                    f"{where}, M = {m!r}",
+                )
+    return report
+
+
+def test_verify_minimization_matches_the_hand_written_loop(sig_size, rel_size):
+    broken = SubordRel(
+        frozenset(p for p in rel_size.pairs if p != ("nat", "nat")), rel_size.constants
+    )
+    for rel, passed in ((rel_size, True), (broken, False)):
+        for bounds in (Bounds(3, 2), Bounds(3, 3)):
+            want = ref_verify_minimization(sig_size, rel, bounds)
+            assert want.passed == passed
+            assert verify_minimization(sig_size, rel, bounds).render() == want.render()
