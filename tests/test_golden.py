@@ -3,9 +3,10 @@
 `tests/golden/cli.json` holds the exit code, stdout and stderr of every
 README command, of `instance`/`transport`/`validate`/`oracle` on the stlc
 fixtures, of `validate` on formulas whose traces name binders named
-like a constant, of `check`/`minimize` on ill-formed declarations and types
-whose messages name the nominal chosen for a binder, or whose scope
-applies its bound variable to too many arguments, and of
+like a constant, of `check`/`minimize` on ill-formed declarations (of
+terms and of type constants) and types whose messages name the nominal
+chosen for a binder, or whose scope applies its bound variable to too many
+arguments, and of
 `check`/`schema-check`/`validate` on malformed files whose parse errors
 report a line and column; and of `validate`/`transport` on formulas whose
 quantifiers shadow, rebind the context variable or are named like a
