@@ -67,8 +67,6 @@ from .subsume import (
     tf_subord,
     transport_check,
     transport_witness,
-    val_neg,
-    val_pos,
 )
 from .oracle import (
     Bounds,

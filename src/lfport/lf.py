@@ -314,11 +314,6 @@ class ArityContext:
     type_args: Mapping[str, tuple[Arity, ...]]
 
 
-# A substitution maps names to replacement terms tagged with the arity
-# that governs the hereditary contraction.
-Subst = dict
-
-
 # ---------------------------------------------------------------------------
 # Erasure and basic traversals.
 
@@ -421,12 +416,10 @@ def _map_heads(e: Expr, f, depth: int = 0) -> Expr:
             return Lam(var, _map_heads(body, f, depth + 1))
         case AtomicType(head, args):
             return AtomicType(head, tuple(_map_heads(a, f, depth) for a in args))
-        case PiType(var, domain, body):
-            return PiType(var, _map_heads(domain, f, depth), _map_heads(body, f, depth + 1))
+        case PiType(var, domain, body) | PiKind(var, domain, body):
+            return type(e)(var, _map_heads(domain, f, depth), _map_heads(body, f, depth + 1))
         case TypeKind():
             return e
-        case PiKind(var, domain, body):
-            return PiKind(var, _map_heads(domain, f, depth), _map_heads(body, f, depth + 1))
     raise TypeError(f"not an LF expression: {e!r}")
 
 
@@ -541,7 +534,7 @@ def _instantiate(body: Expr, term: Term, arity: Arity) -> Expr:
     return _subst(body, {}, 0, ((term, arity),))
 
 
-def _subst(e: Expr, subst: Subst, k: int, inst: tuple) -> Expr:
+def _subst(e: Expr, subst: Mapping, k: int, inst: tuple) -> Expr:
     # `k` counts the binders of the walk so far; `inst` holds (term, arity)
     # replacements for the dangling indices 0, 1, ... of `e` at once, and
     # the indices beyond them are lowered past them.  A subtree with no name
@@ -566,12 +559,10 @@ def _subst(e: Expr, subst: Subst, k: int, inst: tuple) -> Expr:
             return Lam(var, _subst(body, subst, k + 1, inst))
         case AtomicType(head, args):
             return AtomicType(head, tuple(_subst(a, subst, k, inst) for a in args))
-        case PiType(var, domain, body):
-            return PiType(var, _subst(domain, subst, k, inst), _subst(body, subst, k + 1, inst))
+        case PiType(var, domain, body) | PiKind(var, domain, body):
+            return type(e)(var, _subst(domain, subst, k, inst), _subst(body, subst, k + 1, inst))
         case TypeKind():
             return e
-        case PiKind(var, domain, body):
-            return PiKind(var, _subst(domain, subst, k, inst), _subst(body, subst, k + 1, inst))
     raise TypeError(f"not an LF expression: {e!r}")
 
 
@@ -716,7 +707,7 @@ def check_signature(sig: Signature) -> None:
             raise DuplicateName(f"constant {d.name} declared twice")
         try:
             if isinstance(d, TypeDecl):
-                _check_kind(before, LFContext(), (), d.kind)
+                _check_type(before, LFContext(), (), d.kind)
                 kinds[d.name] = d.kind
             else:
                 _check_type(before, LFContext(), (), d.type)
@@ -739,10 +730,6 @@ def check_context(sig: Signature, ctx: LFContext) -> None:
         prefix = prefix.extend(binder, ty)
 
 
-def check_kind(sig: Signature, ctx: LFContext, kind: Kind) -> None:
-    _check_kind(sig, ctx, (), kind)
-
-
 def check_type(sig: Signature, ctx: LFContext, ty: TypeExpr) -> None:
     _check_type(sig, ctx, (), ty)
 
@@ -751,24 +738,10 @@ def check_term(sig: Signature, ctx: LFContext, term: Term, ty: TypeExpr) -> None
     _check_term(sig, ctx, (), term, ty)
 
 
-def _check_kind(sig: Signature, ctx: LFContext, local: tuple, kind: Kind) -> None:
-    match kind:
-        case TypeKind():
-            return
-        case PiKind(_, domain, body):
-            _check_type(sig, ctx, local, domain)
-            try:
-                _check_kind(sig, ctx, ((domain, body),) + local, body)
-            except LFError:
-                _open(body, domain)
-                raise
-            return
-    raise TypeError(f"not a kind: {kind!r}")
-
-
-def _check_type(sig: Signature, ctx: LFContext, local: tuple, ty: TypeExpr) -> None:
+def _check_type(sig: Signature, ctx: LFContext, local: tuple, ty: TypeExpr | Kind) -> None:
+    """Formation of a type or a kind: one Pi rule for both."""
     match ty:
-        case PiType(_, domain, body):
+        case PiType(_, domain, body) | PiKind(_, domain, body):
             _check_type(sig, ctx, local, domain)
             try:
                 _check_type(sig, ctx, ((domain, body),) + local, body)
@@ -793,7 +766,9 @@ def _check_type(sig: Signature, ctx: LFContext, local: tuple, ty: TypeExpr) -> N
             if not isinstance(kind, TypeKind):
                 raise SpineArity(f"type constant {head} is under-applied")
             return
-    raise TypeError(f"not a type expression: {ty!r}")
+        case TypeKind():
+            return
+    raise TypeError(f"not a type expression or kind: {ty!r}")
 
 
 def synth_term(sig: Signature, ctx: LFContext, term: Term) -> TypeExpr:

@@ -416,16 +416,18 @@ def _line(x):
 # Bounded-context enumeration used by the minimization harness.
 
 
+def _nominal_heads(ctx: LFContext) -> tuple:
+    """The nominals `ctx` binds, each with its arity: the heads a term pool
+    adds for the context."""
+    return tuple((b, erase(t)) for b, t in ctx.bindings if isinstance(b, Nominal))
+
+
 def candidate_types(sig, ctx: LFContext, size_max: int, cap: int | None = None):
     """Atomic types over the signature's type constants with spine terms
     from the bounded pool (context nominals usable as heads).  Arity-correct
     but not necessarily well-formed; ordered by constant then size.  `cap`
     ends the list at an applied type only."""
-    extra = tuple(
-        (binder, erase(ty))
-        for binder, ty in ctx.bindings
-        if isinstance(binder, Nominal)
-    )
+    extra = _nominal_heads(ctx)
     pool = lambda ar, s: term_pool_exact(sig, ar, s, extra_heads=extra)
     out = []
     for name, arg_ars in sig.arity_context().type_args.items():
@@ -482,10 +484,7 @@ def verify_minimization(
     report = OracleReport("context minimization")
     size = bounds.term_size_max
     for ctx in enumerate_lf_contexts(sig, bounds.schema_blocks_max, size):
-        extra = tuple(
-            (b, erase(t)) for b, t in ctx.bindings if isinstance(b, Nominal)
-        )
-        terms = term_pool(sig, O, size, extra_heads=extra)[:24]
+        terms = term_pool(sig, O, size, extra_heads=_nominal_heads(ctx))[:24]
         # Every candidate type is atomic, so checking a pool term against it
         # is the term's synthesis, which does not read the type, and a
         # comparison.  A sub-context of `ctx` is named by its binders.

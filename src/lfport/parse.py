@@ -322,7 +322,7 @@ def _parse_whole(text: str, parse, ce: Optional[CtxExpr] = None):
     p = _Parser(text, nominal_mode=True)
     if ce is not None:
         for n, _ in ce.bindings:
-            p.nominals[f"n{n.index}"] = n
+            p.nominals[repr(n)] = n
     out = parse(p)
     if p.peek():
         p.fail(f"unexpected trailing input {p.peek()!r}")

@@ -30,8 +30,6 @@ from .formula import (
     _subformulas,
 )
 from .lf import (
-    Arity,
-    Arrow,
     Atom,
     AtomicType,
     BVar,
@@ -53,20 +51,11 @@ from .lf import (
 from .schema import BlockSchema, ContextSchema, CtxExpr, block_scope
 
 
-def fmt_arity(a: Arity) -> str:
-    if isinstance(a, Arrow):
-        left = fmt_arity(a.left)
-        if isinstance(a.left, Arrow):
-            left = f"({left})"
-        return f"{left} -> {fmt_arity(a.right)}"
-    return "o"
-
-
 def fmt_head(h, scope: tuple = ()) -> str:
     """A head as printed; a bound variable prints as the name `scope`
     gives its binder."""
     if isinstance(h, Nominal):
-        return f"n{h.index}"
+        return repr(h)
     if isinstance(h, BVar):
         return scope[h.index]
     return h
@@ -153,7 +142,7 @@ def fmt_ctx(ce: CtxExpr, scope: tuple = (), cscope: tuple = ()) -> str:
 
 def fmt_block(b: BlockSchema) -> str:
     scope = block_scope(b)
-    params = ", ".join(f"{v} : {fmt_arity(a)}" for v, a in b.params)
+    params = ", ".join(f"{v} : {a!r}" for v, a in b.params)
     decls = ", ".join(f"{y} : {fmt_type(t, scope)}" for y, t in b.decl)
     return f"{{{params}}}({decls})"
 
@@ -200,7 +189,7 @@ def fmt_formula(
         case ForallTm(_, ar, body) | ExistsTm(_, ar, body):
             kw = "forall" if isinstance(f, ForallTm) else "exists"
             v = _quantifier_name(f, names, free)
-            return wrap(f"{kw} {v} : {fmt_arity(ar)}. {sub(body, 0, (v,) + names)}", 1)
+            return wrap(f"{kw} {v} : {ar!r}. {sub(body, 0, (v,) + names)}", 1)
         case ForallCtx(_, cs, body, name):
             shown = name if name is not None else fmt_schema(cs)
             v = _quantifier_name(f, cnames, free)

@@ -159,7 +159,8 @@ def block_instance(
 
     Returns the witnessing parameter instantiation, or None.  Parameters
     must occur as Miller patterns (applied to distinct nominals or locally
-    bound variables); anything else raises NonPatternSchema.
+    bound variables); anything else raises NonPatternSchema.  A solution
+    is one whose `_instantiate_block` is the segment.
     """
     decl = block.decl
     if len(bindings) != len(decl):
@@ -187,11 +188,19 @@ def block_instance(
         else:
             # unconstrained parameter: any inhabitant works, pick a nominal
             out[x] = Atom(fresh_nominal(ar, avoid))
-    full = {x: (out[x], params[x]) for x in out}
-    for pat, (_, target_ty) in zip(patterns, bindings):
-        if apply_subst(pat, full) != target_ty:
-            return None
+    noms = [nom for nom, _ in bindings]
+    if _instantiate_block(block, noms, [out[x] for x, _ in block.params]) != tuple(bindings):
+        return None
     return out
+
+
+def _instantiate_block(block: BlockSchema, noms, terms) -> tuple:
+    """The segment `block` gives with its declaration variables put as the
+    nominals `noms` and its parameters as the closed terms `terms`, each in
+    the block's order."""
+    subst = {y: (Atom(n), erase(a)) for (y, a), n in zip(block.decl, noms)}
+    subst.update({x: (t, ar) for (x, ar), t in zip(block.params, terms)})
+    return tuple((n, apply_subst(a, subst)) for (_, a), n in zip(block.decl, noms))
 
 
 def _match_type(pat, tgt, params, solution) -> bool:
@@ -261,8 +270,6 @@ def schema_instance(sig: Signature, cs: ContextSchema, ce: CtxExpr) -> bool:
     """Whether the context expression segments into consecutive block
     instances of the schema.  Raises NonPatternSchema where
     `segment_instance` does."""
-    if ce.head is not None:
-        raise ValueError("schema_instance expects a context expression without a head variable")
     return segment_instance(sig, cs, ce) is not None
 
 
@@ -454,12 +461,4 @@ def _block_instantiations(sig, block, existing, term_size_max, pool_nominals):
                 f"no closed term of arity {ar!r} within size {term_size_max}"
             )
         pools.append(pool)
-    segments = []
-    for combo in itertools.product(*pools):
-        subst = {y: (Atom(n), erase(a)) for (y, a), n in zip(block.decl, noms)}
-        subst.update({x: (t, ar) for (x, ar), t in zip(block.params, combo)})
-        segment = tuple(
-            (n, apply_subst(a, subst)) for (y, a), n in zip(block.decl, noms)
-        )
-        segments.append(segment)
-    return segments
+    return [_instantiate_block(block, noms, combo) for combo in itertools.product(*pools)]

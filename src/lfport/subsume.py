@@ -468,18 +468,6 @@ def _val_deriv(gamma: str, f: Formula, positive: bool):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def val_pos(gamma: str, f: Formula) -> bool:
-    """Whether `f` is structurally valid under any ill-formed substitution
-    for `gamma`."""
-    return _val_deriv(gamma, f, True) is not None
-
-
-def val_neg(gamma: str, f: Formula) -> bool:
-    """Whether `f` is structurally invalid under any ill-formed substitution
-    for `gamma`."""
-    return _val_deriv(gamma, f, False) is not None
-
-
 # ---------------------------------------------------------------------------
 # The transport rule check and its certificate.
 

@@ -27,7 +27,6 @@ from lfport.parse import (
     parse_type_text,
 )
 from lfport.pretty import (
-    fmt_arity,
     fmt_ctx,
     fmt_formula,
     fmt_schema,
@@ -145,7 +144,7 @@ def test_arity_round_trip():
 
     for text in ("o", "o -> o", "(o -> o) -> o", "o -> o -> o"):
         p = _Parser(text)
-        assert fmt_arity(p.arity()) == text
+        assert repr(p.arity()) == text
 
 
 def test_parse_error_empty_classifier():

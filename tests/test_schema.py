@@ -19,7 +19,7 @@ from lfport import (
     schema_instance,
 )
 import lfport.schema
-from lfport.lf import LFError
+from lfport.lf import AtomicType, LFError, apply_subst, erase, free_vars, fresh_nominal
 from lfport.parse import parse_schemas
 from lfport.schema import (
     ArityKindFailure,
@@ -27,6 +27,7 @@ from lfport.schema import (
     NonPatternSchema,
     PoolEmpty,
     segment_instance,
+    term_pool,
 )
 from lfport.subsume import (
     SegmentationMismatch,
@@ -34,6 +35,7 @@ from lfport.subsume import (
     transport_check,
     transport_witness,
 )
+from test_subsume import _random_block
 from util import a, at, ce, lam, nom, pi
 
 B_EMPTY = BlockSchema((), ())
@@ -160,6 +162,24 @@ def test_enumerate_pool_empty(sig_size):
         enumerate_instances(sig_size, needs_function, 1, 1)
 
 
+def test_enumerate_ignores_blocks_that_repeat_segments(sig_stlc, schemas_stlc):
+    # A block listed twice adds no instance and moves none.  A block whose
+    # every segment another block also gives adds none either: listed
+    # after that block it moves none, listed before it moves some.
+    for cs in (*schemas_stlc.values(), C_SIZE):
+        once = enumerate_instances(sig_stlc, cs, 2, 2)
+        assert enumerate_instances(sig_stlc, ContextSchema(cs.blocks * 2), 2, 2) == once
+    both = parse_schemas(
+        "schema C := {N : o}(x : tm, y : size x N) | {}(x : tm, y : size x (s z))."
+    )["C"]
+    wide, narrow = both.blocks
+    check_schema(sig_stlc, both)
+    want = enumerate_instances(sig_stlc, ContextSchema((wide,)), 2, 2)
+    assert enumerate_instances(sig_stlc, both, 2, 2) == want
+    swapped = enumerate_instances(sig_stlc, ContextSchema((narrow, wide)), 2, 2)
+    assert swapped != want and sorted(map(repr, swapped)) == sorted(map(repr, want))
+
+
 def test_enumerated_instances_satisfy_schema_instance(sig_stlc, schemas_stlc):
     for name in ("Csize", "Cof", "Cmix"):
         cs = schemas_stlc[name]
@@ -249,6 +269,75 @@ def test_block_instance_rejects_repeated_pattern_args(sig_size):
     )
     with pytest.raises(NonPatternSchema):
         block_instance(sig_size, bad, ((nom(1), at("size", a("s", a("z")), a("z"))),))
+
+
+def _instantiated(block, noms, terms):
+    """The segment `block` gives with its parameters put as `terms`, and
+    then its declaration variables as the nominals `noms`."""
+    by_param = {x: (t, ar) for (x, ar), t in zip(block.params, terms)}
+    by_var = {y: (a(n), erase(ty)) for (y, ty), n in zip(block.decl, noms)}
+    return tuple(
+        (n, apply_subst(apply_subst(ty, by_param), by_var))
+        for (_, ty), n in zip(block.decl, noms)
+    )
+
+
+def _perturbed(rng, segment, others, terms):
+    """`segment` with the type of one binding replaced: by that binding's
+    type in another segment, by itself with one argument replaced from
+    `terms`, or by another atomic type."""
+    i = rng.randrange(len(segment))
+    n, ty = segment[i]
+    how = rng.randrange(3)
+    if how == 0:
+        ty = rng.choice(others)[i][1]
+    elif how == 1 and isinstance(ty, AtomicType) and ty.args:
+        j = rng.randrange(len(ty.args))
+        ty = AtomicType(ty.head, ty.args[:j] + (rng.choice(terms),) + ty.args[j + 1 :])
+    else:
+        ty = at("nat") if ty == at("tm") else at("tm")
+    return segment[:i] + ((n, ty),) + segment[i + 1 :]
+
+
+def test_block_instance_matches_brute_force_over_pool_tuples(sig_stlc):
+    # Random checked blocks with parameters T : o and F or H : o -> o,
+    # some applied to a declaration variable, against the segments of
+    # every tuple of pool terms (with the pool's own nominal n1 among their
+    # heads).  Each segment is an instance whose solution instantiates to
+    # it and gives back every parameter the block mentions.  A perturbed
+    # segment gets only solutions that instantiate to it, and gets one
+    # whenever some tuple gives it.
+    pools = {O: term_pool(sig_stlc, O, 2, 1), Arrow(O, O): term_pool(sig_stlc, Arrow(O, O), 3, 1)}
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(150):
+        block = _random_block(rng, rng.randint(1, 4))
+        check_schema(sig_stlc, ContextSchema((block,)))
+        noms = []
+        for _, ty in block.decl:
+            noms.append(fresh_nominal(erase(ty), {nom(1), *noms}))
+        mentioned = set().union(*(free_vars(ty) for _, ty in block.decl))
+        tuples = {}
+        for terms in itertools.product(*(pools[ar] for _, ar in block.params)):
+            segment = _instantiated(block, noms, terms)
+            tuples.setdefault(segment, terms)
+            out = block_instance(sig_stlc, block, segment)
+            assert out is not None, (block, segment)
+            assert _instantiated(block, noms, [out[x] for x, _ in block.params]) == segment
+            for (x, ar), t in zip(block.params, terms):
+                if x in mentioned:
+                    assert out[x] == t, (block, segment, x)
+                    seen.add(ar)
+        segments = list(tuples)
+        terms = list(pools[O]) + [a(n) for n in noms if n.arity == O]
+        for segment in rng.sample(segments, min(len(segments), 12)):
+            target = _perturbed(rng, segment, segments, terms)
+            out = block_instance(sig_stlc, block, target)
+            if out is not None:
+                assert _instantiated(block, noms, [out[x] for x, _ in block.params]) == target
+            assert out is not None or target not in tuples, (block, target)
+            seen.add((out is not None, target in tuples))
+    assert seen >= {O, Arrow(O, O), (True, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ from lfport import (
     tf_subord,
     transport_check,
     transport_witness,
-    val_neg,
-    val_pos,
 )
 from lfport.lf import LFError, UnknownConstant, erase, free_vars
 from lfport.parse import parse_schemas
@@ -44,6 +42,7 @@ from lfport.subsume import (
     SearchCapExceeded,
     TransportCertificate,
     TransportFailure,
+    _val_deriv,
 )
 from util import a, at, ce, nom, pi, quantify
 
@@ -711,23 +710,23 @@ def test_pair_table_bounds_the_renamings_derived(
 
 
 def test_val_axioms():
-    assert val_pos("G", Top())
-    assert val_neg("G", Bot())
-    assert not val_pos("G", Bot())
-    assert not val_neg("G", Top())
+    assert _val_deriv("G", Top(), True) is not None
+    assert _val_deriv("G", Bot(), False) is not None
+    assert _val_deriv("G", Bot(), True) is None
+    assert _val_deriv("G", Top(), False) is None
 
 
 def test_val_pos_plus_formula(plus_body):
-    assert val_pos("G", plus_body)
+    assert _val_deriv("G", plus_body, True) is not None
 
 
 def test_val_pos_rejects_bare_atom():
-    assert not val_pos("G", Holds(ce(head="G"), a("z"), at("nat")))
+    assert _val_deriv("G", Holds(ce(head="G"), a("z"), at("nat")), True) is None
 
 
 def test_val_neg_atom_requires_gamma():
-    assert val_neg("G", Holds(ce(head="G"), a("z"), at("nat")))
-    assert not val_neg("G", Holds(ce(), a("z"), at("nat")))
+    assert _val_deriv("G", Holds(ce(head="G"), a("z"), at("nat")), False) is not None
+    assert _val_deriv("G", Holds(ce(), a("z"), at("nat")), False) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1042,7 +1041,7 @@ def test_val_pos_sound_on_ill_formed_instances(sig_size, plus_body):
     from lfport import Bounds, bounded_validity, subst_ctx
     from lfport.oracle import INVALID, VALID
 
-    assert val_pos("G", plus_body)
+    assert _val_deriv("G", plus_body, True) is not None
     ill_formed = [
         ce((nom(2), at("size", a(nom(1)), a("s", a("z"))))),
         ce((nom(1), at("size", a(nom(1)), a("s", a("z")))), (nom(2), at("tm"))),
@@ -1062,7 +1061,7 @@ def test_val_neg_sound_on_ill_formed_instances(sig_size):
     from lfport.oracle import VALID
 
     f = quantify(ForallTm, "N", O, Holds(ce(head="G"), a("N"), at("nat")))
-    assert val_neg("G", f)
+    assert _val_deriv("G", f, False) is not None
     g = ce((nom(2), at("size", a(nom(1)), a("s", a("z")))))
     verdict = bounded_validity(sig_size, subst_ctx(f, {"G": g}), Bounds(3, 2))
     assert verdict.value != VALID

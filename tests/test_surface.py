@@ -30,8 +30,8 @@ EXPORTS = [
     "parse_term_text", "parse_type_text", "prune_ok", "schema",
     "schema_instance", "schema_subsumes", "subord", "subst_ctx",
     "subst_terms", "subsume", "term_pool", "tf_subord", "transport_check",
-    "transport_witness", "type_leq", "val_neg", "val_pos",
-    "verify_minimization", "verify_transport",
+    "transport_witness", "type_leq", "verify_minimization",
+    "verify_transport",
 ]
 
 # Every function `perfbench/run.py` reads a per-layer metric from.
