@@ -730,21 +730,28 @@ def check_context(sig: Signature, ctx: LFContext) -> None:
         prefix = prefix.extend(binder, ty)
 
 
-def check_type(sig: Signature, ctx: LFContext, ty: TypeExpr) -> None:
-    _check_type(sig, ctx, (), ty)
+def check_type(sig: Signature, ctx: LFContext, ty: TypeExpr, check_arg=None) -> None:
+    """Formation of `ty` in `ctx`.  `check_arg(sig, ctx, local, arg, domain)`
+    judges each argument of an atomic type against its kind domain, as
+    `_check_term` does by default; a caller that forms many types in one
+    context may pass a memoised one."""
+    _check_type(sig, ctx, (), ty, check_arg)
 
 
 def check_term(sig: Signature, ctx: LFContext, term: Term, ty: TypeExpr) -> None:
     _check_term(sig, ctx, (), term, ty)
 
 
-def _check_type(sig: Signature, ctx: LFContext, local: tuple, ty: TypeExpr | Kind) -> None:
-    """Formation of a type or a kind: one Pi rule for both."""
+def _check_type(
+    sig: Signature, ctx: LFContext, local: tuple, ty: TypeExpr | Kind, check_arg=None
+) -> None:
+    """Formation of a type or a kind: one Pi rule for both.  `check_arg` is
+    the argument judgement of `check_type`, `_check_term` by default."""
     match ty:
         case PiType(_, domain, body) | PiKind(_, domain, body):
-            _check_type(sig, ctx, local, domain)
+            _check_type(sig, ctx, local, domain, check_arg)
             try:
-                _check_type(sig, ctx, ((domain, body),) + local, body)
+                _check_type(sig, ctx, ((domain, body),) + local, body, check_arg)
             except LFError:
                 _open(body, domain)
                 raise
@@ -757,7 +764,7 @@ def _check_type(sig: Signature, ctx: LFContext, local: tuple, ty: TypeExpr | Kin
                 if not isinstance(kind, PiKind):
                     raise SpineArity(f"type constant {head} applied to too many arguments")
                 try:
-                    _check_term(sig, ctx, local, arg, kind.domain)
+                    (check_arg or _check_term)(sig, ctx, local, arg, kind.domain)
                 except LFError as err:
                     raise ArgumentTypeMismatch(
                         "argument of {} does not check: {}", head, err

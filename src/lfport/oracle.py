@@ -32,6 +32,13 @@ substitution evaluator (a differential test in tests/test_oracle.py holds
 the two together).  Formulas are locally nameless, so substitution renames
 no quantifier, and a trace names each by its own hint, which for a parsed
 formula is the name `fmt_formula` prints; hints take no part in evaluation.
+
+The minimization harness keeps its memos per enumerated context: the
+minimization of the context, and its well-formedness, per head constant
+(minimization reads nothing else of a type), and, under each sub-context
+(the context or a minimization of it), each type argument's judgement per
+kind domain and each candidate term's synthesis.  Type formation itself is
+`check_type`, with the argument judgement memoised.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from .lf import (
     O,
     PiType,
     Signature,
+    _check_term,
     _compare,
     _dangling,
     _subst,
@@ -472,45 +480,81 @@ def enumerate_lf_contexts(sig, max_bindings: int, size_max: int):
     return itertools.islice(breadth_first(), TOTAL_CAP)
 
 
+class _SubContext:
+    """A context the minimization harness judges in, the enumerated one or
+    a minimization of it, with the memos of its judgements."""
+
+    def __init__(self, sig: Signature, g: LFContext, terms: tuple, well_formed: bool):
+        self.sig, self.g, self.terms, self.well_formed = sig, g, terms, well_formed
+        self.judged: dict = {}  # (id(argument), kind domain) -> (argument, None or LFError)
+        self.synthesized: list = [None] * len(terms)  # pool index -> type or LFError
+
+    def check_arg(self, sig, g, local, arg, domain):
+        """`_check_term`, memoised.  A candidate type is atomic, so its
+        arguments are judged in `g` itself.  They are pool terms, shared by
+        every candidate type of the context, so the memo keys one by its
+        identity and keeps it alive; a dependent kind instantiates a fresh
+        domain per type, so the domain is keyed by value."""
+        assert not local
+        key = (id(arg), domain)
+        hit = self.judged.get(key)
+        if hit is None:
+            hit = self.judged[key] = (arg, _fails(_check_term, sig, g, local, arg, domain))
+        if hit[1] is not None:
+            # a fresh exception: raising the stored one would keep this
+            # frame, and so the memo, in its traceback
+            raise LFError("{}", hit[1])
+
+    def type_formed(self, ty: AtomicType) -> bool:
+        return _fails(check_type, self.sig, self.g, ty, self.check_arg) is None
+
+    def term_checks(self, i: int, ty: AtomicType) -> bool:
+        """Whether pool term `i` checks against `ty`: against an atomic
+        type, that is the term's synthesis, which does not read the type,
+        and a comparison."""
+        have = self.synthesized[i]
+        if have is None:
+            have = self.synthesized[i] = _fails(synth_term, self.sig, self.g, self.terms[i])
+        if isinstance(have, LFError):
+            return False
+        return _fails(_compare, self.terms[i], have, ty, self.g) is None
+
+
 def verify_minimization(
     sig: Signature, rel: SubordRel, bounds: Bounds
 ) -> OracleReport:
     """Re-check, over the bounded enumeration, that context minimization
     preserves context well-formedness and the type and term checking
     verdicts.  Pairs where minimization drops nothing hold by identity and
-    are recorded without re-running the checkers.  A pool term is
-    synthesized once under each context it is checked in, and its type
-    compared with each candidate type."""
+    are recorded without re-running the checkers.
+
+    Minimization reads only a type's head constant, so each enumerated
+    context is minimized, and the result checked, once per head constant.
+    Under each sub-context (the enumerated context or a minimization of
+    it), each argument of a candidate type is judged once per kind domain,
+    and each pool term synthesized once and its type compared with each
+    candidate type.  These memos are dropped with their context."""
     report = OracleReport("context minimization")
     size = bounds.term_size_max
     for ctx in enumerate_lf_contexts(sig, bounds.schema_blocks_max, size):
         terms = term_pool(sig, O, size, extra_heads=_nominal_heads(ctx))[:24]
-        # Every candidate type is atomic, so checking a pool term against it
-        # is the term's synthesis, which does not read the type, and a
-        # comparison.  A sub-context of `ctx` is named by its binders.
-        synthesized = {}  # (binders, pool index) -> type or LFError
-
-        def checks(g: LFContext, binders: tuple, i: int, ty: AtomicType) -> bool:
-            have = synthesized.get((binders, i))
-            if have is None:
-                have = synthesized[binders, i] = _fails(synth_term, sig, g, terms[i])
-            if isinstance(have, LFError):
-                return False
-            return _fails(_compare, terms[i], have, ty, g) is None
-
-        all_binders = tuple(b for b, _ in ctx.bindings)
+        full = _SubContext(sig, ctx, terms, True)
+        subs = {ctx: full}  # each sub-context once, however many heads give it
+        by_head: dict = {}  # head constant -> its sub-context
         for ty in candidate_types(sig, ctx, size, cap=80):
             assert isinstance(ty, AtomicType)
-            reduced = minimize(rel, ctx, ty)
+            sub = by_head.get(ty.head)
+            if sub is None:
+                reduced = minimize(rel, ctx, ty)
+                sub = subs.get(reduced)
+                if sub is None:
+                    well_formed = _fails(check_context, sig, reduced) is None
+                    sub = subs[reduced] = _SubContext(sig, reduced, terms, well_formed)
+                by_head[ty.head] = sub
             where = lambda: f"G = {ctx.bindings!r}, A = {ty!r}"
-            identity = reduced == ctx
-            report.record(
-                "minimized context well-formed",
-                identity or _fails(check_context, sig, reduced) is None,
-                where,
-            )
-            ok_full = _fails(check_type, sig, ctx, ty) is None
-            ok_min = ok_full if identity else _fails(check_type, sig, reduced, ty) is None
+            report.record("minimized context well-formed", sub.well_formed, where)
+            ok_full = full.type_formed(ty)
+            ok_min = ok_full if sub is full else sub.type_formed(ty)
             report.record(
                 "type formation agrees under minimization",
                 ok_full == ok_min,
@@ -518,18 +562,15 @@ def verify_minimization(
             )
             if not ok_full:
                 continue
-            if identity:
+            if sub is full:
                 report.record_vacuous(
                     "term checking agrees under minimization", len(terms)
                 )
                 continue
-            kept = tuple(b for b, _ in reduced.bindings)
             for i, m in enumerate(terms):
-                t_full = checks(ctx, all_binders, i, ty)
-                t_min = checks(reduced, kept, i, ty)
                 report.record(
                     "term checking agrees under minimization",
-                    t_full == t_min,
+                    full.term_checks(i, ty) == sub.term_checks(i, ty),
                     lambda: f"{where()}, M = {m!r}",
                 )
     return report

@@ -161,6 +161,16 @@ def block_instance(
     must occur as Miller patterns (applied to distinct nominals or locally
     bound variables); anything else raises NonPatternSchema.  A solution
     is one whose `_instantiate_block` is the segment.
+
+    On a block that passed `check_schema` every match is a solution, so
+    none is instantiated again to check.  Each declaration type mentions
+    only parameters and earlier declaration variables, and its pattern has
+    the nominals in for the latter.  Matching walks all of each pattern, so
+    it fixes every parameter a type mentions: an occurrence applied to
+    distinct variables is solved by abstracting them out of the target,
+    which putting the solution back in undoes (its arity is checked), and
+    another occurrence must give the same solution.  A parameter that no
+    type mentions changes no type.
     """
     decl = block.decl
     if len(bindings) != len(decl):
@@ -188,9 +198,6 @@ def block_instance(
         else:
             # unconstrained parameter: any inhabitant works, pick a nominal
             out[x] = Atom(fresh_nominal(ar, avoid))
-    noms = [nom for nom, _ in bindings]
-    if _instantiate_block(block, noms, [out[x] for x, _ in block.params]) != tuple(bindings):
-        return None
     return out
 
 
@@ -421,17 +428,22 @@ def enumerate_instances(
 ) -> list[CtxExpr]:
     """All instances with at most `blocks_max` block instantiations, with
     parameters drawn from the bounded closed-term pool.  Deterministic
-    order, no duplicates."""
-    results: list[CtxExpr] = []
-    seen: set = set()
+    order, no duplicates: depth first, each instance where it is first
+    reached.
 
-    def emit(bindings):
-        if bindings not in seen:
-            seen.add(bindings)
-            results.append(CtxExpr(None, tuple(bindings)))
+    What an instance extends to depends only on its bindings and on the
+    blocks left, so one reached again at the same or a greater depth is not
+    extended again: everything below it was reached the first time."""
+    results: list[CtxExpr] = []
+    depth_of: dict = {}  # bindings -> the least depth they were extended at
 
     def extend(bindings, depth):
-        emit(bindings)
+        known = depth_of.get(bindings)
+        if known is not None and known <= depth:
+            return
+        if known is None:
+            results.append(CtxExpr(None, bindings))
+        depth_of[bindings] = depth
         if depth == blocks_max:
             return
         for block in cs.blocks:

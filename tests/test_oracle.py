@@ -26,8 +26,10 @@ from lfport import (
     Top,
     bounded_validity,
     check_context,
+    check_signature,
     check_term,
     check_type,
+    compute_subordination,
     enumerate_instances,
     minimize,
     subst_ctx,
@@ -869,12 +871,84 @@ def ref_verify_minimization(sig, rel, bounds):
     return report
 
 
-def test_verify_minimization_matches_the_hand_written_loop(sig_size, rel_size):
-    broken = SubordRel(
-        frozenset(p for p in rel_size.pairs if p != ("nat", "nat")), rel_size.constants
-    )
-    for rel, passed in ((rel_size, True), (broken, False)):
+def _without(rel, pair):
+    return SubordRel(frozenset(p for p in rel.pairs if p != pair), rel.constants)
+
+
+def _assert_minimization_matches_the_hand_written_loop(sig, rel, broken):
+    for r, passed in ((rel, True), *((b, False) for b in broken)):
         for bounds in (Bounds(3, 2), Bounds(3, 3)):
-            want = ref_verify_minimization(sig_size, rel, bounds)
+            want = ref_verify_minimization(sig, r, bounds)
             assert want.passed == passed
-            assert verify_minimization(sig_size, rel, bounds).render() == want.render()
+            assert verify_minimization(sig, r, bounds).render() == want.render()
+
+
+def test_verify_minimization_matches_the_hand_written_loop(sig_size, rel_size, sig_stlc, rel_stlc):
+    nat = ("nat", "nat")
+    _assert_minimization_matches_the_hand_written_loop(
+        sig_size, rel_size, [_without(rel_size, nat)]
+    )
+    _assert_minimization_matches_the_hand_written_loop(
+        sig_stlc, rel_stlc, [_without(rel_stlc, nat), _without(rel_stlc, ("tm", "of"))]
+    )
+
+
+# `bind` has a function-type domain, so type formation judges abstractions;
+# `all` has a dependent one, so its second argument is judged against a
+# domain its first argument instantiates.
+SIG_DOMAINS = """
+nat : Type.
+z : nat.
+s : nat -> nat.
+tm : Type.
+app : tm -> tm -> tm.
+lam : (tm -> tm) -> tm.
+vec : nat -> Type.
+nil : vec z.
+bind : (tm -> tm) -> Type.
+all : {N : nat} vec N -> Type.
+"""
+
+
+def test_verify_minimization_matches_the_hand_written_loop_on_kind_domains():
+    sig = parse_signature(SIG_DOMAINS)
+    check_signature(sig)
+    rel = compute_subordination(sig)
+    # each broken relation drops a binding that one family's argument needs
+    broken = [_without(rel, ("tm", "bind")), _without(rel, ("vec", "all"))]
+    _assert_minimization_matches_the_hand_written_loop(sig, rel, broken)
+
+
+def test_minimization_harness_repeats_no_minimization_or_argument_judgement(
+    sig_size, rel_size, monkeypatch
+):
+    # Each enumerated context is minimized once per head constant of its
+    # candidate types, and each sub-context judges each type argument once
+    # per kind domain.  A context's first minimization comes before its
+    # first type formation.
+    minimized, judged = Counter(), Counter()
+    current = []
+    minimize_, check_term_ = oracle.minimize, oracle._check_term
+
+    def counted_minimize(rel, ctx, ty):
+        current[:] = [ctx]
+        minimized[ctx, ty.head] += 1
+        return minimize_(rel, ctx, ty)
+
+    def counted_check_term(sig, g, local, arg, domain):
+        judged[current[0], g, arg, domain] += 1
+        return check_term_(sig, g, local, arg, domain)
+
+    monkeypatch.setattr(oracle, "minimize", counted_minimize)
+    monkeypatch.setattr(oracle, "_check_term", counted_check_term)
+    bounds = Bounds(4, 4)
+    report = verify_minimization(sig_size, rel_size, bounds)
+    assert report.render().splitlines()[-1] == "PASS (213148 obligations, 0 counterexamples)"
+    want = {
+        (g, ty.head)
+        for g in oracle.enumerate_lf_contexts(sig_size, bounds.schema_blocks_max, 4)
+        for ty in oracle.candidate_types(sig_size, g, 4, cap=80)
+    }
+    assert set(minimized) == want and set(minimized.values()) == {1}
+    assert len(want) == 1060
+    assert set(judged.values()) == {1}

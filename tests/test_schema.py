@@ -180,6 +180,72 @@ def test_enumerate_ignores_blocks_that_repeat_segments(sig_stlc, schemas_stlc):
     assert swapped != want and sorted(map(repr, swapped)) == sorted(map(repr, want))
 
 
+def _enumerate_every_reach(sig, cs, blocks_max, term_size_max):
+    """The enumeration that extends an instance each time it is reached,
+    and keeps it where it is first reached."""
+    results, seen = [], set()
+
+    def extend(bindings, depth):
+        if bindings not in seen:
+            seen.add(bindings)
+            results.append(CtxExpr(None, tuple(bindings)))
+        if depth == blocks_max:
+            return
+        for block in cs.blocks:
+            if block.decl:
+                for segment in lfport.schema._block_instantiations(
+                    sig, block, bindings, term_size_max, 0
+                ):
+                    extend(bindings + segment, depth + 1)
+
+    extend((), 0)
+    return results
+
+
+def test_enumeration_extends_each_instance_once_per_depth(sig_stlc, schemas_stlc, monkeypatch):
+    # On schemas whose blocks give the same segments, the instances and
+    # their order are those of the enumeration that extends every reach,
+    # and an instance is extended only where it is reached at a smaller
+    # depth than before, not at every reach.
+    # `{N : o}(x : tm)` gives one segment for every pool term of N.  Under
+    # C_TM a context is reached again at a smaller depth, and extended again.
+    cof = schemas_stlc["Cof"]
+    both = parse_schemas(
+        "schema C := {N : o}(x : tm, y : size x N) | {}(x : tm, y : size x (s z))."
+    )["C"]
+    unused = parse_schemas("schema C := {N : o}(x : tm).")["C"]
+    calls = []
+    block_instantiations = lfport.schema._block_instantiations
+    monkeypatch.setattr(
+        lfport.schema,
+        "_block_instantiations",
+        lambda *args: calls.append(args[2]) or block_instantiations(*args),
+    )
+    counts = {}
+    for name, cs in [
+        ("Cof", cof),
+        ("Cof | Cof", ContextSchema(cof.blocks * 2)),
+        ("Cmix | Cmix", ContextSchema(schemas_stlc["Cmix"].blocks * 2)),
+        ("wide | narrow", both),
+        ("narrow | wide", ContextSchema(both.blocks[::-1])),
+        ("unused", unused),
+        ("unused | unused", ContextSchema(unused.blocks * 2)),
+        ("C_TM", C_TM),
+    ]:
+        check_schema(sig_stlc, cs)
+        for blocks_max, size in ((1, 2), (2, 2), (3, 2), (2, 3)):
+            want = _enumerate_every_reach(sig_stlc, cs, blocks_max, size)
+            calls.clear()
+            assert enumerate_instances(sig_stlc, cs, blocks_max, size) == want
+            counts[name, blocks_max, size] = len(calls), len(want)
+            # each instance is extended by each block at most once per depth
+            assert len(calls) <= len(want) * len(cs.blocks) * blocks_max
+    # extending every reach made 314 and 43 calls for these two
+    assert counts["Cof", 3, 2] == (43, 259)
+    assert counts["Cof | Cof", 3, 2] == (86, 259)
+    assert counts["unused", 3, 2] == (3, 4)
+
+
 def test_enumerated_instances_satisfy_schema_instance(sig_stlc, schemas_stlc):
     for name in ("Csize", "Cof", "Cmix"):
         cs = schemas_stlc[name]
