@@ -12,7 +12,9 @@ report a line and column; and of `validate`/`transport` on formulas whose
 quantifiers shadow, rebind the context variable or are named like a
 constant; and of `validate` on nested context quantifiers, on a nominal
 that an instance and an atom both bind, and on a context counterexample
-under a term quantifier.  `tests/golden/parse_errors.json` holds the parse outcome of
+under a term quantifier; and of `schema-check`/`transport`/`instance` on
+blocks whose higher-order parameter is applied to a declaration variable.
+`tests/golden/parse_errors.json` holds the parse outcome of
 seeded edits of every fixture file, and `tests/golden/formulas.json` the
 printed text, reprinted text, check outcome and bounded validity of
 seeded random formulas.  `tests/golden/texts.json` holds the outcome of
