@@ -423,6 +423,35 @@ def _map_heads(e: Expr, f, depth: int = 0) -> Expr:
     raise TypeError(f"not an LF expression: {e!r}")
 
 
+def _in_step(p: Expr, t: Expr, atom) -> bool:
+    """Whether `t` has the shape of the type or term `p`, walking both in
+    step (so an index names corresponding binders on both sides): Pi
+    domains before bodies, atomic types by head and spine, left to right,
+    stopping at the first failure.  At each term atom `a` of `p`,
+    `atom(a, u)` judges `u`, the node of `t` in its place: True or False
+    decides there, and None walks their spines on in step, which `atom`
+    has checked are as long."""
+    match p:
+        case Atom(_, args):
+            verdict = atom(p, t)
+            if verdict is not None:
+                return verdict
+        case AtomicType(head, args):
+            if not isinstance(t, AtomicType) or head != t.head or len(args) != len(t.args):
+                return False
+        case PiType(_, domain, body):
+            return (
+                isinstance(t, PiType)
+                and _in_step(domain, t.domain, atom)
+                and _in_step(body, t.body, atom)
+            )
+        case Lam(_, body):
+            return isinstance(t, Lam) and _in_step(body, t.body, atom)
+        case _:
+            return False
+    return all(_in_step(x, y, atom) for x, y in zip(args, t.args))
+
+
 def _open_named(e: Expr, names) -> Expr:
     """`e` with each dangling index `i` below `len(names)` replaced by the
     free name `names[i]`, and the others lowered past them (for messages

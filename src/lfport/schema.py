@@ -19,7 +19,6 @@ from .lf import (
     Arity,
     Arrow,
     Atom,
-    AtomicType,
     BVar,
     Head,
     Lam,
@@ -27,10 +26,10 @@ from .lf import (
     LFError,
     Nominal,
     O,
-    PiType,
     Signature,
     Term,
     TypeExpr,
+    _in_step,
     _map_heads,
     _nodes,
     apply_subst,
@@ -197,8 +196,21 @@ def block_instance(
             out[x] = solution[x]
         else:
             # unconstrained parameter: any inhabitant works, pick a nominal
-            out[x] = Atom(fresh_nominal(ar, avoid))
+            out[x] = _eta_long(fresh_nominal(ar, avoid), ar)
     return out
+
+
+def _eta_long(head: Head, arity: Arity) -> Term:
+    """The eta-long term of `head` at `arity`: applied under one binder
+    per argument arity to those binders, each expanded at its own arity."""
+    args = arity_args(arity)
+    n = len(args)
+    if isinstance(head, BVar):
+        head = BVar(head.index + n)
+    term: Term = Atom(head, tuple(_eta_long(BVar(n - 1 - i), ar) for i, ar in enumerate(args)))
+    for k in range(n, 0, -1):
+        term = Lam(f"w{k}", term)
+    return term
 
 
 def _instantiate_block(block: BlockSchema, noms, terms) -> tuple:
@@ -211,33 +223,16 @@ def _instantiate_block(block: BlockSchema, noms, terms) -> tuple:
 
 
 def _match_type(pat, tgt, params, solution) -> bool:
-    match pat, tgt:
-        case (PiType(_, d1, b1), PiType(_, d2, b2)):
-            return _match_type(d1, d2, params, solution) and _match_type(
-                b1, b2, params, solution
-            )
-        case (AtomicType(h1, a1), AtomicType(h2, a2)):
-            if h1 != h2 or len(a1) != len(a2):
-                return False
-            return all(_match_term(p, t, params, solution) for p, t in zip(a1, a2))
-    return False
+    """Match a declaration type's pattern against a target type, solving
+    each parameter occurrence into `solution`."""
 
+    def atom(a, u):
+        if a.head in params:
+            return _solve_param(a.head, a.args, u, solution)
+        same = isinstance(u, Atom) and a.head == u.head and len(a.args) == len(u.args)
+        return None if same else False
 
-def _match_term(pat, tgt, params, solution) -> bool:
-    # Pattern and target are walked in step, so an index names corresponding
-    # binders on both sides.
-    match pat:
-        case Atom(h, args) if h in params:
-            return _solve_param(h, args, tgt, solution)
-        case Atom(h, args):
-            if not isinstance(tgt, Atom) or h != tgt.head or len(args) != len(tgt.args):
-                return False
-            return all(
-                _match_term(p, t, params, solution) for p, t in zip(args, tgt.args)
-            )
-        case Lam(_, b1):
-            return isinstance(tgt, Lam) and _match_term(b1, tgt.body, params, solution)
-    raise TypeError(f"not a term: {pat!r}")
+    return _in_step(pat, tgt, atom)
 
 
 def _solve_param(param, spine, tgt, solution) -> bool:
@@ -370,11 +365,7 @@ def term_pool_exact(
 
 
 def min_term_size(arity: Arity) -> int:
-    n = 1
-    while isinstance(arity, Arrow):
-        n += 1
-        arity = arity.right
-    return n
+    return 1 + len(arity_args(arity))
 
 
 # Pools are pure functions of their arguments, so calls share them; the

@@ -37,12 +37,10 @@ from .formula import (
 )
 from .lf import (
     Atom,
-    AtomicType,
-    Lam,
     LFError,
-    PiType,
     Signature,
     TypeExpr,
+    _in_step,
     _map_heads,
 )
 from .schema import BlockSchema, ContextSchema, CtxExpr, block_scope, segment_instance
@@ -224,53 +222,28 @@ def _alignment_drops(rel: SubordRel, sdecl, vdecl, keep, basis) -> Optional[tupl
 def _derive_renaming(src, tgt, tgt_vars: set, src_vars: set, mapping: dict) -> bool:
     """Structurally match a source declaration type against a target one,
     accumulating a renaming of target schema variables to source names."""
-    match src, tgt:
-        case (PiType(_, d1, b1), PiType(_, d2, b2)):
-            return _derive_renaming(d1, d2, tgt_vars, src_vars, mapping) and \
-                _derive_renaming(b1, b2, tgt_vars, src_vars, mapping)
-        case (AtomicType(h1, a1), AtomicType(h2, a2)):
-            if h1 != h2 or len(a1) != len(a2):
-                return False
-            return all(
-                _derive_renaming_term(p, t, tgt_vars, src_vars, mapping)
-                for p, t in zip(a1, a2)
-            )
-    return False
 
+    def atom(a, u):
+        if not isinstance(u, Atom) or len(a.args) != len(u.args):
+            return False
+        if u.head in tgt_vars:
+            ok = a.head in src_vars and mapping.setdefault(u.head, a.head) == a.head
+        else:
+            ok = a.head == u.head and a.head not in src_vars
+        return None if ok else False
 
-def _derive_renaming_term(src, tgt, tgt_vars, src_vars, mapping) -> bool:
-    # Both sides are walked in step, so equal indices name corresponding
-    # binders.
-    match src, tgt:
-        case (Atom(h1, a1), Atom(h2, a2)):
-            if len(a1) != len(a2):
-                return False
-            if h2 in tgt_vars:
-                if h1 not in src_vars or mapping.setdefault(h2, h1) != h1:
-                    return False
-            elif h1 != h2 or h1 in src_vars:
-                return False
-            return all(
-                _derive_renaming_term(p, t, tgt_vars, src_vars, mapping)
-                for p, t in zip(a1, a2)
-            )
-        case (Lam(_, b1), Lam(_, b2)):
-            return _derive_renaming_term(b1, b2, tgt_vars, src_vars, mapping)
-    return False
+    return _in_step(src, tgt, atom)
 
 
 def _entry_renaming(src_entry, tgt_entry, tgt_vars, src_vars) -> Optional[dict[str, str]]:
     """The renaming that matching one source declaration entry alone
     against one target entry derives, target variable included, or None
-    when they do not match."""
+    when they do not match.  A checked entry's type never mentions its own
+    variable, so the pair of variables can go in first."""
     sy, sty = src_entry
     ty_name, tty = tgt_entry
-    mapping: dict[str, str] = {}
-    if not _derive_renaming(sty, tty, tgt_vars, src_vars, mapping):
-        return None
-    if mapping.setdefault(ty_name, sy) != sy:
-        return None
-    return mapping
+    mapping = {ty_name: sy}
+    return mapping if _derive_renaming(sty, tty, tgt_vars, src_vars, mapping) else None
 
 
 def _close_permutation(mapping: Mapping[str, str]) -> dict[str, str]:

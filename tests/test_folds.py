@@ -9,7 +9,9 @@ So do two rules that had a copy each: the term pools and `candidate_types`
 enumerate argument spines by one generator (`schema._spines`), and
 `check_schema` and `block_instance` judge a parameter's spine by one rule
 (`schema._pattern_spine`).  The loops and the spine check they replaced are
-kept below as references too.
+kept below as references too, and so are the two pairs of walkers that
+`schema._match_type` and `subsume._derive_renaming` replaced by one walker
+(`lf._in_step`) with an atom rule each.
 """
 
 import functools
@@ -51,10 +53,12 @@ from lfport.lf import (
     UnknownConstant,
     _map_heads,
     _open_named,
+    apply_subst,
     arity_args,
     context_nominals,
     erase,
     free_vars,
+    fresh_nominal,
     kind_arg_arities,
     names_in,
     nominals_in,
@@ -66,11 +70,14 @@ from lfport.schema import (
     ContextSchema,
     NonPatternSchema,
     block_instance,
+    block_scope,
     check_schema,
     min_term_size,
     term_pool,
 )
 from lfport.subord import type_leq
+from test_schema import _capture_cases, _instantiated, _perturbed
+from test_subsume import _BLOCK_NAMES, _random_block
 from util import a, at, nom, pi, random_formula
 
 
@@ -477,6 +484,68 @@ def ref_solve_param(param, spine, tgt, solution):
     return True
 
 
+def ref_match_type(pat, tgt, params, solution):
+    match pat, tgt:
+        case (PiType(_, d1, b1), PiType(_, d2, b2)):
+            return ref_match_type(d1, d2, params, solution) and ref_match_type(
+                b1, b2, params, solution
+            )
+        case (AtomicType(h1, a1), AtomicType(h2, a2)):
+            if h1 != h2 or len(a1) != len(a2):
+                return False
+            return all(ref_match_term(p, t, params, solution) for p, t in zip(a1, a2))
+    return False
+
+
+def ref_match_term(pat, tgt, params, solution):
+    match pat:
+        case Atom(h, args) if h in params:
+            return lfport.schema._solve_param(h, args, tgt, solution)
+        case Atom(h, args):
+            if not isinstance(tgt, Atom) or h != tgt.head or len(args) != len(tgt.args):
+                return False
+            return all(
+                ref_match_term(p, t, params, solution) for p, t in zip(args, tgt.args)
+            )
+        case Lam(_, b1):
+            return isinstance(tgt, Lam) and ref_match_term(b1, tgt.body, params, solution)
+    raise TypeError(f"not a term: {pat!r}")
+
+
+def ref_derive_renaming(src, tgt, tgt_vars, src_vars, mapping):
+    match src, tgt:
+        case (PiType(_, d1, b1), PiType(_, d2, b2)):
+            return ref_derive_renaming(d1, d2, tgt_vars, src_vars, mapping) and \
+                ref_derive_renaming(b1, b2, tgt_vars, src_vars, mapping)
+        case (AtomicType(h1, a1), AtomicType(h2, a2)):
+            if h1 != h2 or len(a1) != len(a2):
+                return False
+            return all(
+                ref_derive_renaming_term(p, t, tgt_vars, src_vars, mapping)
+                for p, t in zip(a1, a2)
+            )
+    return False
+
+
+def ref_derive_renaming_term(src, tgt, tgt_vars, src_vars, mapping):
+    match src, tgt:
+        case (Atom(h1, a1), Atom(h2, a2)):
+            if len(a1) != len(a2):
+                return False
+            if h2 in tgt_vars:
+                if h1 not in src_vars or mapping.setdefault(h2, h1) != h1:
+                    return False
+            elif h1 != h2 or h1 in src_vars:
+                return False
+            return all(
+                ref_derive_renaming_term(p, t, tgt_vars, src_vars, mapping)
+                for p, t in zip(a1, a2)
+            )
+        case (Lam(_, b1), Lam(_, b2)):
+            return ref_derive_renaming_term(b1, b2, tgt_vars, src_vars, mapping)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Inputs.
 
@@ -805,3 +874,129 @@ def test_the_pattern_spine_rule_matches_the_two_old_checks(sig_stlc, monkeypatch
     assert {m.split(" applied to ")[1].split()[0] for m in raised} == {"a", "the", "repeated"}
     # some blocks pass the check, and some segments match
     assert any(c == ("ok", None) for c, _ in new) and any(i[0] == "ok" and i[1] for _, i in new)
+
+
+# ---------------------------------------------------------------------------
+# One in-step walker for the two declaration-type matchers.
+
+
+def _compare_in_groups(new, ref, groups, kinds):
+    """Run each call of a group on `new` and on `ref`, each side with one
+    dict the group's calls share, and compare the outcome and the dict,
+    entries in order, after every call.  Adds to `kinds` whether each
+    call succeeded and whether it wrote to the dict."""
+    for group in groups:
+        d_new, d_ref = {}, {}
+        for args in group:
+            before = len(d_ref)
+            out = _outcome(new, *args, d_new)
+            assert out == _outcome(ref, *args, d_ref), args
+            assert list(d_new.items()) == list(d_ref.items()), args
+            kinds.add((out, len(d_ref) > before))
+
+
+def _with_compounds(rng, types, others):
+    """`types` and `others` (as long), each followed by a few Pi types over
+    pairs of its types and a few `of` types over pairs of its types'
+    arguments, taken at the same positions on both sides."""
+    types, others = list(types), list(others)
+    args = [
+        pair
+        for s, t in zip(types, others)
+        if isinstance(s, AtomicType) and isinstance(t, AtomicType)
+        for pair in zip(s.args, t.args)
+    ]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(len(types)), rng.randrange(len(types))
+        types.append(PiType("w", types[i], types[j]))
+        others.append(PiType("w", others[i], others[j]))
+        if args:
+            (s1, t1), (s2, t2) = rng.choice(args), rng.choice(args)
+            types.append(AtomicType("of", (s1, s2)))
+            others.append(AtomicType("of", (t1, t2)))
+    return types, others
+
+
+def _renaming_groups(rng, count):
+    """Declaration types of random blocks against those of another random
+    block, of a renamed copy, or of a renamed copy with one type perturbed:
+    each pair alone, and the pairs of an alignment of the two in order."""
+    names = _BLOCK_NAMES + ("F", "H")
+    for _ in range(count):
+        source = _random_block(rng, rng.randint(1, 4))
+        how = rng.randrange(3)
+        if how == 0:
+            target = _random_block(rng, len(source.decl))
+        else:
+            perm = dict(zip(names, rng.sample(names, len(names))))
+            target = lfport.subsume.make_variant(perm, source)
+        tdecl = target.decl
+        if how == 2:
+            terms = [a(y) for y in block_scope(target)] + list(_CLOSED)
+            tdecl = _perturbed(rng, tdecl, [tdecl], terms)
+        stys, ttys = _with_compounds(
+            rng, [ty for _, ty in source.decl], [ty for _, ty in tdecl]
+        )
+        scopes = (block_scope(target), block_scope(source))
+        yield [(s, t, *scopes) for s, t in zip(stys, ttys)]
+        yield from ([(s, t, *scopes)] for s in stys for t in ttys)
+
+
+def _block_patterns(block, noms):
+    """The declaration types of `block` as `block_instance` matches them:
+    earlier declaration variables put as the nominals `noms`."""
+    theta, out = {}, []
+    for (y, ty), n in zip(block.decl, noms):
+        out.append(apply_subst(ty, theta))
+        theta[y] = (Atom(n), erase(ty))
+    return out
+
+
+def _pattern_groups(sig, rng, count):
+    """Block patterns against the segments of random pool terms and
+    against perturbed segments, each with its compound types: in order,
+    and each pair alone."""
+    pools = {O: term_pool(sig, O, 2, 1), Arrow(O, O): term_pool(sig, Arrow(O, O), 3, 1)}
+    for _ in range(count):
+        block = _random_block(rng, rng.randint(1, 4))
+        noms = []
+        for _, ty in block.decl:
+            noms.append(fresh_nominal(erase(ty), {nom(1), *noms}))
+        params = dict(block.params)
+        segments = [
+            _instantiated(block, noms, [rng.choice(pools[ar]) for _, ar in block.params])
+            for _ in range(3)
+        ]
+        terms = list(pools[O]) + [a(n) for n in noms if n.arity == O]
+        segments.append(_perturbed(rng, segments[0], segments, terms))
+        for segment in segments:
+            pats, ttys = _with_compounds(
+                rng, _block_patterns(block, noms), [ty for _, ty in segment]
+            )
+            yield [(p, t, params) for p, t in zip(pats, ttys)]
+            yield from ([(p, t, params)] for p in pats for t in ttys)
+
+
+def test_the_in_step_walker_matches_the_two_pairs_of_old_walkers(sig_stlc):
+    rng = random.Random(47)
+    renaming, patterns = set(), set()
+    _compare_in_groups(
+        lfport.subsume._derive_renaming,
+        ref_derive_renaming,
+        _renaming_groups(rng, 300),
+        renaming,
+    )
+    _compare_in_groups(
+        lfport.schema._match_type, ref_match_type, _pattern_groups(sig_stlc, rng, 300), patterns
+    )
+    capture = [(pat, tgt, {"F": Arrow(O, O)}) for pat, tgt, _ in _capture_cases()]
+    _compare_in_groups(
+        lfport.schema._match_type,
+        ref_match_type,
+        [capture[:7], capture[7:], *([c] for c in capture)],
+        patterns,
+    )
+    # each side has calls that succeed, fail before any write, and fail
+    # after writing
+    for kinds in (renaming, patterns):
+        assert {(("ok", True), True), (("ok", False), False), (("ok", False), True)} <= kinds

@@ -19,8 +19,16 @@ from lfport import (
     schema_instance,
 )
 import lfport.schema
-from lfport.lf import AtomicType, LFError, apply_subst, erase, free_vars, fresh_nominal
-from lfport.parse import parse_schemas
+from lfport.lf import (
+    AtomicType,
+    LFError,
+    apply_subst,
+    check_term,
+    erase,
+    free_vars,
+    fresh_nominal,
+)
+from lfport.parse import parse_schemas, parse_type_text
 from lfport.schema import (
     ArityKindFailure,
     DuplicateVariable,
@@ -295,11 +303,28 @@ def test_block_instance_higher_order_pattern(sig_size):
     assert out["F"] == lam("v", a("s", a("z")))
 
 
+def test_an_unmentioned_parameter_gets_an_eta_long_witness(sig_size):
+    # No declaration type mentions F, so a fresh nominal of F's arity
+    # witnesses it; at an arrow arity it must be expanded, bound arguments
+    # of higher arity too, for the witness to check at F's type.
+    tm = at("tm")
+    for ar, ty, body in (
+        (Arrow(O, O), pi("u", tm, tm), lambda n: lam("w1", a(n, a("w1")))),
+        (
+            Arrow(Arrow(O, O), O),
+            pi("f", pi("u", tm, tm), tm),
+            lambda n: lam("w1", a(n, lam("w2", a("w1", a("w2"))))),
+        ),
+    ):
+        block = BlockSchema((("F", ar),), (("x", tm),))
+        out = block_instance(sig_size, block, ((nom(1), tm),))
+        assert out == {"F": body(nom(1, ar))}
+        check_term(sig_size, LFContext(((nom(1, ar), ty),)), out["F"], ty)
+
+
 def test_block_instance_keeps_the_targets_own_binders(sig_size):
     # The target's lambda binds its own variable at the index a spine
     # argument has outside it; the solution keeps that variable local.
-    from lfport.parse import parse_type_text
-
     block = parse_schemas("schema C := {F : o -> o}(y : {u : tm} size (F u) z).")[
         "C"
     ].blocks[0]
@@ -578,8 +603,6 @@ _NON_PATTERN_BLOCKS = [
 
 
 def test_check_schema_rejects_blocks_outside_the_pattern_fragment(sig_size):
-    from lfport.parse import parse_type_text
-
     for text in _PATTERN_BLOCKS:
         check_schema(sig_size, parse_schemas(f"schema C := {text}.")["C"])
     for text, message, types in _NON_PATTERN_BLOCKS:
@@ -624,14 +647,10 @@ def test_block_instance_is_stable_under_shadowing_target_binders(sig_size):
     assert verdicts == {True, False}
 
 
-def test_parameter_solutions_never_capture_a_binder():
-    # F sees only its spine argument, so a target that names the other
-    # binder instead has no solution, and a solution never mentions a binder
-    # outside it.  Under F v the spine argument is index 0, the index the
-    # target's own lambda binder has in its body.
-    from lfport.parse import parse_type_text
-    from lfport.schema import _match_type
-
+def _capture_cases():
+    """(pattern, target, F's solution or None): F applied to one of two
+    binders, against bodies that name it, the other binder, or binders of
+    their own."""
     for x, y in (("u", "v"), ("v", "u")):
         pat = parse_type_text(f"{{u : tm}} {{v : tm}} size (F {x}) z")
         for body, want in (
@@ -647,11 +666,21 @@ def test_parameter_solutions_never_capture_a_binder():
             ),
             (f"(lam ([q] app q {y}))", None),
         ):
-            text = f"{{u : tm}} {{v : tm}} size {body} z"
-            solution = {}
-            matched = _match_type(pat, parse_type_text(text), {"F": Arrow(O, O)}, solution)
-            assert matched == (want is not None), (x, text)
-            assert solution.get("F") == want, (x, text)
+            yield pat, parse_type_text(f"{{u : tm}} {{v : tm}} size {body} z"), want
+
+
+def test_parameter_solutions_never_capture_a_binder():
+    # F sees only its spine argument, so a target that names the other
+    # binder instead has no solution, and a solution never mentions a binder
+    # outside it.  Under F v the spine argument is index 0, the index the
+    # target's own lambda binder has in its body.
+    from lfport.schema import _match_type
+
+    for pat, tgt, want in _capture_cases():
+        solution = {}
+        matched = _match_type(pat, tgt, {"F": Arrow(O, O)}, solution)
+        assert matched == (want is not None), tgt
+        assert solution.get("F") == want, tgt
 
 
 # ---------------------------------------------------------------------------
