@@ -13,7 +13,12 @@ quantifiers shadow, rebind the context variable or are named like a
 constant; and of `validate` on nested context quantifiers, on a nominal
 that an instance and an atom both bind, and on a context counterexample
 under a term quantifier; and of `schema-check`/`transport`/`instance` on
-blocks whose higher-order parameter is applied to a declaration variable.
+blocks whose higher-order parameter is applied to a declaration variable;
+and of the error paths no other test reaches: `schema-check`/`transport`
+on ill-formed schemas and on a schema defined twice, `instance` on an
+undefined schema, `validate` on atoms with a kind for a type, a redex, a
+nominal bound twice or a type that does not arity-kind, and `minimize` on
+a context file that binds a nominal twice.
 `tests/golden/parse_errors.json` holds the parse outcome of
 seeded edits of every fixture file, and `tests/golden/formulas.json` the
 printed text, reprinted text, check outcome and bounded validity of
