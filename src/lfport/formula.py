@@ -29,12 +29,12 @@ from .lf import (
     TypeExpr,
     _nodes,
     _open_named,
+    _primed,
     apply_subst,
     arity_check_term,
     arity_check_type,
     erase,
     free_vars,
-    fresh_name,
     names_in,
 )
 from .schema import ContextSchema, CtxExpr
@@ -157,7 +157,7 @@ def _check(sig, actx, f, free, cfree: set, names: tuple, local: tuple, cdepth: i
                 _scan_names(sig, bty, free)
                 if not arity_check_type(actx, bty, free, local):
                     raise ArityCheckFailure(
-                        f"context binding type {_open_named(bty, names)!r}"
+                        f"context binding type {_open_named(bty, names)!r} does not arity-kind"
                     )
             _scan_names(sig, term, free)
             _scan_names(sig, ty, free)
@@ -232,25 +232,15 @@ def _free_names(f: Formula) -> set[str]:
     }
 
 
-def _quantifier_name(g: Formula, path, free) -> str:
-    """The name of the quantifier `g`: its hint, primed apart from `path`
-    and from the names its body mentions when the hint is in `path` (the
-    names of the enclosing quantifiers of its kind) or is a name in `free`
-    that the body shows free.  A parsed body shows no name free under a
-    quantifier that binds it, so the parser passes no `free` names."""
-    v = g.var
-    if v not in path and v not in free:
-        return v
+def _quantifier_name(g: Formula, path) -> str:
+    """The name of the quantifier `g` (`lf._primed`) under `path`, the
+    names of the enclosing quantifiers of its kind."""
+    body = g.body
     if isinstance(g, ForallCtx):
-        subs = list(_subformulas(g.body))
-        shown = {h.ctx.head for h in subs if isinstance(h, Holds)}
-        mentioned = shown | {h.var for h in subs if isinstance(h, ForallCtx)}
-    else:
-        shown = () if v in path else _free_names(g.body)
-        mentioned = _term_names(g.body)
-    if v in path or v in shown:
-        return fresh_name(v, {*path, *mentioned})
-    return v
+        heads = lambda: {h.ctx.head for h in _subformulas(body) if isinstance(h, Holds)}
+        hints = lambda: {h.var for h in _subformulas(body) if isinstance(h, ForallCtx)}
+        return _primed(g.var, path, heads, lambda: heads() | hints())
+    return _primed(g.var, path, lambda: _free_names(body), lambda: _term_names(body))
 
 
 def _choose_hints(f: Formula, path=frozenset(), cpath=frozenset()) -> Formula:
@@ -259,10 +249,10 @@ def _choose_hints(f: Formula, path=frozenset(), cpath=frozenset()) -> Formula:
     bodies: so the parser chooses them once the formula is parsed."""
     match f:
         case ForallTm(_, ar, body) | ExistsTm(_, ar, body):
-            v = _quantifier_name(f, path, ())
+            v = _quantifier_name(f, path)
             return type(f)(v, ar, _choose_hints(body, path | {v}, cpath))
         case ForallCtx(_, cs, body, name):
-            v = _quantifier_name(f, cpath, ())
+            v = _quantifier_name(f, cpath)
             return ForallCtx(v, cs, _choose_hints(body, path, cpath | {v}), name)
     return _rebuild(f, lambda g: _choose_hints(g, path, cpath))
 

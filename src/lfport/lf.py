@@ -389,6 +389,17 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
     return name
 
 
+def _primed(hint: str, scope, shown, mentioned) -> str:
+    """The printed name of a binder: its hint, primed apart from `scope`
+    (the names of the enclosing binders of its kind) and from every name
+    its body mentions, when the hint is in `scope` or is a free name its
+    body shows.  `shown()` gives the body's free names and `mentioned()`
+    all of its names; each is called only when it is needed."""
+    if hint not in scope and hint not in shown():
+        return hint
+    return fresh_name(hint, {*scope, *mentioned()})
+
+
 def fresh_nominal(arity: Arity, avoid: Iterable[Nominal]) -> Nominal:
     used = {n.index for n in avoid if n.arity == arity}
     for i in itertools.count(1):

@@ -37,8 +37,9 @@ The minimization harness keeps its memos per enumerated context: the
 minimization of the context, and its well-formedness, per head constant
 (minimization reads nothing else of a type), and, under each sub-context
 (the context or a minimization of it), each type argument's judgement per
-kind domain and each candidate term's synthesis.  Type formation itself is
-`check_type`, with the argument judgement memoised.
+kind domain and each candidate term's synthesis, which the atoms of
+`bounded_validity` share the step of (`_check_atomic`).  Type formation
+itself is `check_type`, with the argument judgement memoised.
 """
 
 from __future__ import annotations
@@ -191,10 +192,10 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     Here the substitution is deferred: the quantifier binds its index to
     its choice in an environment, and each atom applies the environment to
     its own parts.  An atom's context and type judgements are memoised, for
-    this call only, by the pool indices of the quantifiers they refer to,
-    and so is its term's synthesis, by those its context and term refer to;
+    this call only, by the pool terms of the quantifiers they refer to, and
+    so is its term's synthesis, by those its context and term refer to;
     against an atomic type only the comparison of the synthesized type with
-    the atom's runs per evaluation.
+    the atom's runs per evaluation (`_check_atomic`).
 
     Each evaluation also returns a read set: a bit mask with bit `i` set
     when the verdict's value depended on the pool term of the `i`-th
@@ -213,7 +214,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     def choices(g, env):
         """(pool term or instance, the environment its body is evaluated
         in) for a quantifier, lazily."""
-        inst, slots, ctxs = env
+        inst, ctxs = env
         over_ctx = isinstance(g, ForallCtx)
         domain = g.schema if over_ctx else g.arity
         chosen = ranges.get(domain)
@@ -229,12 +230,10 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 # as putting the instance in for the variable would raise
                 if not own.isdisjoint(n for n, _ in instance.bindings):
                     raise ValueError("context expression binds a nominal twice")
-                yield instance, (inst, slots, ((instance, {}),) + ctxs)
+                yield instance, (inst, ((instance, {}),) + ctxs)
             return
-        for i, t in enumerate(chosen):
-            # Memo keys name each pool term by its arity and pool index:
-            # one atom may sit under binders of another arity elsewhere.
-            yield t, (((t, g.arity),) + inst, ((g.arity, i),) + slots, ctxs)
+        for t in chosen:
+            yield t, (((t, g.arity),) + inst, ctxs)
 
     def holds(g, env):
         """The first failing judgement of an atom, or None if they hold, and
@@ -253,13 +252,15 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             in_synth = tuple(in_ctx | in_term)
             rec = memo[id(g)] = (g, tuple(in_ctx), tuple(in_ty), in_synth, reads, ({}, {}, {}))
         _, in_ctx, in_ty, in_synth, reads, memos = rec
-        inst, slots, ctxs = env
+        inst, ctxs = env
         front = ()
         if g.ctx.head is not None:  # its context starts with the instance
             instance, nodes = ctxs[g.ctx.head.index]
             front, memos = instance.bindings, nodes.setdefault(id(g), ({}, {}, {}))
         ctx_memo, ty_memo, synth_memo = memos
-        key = tuple(slots[i] for i in in_ctx)
+        # Memo keys name each pool term by its identity: `ranges` keeps it
+        # alive, and it has one arity.
+        key = tuple(id(inst[i][0]) for i in in_ctx)
         hit = ctx_memo.get(key)
         if hit is None:
             lctx = LFContext(front + tuple((n, _subst(t, {}, 0, inst)) for n, t in g.ctx.bindings))
@@ -267,7 +268,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         lctx, failure = hit
         if failure is not None:
             return failure, reads[0]
-        key = tuple(slots[i] for i in in_ty)
+        key = tuple(id(inst[i][0]) for i in in_ty)
         hit = ty_memo.get(key)
         if hit is None:
             ty = _subst(g.ty, {}, 0, inst)
@@ -275,31 +276,21 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         ty, failure = hit
         if failure is not None:
             return failure, reads[1]
+        term = lambda: _subst(g.term, {}, 0, inst)
         if isinstance(ty, PiType):
-            term = _subst(g.term, {}, 0, inst)
-            return _fails(check_term, sig, lctx, term, ty), reads[2]
-        # against an atomic type, the term judgement is the term's synthesis,
-        # which does not read the type, and a comparison
-        key = tuple(slots[i] for i in in_synth)
-        hit = synth_memo.get(key)
-        if hit is None:
-            term = _subst(g.term, {}, 0, inst)
-            hit = synth_memo[key] = (term, _fails(synth_term, sig, lctx, term))
-        term, have = hit
-        if isinstance(have, LFError):
-            return have, reads[2]
-        return _fails(_compare, term, have, ty, lctx), reads[2]
+            return _fails(check_term, sig, lctx, term(), ty), reads[2]
+        key = tuple(id(inst[i][0]) for i in in_synth)
+        return _check_atomic(synth_memo, key, term, sig, lctx, ty), reads[2]
 
     def ev(g: Formula, env: tuple) -> tuple[Verdict3, int]:
-        # env: three tuples, innermost first: the (term, arity) of each
+        # env: two tuples, innermost first: the (term, arity) of each
         # enclosing term quantifier, which `_subst` puts in for an atom's
-        # dangling indices; the memo slot of each; and the (instance, memo
-        # dict) of each enclosing context quantifier.  Returns the verdict
-        # and its read set.
+        # dangling indices, and the (instance, memo dict) of each enclosing
+        # context quantifier.  Returns the verdict and its read set.
         match g:
             case Holds(ctx):
                 if ctx.head is not None and (
-                    isinstance(ctx.head, str) or ctx.head.index >= len(env[2])
+                    isinstance(ctx.head, str) or ctx.head.index >= len(env[1])
                 ):
                     raise ValueError("bounded_validity needs a closed formula")
                 failure, reads = holds(g, env)
@@ -365,7 +356,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         raise TypeError(f"not a formula: {g!r}")
 
     try:
-        verdict, _ = ev(f, ((), (), ()))
+        verdict, _ = ev(f, ((), ()))
     finally:
         # ev is a closure over itself, so the memos would otherwise outlive
         # the call until the next cycle collection.
@@ -409,6 +400,21 @@ def _fails(check, *args):
         return check(*args)
     except LFError as err:
         return err.with_traceback(None)  # a trace may keep it, not the frames
+
+
+def _check_atomic(memo: dict, key, term, sig, ctx: LFContext, ty: AtomicType):
+    """The LFError of checking the term `term()` against the atomic type
+    `ty` in `ctx`, or None.  That is the term's synthesis, which does not
+    read the type, kept in `memo` at `key` with the term (`term()` runs on
+    a miss only), and a comparison of the synthesized type with `ty`."""
+    hit = memo.get(key)
+    if hit is None:
+        t = term()
+        hit = memo[key] = (t, _fails(synth_term, sig, ctx, t))
+    t, have = hit
+    if isinstance(have, LFError):
+        return have
+    return _fails(_compare, t, have, ty, ctx)
 
 
 def _line(x):
@@ -484,10 +490,10 @@ class _SubContext:
     """A context the minimization harness judges in, the enumerated one or
     a minimization of it, with the memos of its judgements."""
 
-    def __init__(self, sig: Signature, g: LFContext, terms: tuple, well_formed: bool):
-        self.sig, self.g, self.terms, self.well_formed = sig, g, terms, well_formed
+    def __init__(self, sig: Signature, g: LFContext, well_formed: bool):
+        self.sig, self.g, self.well_formed = sig, g, well_formed
         self.judged: dict = {}  # (id(argument), kind domain) -> (argument, None or LFError)
-        self.synthesized: list = [None] * len(terms)  # pool index -> type or LFError
+        self.synthesized: dict = {}  # id(pool term) -> (term, type or LFError)
 
     def check_arg(self, sig, g, local, arg, domain):
         """`_check_term`, memoised.  A candidate type is atomic, so its
@@ -508,16 +514,9 @@ class _SubContext:
     def type_formed(self, ty: AtomicType) -> bool:
         return _fails(check_type, self.sig, self.g, ty, self.check_arg) is None
 
-    def term_checks(self, i: int, ty: AtomicType) -> bool:
-        """Whether pool term `i` checks against `ty`: against an atomic
-        type, that is the term's synthesis, which does not read the type,
-        and a comparison."""
-        have = self.synthesized[i]
-        if have is None:
-            have = self.synthesized[i] = _fails(synth_term, self.sig, self.g, self.terms[i])
-        if isinstance(have, LFError):
-            return False
-        return _fails(_compare, self.terms[i], have, ty, self.g) is None
+    def term_checks(self, m, ty: AtomicType) -> bool:
+        """Whether the pool term `m` checks against `ty`."""
+        return _check_atomic(self.synthesized, id(m), lambda: m, self.sig, self.g, ty) is None
 
 
 def verify_minimization(
@@ -538,7 +537,7 @@ def verify_minimization(
     size = bounds.term_size_max
     for ctx in enumerate_lf_contexts(sig, bounds.schema_blocks_max, size):
         terms = term_pool(sig, O, size, extra_heads=_nominal_heads(ctx))[:24]
-        full = _SubContext(sig, ctx, terms, True)
+        full = _SubContext(sig, ctx, True)
         subs = {ctx: full}  # each sub-context once, however many heads give it
         by_head: dict = {}  # head constant -> its sub-context
         for ty in candidate_types(sig, ctx, size, cap=80):
@@ -549,7 +548,7 @@ def verify_minimization(
                 sub = subs.get(reduced)
                 if sub is None:
                     well_formed = _fails(check_context, sig, reduced) is None
-                    sub = subs[reduced] = _SubContext(sig, reduced, terms, well_formed)
+                    sub = subs[reduced] = _SubContext(sig, reduced, well_formed)
                 by_head[ty.head] = sub
             where = lambda: f"G = {ctx.bindings!r}, A = {ty!r}"
             report.record("minimized context well-formed", sub.well_formed, where)
@@ -567,10 +566,10 @@ def verify_minimization(
                     "term checking agrees under minimization", len(terms)
                 )
                 continue
-            for i, m in enumerate(terms):
+            for m in terms:
                 report.record(
                     "term checking agrees under minimization",
-                    full.term_checks(i, ty) == sub.term_checks(i, ty),
+                    full.term_checks(m, ty) == sub.term_checks(m, ty),
                     lambda: f"{where()}, M = {m!r}",
                 )
     return report

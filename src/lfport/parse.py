@@ -286,7 +286,7 @@ def parse_schemas(text: str) -> dict[str, ContextSchema]:
         kw = p.ident()
         if kw != "schema":
             p.fail(f"expected 'schema', found {kw!r}")
-        name = p.ident()
+        at, name = p.pos, p.ident()
         p.expect(":=")
         blocks = [_parse_block(p)]
         while p.at("|"):
@@ -294,6 +294,7 @@ def parse_schemas(text: str) -> dict[str, ContextSchema]:
             blocks.append(_parse_block(p))
         p.expect(".")
         if name in out:
+            p.pos = at
             p.fail(f"schema {name} defined twice")
         out[name] = ContextSchema(tuple(blocks))
     return out
@@ -403,7 +404,7 @@ def _parse_atom(p: _Parser) -> Holds:
     p.expect("{")
     saved = dict(p.nominals)
     head = None
-    bindings: list[tuple[Nominal, TypeExpr]] = []
+    bindings: list[tuple[Nominal, TypeExpr, int]] = []
     if not p.at("|-"):
         first = p.ident()
         if _NOMINAL_RE.match(first):
@@ -420,26 +421,36 @@ def _parse_atom(p: _Parser) -> Holds:
     ty = p.type_expr()
     p.expect("}")
     p.nominals = saved
+    return Holds(_ctx_expr(p, head, bindings), term, ty)
+
+
+def _ctx_expr(p: _Parser, head, bindings) -> CtxExpr:
+    """The context expression of the parsed `bindings`, each a nominal, its
+    type and the position of its name, which is where a nominal bound a
+    second time is reported."""
     try:
-        ctx = CtxExpr(head, tuple(bindings))
+        return CtxExpr(head, tuple((n, ty) for n, ty, _ in bindings))
     except ValueError as err:
+        noms = [n for n, _, _ in bindings]
+        p.pos = next(at for i, (n, _, at) in enumerate(bindings) if n in noms[:i])
         p.fail(str(err))
-    return Holds(ctx, term, ty)
 
 
-def _parse_binding(p: _Parser, what: str) -> tuple[Nominal, TypeExpr]:
+def _parse_binding(p: _Parser, what: str) -> tuple[Nominal, TypeExpr, int]:
     name = p.ident()
     if not _NOMINAL_RE.match(name):
         p.fail(f"{what} must bind nominals, found {name!r}")
     return _parse_binding_tail(p, name)
 
 
-def _parse_binding_tail(p: _Parser, name: str) -> tuple[Nominal, TypeExpr]:
+def _parse_binding_tail(p: _Parser, name: str) -> tuple[Nominal, TypeExpr, int]:
+    """The binding whose name `name` was just read, with that position."""
+    at = p.pos - 1
     p.expect(":")
     ty = p.type_expr()
     nom = Nominal(erase(ty), int(_NOMINAL_RE.match(name).group(1)))
     p.nominals[name] = nom
-    return (nom, ty)
+    return (nom, ty, at)
 
 
 def parse_context(text: str) -> CtxExpr:
@@ -447,10 +458,7 @@ def parse_context(text: str) -> CtxExpr:
     p, bindings = _parse_whole(
         text, lambda p: p.comma_list("", lambda: _parse_binding(p, "context bindings"))
     )
-    try:
-        return CtxExpr(None, tuple(bindings))
-    except ValueError as err:
-        p.fail(str(err))
+    return _ctx_expr(p, None, bindings)
 
 
 def parse_type_text(text: str, ce: Optional[CtxExpr] = None) -> TypeExpr:

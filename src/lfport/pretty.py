@@ -1,14 +1,15 @@
 """Text rendering for the three surface syntaxes.
 
 Printing is the inverse of parsing: the printed text parses back to an
-equal tree.  The printer chooses each LF binder's name from its hint and
-the names in scope (a block's variables and parameters for block types, the
-enclosing term quantifiers for formula atoms), and prints a bound variable
-by the name chosen for its binder.  A formula quantifier prints as the name
-`formula._quantifier_name` gives it, the parser's rule: its hint, primed
-apart where the hint is the name of an enclosing quantifier of its kind or
-a free name its body shows.  So a parsed formula prints its hints, and
-printing a parsed printed formula gives back the same text.  Output is
+equal tree.  Every binder prints as the name one rule (`lf._primed`)
+gives it: its hint, primed apart where the hint is a name in scope or a
+free name its body shows.  An LF binder's scope holds the names above it
+(a block's variables and parameters for block types, the enclosing term
+quantifiers for formula atoms), a formula quantifier's those of the
+enclosing quantifiers of its kind (`formula._quantifier_name`, which the
+parser names quantifiers by too).  A bound variable prints as the name
+chosen for its binder.  So a parsed formula prints its hints, and printing
+a parsed printed formula gives back the same text.  Output is
 deterministic so it can serve golden tests.
 """
 
@@ -25,9 +26,7 @@ from .formula import (
     Holds,
     Imp,
     Top,
-    _free_names,
     _quantifier_name,
-    _subformulas,
 )
 from .lf import (
     Atom,
@@ -44,8 +43,8 @@ from .lf import (
     TypeExpr,
     TypeKind,
     _dangling,
+    _primed,
     free_vars,
-    fresh_name,
     names_in,
 )
 from .schema import BlockSchema, ContextSchema, CtxExpr, block_scope
@@ -62,14 +61,10 @@ def fmt_head(h, scope: tuple = ()) -> str:
 
 
 def _binder(hint: str, body, scope: tuple):
-    """The printed name of a binder, and the scope of its body.  A scope
-    names the binders above an expression, innermost first, and may end
-    with names bound outside it (a block's, say).  A hint that is in scope,
-    or that would capture a free name of the body, is primed apart from
-    both."""
-    name = hint
-    if hint in scope or hint in free_vars(body):
-        name = fresh_name(hint, {*scope, *names_in(body)})
+    """The printed name of a binder (`lf._primed`), and the scope of its
+    body.  A scope names the binders above an expression, innermost first,
+    and may end with names bound outside it (a block's, say)."""
+    name = _primed(hint, scope, lambda: free_vars(body), lambda: names_in(body))
     return name, (name,) + scope
 
 
@@ -155,20 +150,15 @@ def fmt_schema(cs: ContextSchema) -> str:
 # 3 conjunction, 4 atoms.
 
 
-def fmt_formula(
-    f: Formula, prec: int = 0, names: tuple = (), cnames: tuple = (), free=None
-) -> str:
+def fmt_formula(f: Formula, prec: int = 0, names: tuple = (), cnames: tuple = ()) -> str:
     """`names` and `cnames` hold the names the enclosing term and context
-    quantifiers print as, innermost first, and `free` the free names of the
-    whole formula, of both kinds, for `_quantifier_name`."""
-    if free is None:
-        free = _free_names(f) | {h.ctx.head for h in _subformulas(f) if isinstance(h, Holds)}
+    quantifiers print as, innermost first."""
 
     def wrap(s: str, needed: int) -> str:
         return f"({s})" if prec > needed else s
 
     def sub(g, p, names=names, cnames=cnames):
-        return fmt_formula(g, p, names, cnames, free)
+        return fmt_formula(g, p, names, cnames)
 
     match f:
         case Holds(ctx, term, ty):
@@ -188,11 +178,11 @@ def fmt_formula(
             return wrap(f"{sub(l, 3)} /\\ {sub(r, 4)}", 3)
         case ForallTm(_, ar, body) | ExistsTm(_, ar, body):
             kw = "forall" if isinstance(f, ForallTm) else "exists"
-            v = _quantifier_name(f, names, free)
+            v = _quantifier_name(f, names)
             return wrap(f"{kw} {v} : {ar!r}. {sub(body, 0, (v,) + names)}", 1)
         case ForallCtx(_, cs, body, name):
             shown = name if name is not None else fmt_schema(cs)
-            v = _quantifier_name(f, cnames, free)
+            v = _quantifier_name(f, cnames)
             return wrap(f"ctx {v} : {shown}. {sub(body, 0, cnames=(v,) + cnames)}", 1)
     raise TypeError(f"not a formula: {f!r}")
 

@@ -163,27 +163,25 @@ def block_instance(
 
     On a block that passed `check_schema` every match is a solution, so
     none is instantiated again to check.  Each declaration type mentions
-    only parameters and earlier declaration variables, and its pattern has
-    the nominals in for the latter.  Matching walks all of each pattern, so
-    it fixes every parameter a type mentions: an occurrence applied to
-    distinct variables is solved by abstracting them out of the target,
-    which putting the solution back in undoes (its arity is checked), and
-    another occurrence must give the same solution.  A parameter that no
-    type mentions changes no type.
+    only parameters and earlier declaration variables, so its pattern, in
+    the block's instance without its parameters, has the nominals in for
+    the latter.  Matching walks all of each pattern, so it fixes every
+    parameter a type mentions: an occurrence applied to distinct variables
+    is solved by abstracting them out of the target, which putting the
+    solution back in undoes (its arity is checked), and another occurrence
+    must give the same solution.  A parameter that no type mentions changes
+    no type.
     """
     decl = block.decl
     if len(bindings) != len(decl):
         return None
+    noms = [nom for nom, _ in bindings]
+    if any(erase(a) != nom.arity for (_, a), nom in zip(decl, noms)):
+        return None
     params = dict(block.params)
-    theta: dict = {}
-    patterns = []
-    for (y, a), (nom, _) in zip(decl, bindings):
-        if erase(a) != nom.arity:
-            return None
-        patterns.append(apply_subst(a, theta))
-        theta[y] = (Atom(nom), erase(a))
     solution: dict[str, Term] = {}
-    for pat, (_, target_ty) in zip(patterns, bindings):
+    patterns = _instantiate_block(BlockSchema((), decl), noms, ())
+    for (_, pat), (_, target_ty) in zip(patterns, bindings):
         if not _match_type(pat, target_ty, params, solution):
             return None
     actx = sig.arity_context()

@@ -11,7 +11,12 @@ enumerate argument spines by one generator (`schema._spines`), and
 (`schema._pattern_spine`).  The loops and the spine check they replaced are
 kept below as references too, and so are the two pairs of walkers that
 `schema._match_type` and `subsume._derive_renaming` replaced by one walker
-(`lf._in_step`) with an atom rule each.
+(`lf._in_step`) with an atom rule each.  So are the two rules that primed a
+printed binder's hint (`pretty._binder` for LF binders, and
+`formula._quantifier_name` with the `free` short-cut its two callers
+passed), which name through one function (`lf._primed`) now, and the loop
+that built `block_instance`'s patterns, which are a block's instance
+(`schema._instantiate_block`) now.
 """
 
 import functools
@@ -58,13 +63,15 @@ from lfport.lf import (
     context_nominals,
     erase,
     free_vars,
+    fresh_name,
     fresh_nominal,
     kind_arg_arities,
     names_in,
     nominals_in,
 )
-from lfport.parse import ParseError, _position, _tokenize
+from lfport.parse import ParseError, _parse_formula, _parse_whole, _position, _tokenize
 from lfport.oracle import candidate_types
+from lfport.pretty import _binder, fmt_formula
 from lfport.schema import (
     BlockSchema,
     ContextSchema,
@@ -78,7 +85,7 @@ from lfport.schema import (
 from lfport.subord import type_leq
 from test_schema import _capture_cases, _instantiated, _perturbed
 from test_subsume import _BLOCK_NAMES, _random_block
-from util import a, at, nom, pi, random_formula
+from util import a, at, ce, lam, nom, pi, quantify, random_formula
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +553,49 @@ def ref_derive_renaming_term(src, tgt, tgt_vars, src_vars, mapping):
     return False
 
 
+def ref_binder(hint, body, scope):
+    name = hint
+    if hint in scope or hint in free_vars(body):
+        name = fresh_name(hint, {*scope, *names_in(body)})
+    return name, (name,) + scope
+
+
+def ref_quantifier_name(g, path, free):
+    # `free`: the printer's free names of the whole formula, or the
+    # parser's () for a parsed body
+    v = g.var
+    if v not in path and v not in free:
+        return v
+    if isinstance(g, ForallCtx):
+        subs = list(lfport.formula._subformulas(g.body))
+        shown = {h.ctx.head for h in subs if isinstance(h, Holds)}
+        mentioned = shown | {h.var for h in subs if isinstance(h, ForallCtx)}
+    else:
+        shown = () if v in path else lfport.formula._free_names(g.body)
+        mentioned = lfport.formula._term_names(g.body)
+    if v in path or v in shown:
+        return fresh_name(v, {*path, *mentioned})
+    return v
+
+
+def ref_printer_free(f):
+    """The `free` that the old `fmt_formula` passed down: the free names of
+    the whole formula, of both kinds."""
+    subs = lfport.formula._subformulas(f)
+    return lfport.formula._free_names(f) | {h.ctx.head for h in subs if isinstance(h, Holds)}
+
+
+def ref_block_patterns(block, bindings):
+    # None where `block_instance` gave up before matching
+    theta, patterns = {}, []
+    for (y, ty), (n, _) in zip(block.decl, bindings):
+        if erase(ty) != n.arity:
+            return None
+        patterns.append(apply_subst(ty, theta))
+        theta[y] = (Atom(n), erase(ty))
+    return patterns
+
+
 # ---------------------------------------------------------------------------
 # Inputs.
 
@@ -942,16 +992,6 @@ def _renaming_groups(rng, count):
         yield from ([(s, t, *scopes)] for s in stys for t in ttys)
 
 
-def _block_patterns(block, noms):
-    """The declaration types of `block` as `block_instance` matches them:
-    earlier declaration variables put as the nominals `noms`."""
-    theta, out = {}, []
-    for (y, ty), n in zip(block.decl, noms):
-        out.append(apply_subst(ty, theta))
-        theta[y] = (Atom(n), erase(ty))
-    return out
-
-
 def _pattern_groups(sig, rng, count):
     """Block patterns against the segments of random pool terms and
     against perturbed segments, each with its compound types: in order,
@@ -971,7 +1011,7 @@ def _pattern_groups(sig, rng, count):
         segments.append(_perturbed(rng, segments[0], segments, terms))
         for segment in segments:
             pats, ttys = _with_compounds(
-                rng, _block_patterns(block, noms), [ty for _, ty in segment]
+                rng, ref_block_patterns(block, segment), [ty for _, ty in segment]
             )
             yield [(p, t, params) for p, t in zip(pats, ttys)]
             yield from ([(p, t, params)] for p in pats for t in ttys)
@@ -1000,3 +1040,160 @@ def test_the_in_step_walker_matches_the_two_pairs_of_old_walkers(sig_stlc):
     # after writing
     for kinds in (renaming, patterns):
         assert {(("ok", True), True), (("ok", False), False), (("ok", False), True)} <= kinds
+
+
+# ---------------------------------------------------------------------------
+# One priming rule for every printed binder, and a block's patterns as its
+# instance.
+
+
+def _lf_binders(e, scope=()):
+    """Each binder of `e` as the printer meets it, with its hint, its body
+    and the names in scope above it; a body's scope adds the name
+    `ref_binder` gives."""
+    match e:
+        case Atom(_, args) | AtomicType(_, args):
+            for arg in args:
+                yield from _lf_binders(arg, scope)
+        case Lam(var, body) | PiType(var, _, body) | PiKind(var, _, body):
+            if not isinstance(e, Lam):
+                yield from _lf_binders(e.domain, scope)
+            yield var, body, scope
+            yield from _lf_binders(body, ref_binder(var, body, scope)[1])
+
+
+def _quantifiers(f, name, names=(), cnames=()):
+    """Each quantifier of `f` with the names of the enclosing quantifiers of
+    its kind, innermost first, as `name(g, path)` gives them; and each atom
+    with the names of the term quantifiers above it."""
+    match f:
+        case ForallTm() | ExistsTm():
+            yield f, names
+            yield from _quantifiers(f.body, name, (name(f, names),) + names, cnames)
+        case ForallCtx():
+            yield f, cnames
+            yield from _quantifiers(f.body, name, names, (name(f, cnames),) + cnames)
+        case Imp(l, r) | Conj(l, r) | Disj(l, r):
+            yield from _quantifiers(l, name, names, cnames)
+            yield from _quantifiers(r, name, names, cnames)
+        case Holds():
+            yield f, names
+
+
+def _compare_binders(e, scope, primed):
+    """Compare both LF rules on every binder of `e` under `scope`; add each
+    binder's ("LF", hint, name) to `primed` where the name is not the
+    hint."""
+    for hint, body, sc in _lf_binders(e, scope):
+        got = _binder(hint, body, sc)
+        assert got == ref_binder(hint, body, sc), (e, hint, sc)
+        if got[0] != hint:
+            primed.add(("LF", hint, got[0]))
+
+
+def _compare_names(f, free, primed):
+    """Compare both rules on every binder of `f` as printed, the old
+    quantifier rule with `free`; add each binder's (kind, hint, name) to
+    `primed` where the name is not the hint."""
+    name = lambda g, path: ref_quantifier_name(g, path, free)
+    for g, path in _quantifiers(f, name):
+        if isinstance(g, Holds):
+            for e in lfport.formula._lf_parts(g):
+                _compare_binders(e, path, primed)
+            continue
+        got = lfport.formula._quantifier_name(g, path)
+        assert got == name(g, path), (f, g.var, path)
+        if got != g.var:
+            primed.add((type(g).__name__, g.var, got))
+
+
+def _api_formulas(cs):
+    """Formulas built through the API whose quantifier hints are free names
+    their bodies show, beside primed names: the old rule's `free` case."""
+    n_atom = Holds(ce(), a("app", a("N"), a("N'")), at("tm"))
+    g_atom = Holds(ce(head="G"), a("z"), at("nat"))
+    inner_g = ForallCtx("G'", cs, Holds(ce(head=BVar(0)), a("z"), at("nat")))
+    return [
+        ForallTm("N", O, n_atom),
+        quantify(ForallTm, "N", O, ExistsTm("N", O, n_atom)),
+        ForallCtx("G", cs, Conj(g_atom, inner_g)),
+        quantify(ForallCtx, "G", cs, ForallCtx("G", cs, Conj(g_atom, inner_g))),
+        Holds(ce(), lam("y", a("app", a("y"), a("y'"))), pi("z", at("tm"), at("tm"))),
+    ]
+
+
+def test_one_priming_rule_names_every_binder_as_the_two_old_rules(
+    lf_exprs, schemas_size, schemas_stlc
+):
+    # LF binders: every fold input, every block type under its block's
+    # scope, the shadowing binders of test_printer_primes_a_shadowing_binder
+    # and API-built terms whose hint is a free name their body shows.
+    primed: set = set()
+    shadowing = lfport.parse.parse_term_text("[y] [y] app y y")
+    exprs = [(e, ()) for e in lf_exprs] + [(shadowing, ()), (shadowing, ("y",))]
+    for schemas in (schemas_size, schemas_stlc):
+        for cs in schemas.values():
+            exprs += [(ty, block_scope(b)) for b in cs.blocks for _, ty in b.decl]
+    exprs += [
+        (Lam("y", a("app", a("y"), a("y'"))), ()),
+        (lam("y", Lam("y", a("app", a("y"), a("y'")))), ()),
+        (pi("x", at("tm"), at("size", a("x"), a("x'"))), ("x",)),
+    ]
+    for e, scope in exprs:
+        _compare_binders(e, scope, primed)
+    assert {("LF", "y", "y'"), ("LF", "y", "y''"), ("LF", "x", "x''")} <= primed
+    # Quantifiers and the LF binders of atoms: random and API-built
+    # formulas as the printer named them (with its `free`), and the same
+    # random formulas as parsed before their hints are chosen (no free
+    # names, so the parser passed none).
+    api = _api_formulas(schemas_size["Csize"])
+    random_formulas = list(_random_formulas(schemas_size))
+    for f in random_formulas + api:
+        _compare_names(f, ref_printer_free(f), primed)
+    for f in random_formulas:
+        text = fmt_formula(f)
+        _, parsed = _parse_whole(text, lambda p: _parse_formula(p, schemas_size))
+        _compare_names(parsed, (), primed)
+    for kind, hint, name in (
+        ("ForallTm", "N", "N''"), ("ExistsTm", "N", "N''"), ("ForallCtx", "G", "G''"),
+        ("LF", "y", "y''"), ("ForallTm", "z", "z'"), ("ForallCtx", "G", "G'"),
+    ):
+        assert (kind, hint, name) in primed
+
+
+def test_block_instance_matches_the_old_patterns(sig_stlc, monkeypatch):
+    # The random blocks of the brute-force instance test against their
+    # segments, a perturbed segment and a segment whose first nominal has
+    # another arity: each pattern `block_instance` matches is the old
+    # loop's, and it matches all of them on an instance.
+    pools = {O: term_pool(sig_stlc, O, 2, 1), Arrow(O, O): term_pool(sig_stlc, Arrow(O, O), 3, 1)}
+    matched = []
+    match = lfport.schema._match_type
+    monkeypatch.setattr(
+        lfport.schema, "_match_type", lambda pat, *rest: matched.append(pat) or match(pat, *rest)
+    )
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(150):
+        block = _random_block(rng, rng.randint(1, 4))
+        noms = []
+        for _, ty in block.decl:
+            noms.append(fresh_nominal(erase(ty), {nom(1), *noms}))
+        segments = [
+            _instantiated(block, noms, [rng.choice(pools[ar]) for _, ar in block.params])
+            for _ in range(3)
+        ]
+        terms = list(pools[O]) + [a(n) for n in noms if n.arity == O]
+        segments.append(_perturbed(rng, segments[0], segments, terms))
+        (n, ty), *rest = segments[0]
+        other = nom(n.index, O if n.arity != O else Arrow(O, O))
+        segments.append(((other, ty), *rest))
+        for segment in segments:
+            matched.clear()
+            out = block_instance(sig_stlc, block, segment)
+            want = ref_block_patterns(block, segment)
+            assert matched == (want or [])[: len(matched)], (block, segment)
+            if out is not None:
+                assert len(matched) == len(want)
+            outcomes.add((out is not None, want is None))
+    assert outcomes == {(True, False), (False, False), (False, True)}

@@ -56,6 +56,20 @@ def test_bounds_validation():
         Bounds(1, 1, -1)
 
 
+def test_bounded_validity_refuses_a_formula_with_a_free_context_variable(
+    sig_size, schemas_size
+):
+    # a free name, and an index that no context quantifier binds
+    cs = schemas_size["Csize"]
+    for head in ("G", BVar(1)):
+        for f in (
+            Holds(ce(head=head), a("z"), at("nat")),
+            ForallCtx("G", cs, Holds(ce(head=head), a("z"), at("nat"))),
+        ):
+            with pytest.raises(ValueError, match="^bounded_validity needs a closed formula$"):
+                bounded_validity(sig_size, f, Bounds(2, 1))
+
+
 def test_atom_from_the_plus_example(sig_size):
     f = Holds(ce(), a("plus-z", a("z")), at("plus", a("z"), a("z"), a("z")))
     assert bounded_validity(sig_size, f, Bounds(2, 1)).value == VALID

@@ -276,6 +276,11 @@ def test_prefix_closure(sig_stlc, schemas_stlc):
             assert schema_instance(sig_stlc, cs, prefix)
 
 
+def test_segment_instance_refuses_a_context_variable(sig_size, schemas_size):
+    with pytest.raises(ValueError, match="without a head variable"):
+        segment_instance(sig_size, schemas_size["Csize"], ce(head="G"))
+
+
 def test_ctx_expr_rejects_duplicate_nominals():
     with pytest.raises(ValueError):
         ce((nom(1), at("tm")), (nom(1), at("nat")))
