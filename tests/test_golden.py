@@ -18,7 +18,11 @@ and of the error paths no other test reaches: `schema-check`/`transport`
 on ill-formed schemas and on a schema defined twice, `instance` on an
 undefined schema, `validate` on atoms with a kind for a type, a redex, a
 nominal bound twice or a type that does not arity-kind, and `minimize` on
-a context file that binds a nominal twice.
+a context file that binds a nominal twice; and of `transport`/`subsumes`
+from a source schema that repeats a refused block under renaming, with
+`--search-cap` one below and equal to the alignment attempts the refusal
+makes; and of `minimize`/`validate` on a context that binds one nominal
+name at two arities.
 `tests/golden/parse_errors.json` holds the parse outcome of
 seeded edits of every fixture file, and `tests/golden/formulas.json` the
 printed text, reprinted text, check outcome and bounded validity of
