@@ -11,7 +11,6 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .formula import ForallCtx, Formula, WfEnv, check_formula, open_ctx
 from .lf import LFContext, LFError, Signature, check_context, check_signature, check_type
@@ -80,7 +79,8 @@ def load_workspace(sig_path: str, schemas_path: str | None = None) -> Workspace:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except (FileNotFoundError, NotADirectoryError):
         raise InputError(f"no such file: {path}") from None
     except OSError as err:

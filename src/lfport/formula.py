@@ -16,6 +16,7 @@ substituting for a free name can never be captured.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -54,7 +55,13 @@ class ArityCheckFailure(LFError):
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    @functools.cached_property
+    def _shown(self) -> tuple[frozenset, frozenset]:
+        """The free term names and the context heads the formula shows,
+        from those of its immediate subformulas: computed once per node,
+        bottom-up, and kept in the node's `__dict__`, so they take no part
+        in `==`, `hash` or `repr`."""
+        return _shown_names(self)
 
 
 @dataclass(frozen=True)
@@ -225,22 +232,32 @@ def _term_names(f: Formula) -> set[str]:
     }
 
 
-def _free_names(f: Formula) -> set[str]:
-    """The free term names that `f` shows."""
-    return {
-        n for h in _subformulas(f) if isinstance(h, Holds) for e in _lf_parts(h) for n in free_vars(e)
-    }
+def _shown_names(f: Formula) -> tuple[frozenset, frozenset]:
+    """`Formula._shown` of `f`, from its subformulas' own."""
+    match f:
+        case Holds():
+            return frozenset().union(*map(free_vars, _lf_parts(f))), frozenset((f.ctx.head,))
+        case Imp() | Conj() | Disj():
+            (lt, lc), (rt, rc) = f.left._shown, f.right._shown
+            return lt | rt, lc | rc
+        case ForallTm() | ExistsTm() | ForallCtx():
+            return f.body._shown
+        case Top() | Bot():
+            return frozenset(), frozenset()
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _quantifier_name(g: Formula, path) -> str:
     """The name of the quantifier `g` (`lf._primed`) under `path`, the
-    names of the enclosing quantifiers of its kind."""
+    names of the enclosing quantifiers of its kind.  What its body shows
+    is read from `Formula._shown`; all of its names are gathered only
+    where the hint is primed."""
     body = g.body
     if isinstance(g, ForallCtx):
-        heads = lambda: {h.ctx.head for h in _subformulas(body) if isinstance(h, Holds)}
+        heads = lambda: body._shown[1]
         hints = lambda: {h.var for h in _subformulas(body) if isinstance(h, ForallCtx)}
         return _primed(g.var, path, heads, lambda: heads() | hints())
-    return _primed(g.var, path, lambda: _free_names(body), lambda: _term_names(body))
+    return _primed(g.var, path, lambda: body._shown[0], lambda: _term_names(body))
 
 
 def _choose_hints(f: Formula, path=frozenset(), cpath=frozenset()) -> Formula:

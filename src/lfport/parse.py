@@ -65,7 +65,7 @@ _NOMINAL_RE = re.compile(r"^n([0-9]+)$")
 # A token is a punctuation mark or an identifier.  An identifier may
 # contain `-`, but not the `-` of a following `->`.
 _WORD = re.compile(
-    r"\|-|->|=>|:=|/\\|\\/|[{}()\[\]:,.|]|[A-Za-z](?:[A-Za-z0-9_']|-(?!>))*"
+    r"\|-|->|=>|:=|/\\|\\/|[{}()\[\]:,.|]|[A-Za-z][A-Za-z0-9_']*(?:-(?!>)[A-Za-z0-9_']*)*"
 )
 # Blanks, newlines and comments.
 _SKIP = re.compile(r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*")
@@ -154,10 +154,21 @@ class _Parser:
                 out.append(item())
         return out
 
-    def at_arg(self) -> bool:
-        """Whether a spine argument, a name or `(`, starts here."""
-        text = self.texts[self.pos]
-        return text == "(" or text[:1].isalpha()
+    def spine(self) -> tuple:
+        """The arguments of a spine, each a name or a parenthesised term,
+        up to the first token that starts neither."""
+        args = []
+        while True:
+            text = self.texts[self.pos]
+            if text == "(":
+                self.pos += 1
+                args.append(self.term())
+                self.expect(")")
+            elif text[:1].isalpha():  # only identifiers start with a letter
+                self.pos += 1
+                args.append(Atom(self.resolve_name(text)))
+            else:
+                return tuple(args)
 
     # -- classifiers ------------------------------------------------------
 
@@ -200,10 +211,7 @@ class _Parser:
             self.expect(")")
             return t
         head = self.ident()
-        args = []
-        while self.at_arg():
-            args.append(self.term_atom())
-        return AtomicType(head, tuple(args))
+        return AtomicType(head, self.spine())
 
     # -- terms ------------------------------------------------------------
 
@@ -214,15 +222,13 @@ class _Parser:
             self.expect("]")
             return Lam(var, self.under(var, self.term))
         first = self.term_atom()
-        args = []
-        while self.at_arg():
-            args.append(self.term_atom())
+        args = self.spine()
         if not args:
             return first
         if isinstance(first, Lam):
             self.fail("application of an abstraction would form a redex")
         assert isinstance(first, Atom)
-        return Atom(first.head, first.args + tuple(args))
+        return Atom(first.head, first.args + args)
 
     def term_atom(self) -> Term:
         if self.at("("):
@@ -426,14 +432,16 @@ def _parse_atom(p: _Parser) -> Holds:
 
 def _ctx_expr(p: _Parser, head, bindings) -> CtxExpr:
     """The context expression of the parsed `bindings`, each a nominal, its
-    type and the position of its name, which is where a nominal bound a
-    second time is reported."""
-    try:
-        return CtxExpr(head, tuple((n, ty) for n, ty, _ in bindings))
-    except ValueError as err:
-        noms = [n for n, _, _ in bindings]
-        p.pos = next(at for i, (n, _, at) in enumerate(bindings) if n in noms[:i])
-        p.fail(str(err))
+    type and the position of its name, which is where a nominal name bound
+    a second time is reported, at one arity or at two: the text could not
+    tell the two bindings apart."""
+    seen = set()
+    for n, _, at in bindings:
+        if n.index in seen:
+            p.pos = at
+            p.fail("context expression binds a nominal twice")
+        seen.add(n.index)
+    return CtxExpr(head, tuple((n, ty) for n, ty, _ in bindings))
 
 
 def _parse_binding(p: _Parser, what: str) -> tuple[Nominal, TypeExpr, int]:

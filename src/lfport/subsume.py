@@ -37,11 +37,13 @@ from .formula import (
 )
 from .lf import (
     Atom,
+    AtomicType,
     LFError,
     Signature,
     TypeExpr,
     _in_step,
     _map_heads,
+    _nodes,
 )
 from .schema import BlockSchema, ContextSchema, CtxExpr, block_scope, segment_instance
 from .subord import SubordRel, head_constant, type_leq
@@ -170,33 +172,34 @@ def _gamma_atom_types(f: Formula, gamma: str) -> list[TypeExpr]:
     return [g.ty for g in _gamma_atoms(f, gamma) if not g.ctx.bindings]
 
 
-def _drop_basis(f: Formula, gamma: str, source: ContextSchema):
+def _drop_basis(rel: SubordRel, f: Formula, gamma: str, source: ContextSchema):
     """What a dropped binding is judged against: the sorted head constants
     of the formula's `gamma`-atom types and of the source schema's
-    declaration types, and whether some `gamma`-atom has explicit bindings
-    (every type influences such an atom, so nothing may be dropped)."""
+    declaration types, and the heads subordinate to one of them, which no
+    dropped binding may have.  When some `gamma`-atom has explicit
+    bindings, every type influences it and nothing may be dropped: the
+    blocked heads are then None, standing for all of them."""
     formula_heads = sorted({head_constant(t) for t in _gamma_atom_types(f, gamma)})
     schema_heads = sorted(
         {head_constant(t) for block in source.blocks for _, t in block.decl}
     )
-    return formula_heads, schema_heads, any(g.ctx.bindings for g in _gamma_atoms(f, gamma))
+    blocked = None
+    if not any(g.ctx.bindings for g in _gamma_atoms(f, gamma)):
+        basis_heads = {*formula_heads, *schema_heads}
+        blocked = frozenset(h for h, b in rel.pairs if b in basis_heads)
+    return formula_heads, schema_heads, blocked
 
 
-def _undroppable(rel: SubordRel, basis, decl) -> tuple[bool, ...]:
+def _undroppable(basis, decl) -> tuple[bool, ...]:
     """For each binding of a declaration, whether no alignment may drop
-    it: a `gamma`-atom has explicit bindings, or the head of its type is
-    subordinate to a head of `_drop_basis`, so a fact its drop record
-    would print fails.  A variant renames no type head, so the marks of a
-    target declaration hold for every variant of it."""
-    formula_heads, schema_heads, pinned = basis
-    basis_heads = formula_heads + schema_heads
-    return tuple(
-        pinned or any((h, b) in rel.pairs for b in basis_heads)
-        for h in map(head_constant, (ty for _, ty in decl))
-    )
+    it: its type's head is blocked by `_drop_basis`, so a fact its drop
+    record would print fails.  A variant renames no type head, so the
+    marks of a target declaration hold for every variant of it."""
+    blocked = basis[2]
+    return tuple(blocked is None or head_constant(ty) in blocked for _, ty in decl)
 
 
-def _alignment_drops(rel: SubordRel, sdecl, vdecl, keep, basis) -> Optional[tuple]:
+def _alignment_drops(sdecl, vdecl, keep, basis) -> Optional[tuple]:
     """The drop records of the alignment that keeps positions `keep` of a
     variant declaration, each with the non-subordination facts that
     license it (its head against the heads of `_drop_basis`), or None when
@@ -206,7 +209,7 @@ def _alignment_drops(rel: SubordRel, sdecl, vdecl, keep, basis) -> Optional[tupl
     if sdecl != tuple(vdecl[p] for p in keep):
         return None
     drops = []
-    for pos, ((var, ty), fixed) in enumerate(zip(vdecl, _undroppable(rel, basis, vdecl))):
+    for pos, ((var, ty), fixed) in enumerate(zip(vdecl, _undroppable(basis, vdecl))):
         if pos not in keep:
             if fixed:
                 return None
@@ -256,6 +259,26 @@ def _close_permutation(mapping: Mapping[str, str]) -> dict[str, str]:
     return perm
 
 
+def _shape(block: BlockSchema) -> tuple:
+    """The block with each of its names replaced by its position in
+    `block_scope`, an integer that no name can equal: its parameters'
+    arities, and each declaration type as the pre-order of its nodes
+    (`lf._nodes`), an atom or atomic type by its head and spine length and
+    any other node by its class.  Two checked blocks have one shape exactly
+    when one is the other under a bijective renaming of their names, which
+    `check_schema` makes distinct."""
+    index = {v: i for i, v in enumerate(block_scope(block))}
+    return tuple(ar for _, ar in block.params), tuple(
+        tuple(
+            (index.get(n.head, n.head), len(n.args)) if isinstance(n, Atom)
+            else (n.head, len(n.args)) if isinstance(n, AtomicType)
+            else type(n)
+            for n in _nodes(ty)
+        )
+        for _, ty in block.decl
+    )
+
+
 def block_subsumes(
     rel: SubordRel,
     target: BlockSchema,
@@ -268,8 +291,19 @@ def block_subsumes(
 ) -> Optional[BlockMatch]:
     """Find a source block and a variant of the target block whose
     declaration both prunes (relative to the whole source schema) and
-    ce-subsumes into the source declaration.  The inputs must be checked
-    (`check_schema`, `check_formula`).
+    ce-subsumes into the source declaration, by `_search_block`.  The
+    inputs must be checked (`check_schema`, `check_formula`)."""
+    shapes = tuple(map(_shape, source.blocks))
+    basis = _drop_basis(rel, f, gamma, source)
+    return _search_block(target, source, shapes, basis, search_cap, target_index)
+
+
+def _search_block(
+    target: BlockSchema, source: ContextSchema, shapes, basis, search_cap: int,
+    target_index: int,
+) -> Optional[BlockMatch]:
+    """`block_subsumes`, given each source block's `_shape` and the
+    `_drop_basis`.
 
     Candidate alignments embed the source declaration as a subsequence of
     the target's; the renaming is derived by structural matching and closed
@@ -293,11 +327,26 @@ def block_subsumes(
     records decide it.  The alignments tried, their order, the
     `search_cap` count and the result are those of matching every pair
     afresh per alignment.
+
+    A source block of the shape of one refused before it is skipped, and
+    the attempts that refusal made are counted again: a renamed copy of a
+    refused block is refused after as many attempts.  The search reads a
+    source block's own names only by asking whether a head is one of them,
+    by comparing two of them (merging table entries, testing
+    injectivity), and as the values of a renaming; a head that is not one
+    of them is compared with the target's as it is.  A bijective renaming
+    of the names keeps the answers to the first two and renames the values
+    alike, and the undroppable marks are the target's, so every table
+    entry, merge and test comes out alike and the same alignments are
+    counted.  A complete alignment that passes them is accepted under any
+    names: its renaming takes the kept target entries to exactly the
+    source declaration, so its drop records exist.  `SearchCapExceeded`
+    is raised where the plain search of the copy would raise it, since
+    nothing is accepted in between.
     """
-    basis = _drop_basis(f, gamma, source)
     tdecl = target.decl
     n = len(tdecl)
-    fixed = _undroppable(rel, basis, tdecl)
+    fixed = _undroppable(basis, tdecl)
     tgt_vars = block_scope(target)
     attempts = 0
 
@@ -318,7 +367,7 @@ def block_subsumes(
                 return None
             perm = _close_permutation(mapping)
             variant = make_variant(perm, target)
-            drops = _alignment_drops(rel, sdecl, variant.decl, keep, basis)
+            drops = _alignment_drops(sdecl, variant.decl, keep, basis)
             return None if drops is None else BlockMatch(
                 target_index, si, tuple(sorted(perm.items())), variant, keep, drops
             )
@@ -338,26 +387,33 @@ def block_subsumes(
                 return found
         return None
 
-    for si, src in enumerate(source.blocks):
-        if len(src.decl) <= n:
-            found = extend(si, src.decl, block_scope(src), {}, (), {})
-            if found is not None:
-                return found
+    refused: dict = {}  # shape -> the attempts its refusal made
+    for si, (src, shape) in enumerate(zip(source.blocks, shapes)):
+        if len(src.decl) > n:
+            continue
+        if shape in refused:
+            count(refused[shape])
+            continue
+        before = attempts
+        found = extend(si, src.decl, block_scope(src), {}, (), {})
+        if found is not None:
+            return found
+        refused[shape] = attempts - before
     return None
 
 
-def _diagnose_block(rel, target: BlockSchema, f, gamma, source: ContextSchema):
+def _diagnose_block(target: BlockSchema, source: ContextSchema, shapes, basis):
     """Name a binding that blocks the match: undroppable by the drop basis
     the search judged the drops by (`_undroppable`), and without a
-    counterpart in any source declaration.  The inputs must be checked: a
-    type head the relation does not cover raises no `UnknownConstant`
-    here."""
-    basis = _drop_basis(f, gamma, source)
+    counterpart in any source declaration.  A renaming of a block's own
+    names does not change which of its entries are counterparts (as in
+    `_search_block`), so one block of each `_shape` is asked."""
     tgt_vars = block_scope(target)
-    for (var, ty), fixed in zip(target.decl, _undroppable(rel, basis, target.decl)):
+    one_per_shape = dict(zip(shapes, source.blocks)).values()
+    for (var, ty), fixed in zip(target.decl, _undroppable(basis, target.decl)):
         if fixed and not any(
             _derive_renaming(sty, ty, tgt_vars, block_scope(block), {})
-            for block in source.blocks
+            for block in one_per_shape
             for _, sty in block.decl
         ):
             return (var, ty)
@@ -376,17 +432,16 @@ def schema_subsumes(
     """Every target block must have a variant that block-subsumes into the
     source schema; an empty target succeeds unconditionally, and the first
     refused block is a failure at the subsumption side.  The schemas
-    must have passed `check_schema`, and `f` `check_formula`: the search of
-    each block and the diagnosis of a refused one judge a binding
-    undroppable by the same drop basis, so an unchecked type head raises
-    no `UnknownConstant`."""
+    must have passed `check_schema`, and `f` `check_formula`.  The search
+    of each block and the diagnosis of a refused one share one drop basis
+    and one shape per source block."""
+    shapes = tuple(map(_shape, source.blocks))
+    basis = _drop_basis(rel, f, gamma, source)
     matches = []
     for ti, block in enumerate(target.blocks):
-        m = block_subsumes(
-            rel, block, f, gamma, source, search_cap=search_cap, target_index=ti
-        )
+        m = _search_block(block, source, shapes, basis, search_cap, ti)
         if m is None:
-            binding = _diagnose_block(rel, block, f, gamma, source)
+            binding = _diagnose_block(block, source, shapes, basis)
             if binding is not None:
                 msg = f"binding {binding[0]} cannot be dropped or matched"
             else:
@@ -478,7 +533,7 @@ class TransportCertificate:
             return False
         if len(self.matches) != len(self.target.blocks):
             return False
-        basis = _drop_basis(self.formula, self.gamma, self.source)
+        basis = _drop_basis(rel, self.formula, self.gamma, self.source)
         for i, m in enumerate(self.matches):
             if m.target_index != i or not (0 <= m.source_index < len(self.source.blocks)):
                 return False
@@ -495,7 +550,7 @@ class TransportCertificate:
             vdecl, keep = m.variant.decl, m.keep_positions
             if tuple(p for p in range(len(vdecl)) if p in keep) != keep:
                 return False
-            if m.drops != _alignment_drops(rel, src.decl, vdecl, keep, basis):
+            if m.drops != _alignment_drops(src.decl, vdecl, keep, basis):
                 return False
         return True
 

@@ -16,7 +16,10 @@ printed binder's hint (`pretty._binder` for LF binders, and
 `formula._quantifier_name` with the `free` short-cut its two callers
 passed), which name through one function (`lf._primed`) now, and the loop
 that built `block_instance`'s patterns, which are a block's instance
-(`schema._instantiate_block`) now.
+(`schema._instantiate_block`) now.  The free names and context heads a
+formula shows, which `Formula._shown` gathers bottom-up, are checked
+against a walk of its atoms, and the tokenizer against the identifier
+pattern that alternated per character.
 """
 
 import functools
@@ -249,6 +252,17 @@ def ref_term_names(f, names=()):
         case Imp(l, r) | Conj(l, r) | Disj(l, r):
             return ref_term_names(l, names) | ref_term_names(r, names)
     return set()
+
+
+def ref_free_names(f):
+    """The free term names of `f`, walking all of its atoms."""
+    subs = lfport.formula._subformulas(f)
+    return {n for h in subs if isinstance(h, Holds) for e in lfport.formula._lf_parts(h)
+            for n in free_vars(e)}
+
+
+def ref_ctx_heads(f):
+    return {h.ctx.head for h in lfport.formula._subformulas(f) if isinstance(h, Holds)}
 
 
 def ref_val_pos(gamma, f):
@@ -571,7 +585,7 @@ def ref_quantifier_name(g, path, free):
         shown = {h.ctx.head for h in subs if isinstance(h, Holds)}
         mentioned = shown | {h.var for h in subs if isinstance(h, ForallCtx)}
     else:
-        shown = () if v in path else lfport.formula._free_names(g.body)
+        shown = () if v in path else ref_free_names(g.body)
         mentioned = lfport.formula._term_names(g.body)
     if v in path or v in shown:
         return fresh_name(v, {*path, *mentioned})
@@ -582,7 +596,7 @@ def ref_printer_free(f):
     """The `free` that the old `fmt_formula` passed down: the free names of
     the whole formula, of both kinds."""
     subs = lfport.formula._subformulas(f)
-    return lfport.formula._free_names(f) | {h.ctx.head for h in subs if isinstance(h, Holds)}
+    return ref_free_names(f) | {h.ctx.head for h in subs if isinstance(h, Holds)}
 
 
 def ref_block_patterns(block, bindings):
@@ -718,6 +732,7 @@ def test_formula_folds_match_the_recursive_walkers(schemas_size, rel_size):
         # adds anyway, and a dangling one adds no name
         for g in lfport.formula._subformulas(f):
             assert lfport.formula._term_names(g) == ref_term_names(g)
+            assert g._shown == (ref_free_names(g), ref_ctx_heads(g))
         for gamma in ("G", "H"):
             got = lfport.subsume._gamma_atom_types(f, gamma)
             assert got == ref_gamma_atom_types(f, gamma)
@@ -806,6 +821,30 @@ def test_tokenizer_matches_the_per_character_loop():
         assert got == want, text
         errors += got[0] == "raised"
     assert 0 < errors < len(texts)
+
+
+# The token pattern whose identifier alternated per character.
+OLD_WORD = r"\|-|->|=>|:=|/\\|\\/|[{}()\[\]:,.|]|[A-Za-z](?:[A-Za-z0-9_']|-(?!>))*"
+
+
+def test_tokenizer_matches_the_per_character_identifier_pattern(monkeypatch):
+    import re
+
+    pieces = ["-", "->", "-->", "'", "_", "0", "7", "a", "Z", "n1", "x-y", " ", "\n",
+              "% c-\n", "%", "!", "é", ">", ".", ":=", "(", "|-", "\t"]
+    rng = random.Random(12)
+    texts = ["".join(rng.choice(pieces) for _ in range(rng.randrange(16))) for _ in range(20000)]
+    new = [_outcome(_tokenize, text) for text in texts]
+    monkeypatch.setattr(lfport.parse, "_WORD", re.compile(OLD_WORD))
+    monkeypatch.setattr(
+        lfport.parse,
+        "_TOKEN",
+        re.compile(rf"({OLD_WORD}|.+){lfport.parse._SKIP.pattern}", re.DOTALL),
+    )
+    assert [_outcome(_tokenize, text) for text in texts] == new
+    tokens = {t for got in new if got[0] == "ok" for t in got[1]}
+    assert {"a-", "a-'", "x-y-", "Z--"} <= tokens
+    assert any(got[0] == "raised" for got in new)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,23 @@ def test_nominal_names_resolve_to_bindings():
     assert ty2.args[0] == a(n1)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_context, "n1 : nat, n1 : nat", "1:11"),
+        (parse_context, "n1 : nat, n1 : nat -> nat", "1:11"),
+        (parse_context, "n1 : tm, n2 : nat, n01 : tm -> tm", "1:20"),
+        (lambda t: parse_formula(t, {}), "{ n2 : nat, n1 : tm, n2 : tm -> tm |- z : nat }", "1:22"),
+    ],
+)
+def test_a_nominal_name_bound_twice_is_rejected_at_either_arity(parse, text, message):
+    # the second binding of a name is reported, though a nominal of another
+    # arity is another nominal
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{message}: context expression binds a nominal twice"
+
+
 def test_unbound_nominal_defaults_to_base_arity():
     t = parse_term_text("s n7")
     assert t == a("s", a(Nominal(O, 7)))

@@ -585,10 +585,10 @@ def test_pair_table_search_matches_the_per_alignment_search(
     monkeypatch.setattr(lfport.subsume, "make_variant", variant)
     alignment_drops = lfport.subsume._alignment_drops
 
-    def drops(rel, sdecl, vdecl, keep, basis):
+    def drops(sdecl, vdecl, keep, basis):
         # no alignment that drops an undroppable binding gets this far
         assert all(p in keep for p, undroppable in enumerate(fixed) if undroppable)
-        return alignment_drops(rel, sdecl, vdecl, keep, basis)
+        return alignment_drops(sdecl, vdecl, keep, basis)
 
     monkeypatch.setattr(lfport.subsume, "_alignment_drops", drops)
     # every binding influences a gamma-atom with explicit bindings
@@ -673,9 +673,114 @@ def test_diagnosis_by_the_drop_basis_matches_the_diagnosis_by_types(
     for target, source in _subsumption_cases(sig_stlc):
         for f in (plus_body, of_exists_body, pinned):
             want = _diagnose_block_by_types(rel_stlc, target, f, "G", source)
-            assert lfport.subsume._diagnose_block(rel_stlc, target, f, "G", source) == want
+            assert _diagnose(rel_stlc, target, f, "G", source) == want
             outcomes.add((f is pinned, want is None))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_a_shape_is_a_block_up_to_a_renaming_of_its_names():
+    # the first three rename one another; the others differ from them, and
+    # from one another, in a parameter named like the constant b but not
+    # bound, a constant, an entry, an arity, or the argument a name stands at
+    blocks = parse_schemas(
+        "schema C := {T : o}(x : tm, y : of x T) | {b : o}(u : tm, v : of u b)"
+        " | {x : o}(T : tm, y : of T x) | {}(x : tm, y : of x b) | {}(x : tm, y : of x z)"
+        " | {T : o}(x : tm, y : of x T, w : tm) | {T : o -> o}(x : tm, y : of x b)"
+        " | {T : o}(x : tm, y : of (app x x) T) | {T : o}(x : tm, y : tm)."
+    )["C"].blocks
+    shapes = [lfport.subsume._shape(b) for b in blocks]
+    assert shapes[0] == shapes[1] == shapes[2]
+    assert len(set(shapes)) == len(shapes) - 2
+
+
+def _diagnose(rel, target, f, gamma, source):
+    shapes = tuple(map(lfport.subsume._shape, source.blocks))
+    basis = lfport.subsume._drop_basis(rel, f, gamma, source)
+    return lfport.subsume._diagnose_block(target, source, shapes, basis)
+
+
+# Names a renamed copy may take: the target blocks' names, and the term
+# constants `b` and `z`, which only a parameter may be named like.
+_COPY_NAMES = _BLOCK_NAMES + ("F", "H", "b", "z")
+
+
+def _renamed_copy(sig, rng, block):
+    """The block under a random bijective renaming of its names onto
+    `_COPY_NAMES`, avoiding the constants the block mentions, so that no
+    occurrence is captured."""
+    scope = lfport.schema.block_scope(block)
+    avoid = {h for _, ty in block.decl for h in free_vars(ty)} - set(scope)
+    free = [n for n in _COPY_NAMES if n not in avoid]
+    ys = rng.sample([n for n in free if n not in ("b", "z")], len(block.decl))
+    ps = rng.sample([n for n in free if n not in ys], len(block.params))
+    perm = dict(zip(scope, ps + ys))
+    return _variant_by_substitution(sig, perm, block)
+
+
+def _renamed_copy_cases(sig):
+    """`_subsumption_cases` whose source schemas repeat blocks under
+    renaming: each source block gets zero to two renamed copies, put
+    anywhere in the schema, before their original too."""
+    rng = random.Random(6)
+    for target, source in _subsumption_cases(sig):
+        blocks = list(source.blocks)
+        for block in source.blocks:
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                blocks.insert(rng.randint(0, len(blocks)), _renamed_copy(sig, rng, block))
+        yield target, ContextSchema(tuple(blocks))
+
+
+def test_renamed_copies_are_searched_and_diagnosed_as_the_plain_search_does(
+    sig_stlc, rel_stlc, plus_body, of_exists_body
+):
+    pinned = Holds(ce((nom(9), at("tm")), head="G"), a(nom(9)), at("tm"))
+    kinds = set()
+    for target, source in _renamed_copy_cases(sig_stlc):
+        check_schema(sig_stlc, source)
+        shapes = [lfport.subsume._shape(b) for b in source.blocks]
+        repeated = len(set(shapes)) < len(shapes)
+        if any(v in ("b", "z") for b in source.blocks for v, _ in b.params):
+            kinds.add("parameter named like a constant")
+        names = set(lfport.schema.block_scope(target))
+        if repeated and any(names & set(lfport.schema.block_scope(b)) for b in source.blocks):
+            kinds.add("name shared with the target")
+        for f in (plus_body, of_exists_body, pinned):
+            args = (target, f, "G", source)
+            want, attempts = _block_subsumes_by_alignment(
+                rel_stlc, sig_stlc, *args, 10**9
+            )
+            for cap in {0, attempts - 1, attempts, attempts + 1} - {-1}:
+                got = _search_outcome(block_subsumes, rel_stlc, *args, search_cap=cap)
+                assert got == (SearchCapExceeded if cap < attempts else want)
+            assert _diagnose(rel_stlc, *args) == _diagnose_block_by_types(rel_stlc, *args)
+            if repeated:
+                kinds.add("copy refused" if want is None else "copy accepted")
+    assert kinds == {
+        "parameter named like a constant", "name shared with the target",
+        "copy refused", "copy accepted",
+    }
+
+
+def test_a_renamed_copy_of_a_refused_block_derives_no_renaming(
+    sig_stlc, rel_stlc, plus_body, of_exists_body, monkeypatch
+):
+    counter = _TopLevelCalls(lfport.subsume._derive_renaming)
+    monkeypatch.setattr(lfport.subsume, "_derive_renaming", counter)
+    rng = random.Random(7)
+    derived = 0
+    for target, source in _subsumption_cases(sig_stlc):
+        copies = tuple(_renamed_copy(sig_stlc, rng, b) for b in source.blocks)
+        for f in (plus_body, of_exists_body):
+            counter.calls = 0
+            if block_subsumes(rel_stlc, target, f, "G", source, search_cap=10**9):
+                continue
+            calls = counter.calls
+            counter.calls = 0
+            both = ContextSchema(source.blocks + copies)
+            assert block_subsumes(rel_stlc, target, f, "G", both, search_cap=10**9) is None
+            assert counter.calls == calls
+            derived += calls
+    assert derived > 0
 
 
 def test_pair_table_bounds_the_renamings_derived(
@@ -845,7 +950,9 @@ def test_forged_block_matches_fail_replay(
 
     # the same drops under a formula that tm is subordinate to, recorded
     # with the facts the search prints for it: the drop of x is refused
-    formula_heads, schema_heads, _ = lfport.subsume._drop_basis(tm_size_body, "G", C_EMPTY)
+    formula_heads, schema_heads, _ = lfport.subsume._drop_basis(
+        rel_size, tm_size_body, "G", C_EMPTY
+    )
     drops = tuple(
         dataclasses.replace(
             d,
