@@ -22,7 +22,9 @@ a context file that binds a nominal twice; and of `transport`/`subsumes`
 from a source schema that repeats a refused block under renaming, with
 `--search-cap` one below and equal to the alignment attempts the refusal
 makes; and of `minimize`/`validate` on a context that binds one nominal
-name at two arities.
+name at two arities; and of `schema-check`/`transport` on schema
+declarations typed by a kind or by a Pi type, and on a parameter or
+declaration list with a trailing comma.
 `tests/golden/parse_errors.json` holds the parse outcome of
 seeded edits of every fixture file, and `tests/golden/formulas.json` the
 printed text, reprinted text, check outcome and bounded validity of
