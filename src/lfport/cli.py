@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -329,14 +330,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    code = None
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout ("Note on SIGPIPE", `signal` module): the rest
+        # goes to os.devnull, where a command cut short runs again for its code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return main(argv) if code is None else code
     except (ParseError, InputError, LFError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -263,14 +263,17 @@ def _quantifier_name(g: Formula, path) -> str:
 def _choose_hints(f: Formula, path=frozenset(), cpath=frozenset()) -> Formula:
     """`f` with each quantifier hinted by its `_quantifier_name` under the
     names chosen above it (`path`, `cpath`), which depend on their whole
-    bodies: so the parser chooses them once the formula is parsed."""
+    bodies: so the parser chooses them once the formula is parsed.  A node
+    whose hint and subformulas stay comes back as it is, `_shown` kept."""
     match f:
-        case ForallTm(_, ar, body) | ExistsTm(_, ar, body):
+        case ForallTm(hint, ar, body) | ExistsTm(hint, ar, body):
             v = _quantifier_name(f, path)
-            return type(f)(v, ar, _choose_hints(body, path | {v}, cpath))
-        case ForallCtx(_, cs, body, name):
+            new = _choose_hints(body, path | {v}, cpath)
+            return f if v == hint and new is body else type(f)(v, ar, new)
+        case ForallCtx(hint, cs, body, name):
             v = _quantifier_name(f, cpath)
-            return ForallCtx(v, cs, _choose_hints(body, path, cpath | {v}), name)
+            new = _choose_hints(body, path, cpath | {v})
+            return f if v == hint and new is body else ForallCtx(v, cs, new, name)
     return _rebuild(f, lambda g: _choose_hints(g, path, cpath))
 
 
@@ -280,12 +283,13 @@ def _choose_hints(f: Formula, path=frozenset(), cpath=frozenset()) -> Formula:
 
 def _rebuild(f: Formula, each) -> Formula:
     """`f` with `each` applied to its immediate subformulas; an atom, which
-    has none, comes back as it is."""
+    has none, comes back as it is, and so does a connective whose sides do."""
     match f:
         case Holds() | Top() | Bot():
             return f
         case Imp(l, r) | Conj(l, r) | Disj(l, r):
-            return type(f)(each(l), each(r))
+            new_l, new_r = each(l), each(r)
+            return f if new_l is l and new_r is r else type(f)(new_l, new_r)
         case ForallTm(v, ar, body) | ExistsTm(v, ar, body):
             return type(f)(v, ar, each(body))
         case ForallCtx(v, cs, body, name):

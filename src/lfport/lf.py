@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
@@ -419,16 +420,21 @@ def _db_index(name, binders) -> Optional[int]:
 
 def _map_heads(e: Expr, f, depth: int = 0) -> Expr:
     """`e` with the head `h` of each atom, under `d` binders of `e` (plus
-    `depth`), replaced by `f(h, d)`."""
+    `depth`), replaced by `f(h, d)`.  A node none of whose heads changes
+    (by `==`) comes back as it is: a walk that only reads heads builds none."""
     match e:
-        case Atom(head, args):
-            return Atom(f(head, depth), tuple(_map_heads(a, f, depth) for a in args))
+        case Atom(head, args) | AtomicType(head, args):
+            new = f(head, depth) if isinstance(e, Atom) else head
+            new_args = tuple([_map_heads(a, f, depth) for a in args])
+            same = new == head and all(map(operator.is_, new_args, args))
+            return e if same else type(e)(new, new_args)
         case Lam(var, body):
-            return Lam(var, _map_heads(body, f, depth + 1))
-        case AtomicType(head, args):
-            return AtomicType(head, tuple(_map_heads(a, f, depth) for a in args))
+            new_body = _map_heads(body, f, depth + 1)
+            return e if new_body is body else Lam(var, new_body)
         case PiType(var, domain, body) | PiKind(var, domain, body):
-            return type(e)(var, _map_heads(domain, f, depth), _map_heads(body, f, depth + 1))
+            new_domain, new_body = _map_heads(domain, f, depth), _map_heads(body, f, depth + 1)
+            same = new_domain is domain and new_body is body
+            return e if same else type(e)(var, new_domain, new_body)
         case TypeKind():
             return e
     raise TypeError(f"not an LF expression: {e!r}")
@@ -638,10 +644,6 @@ def arity_check_term(
     names beyond the signature's, `local` to the enclosing binders,
     innermost first."""
     match term:
-        case Lam(_, body):
-            if not isinstance(arity, Arrow):
-                return False
-            return arity_check_term(actx, body, arity.right, bound, (arity.left,) + local)
         case Atom(head, args):
             if isinstance(head, Nominal):
                 have = head.arity
@@ -659,7 +661,11 @@ def arity_check_term(
                 if not arity_check_term(actx, arg, have.left, bound, local):
                     return False
                 have = have.right
-            return have == arity
+            return have is arity or have == arity
+        case Lam(_, body):
+            if not isinstance(arity, Arrow):
+                return False
+            return arity_check_term(actx, body, arity.right, bound, (arity.left,) + local)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -670,18 +676,18 @@ def arity_check_type(
     local: tuple[Arity, ...] = (),
 ) -> bool:
     match ty:
-        case PiType(_, domain, body):
-            if not arity_check_type(actx, domain, bound, local):
-                return False
-            return arity_check_type(actx, body, bound, (erase(domain),) + local)
         case AtomicType(head, args):
             want = actx.type_args.get(head)
             if want is None or len(want) != len(args):
                 return False
-            return all(
-                arity_check_term(actx, arg, ar, bound, local)
-                for arg, ar in zip(args, want)
-            )
+            for arg, ar in zip(args, want):
+                if not arity_check_term(actx, arg, ar, bound, local):
+                    return False
+            return True
+        case PiType(_, domain, body):
+            if not arity_check_type(actx, domain, bound, local):
+                return False
+            return arity_check_type(actx, body, bound, (erase(domain),) + local)
     raise TypeError(f"not a type expression: {ty!r}")
 
 

@@ -62,10 +62,11 @@ class ParseError(Exception):
 
 
 _NOMINAL_RE = re.compile(r"^n([0-9]+)$")
-# A token is a punctuation mark or an identifier.  An identifier may
+# A token is an identifier, tried first as the most frequent, or a
+# punctuation mark, which never starts with a letter.  An identifier may
 # contain `-`, but not the `-` of a following `->`.
 _WORD = re.compile(
-    r"\|-|->|=>|:=|/\\|\\/|[{}()\[\]:,.|]|[A-Za-z][A-Za-z0-9_']*(?:-(?!>)[A-Za-z0-9_']*)*"
+    r"[A-Za-z][A-Za-z0-9_']*(?:-(?!>)[A-Za-z0-9_']*)*|\|-|->|=>|:=|/\\|\\/|[{}()\[\]:,.|]"
 )
 # Blanks, newlines and comments.
 _SKIP = re.compile(r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*")
@@ -173,19 +174,20 @@ class _Parser:
     # -- classifiers ------------------------------------------------------
 
     def classifier(self):
-        if self.at("{"):
-            self.next()
+        text = self.texts[self.pos]
+        if text == "{":
+            self.pos += 1
             var = self.ident()
             self.expect(":")
             dom = self.type_expr()
             self.expect("}")
             return self.pi(var, dom, var)
-        if self.at("Type"):
-            self.next()
+        if text == "Type":
+            self.pos += 1
             return TYPE
         t = self.type_operand()
-        if self.at("->"):
-            self.next()
+        if self.texts[self.pos] == "->":
+            self.pos += 1
             return self.pi("x", t, None)  # an arrow's binder binds no name
         return t
 
@@ -205,8 +207,8 @@ class _Parser:
         return t
 
     def type_operand(self) -> TypeExpr:
-        if self.at("("):
-            self.next()
+        if self.texts[self.pos] == "(":
+            self.pos += 1
             t = self.type_expr()
             self.expect(")")
             return t
@@ -308,19 +310,25 @@ def parse_schemas(text: str) -> dict[str, ContextSchema]:
 
 def _parse_block(p: _Parser) -> BlockSchema:
     p.expect("{")
-    params = p.comma_list("}", lambda: _parse_named(p, p.arity))
-    p.expect("}")
+    params = _parse_named(p, "}", p.arity)
     p.expect("(")
-    decls = p.comma_list(")", lambda: _parse_named(p, p.type_expr))
-    p.expect(")")
-    return BlockSchema(tuple(params), tuple(decls))
+    return BlockSchema(params, _parse_named(p, ")", p.type_expr))
 
 
-def _parse_named(p: _Parser, classifier):
-    """`name : C`, with `C` read by `classifier()`."""
-    name = p.ident()
-    p.expect(":")
-    return name, classifier()
+def _parse_named(p: _Parser, close: str, classifier) -> tuple:
+    """A comma list of `name : C`, with each `C` read by `classifier()`, up
+    to the token `close`, which is read too; empty if `close` is next."""
+    out = []
+    if p.texts[p.pos] != close:
+        while True:
+            name = p.ident()
+            p.expect(":")
+            out.append((name, classifier()))
+            if p.texts[p.pos] != ",":
+                break
+            p.pos += 1
+    p.expect(close)
+    return tuple(out)
 
 
 def _parse_whole(text: str, parse, ce: Optional[CtxExpr] = None):

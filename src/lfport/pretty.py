@@ -72,9 +72,7 @@ def _fmt_spine(head: str, args, scope) -> str:
     parts = [head]
     for a in args:
         s = fmt_term(a, scope)
-        if isinstance(a, Lam) or (isinstance(a, Atom) and a.args):
-            s = f"({s})"
-        parts.append(s)
+        parts.append(f"({s})" if isinstance(a, Lam) or a.args else s)
     return " ".join(parts)
 
 

@@ -18,6 +18,7 @@ certificate.  Inputs are checked by the caller (`check_schema`,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
@@ -126,8 +127,10 @@ def prune_ok(rel: SubordRel, schema: ContextSchema, small, big) -> bool:
 def make_variant(perm: Mapping[str, str], block: BlockSchema) -> BlockSchema:
     """Rename a block schema through a variable permutation: parameters,
     declaration variables and the atoms they head move.  Bound variables
-    are indices, so the renaming cannot capture, and it never contracts a
-    redex, since only heads change."""
+    are indices, so the renaming cannot capture; only heads change, so it
+    contracts no redex.  A permutation that moves no name gives the block."""
+    if all(x == y for x, y in perm.items()):
+        return block
     params = tuple((perm.get(x, x), ar) for x, ar in block.params)
     decl = tuple(
         (perm.get(y, y), _map_heads(ty, lambda h, _: perm.get(h, h)))
@@ -205,20 +208,18 @@ def _alignment_drops(sdecl, vdecl, keep, basis) -> Optional[tuple]:
     license it (its head against the heads of `_drop_basis`), or None when
     the kept entries are not the source declaration or a dropped binding
     is undroppable (`_undroppable`)."""
-    formula_heads, schema_heads, _ = basis
     if sdecl != tuple(vdecl[p] for p in keep):
         return None
+    facts = {}  # a head's facts against the formula and the schema heads
     drops = []
     for pos, ((var, ty), fixed) in enumerate(zip(vdecl, _undroppable(basis, vdecl))):
         if pos not in keep:
             if fixed:
                 return None
             h = head_constant(ty)
-            drops.append(DropRecord(
-                pos, var, ty,
-                tuple((h, b) for b in formula_heads),
-                tuple((h, b) for b in schema_heads),
-            ))
+            if h not in facts:
+                facts[h] = [tuple((h, b) for b in heads) for heads in basis[:2]]
+            drops.append(DropRecord(pos, var, ty, *facts[h]))
     return tuple(drops)
 
 
@@ -279,6 +280,11 @@ def _shape(block: BlockSchema) -> tuple:
     )
 
 
+def _shapes(source: ContextSchema):
+    """The `_shape` of the source block at an index, computed on first use."""
+    return functools.cache(lambda si: _shape(source.blocks[si]))
+
+
 def block_subsumes(
     rel: SubordRel,
     target: BlockSchema,
@@ -293,17 +299,16 @@ def block_subsumes(
     declaration both prunes (relative to the whole source schema) and
     ce-subsumes into the source declaration, by `_search_block`.  The
     inputs must be checked (`check_schema`, `check_formula`)."""
-    shapes = tuple(map(_shape, source.blocks))
     basis = _drop_basis(rel, f, gamma, source)
-    return _search_block(target, source, shapes, basis, search_cap, target_index)
+    return _search_block(target, source, _shapes(source), basis, search_cap, target_index)
 
 
 def _search_block(
-    target: BlockSchema, source: ContextSchema, shapes, basis, search_cap: int,
+    target: BlockSchema, source: ContextSchema, shape, basis, search_cap: int,
     target_index: int,
 ) -> Optional[BlockMatch]:
-    """`block_subsumes`, given each source block's `_shape` and the
-    `_drop_basis`.
+    """`block_subsumes`, given the `_drop_basis` and `shape(si)`, the
+    `_shape` of source block `si` (`_shapes`).
 
     Candidate alignments embed the source declaration as a subsequence of
     the target's; the renaming is derived by structural matching and closed
@@ -330,19 +335,20 @@ def _search_block(
 
     A source block of the shape of one refused before it is skipped, and
     the attempts that refusal made are counted again: a renamed copy of a
-    refused block is refused after as many attempts.  The search reads a
-    source block's own names only by asking whether a head is one of them,
-    by comparing two of them (merging table entries, testing
-    injectivity), and as the values of a renaming; a head that is not one
-    of them is compared with the target's as it is.  A bijective renaming
-    of the names keeps the answers to the first two and renames the values
-    alike, and the undroppable marks are the target's, so every table
-    entry, merge and test comes out alike and the same alignments are
-    counted.  A complete alignment that passes them is accepted under any
-    names: its renaming takes the kept target entries to exactly the
-    source declaration, so its drop records exist.  `SearchCapExceeded`
-    is raised where the plain search of the copy would raise it, since
-    nothing is accepted in between.
+    refused block is refused after as many attempts, and no shape is asked
+    for before a refusal.  The search reads a source block's own names
+    only by asking whether a head is one of them, by comparing two of them
+    (merging table entries, testing injectivity), and as the values of a
+    renaming; a head that is not one of them is compared with the
+    target's as it is.  A bijective renaming of the names keeps the
+    answers to the first two and renames the values alike, and the
+    undroppable marks are the target's, so every table entry, merge and
+    test comes out alike and the same alignments are counted.  A complete
+    alignment that passes them is accepted under any names: its renaming
+    takes the kept target entries to exactly the source declaration, so
+    its drop records exist.  `SearchCapExceeded` is raised where the plain
+    search of the copy would raise it, since nothing is accepted in
+    between.
     """
     tdecl = target.decl
     n = len(tdecl)
@@ -388,28 +394,28 @@ def _search_block(
         return None
 
     refused: dict = {}  # shape -> the attempts its refusal made
-    for si, (src, shape) in enumerate(zip(source.blocks, shapes)):
+    for si, src in enumerate(source.blocks):
         if len(src.decl) > n:
             continue
-        if shape in refused:
-            count(refused[shape])
+        if refused and shape(si) in refused:
+            count(refused[shape(si)])
             continue
         before = attempts
         found = extend(si, src.decl, block_scope(src), {}, (), {})
         if found is not None:
             return found
-        refused[shape] = attempts - before
+        refused[shape(si)] = attempts - before
     return None
 
 
-def _diagnose_block(target: BlockSchema, source: ContextSchema, shapes, basis):
+def _diagnose_block(target: BlockSchema, source: ContextSchema, shape, basis):
     """Name a binding that blocks the match: undroppable by the drop basis
     the search judged the drops by (`_undroppable`), and without a
     counterpart in any source declaration.  A renaming of a block's own
     names does not change which of its entries are counterparts (as in
-    `_search_block`), so one block of each `_shape` is asked."""
+    `_search_block`), so one block of each `shape(si)` is asked."""
     tgt_vars = block_scope(target)
-    one_per_shape = dict(zip(shapes, source.blocks)).values()
+    one_per_shape = {shape(si): block for si, block in enumerate(source.blocks)}.values()
     for (var, ty), fixed in zip(target.decl, _undroppable(basis, target.decl)):
         if fixed and not any(
             _derive_renaming(sty, ty, tgt_vars, block_scope(block), {})
@@ -434,14 +440,14 @@ def schema_subsumes(
     refused block is a failure at the subsumption side.  The schemas
     must have passed `check_schema`, and `f` `check_formula`.  The search
     of each block and the diagnosis of a refused one share one drop basis
-    and one shape per source block."""
-    shapes = tuple(map(_shape, source.blocks))
+    and the source blocks' shapes (`_shapes`)."""
+    shape = _shapes(source)
     basis = _drop_basis(rel, f, gamma, source)
     matches = []
     for ti, block in enumerate(target.blocks):
-        m = _search_block(block, source, shapes, basis, search_cap, ti)
+        m = _search_block(block, source, shape, basis, search_cap, ti)
         if m is None:
-            binding = _diagnose_block(block, source, shapes, basis)
+            binding = _diagnose_block(block, source, shape, basis)
             if binding is not None:
                 msg = f"binding {binding[0]} cannot be dropped or matched"
             else:
@@ -516,8 +522,7 @@ class TransportCertificate:
         out = set()
         for m in self.matches:
             for d in m.drops:
-                out |= set(d.formula_facts)
-                out |= set(d.schema_facts)
+                out.update(d.formula_facts, d.schema_facts)
         return tuple(sorted(out))
 
     def verify(self, sig: Signature, rel: SubordRel) -> bool:

@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -441,3 +444,47 @@ def test_signature_memo_keeps_no_failure(tmp_path, capsys, text, code):
 
 def test_signature_memo_is_bounded():
     assert cli._checked_signature.cache_info().maxsize is not None
+
+
+def _with_stdout_closed(*argv):
+    """Exit code and stderr of `lfport` run in a child process whose stdout
+    is a pipe with no reader: the read end is closed before the child
+    starts, so its first write to stdout fails, whenever it comes."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(lfport.__file__).resolve().parents[1])
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "lfport.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return child.returncode, child.stderr.decode()
+
+
+_TRANSPORT = ["transport", SIG, SCHEMAS, "--formula", PLUS, "--var", "G"]
+_MANY = "".join(f"schema C{i} := {{}}(x : tm).\n" for i in range(2000))
+
+
+@pytest.mark.parametrize(
+    "argv, schemas, code",
+    [
+        (_TRANSPORT + ["--from", "Cempty", "--to", "Csize"], None, 0),
+        (_TRANSPORT + ["--from", "Csize", "--to", "Cempty"], None, 1),
+        (["schema-check", SIG], _MANY, 0),
+        (["schema-check", SIG], _MANY + "schema Cbad := {}(x : size).\n", 1),
+    ],
+    ids=["certificate", "refusal", "long-ok", "long-ill-formed"],
+)
+def test_a_closed_stdout_keeps_the_exit_code(tmp_path, argv, schemas, code):
+    # a certificate and a refusal fit the output buffer, so the write fails
+    # at the final flush; a check of 2,000 schemas does not, so it fails
+    # while the command runs
+    if schemas is not None:
+        (tmp_path / "many.sch").write_text(schemas)
+        argv = argv + [str(tmp_path / "many.sch")]
+    assert _with_stdout_closed(*argv) == (code, "")

@@ -1,18 +1,37 @@
-"""Hereditary substitution against the plain walk it shortcuts.
+"""Tree builders against the plain walks they shortcut.
 
 `lf._subst` returns a subtree as it is when it has no name to substitute
 and no dangling index to replace or lower; `lf._shift` returns a locally
-closed term as it is.  Both read the node's cached reach.  The references
-below are the walks that rebuild every node; the fast path must give `==`
-results and raise the same failures, share what it skips, and the cached
-reach must stay out of `==`, `hash` and `repr`.
+closed term as it is.  Both read the node's cached reach.  `lf._map_heads`
+returns a node as it is when none of its heads changes, and the parser's
+`formula._choose_hints` a formula node whose hint and subformulas are
+unchanged.  The references below are the walks that rebuild every node;
+the fast path must give `==` results (with the same hints) and raise the
+same failures, share what it skips, and the cached reach must stay out of
+`==`, `hash` and `repr`.
 """
 
 import random
 
 import pytest
 
-from lfport import Arrow, Atom, AtomicType, Lam, O, PiKind, PiType, TypeDecl
+from lfport import (
+    Arrow,
+    Atom,
+    AtomicType,
+    Conj,
+    Disj,
+    ExistsTm,
+    ForallCtx,
+    ForallTm,
+    Imp,
+    Lam,
+    O,
+    PiKind,
+    PiType,
+    TypeDecl,
+)
+from lfport.formula import _choose_hints, _quantifier_name, _subformulas
 from lfport.lf import (
     BVar,
     SubstFailure,
@@ -24,8 +43,10 @@ from lfport.lf import (
     _subst,
     erase,
 )
+from lfport.parse import _parse_formula, _parse_whole
+from lfport.pretty import fmt_formula
 from lfport.schema import term_pool
-from util import a, at, nom
+from util import a, at, nom, random_formula
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +96,35 @@ def ref_instantiate(body, term, arity):
 
 
 def ref_shift(term, k):
-    return _map_heads(
+    return ref_map_heads(
         term, lambda h, d: BVar(h.index + k) if isinstance(h, BVar) and h.index >= d else h
     )
+
+
+def ref_map_heads(e, f, depth=0):
+    match e:
+        case Atom(head, args):
+            return Atom(f(head, depth), tuple(ref_map_heads(x, f, depth) for x in args))
+        case Lam(var, body):
+            return Lam(var, ref_map_heads(body, f, depth + 1))
+        case AtomicType(head, args):
+            return AtomicType(head, tuple(ref_map_heads(x, f, depth) for x in args))
+        case PiType(var, domain, body) | PiKind(var, domain, body):
+            return type(e)(var, ref_map_heads(domain, f, depth), ref_map_heads(body, f, depth + 1))
+    return e  # TypeKind
+
+
+def ref_choose_hints(f, path=frozenset(), cpath=frozenset()):
+    match f:
+        case ForallTm(_, ar, body) | ExistsTm(_, ar, body):
+            v = _quantifier_name(f, path)
+            return type(f)(v, ar, ref_choose_hints(body, path | {v}, cpath))
+        case ForallCtx(_, cs, body, name):
+            v = _quantifier_name(f, cpath)
+            return ForallCtx(v, cs, ref_choose_hints(body, path, cpath | {v}), name)
+        case Imp(l, r) | Conj(l, r) | Disj(l, r):
+            return type(f)(ref_choose_hints(l, path, cpath), ref_choose_hints(r, path, cpath))
+    return f  # an atom, tt or ff
 
 
 def _outcome(fn, *args):
@@ -89,7 +136,7 @@ def _outcome(fn, *args):
 
 def _fresh(e):
     """A copy of `e` built node by node, none of whose reaches was read."""
-    return _map_heads(e, lambda h, d: h)
+    return ref_map_heads(e, lambda h, d: h)
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +279,70 @@ def test_cached_reach_takes_no_part_in_equality(trees):
         assert e == copy and copy == e
         assert hash(e) == hash(copy)
         assert repr(e) == repr(copy)
+
+
+def _head_maps():
+    """Head maps that change nothing, one name, or every dangling index
+    (as `_shift` and `_open_named` do), with whether each may change a
+    tree."""
+    return [
+        (lambda h, d: h, False),
+        (lambda h, d: "absent" if h == "no-such-name" else h, False),
+        (lambda h, d: "zz" if h == "z" else h, True),
+        (lambda h, d: BVar(h.index + 2) if isinstance(h, BVar) and h.index >= d else h, True),
+        (lambda h, d: "x" if isinstance(h, BVar) and h.index >= d else h, True),
+    ]
+
+
+def test_head_maps_match_the_full_rebuild(trees):
+    shared = rebuilt = 0
+    for e in trees:
+        for f, changes in _head_maps():
+            got, want = _map_heads(e, f), ref_map_heads(e, f)
+            assert got == want
+            assert [n.var for n in _nodes(got) if hasattr(n, "var")] == [
+                n.var for n in _nodes(want) if hasattr(n, "var")
+            ]
+            # a node comes back as it is exactly when the map changes none
+            # of its heads, which the rebuild shows by an equal tree
+            if not changes or got == e:
+                assert got is e
+            else:
+                rebuilt += 1
+            if isinstance(e, (Atom, AtomicType)) and got is not e:
+                for old, new in zip(e.args, got.args):
+                    if ref_map_heads(old, f) == old:
+                        assert new is old
+                        shared += 1
+    assert shared > 50 and rebuilt > 200
+
+
+def _hints(f):
+    return [
+        (g.var, getattr(g, "schema_name", None))
+        for g in _subformulas(f)
+        if isinstance(g, (ForallTm, ExistsTm, ForallCtx))
+    ]
+
+
+def test_chosen_hints_match_the_full_rebuild(schemas_size):
+    # random formulas as the API builds them, whose hints may repeat, and
+    # as parsed from their printed text before any hint is chosen
+    kinds = set()
+    for seed in range(400):
+        built = random_formula(random.Random(seed), schemas_size, (None, "G")[seed % 2])
+        text = fmt_formula(built)
+        _, parsed = _parse_whole(text, lambda p: _parse_formula(p, schemas_size))
+        for f in (built, parsed):
+            got, want = _choose_hints(f), ref_choose_hints(f)
+            assert got == want and _hints(got) == _hints(want)
+            # in step, a node is shared exactly where no hint below it moves
+            for old, new in zip(_subformulas(f), _subformulas(got)):
+                if _hints(old) == _hints(new):
+                    assert new is old
+                    kinds.add("shared" if _hints(old) else "shared atom")
+                else:
+                    assert new is not old
+                    kinds.add("rebuilt")
+        assert fmt_formula(_choose_hints(parsed)) == text
+    assert kinds == {"shared", "shared atom", "rebuilt"}

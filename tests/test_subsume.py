@@ -694,9 +694,8 @@ def test_a_shape_is_a_block_up_to_a_renaming_of_its_names():
 
 
 def _diagnose(rel, target, f, gamma, source):
-    shapes = tuple(map(lfport.subsume._shape, source.blocks))
     basis = lfport.subsume._drop_basis(rel, f, gamma, source)
-    return lfport.subsume._diagnose_block(target, source, shapes, basis)
+    return lfport.subsume._diagnose_block(target, source, lfport.subsume._shapes(source), basis)
 
 
 # Names a renamed copy may take: the target blocks' names, and the term
@@ -781,6 +780,110 @@ def test_a_renamed_copy_of_a_refused_block_derives_no_renaming(
             assert counter.calls == calls
             derived += calls
     assert derived > 0
+
+
+def _eager_shapes(source):
+    """Every source block's shape, computed before the search starts."""
+    return tuple(map(lfport.subsume._shape, source.blocks)).__getitem__
+
+
+def test_lazy_shapes_search_and_diagnose_as_eager_shapes(
+    sig_stlc, rel_stlc, plus_body, of_exists_body, monkeypatch
+):
+    # Each renamed-copy case, its target block alone and after the first
+    # source block (which subsumes itself), at every cap around the
+    # attempts the search makes: the answers, failures and diagnoses are
+    # those of shapes computed up front, from no more shapes.
+    shape = lfport.subsume._shape
+    computed = []
+    monkeypatch.setattr(lfport.subsume, "_shape", lambda b: computed.append(b) or shape(b))
+    lazy = lfport.subsume._shapes
+    pinned = Holds(ce((nom(9), at("tm")), head="G"), a(nom(9)), at("tm"))
+    kinds = set()
+    for target, source in _renamed_copy_cases(sig_stlc):
+        targets = ContextSchema((source.blocks[0], target))
+        for f in (plus_body, of_exists_body, pinned):
+            _, attempts = _block_subsumes_by_alignment(
+                rel_stlc, sig_stlc, target, f, "G", source, 10**9
+            )
+            for cap in {0, attempts - 1, attempts, attempts + 1} - {-1}:
+                outcomes, counts = [], []
+                for shapes in (lazy, _eager_shapes):
+                    monkeypatch.setattr(lfport.subsume, "_shapes", shapes)
+                    computed.clear()
+                    outcomes.append((
+                        _search_outcome(
+                            block_subsumes, rel_stlc, target, f, "G", source, search_cap=cap
+                        ),
+                        _search_outcome(
+                            schema_subsumes, rel_stlc, source, f, "G", targets, search_cap=cap
+                        ),
+                    ))
+                    counts.append(len(computed))
+                assert outcomes[0] == outcomes[1]
+                assert counts[0] <= counts[1]
+                found, whole = outcomes[0]
+                kinds.add(
+                    "capped" if found is SearchCapExceeded
+                    else "diagnosed" if isinstance(whole, TransportFailure)
+                    else "accepted"
+                )
+                if counts[0] < counts[1]:
+                    kinds.add("fewer shapes")
+    assert kinds == {"capped", "diagnosed", "accepted", "fewer shapes"}
+
+
+def ref_alignment_drops(sdecl, vdecl, keep, basis):
+    """The drop records with both fact tuples built afresh for each drop."""
+    formula_heads, schema_heads, _ = basis
+    if sdecl != tuple(vdecl[p] for p in keep):
+        return None
+    drops = []
+    marks = lfport.subsume._undroppable(basis, vdecl)
+    for pos, ((var, ty), fixed) in enumerate(zip(vdecl, marks)):
+        if pos not in keep:
+            if fixed:
+                return None
+            h = head_constant(ty)
+            drops.append(DropRecord(
+                pos, var, ty,
+                tuple((h, b) for b in formula_heads),
+                tuple((h, b) for b in schema_heads),
+            ))
+    return tuple(drops)
+
+
+def test_alignment_drops_match_the_records_built_per_drop(
+    sig_stlc, rel_stlc, schemas_stlc, plus_body, of_exists_body, monkeypatch
+):
+    # every alignment the search decides, and the replay of a certificate
+    # and of one whose match keeps none of a source declaration
+    alignment_drops = lfport.subsume._alignment_drops
+    kinds = set()
+
+    def checked(sdecl, vdecl, keep, basis):
+        got = alignment_drops(sdecl, vdecl, keep, basis)
+        assert got == ref_alignment_drops(sdecl, vdecl, keep, basis)
+        heads = [head_constant(d.ty) for d in got or ()]
+        if len(set(heads)) < len(heads):
+            kinds.add("a head dropped twice")
+        kinds.add("refused" if got is None else "drops" if got else "keep-all")
+        return got
+
+    monkeypatch.setattr(lfport.subsume, "_alignment_drops", checked)
+    for target, source in _subsumption_cases(sig_stlc):
+        for f in (plus_body, of_exists_body):
+            block_subsumes(rel_stlc, target, f, "G", source, search_cap=10**9)
+    size = schemas_stlc["Csize"]
+    cert = transport_check(sig_stlc, rel_stlc, size, size, "G", plus_body)
+    assert cert.verify(sig_stlc, rel_stlc)
+    wrong = BlockMatch(0, 0, (), size.blocks[0], (), ())
+    bad = TransportCertificate(
+        cert.gamma, cert.source, cert.target, cert.formula, (wrong,) + cert.matches[1:],
+        cert.valtop,
+    )
+    assert not bad.verify(sig_stlc, rel_stlc)
+    assert kinds == {"refused", "drops", "keep-all", "a head dropped twice"}
 
 
 def test_pair_table_bounds_the_renamings_derived(
