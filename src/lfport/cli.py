@@ -96,16 +96,16 @@ def _cmd_check(args) -> int:
     try:
         sig, _ = _checked_signature(_read(args.signature))
     except LFError as err:
-        print(f"ill-formed signature: {err}")
+        _say(f"ill-formed signature: {err}")
         return 1
-    print(f"ok: signature with {len(sig.decls)} declarations")
+    _say(f"ok: signature with {len(sig.decls)} declarations")
     return 0
 
 
 def _cmd_subord(args) -> int:
     ws = load_workspace(args.signature)
     for a, b in ws.rel.sorted_pairs():
-        print(f"{a} <= {b}")
+        _say(f"{a} <= {b}")
     return 0
 
 
@@ -120,7 +120,7 @@ def _cmd_minimize(args) -> int:
     except LFError as err:
         raise InputError(str(err)) from err
     for binder, b in minimize(ws.rel, ctx, ty).bindings:
-        print(f"{fmt_head(binder)} : {fmt_type(b)}")
+        _say(f"{fmt_head(binder)} : {fmt_type(b)}")
     return 0
 
 
@@ -131,9 +131,9 @@ def _cmd_schema_check(args) -> int:
     for name, cs in schemas.items():
         try:
             check_schema(ws.sig, cs)
-            print(f"ok: {name}")
+            _say(f"ok: {name}")
         except LFError as err:
-            print(f"ill-formed schema {name}: {err}")
+            _say(f"ill-formed schema {name}: {err}")
             status = 1
     return status
 
@@ -143,9 +143,9 @@ def _cmd_instance(args) -> int:
     cs = _require_schema(ws, args.schema)
     ce = parse_context(_read(args.ctx))
     if schema_instance(ws.sig, cs, ce):
-        print(f"instance of {args.schema}")
+        _say(f"instance of {args.schema}")
         return 0
-    print(f"not an instance of {args.schema}")
+    _say(f"not an instance of {args.schema}")
     return 1
 
 
@@ -183,7 +183,7 @@ def _print_undroppable(failure: TransportFailure, target: ContextSchema) -> None
     if failure.binding is not None:
         v, t = failure.binding
         scope = block_scope(target.blocks[failure.target_index])
-        print(f"undroppable binding: {v} : {fmt_type(t, scope)}")
+        _say(f"undroppable binding: {v} : {fmt_type(t, scope)}")
 
 
 def _cmd_subsumes(args) -> int:
@@ -192,13 +192,13 @@ def _cmd_subsumes(args) -> int:
     source, target, f = _transport_inputs(ws, args)
     result = schema_subsumes(ws.rel, source, f, args.var, target, search_cap=cap)
     if isinstance(result, TransportFailure):
-        print(f"{args.source} does not subsume {args.target}")
-        print(f"failing {result.message}")
+        _say(f"{args.source} does not subsume {args.target}")
+        _say(f"failing {result.message}")
         _print_undroppable(result, target)
         return 1
-    print(f"{args.source} subsumes {args.target}")
+    _say(f"{args.source} subsumes {args.target}")
     for m in result:
-        print(f"block {m.target_index} <= source block {m.source_index}")
+        _say(f"block {m.target_index} <= source block {m.source_index}")
     return 0
 
 
@@ -218,11 +218,11 @@ def _cmd_transport(args) -> int:
         target_name=args.target,
     )
     if isinstance(result, TransportFailure):
-        print(f"transport fails at the {result.side} side condition")
-        print(result.message)
+        _say(f"transport fails at the {result.side} side condition")
+        _say(result.message)
         _print_undroppable(result, target)
         return 1
-    print(fmt_certificate(result))
+    _say(fmt_certificate(result))
     return 0
 
 
@@ -235,9 +235,9 @@ def _cmd_validate(args) -> int:
         raise InputError(f"formula: {err}") from err
     bounds = Bounds(args.term_size, args.blocks, args.pool_nominals)
     verdict = bounded_validity(ws.sig, f, bounds)
-    print(verdict.value.capitalize())
+    _say(verdict.value.capitalize())
     for line in verdict.trace:
-        print(f"  {line}")
+        _say(f"  {line}")
     return 1 if verdict.value == INVALID else 0
 
 
@@ -257,7 +257,7 @@ def _cmd_oracle(args) -> int:
         )
     status = 0
     for report in reports:
-        print(report.render())
+        _say(report.render())
         if not report.passed:
             status = 1
     return status
@@ -328,24 +328,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _say(*args, **kwargs) -> None:
+    """`print` on stdout.  Once its reader has closed it (as `head -n 1`
+    does), the rest goes to os.devnull ("Note on SIGPIPE", `signal` module),
+    so the command runs on to its own exit code and no later write fails."""
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    code = None
     try:
-        code = args.fn(args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout ("Note on SIGPIPE", `signal` module): the rest
-        # goes to os.devnull, where a command cut short runs again for its code.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return main(argv) if code is None else code
+        return args.fn(args)
     except (ParseError, InputError, LFError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
-    return code
+    finally:
+        _say(end="", flush=True)
 
 
 if __name__ == "__main__":

@@ -144,16 +144,16 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.texts[self.pos] == text
 
-    def comma_list(self, close: str, item) -> list:
-        """What `item()` reads, repeated with a comma between, up to the
+    def comma_list(self, close: str, item, *args) -> tuple:
+        """What `item(*args)` reads, repeated with a comma between, up to the
         token `close`, which is left unread; empty if `close` is next."""
         out = []
-        if not self.at(close):
-            out.append(item())
-            while self.at(","):
-                self.next()
-                out.append(item())
-        return out
+        if self.texts[self.pos] != close:
+            out.append(item(*args))
+            while self.texts[self.pos] == ",":
+                self.pos += 1
+                out.append(item(*args))
+        return tuple(out)
 
     def spine(self) -> tuple:
         """The arguments of a spine, each a name or a parenthesised term,
@@ -310,25 +310,19 @@ def parse_schemas(text: str) -> dict[str, ContextSchema]:
 
 def _parse_block(p: _Parser) -> BlockSchema:
     p.expect("{")
-    params = _parse_named(p, "}", p.arity)
+    params = p.comma_list("}", _parse_named, p, p.arity)
+    p.expect("}")
     p.expect("(")
-    return BlockSchema(params, _parse_named(p, ")", p.type_expr))
+    decls = p.comma_list(")", _parse_named, p, p.type_expr)
+    p.expect(")")
+    return BlockSchema(params, decls)
 
 
-def _parse_named(p: _Parser, close: str, classifier) -> tuple:
-    """A comma list of `name : C`, with each `C` read by `classifier()`, up
-    to the token `close`, which is read too; empty if `close` is next."""
-    out = []
-    if p.texts[p.pos] != close:
-        while True:
-            name = p.ident()
-            p.expect(":")
-            out.append((name, classifier()))
-            if p.texts[p.pos] != ",":
-                break
-            p.pos += 1
-    p.expect(close)
-    return tuple(out)
+def _parse_named(p: _Parser, classifier):
+    """`name : C`, with `C` read by `classifier()`."""
+    name = p.ident()
+    p.expect(":")
+    return name, classifier()
 
 
 def _parse_whole(text: str, parse, ce: Optional[CtxExpr] = None):
@@ -472,7 +466,7 @@ def _parse_binding_tail(p: _Parser, name: str) -> tuple[Nominal, TypeExpr, int]:
 def parse_context(text: str) -> CtxExpr:
     """A standalone context file: comma-separated nominal bindings."""
     p, bindings = _parse_whole(
-        text, lambda p: p.comma_list("", lambda: _parse_binding(p, "context bindings"))
+        text, lambda p: p.comma_list("", _parse_binding, p, "context bindings")
     )
     return _ctx_expr(p, None, bindings)
 

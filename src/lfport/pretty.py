@@ -72,7 +72,9 @@ def _fmt_spine(head: str, args, scope) -> str:
     parts = [head]
     for a in args:
         s = fmt_term(a, scope)
-        parts.append(f"({s})" if isinstance(a, Lam) or a.args else s)
+        if isinstance(a, Lam) or (isinstance(a, Atom) and a.args):
+            s = f"({s})"
+        parts.append(s)
     return " ".join(parts)
 
 

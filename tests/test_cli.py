@@ -446,10 +446,11 @@ def test_signature_memo_is_bounded():
     assert cli._checked_signature.cache_info().maxsize is not None
 
 
-def _with_stdout_closed(*argv):
+def _with_stdout_closed(*argv, stdin=None):
     """Exit code and stderr of `lfport` run in a child process whose stdout
     is a pipe with no reader: the read end is closed before the child
-    starts, so its first write to stdout fails, whenever it comes."""
+    starts, so its first write to stdout fails, whenever it comes.  The
+    child's stdin is the text `stdin`, if given."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = str(Path(lfport.__file__).resolve().parents[1])
@@ -458,6 +459,7 @@ def _with_stdout_closed(*argv):
             [sys.executable, "-m", "lfport.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
+            input=None if stdin is None else stdin.encode(),
             env={**os.environ, "PYTHONPATH": src},
             timeout=120,
         )
@@ -468,6 +470,7 @@ def _with_stdout_closed(*argv):
 
 _TRANSPORT = ["transport", SIG, SCHEMAS, "--formula", PLUS, "--var", "G"]
 _MANY = "".join(f"schema C{i} := {{}}(x : tm).\n" for i in range(2000))
+_BAD = "schema Cbad := {}(x : size).\n"
 
 
 @pytest.mark.parametrize(
@@ -475,16 +478,14 @@ _MANY = "".join(f"schema C{i} := {{}}(x : tm).\n" for i in range(2000))
     [
         (_TRANSPORT + ["--from", "Cempty", "--to", "Csize"], None, 0),
         (_TRANSPORT + ["--from", "Csize", "--to", "Cempty"], None, 1),
-        (["schema-check", SIG], _MANY, 0),
-        (["schema-check", SIG], _MANY + "schema Cbad := {}(x : size).\n", 1),
+        (["schema-check", SIG, "/dev/stdin"], _MANY, 0),
+        (["schema-check", SIG, "/dev/stdin"], _MANY + _BAD, 1),
     ],
     ids=["certificate", "refusal", "long-ok", "long-ill-formed"],
 )
-def test_a_closed_stdout_keeps_the_exit_code(tmp_path, argv, schemas, code):
+def test_a_closed_stdout_keeps_the_exit_code(argv, schemas, code):
     # a certificate and a refusal fit the output buffer, so the write fails
     # at the final flush; a check of 2,000 schemas does not, so it fails
-    # while the command runs
-    if schemas is not None:
-        (tmp_path / "many.sch").write_text(schemas)
-        argv = argv + [str(tmp_path / "many.sch")]
-    assert _with_stdout_closed(*argv) == (code, "")
+    # while the command runs, which still decides on the whole schema file,
+    # read once from stdin
+    assert _with_stdout_closed(*argv, stdin=schemas) == (code, "")
