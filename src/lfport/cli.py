@@ -33,7 +33,7 @@ from .parse import (
 from .pretty import fmt_certificate, fmt_head, fmt_type
 from .schema import ContextSchema, CtxExpr, block_scope, check_schema, schema_instance
 from .subord import SubordRel, compute_subordination, minimize
-from .subsume import TransportFailure, schema_subsumes, transport_check
+from .subsume import SEARCH_CAP, TransportFailure, schema_subsumes, transport_check
 
 
 class InputError(Exception):
@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--to", dest="target", required=True, help="target schema name")
         p.add_argument("--formula", required=True, help="formula file")
         p.add_argument("--var", required=True, help="context variable name")
-        p.add_argument("--search-cap", type=int, default=10000)
+        p.add_argument("--search-cap", type=int, default=SEARCH_CAP)
 
     p = add("validate", _cmd_validate, help="bounded validity of a closed formula")
     p.add_argument("--formula", required=True, help="formula file")

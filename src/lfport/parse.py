@@ -223,23 +223,17 @@ class _Parser:
             var = self.ident()
             self.expect("]")
             return Lam(var, self.under(var, self.term))
-        first = self.term_atom()
+        if not self.at("("):
+            return Atom(self.resolve_name(self.ident()), self.spine())
+        self.next()
+        first = self.term()
+        self.expect(")")
         args = self.spine()
         if not args:
             return first
         if isinstance(first, Lam):
             self.fail("application of an abstraction would form a redex")
-        assert isinstance(first, Atom)
         return Atom(first.head, first.args + args)
-
-    def term_atom(self) -> Term:
-        if self.at("("):
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
-        name = self.ident()
-        return Atom(self.resolve_name(name))
 
     def resolve_name(self, name: str):
         m = _NOMINAL_RE.match(name) if self.nominal_mode else None

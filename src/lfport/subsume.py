@@ -18,7 +18,6 @@ certificate.  Inputs are checked by the caller (`check_schema`,
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
@@ -38,16 +37,18 @@ from .formula import (
 )
 from .lf import (
     Atom,
-    AtomicType,
     LFError,
     Signature,
     TypeExpr,
     _in_step,
     _map_heads,
-    _nodes,
 )
 from .schema import BlockSchema, ContextSchema, CtxExpr, block_scope, segment_instance
 from .subord import SubordRel, head_constant, type_leq
+
+
+# The default bound on the alignment attempts of one variant search.
+SEARCH_CAP = 10000
 
 
 class SearchCapExceeded(LFError):
@@ -193,32 +194,28 @@ def _drop_basis(rel: SubordRel, f: Formula, gamma: str, source: ContextSchema):
     return formula_heads, schema_heads, blocked
 
 
-def _undroppable(basis, decl) -> tuple[bool, ...]:
-    """For each binding of a declaration, whether no alignment may drop
-    it: its type's head is blocked by `_drop_basis`, so a fact its drop
-    record would print fails.  A variant renames no type head, so the
-    marks of a target declaration hold for every variant of it."""
+def _undroppable(basis, decl) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The head constant of each binding's type in a declaration, and the
+    positions of the bindings no alignment may drop: their head is blocked
+    by `_drop_basis`, so a fact a drop record would print fails.  A variant
+    renames no type head, so both hold for every variant of a block."""
     blocked = basis[2]
-    return tuple(blocked is None or head_constant(ty) in blocked for _, ty in decl)
+    heads = tuple(head_constant(ty) for _, ty in decl)
+    return heads, tuple(p for p, h in enumerate(heads) if blocked is None or h in blocked)
 
 
-def _alignment_drops(sdecl, vdecl, keep, basis) -> Optional[tuple]:
+def _drop_records(vdecl, keep, heads, basis) -> tuple[DropRecord, ...]:
     """The drop records of the alignment that keeps positions `keep` of a
-    variant declaration, each with the non-subordination facts that
-    license it (its head against the heads of `_drop_basis`), or None when
-    the kept entries are not the source declaration or a dropped binding
-    is undroppable (`_undroppable`)."""
-    if sdecl != tuple(vdecl[p] for p in keep):
-        return None
+    variant declaration whose types have the head constants `heads`, each
+    with the non-subordination facts that license it: its head against the
+    heads of `_drop_basis`."""
     facts = {}  # a head's facts against the formula and the schema heads
     drops = []
-    for pos, ((var, ty), fixed) in enumerate(zip(vdecl, _undroppable(basis, vdecl))):
+    for pos, (var, ty) in enumerate(vdecl):
         if pos not in keep:
-            if fixed:
-                return None
-            h = head_constant(ty)
+            h = heads[pos]
             if h not in facts:
-                facts[h] = [tuple((h, b) for b in heads) for heads in basis[:2]]
+                facts[h] = [tuple((h, b) for b in hs) for hs in basis[:2]]
             drops.append(DropRecord(pos, var, ty, *facts[h]))
     return tuple(drops)
 
@@ -239,15 +236,18 @@ def _derive_renaming(src, tgt, tgt_vars: set, src_vars: set, mapping: dict) -> b
     return _in_step(src, tgt, atom)
 
 
-def _entry_renaming(src_entry, tgt_entry, tgt_vars, src_vars) -> Optional[dict[str, str]]:
-    """The renaming that matching one source declaration entry alone
-    against one target entry derives, target variable included, or None
-    when they do not match.  A checked entry's type never mentions its own
-    variable, so the pair of variables can go in first."""
-    sy, sty = src_entry
-    ty_name, tty = tgt_entry
-    mapping = {ty_name: sy}
-    return mapping if _derive_renaming(sty, tty, tgt_vars, src_vars, mapping) else None
+def _renaming(sdecl, kept, tgt_vars, src_vars) -> Optional[dict[str, str]]:
+    """The injective renaming of target names to source names that takes
+    the target entries `kept`, one by one, to the source declaration
+    `sdecl`, each entry matched once, or None when there is none.  Only
+    later entries' types mention an entry's variable, so it is renamed
+    after its own type is matched, with nothing to compare."""
+    mapping: dict[str, str] = {}
+    for (sy, sty), (ty_name, tty) in zip(sdecl, kept):
+        if not _derive_renaming(sty, tty, tgt_vars, src_vars, mapping):
+            return None
+        mapping[ty_name] = sy
+    return mapping if len(set(mapping.values())) == len(mapping) else None
 
 
 def _close_permutation(mapping: Mapping[str, str]) -> dict[str, str]:
@@ -260,31 +260,6 @@ def _close_permutation(mapping: Mapping[str, str]) -> dict[str, str]:
     return perm
 
 
-def _shape(block: BlockSchema) -> tuple:
-    """The block with each of its names replaced by its position in
-    `block_scope`, an integer that no name can equal: its parameters'
-    arities, and each declaration type as the pre-order of its nodes
-    (`lf._nodes`), an atom or atomic type by its head and spine length and
-    any other node by its class.  Two checked blocks have one shape exactly
-    when one is the other under a bijective renaming of their names, which
-    `check_schema` makes distinct."""
-    index = {v: i for i, v in enumerate(block_scope(block))}
-    return tuple(ar for _, ar in block.params), tuple(
-        tuple(
-            (index.get(n.head, n.head), len(n.args)) if isinstance(n, Atom)
-            else (n.head, len(n.args)) if isinstance(n, AtomicType)
-            else type(n)
-            for n in _nodes(ty)
-        )
-        for _, ty in block.decl
-    )
-
-
-def _shapes(source: ContextSchema):
-    """The `_shape` of the source block at an index, computed on first use."""
-    return functools.cache(lambda si: _shape(source.blocks[si]))
-
-
 def block_subsumes(
     rel: SubordRel,
     target: BlockSchema,
@@ -292,134 +267,92 @@ def block_subsumes(
     gamma: str,
     source: ContextSchema,
     *,
-    search_cap: int = 10000,
-    target_index: int = 0,
+    search_cap: int = SEARCH_CAP,
 ) -> Optional[BlockMatch]:
     """Find a source block and a variant of the target block whose
     declaration both prunes (relative to the whole source schema) and
     ce-subsumes into the source declaration, by `_search_block`.  The
     inputs must be checked (`check_schema`, `check_formula`)."""
     basis = _drop_basis(rel, f, gamma, source)
-    return _search_block(target, source, _shapes(source), basis, search_cap, target_index)
+    heads, keep = _undroppable(basis, target.decl)
+    return _search_block(target, source, keep, heads, basis, search_cap, 0)
 
 
 def _search_block(
-    target: BlockSchema, source: ContextSchema, shape, basis, search_cap: int,
+    target: BlockSchema, source: ContextSchema, keep, heads, basis, search_cap: int,
     target_index: int,
 ) -> Optional[BlockMatch]:
-    """`block_subsumes`, given the `_drop_basis` and `shape(si)`, the
-    `_shape` of source block `si` (`_shapes`).
+    """`block_subsumes`, given the `_drop_basis`, the head constant of each
+    target binding's type, and `keep`, the positions no alignment may drop
+    (`_undroppable`).
 
-    Candidate alignments embed the source declaration as a subsequence of
-    the target's; the renaming is derived by structural matching and closed
-    into a permutation.  First hit wins.  Declaration variables are
-    distinct, so the alignment is the only embedding of the source
-    declaration into the variant's, and both relations hold exactly when
-    every binding it drops may go: the alignment is decided by its drop
-    records (`_alignment_drops`), the facts the certificate prints.
+    An alignment embeds a source declaration as a subsequence of the
+    target's; the renaming its entry pairs derive by structural matching
+    is closed into a permutation, which gives the variant.  Declaration
+    variables are distinct, so the alignment is the only embedding of the
+    source declaration into the variant's, and both relations hold
+    exactly when every binding it drops may go: the alignment is decided
+    by its drop records, the facts the certificate prints.  The plain
+    search tries, source block by source block, each alignment in the
+    lexicographic order of its keep positions; the first accepted wins.
 
-    An alignment's renaming is the union of the renamings its entry pairs
-    derive alone, and fails where two of them disagree.  So each (source
-    entry, target entry) pair is matched once per source block, on first
-    use, into a table, and the keep positions are chosen depth-first, in
-    lexicographic order.  Extending a prefix by a position first asks
-    whether that skips an undroppable position (`_undroppable`), then
-    merges the pair's table entry into the prefix's renaming; when either
-    fails, every alignment the extension stands for is refused, and
-    `math.comb` counts them.  A complete alignment is refused, without a
-    variant, when it leaves an undroppable position after its last kept
-    one or its renaming is not injective; otherwise its variant's drop
-    records decide it.  The alignments tried, their order, the
-    `search_cap` count and the result are those of matching every pair
-    afresh per alignment.
+    Only the alignment that keeps exactly `keep` can be accepted.  It
+    keeps every position of `keep`, or a drop fails.  It keeps no other:
+    a kept target type matches a source declaration type, and matching
+    renames no type constant, so both have one head; the source schema
+    declares that type, subordination is reflexive on declared type
+    constants (`SubordRel`), so the head is blocked.  So a source block
+    whose declaration is not as long as `keep` is refused, and otherwise
+    its entries and the kept ones, pair by pair, must derive one
+    consistent, injective renaming, each pair matched once (`_renaming`).
+    Such a renaming takes each kept target entry to its source entry, and
+    a name it adds in closing is one no kept entry mentions, so the
+    variant keeps the source declaration, and every binding it drops may
+    go: the block is accepted.
 
-    A source block of the shape of one refused before it is skipped, and
-    the attempts that refusal made are counted again: a renamed copy of a
-    refused block is refused after as many attempts, and no shape is asked
-    for before a refusal.  The search reads a source block's own names
-    only by asking whether a head is one of them, by comparing two of them
-    (merging table entries, testing injectivity), and as the values of a
-    renaming; a head that is not one of them is compared with the
-    target's as it is.  A bijective renaming of the names keeps the
-    answers to the first two and renames the values alike, and the
-    undroppable marks are the target's, so every table entry, merge and
-    test comes out alike and the same alignments are counted.  A complete
-    alignment that passes them is accepted under any names: its renaming
-    takes the kept target entries to exactly the source declaration, so
-    its drop records exist.  `SearchCapExceeded` is raised where the plain
-    search of the copy would raise it, since nothing is accepted in
-    between.
-    """
+    `search_cap` bounds the alignments the plain search tries: all
+    `comb(n, m)` of a refused block, and those up to `keep` of an accepted
+    one; `sum(comb(n - 1 - p, m - k))`, over the `k`-th position `p` of
+    `keep`, counts the `m`-subsets of `range(n)` after `keep` in
+    lexicographic order.  `SearchCapExceeded` is raised where the plain
+    search raises it."""
     tdecl = target.decl
     n = len(tdecl)
-    fixed = _undroppable(basis, tdecl)
+    kept = [tdecl[p] for p in keep]
     tgt_vars = block_scope(target)
     attempts = 0
-
-    def count(alignments: int) -> None:
-        nonlocal attempts
-        attempts += alignments
+    for si, src in enumerate(source.blocks):
+        m = len(src.decl)
+        mapping = None
+        if m == len(keep):
+            mapping = _renaming(src.decl, kept, tgt_vars, block_scope(src))
+        attempts += math.comb(n, m)
+        if mapping is not None:
+            attempts -= sum(math.comb(n - 1 - p, m - k) for k, p in enumerate(keep))
         if attempts > search_cap:
             raise SearchCapExceeded(
                 f"variant search exceeded {search_cap} alignment attempts"
             )
-
-    def extend(si, sdecl, src_vars, table, keep, mapping) -> Optional[BlockMatch]:
-        k, m = len(keep), len(sdecl)
-        start = keep[-1] + 1 if keep else 0
-        if k == m:
-            count(1)
-            if any(fixed[start:]) or len(set(mapping.values())) != len(mapping):
-                return None
+        if mapping is not None:
             perm = _close_permutation(mapping)
             variant = make_variant(perm, target)
-            drops = _alignment_drops(sdecl, variant.decl, keep, basis)
-            return None if drops is None else BlockMatch(
+            drops = _drop_records(variant.decl, keep, heads, basis)
+            return BlockMatch(
                 target_index, si, tuple(sorted(perm.items())), variant, keep, drops
             )
-        for t in range(start, n - m + k + 1):
-            if t > start and fixed[t - 1]:
-                count(math.comb(n - t, m - k))
-                return None
-            if (k, t) not in table:
-                table[k, t] = _entry_renaming(sdecl[k], tdecl[t], tgt_vars, src_vars)
-            entry = table[k, t]
-            merged = dict(mapping)
-            if entry is None or any(merged.setdefault(x, y) != y for x, y in entry.items()):
-                count(math.comb(n - t - 1, m - k - 1))
-                continue
-            found = extend(si, sdecl, src_vars, table, keep + (t,), merged)
-            if found is not None:
-                return found
-        return None
-
-    refused: dict = {}  # shape -> the attempts its refusal made
-    for si, src in enumerate(source.blocks):
-        if len(src.decl) > n:
-            continue
-        if refused and shape(si) in refused:
-            count(refused[shape(si)])
-            continue
-        before = attempts
-        found = extend(si, src.decl, block_scope(src), {}, (), {})
-        if found is not None:
-            return found
-        refused[shape(si)] = attempts - before
     return None
 
 
-def _diagnose_block(target: BlockSchema, source: ContextSchema, shape, basis):
-    """Name a binding that blocks the match: undroppable by the drop basis
-    the search judged the drops by (`_undroppable`), and without a
-    counterpart in any source declaration.  A renaming of a block's own
-    names does not change which of its entries are counterparts (as in
-    `_search_block`), so one block of each `shape(si)` is asked."""
+def _diagnose_block(target: BlockSchema, source: ContextSchema, keep):
+    """Name a binding that blocks the match: undroppable (at a position of
+    `keep`, as the search judged it) and without a counterpart in any
+    source declaration."""
     tgt_vars = block_scope(target)
-    one_per_shape = {shape(si): block for si, block in enumerate(source.blocks)}.values()
-    for (var, ty), fixed in zip(target.decl, _undroppable(basis, target.decl)):
-        if fixed and not any(
+    for p in keep:
+        var, ty = target.decl[p]
+        if not any(
             _derive_renaming(sty, ty, tgt_vars, block_scope(block), {})
-            for block in one_per_shape
+            for block in source.blocks
             for _, sty in block.decl
         ):
             return (var, ty)
@@ -433,21 +366,21 @@ def schema_subsumes(
     gamma: str,
     target: ContextSchema,
     *,
-    search_cap: int = 10000,
+    search_cap: int = SEARCH_CAP,
 ) -> Union[tuple[BlockMatch, ...], TransportFailure]:
     """Every target block must have a variant that block-subsumes into the
     source schema; an empty target succeeds unconditionally, and the first
     refused block is a failure at the subsumption side.  The schemas
     must have passed `check_schema`, and `f` `check_formula`.  The search
     of each block and the diagnosis of a refused one share one drop basis
-    and the source blocks' shapes (`_shapes`)."""
-    shape = _shapes(source)
+    and the block's undroppable positions."""
     basis = _drop_basis(rel, f, gamma, source)
     matches = []
     for ti, block in enumerate(target.blocks):
-        m = _search_block(block, source, shape, basis, search_cap, ti)
+        heads, keep = _undroppable(basis, block.decl)
+        m = _search_block(block, source, keep, heads, basis, search_cap, ti)
         if m is None:
-            binding = _diagnose_block(block, source, shape, basis)
+            binding = _diagnose_block(block, source, keep)
             if binding is not None:
                 msg = f"binding {binding[0]} cannot be dropped or matched"
             else:
@@ -530,9 +463,9 @@ class TransportCertificate:
         target block `i`, which `transport_witness` reads it for; its
         permutation must be a bijection on names that block or its source
         block binds, as every permutation the search produces is; its keep
-        positions must rise through the variant's declaration, and its
-        drops must be those the search accepts the alignment with.
-        Anything else, an index or position out of range included, refutes
+        positions must rise through the variant's declaration and pick out
+        the source declaration, dropping no undroppable position, and its
+        drops must be that alignment's records.  Anything else, an index or position out of range included, refutes
         the certificate."""
         if _val_deriv(self.gamma, self.formula, True) != self.valtop:
             return False
@@ -555,7 +488,12 @@ class TransportCertificate:
             vdecl, keep = m.variant.decl, m.keep_positions
             if tuple(p for p in range(len(vdecl)) if p in keep) != keep:
                 return False
-            if m.drops != _alignment_drops(src.decl, vdecl, keep, basis):
+            heads, fixed = _undroppable(basis, vdecl)
+            if (
+                src.decl != tuple(vdecl[p] for p in keep)
+                or not set(fixed) <= set(keep)
+                or m.drops != _drop_records(vdecl, keep, heads, basis)
+            ):
                 return False
         return True
 
@@ -567,7 +505,7 @@ def transport_check(
     target: ContextSchema,
     gamma: str,
     f: Formula,
-    search_cap: int = 10000,
+    search_cap: int = SEARCH_CAP,
     source_name: Optional[str] = None,
     target_name: Optional[str] = None,
 ) -> Union[TransportCertificate, TransportFailure]:

@@ -33,7 +33,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
 
 import gen  # noqa: E402
-from lfport.cli import _transport_inputs, load_workspace, main  # noqa: E402
+from lfport.cli import _say, _transport_inputs, load_workspace, main  # noqa: E402
 from lfport.subsume import TransportCertificate, transport_check  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "decisions.json"
@@ -103,11 +103,12 @@ if __name__ == "__main__":
         if a != b
     ]
     for line in bad[:20]:
-        print(f"differs: {line}")
+        _say(f"differs: {line}")
     refuted = [label for label, ok in replayed.items() if not ok]
     for line in refuted[:20]:
-        print(f"certificate refuted: {line}")
+        _say(f"certificate refuted: {line}")
     total = sum(map(len, want.values()))
-    print(f"{total - len(bad)} of {total} decisions match")
-    print(f"{len(replayed) - len(refuted)} of {len(replayed)} accepted certificates replay")
+    _say(f"{total - len(bad)} of {total} decisions match")
+    _say(f"{len(replayed) - len(refuted)} of {len(replayed)} accepted certificates replay")
+    _say(end="", flush=True)  # a closed stdout keeps the exit code
     sys.exit(1 if bad or refuted else 0)

@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "tests"))
 
 from lfport import Arrow, Bounds, O, TermDecl, bounded_validity, check_formula  # noqa: E402
-from lfport.cli import main  # noqa: E402
+from lfport.cli import _say, main  # noqa: E402
 from lfport.lf import erase, nominals_in  # noqa: E402
 from lfport.parse import (  # noqa: E402
     parse_context,
@@ -232,13 +232,14 @@ if __name__ == "__main__":
         sys.exit(0)
     bad = mismatches()
     for line in bad:
-        print(f"differs: lfport {line}")
+        _say(f"differs: lfport {line}")
     total = len(load())
-    print(f"{total - len(bad)} of {total} golden commands match")
+    _say(f"{total - len(bad)} of {total} golden commands match")
     parsed = parse_outcomes() == load_parse_outcomes()
-    print(f"parse outcomes {'match' if parsed else 'differ'}")
+    _say(f"parse outcomes {'match' if parsed else 'differ'}")
     formulas = formula_outcomes() == load_formula_outcomes()
-    print(f"random formula outcomes {'match' if formulas else 'differ'}")
+    _say(f"random formula outcomes {'match' if formulas else 'differ'}")
     texts = text_outcomes() == load_text_outcomes()
-    print(f"type and term text outcomes {'match' if texts else 'differ'}")
+    _say(f"type and term text outcomes {'match' if texts else 'differ'}")
+    _say(end="", flush=True)  # a closed stdout keeps the exit code
     sys.exit(1 if bad or not parsed or not formulas or not texts else 0)

@@ -344,12 +344,12 @@ def test_schema_subsumes_empty_target(rel_size, plus_body):
 
 
 # ---------------------------------------------------------------------------
-# The variant search derives each (source entry, target entry) renaming
-# once per source block, renames variants by their atom heads, and decides
-# an alignment by the drops it records.  The reference below matches every
-# pair afresh for each alignment, builds each variant by hereditary
-# substitution, and decides by the two embedding searches, as the search
-# used to.
+# The variant search tries one alignment per source block, the one that
+# keeps exactly the undroppable bindings, renames variants by their atom
+# heads, and counts the other alignments in closed form.  The reference
+# below tries every alignment in turn, matching each pair afresh, builds
+# each variant by hereditary substitution, and decides by the two
+# embedding searches, as the search used to.
 
 
 def _perm_subst(perm, arities):
@@ -583,14 +583,14 @@ def test_pair_table_search_matches_the_per_alignment_search(
         return out
 
     monkeypatch.setattr(lfport.subsume, "make_variant", variant)
-    alignment_drops = lfport.subsume._alignment_drops
+    drop_records = lfport.subsume._drop_records
 
-    def drops(sdecl, vdecl, keep, basis):
-        # no alignment that drops an undroppable binding gets this far
-        assert all(p in keep for p, undroppable in enumerate(fixed) if undroppable)
-        return alignment_drops(sdecl, vdecl, keep, basis)
+    def drops(vdecl, keep, heads, basis):
+        # the search keeps exactly the undroppable bindings
+        assert keep == tuple(p for p, undroppable in enumerate(fixed) if undroppable)
+        return drop_records(vdecl, keep, heads, basis)
 
-    monkeypatch.setattr(lfport.subsume, "_alignment_drops", drops)
+    monkeypatch.setattr(lfport.subsume, "_drop_records", drops)
     # every binding influences a gamma-atom with explicit bindings
     pinned = Holds(ce((nom(9), at("tm")), head="G"), a(nom(9)), at("tm"))
     for target, source in _subsumption_cases(sig_stlc):
@@ -648,6 +648,31 @@ def test_pair_table_search_matches_the_per_alignment_search(
     }
 
 
+def test_every_target_binding_a_source_entry_matches_is_undroppable(
+    sig_stlc, rel_stlc, plus_body, of_exists_body
+):
+    # The lemma the search rests on: a binding that some source declaration
+    # entry matches has that entry's head, which the source schema
+    # declares, so subordination's reflexivity makes it undroppable.
+    pinned = Holds(ce((nom(9), at("tm")), head="G"), a(nom(9)), at("tm"))
+    matched = dict.fromkeys((plus_body, of_exists_body, pinned), 0)
+    for target, source in _subsumption_cases(sig_stlc):
+        tgt_vars = lfport.schema.block_scope(target)
+        for f in matched:
+            fixed = _undroppable_by_types(rel_stlc, target.decl, f, "G", source)
+            for (_, ty), undroppable in zip(target.decl, fixed):
+                if any(
+                    lfport.subsume._derive_renaming(
+                        sty, ty, tgt_vars, lfport.schema.block_scope(block), {}
+                    )
+                    for block in source.blocks
+                    for _, sty in block.decl
+                ):
+                    assert undroppable
+                    matched[f] += 1
+    assert all(matched.values())
+
+
 def _diagnose_block_by_types(rel, target, f, gamma, source):
     """The diagnosis judging each binding by its type, as it used to."""
     tgt_vars = lfport.schema.block_scope(target)
@@ -678,24 +703,10 @@ def test_diagnosis_by_the_drop_basis_matches_the_diagnosis_by_types(
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_a_shape_is_a_block_up_to_a_renaming_of_its_names():
-    # the first three rename one another; the others differ from them, and
-    # from one another, in a parameter named like the constant b but not
-    # bound, a constant, an entry, an arity, or the argument a name stands at
-    blocks = parse_schemas(
-        "schema C := {T : o}(x : tm, y : of x T) | {b : o}(u : tm, v : of u b)"
-        " | {x : o}(T : tm, y : of T x) | {}(x : tm, y : of x b) | {}(x : tm, y : of x z)"
-        " | {T : o}(x : tm, y : of x T, w : tm) | {T : o -> o}(x : tm, y : of x b)"
-        " | {T : o}(x : tm, y : of (app x x) T) | {T : o}(x : tm, y : tm)."
-    )["C"].blocks
-    shapes = [lfport.subsume._shape(b) for b in blocks]
-    assert shapes[0] == shapes[1] == shapes[2]
-    assert len(set(shapes)) == len(shapes) - 2
-
-
 def _diagnose(rel, target, f, gamma, source):
     basis = lfport.subsume._drop_basis(rel, f, gamma, source)
-    return lfport.subsume._diagnose_block(target, source, lfport.subsume._shapes(source), basis)
+    _, keep = lfport.subsume._undroppable(basis, target.decl)
+    return lfport.subsume._diagnose_block(target, source, keep)
 
 
 # Names a renamed copy may take: the target blocks' names, and the term
@@ -719,14 +730,17 @@ def _renamed_copy(sig, rng, block):
 def _renamed_copy_cases(sig):
     """`_subsumption_cases` whose source schemas repeat blocks under
     renaming: each source block gets zero to two renamed copies, put
-    anywhere in the schema, before their original too."""
+    anywhere in the schema, before their original too.  Each case comes
+    with the copies it inserted."""
     rng = random.Random(6)
     for target, source in _subsumption_cases(sig):
         blocks = list(source.blocks)
+        copies = []
         for block in source.blocks:
             for _ in range(rng.choice((0, 1, 1, 2))):
-                blocks.insert(rng.randint(0, len(blocks)), _renamed_copy(sig, rng, block))
-        yield target, ContextSchema(tuple(blocks))
+                copies.append(_renamed_copy(sig, rng, block))
+                blocks.insert(rng.randint(0, len(blocks)), copies[-1])
+        yield target, ContextSchema(tuple(blocks)), copies
 
 
 def test_renamed_copies_are_searched_and_diagnosed_as_the_plain_search_does(
@@ -734,14 +748,12 @@ def test_renamed_copies_are_searched_and_diagnosed_as_the_plain_search_does(
 ):
     pinned = Holds(ce((nom(9), at("tm")), head="G"), a(nom(9)), at("tm"))
     kinds = set()
-    for target, source in _renamed_copy_cases(sig_stlc):
+    for target, source, copies in _renamed_copy_cases(sig_stlc):
         check_schema(sig_stlc, source)
-        shapes = [lfport.subsume._shape(b) for b in source.blocks]
-        repeated = len(set(shapes)) < len(shapes)
-        if any(v in ("b", "z") for b in source.blocks for v, _ in b.params):
+        if any(v in ("b", "z") for b in copies for v, _ in b.params):
             kinds.add("parameter named like a constant")
         names = set(lfport.schema.block_scope(target))
-        if repeated and any(names & set(lfport.schema.block_scope(b)) for b in source.blocks):
+        if any(names & set(lfport.schema.block_scope(b)) for b in copies):
             kinds.add("name shared with the target")
         for f in (plus_body, of_exists_body, pinned):
             args = (target, f, "G", source)
@@ -752,7 +764,7 @@ def test_renamed_copies_are_searched_and_diagnosed_as_the_plain_search_does(
                 got = _search_outcome(block_subsumes, rel_stlc, *args, search_cap=cap)
                 assert got == (SearchCapExceeded if cap < attempts else want)
             assert _diagnose(rel_stlc, *args) == _diagnose_block_by_types(rel_stlc, *args)
-            if repeated:
+            if copies:
                 kinds.add("copy refused" if want is None else "copy accepted")
     assert kinds == {
         "parameter named like a constant", "name shared with the target",
@@ -760,90 +772,13 @@ def test_renamed_copies_are_searched_and_diagnosed_as_the_plain_search_does(
     }
 
 
-def test_a_renamed_copy_of_a_refused_block_derives_no_renaming(
-    sig_stlc, rel_stlc, plus_body, of_exists_body, monkeypatch
-):
-    counter = _TopLevelCalls(lfport.subsume._derive_renaming)
-    monkeypatch.setattr(lfport.subsume, "_derive_renaming", counter)
-    rng = random.Random(7)
-    derived = 0
-    for target, source in _subsumption_cases(sig_stlc):
-        copies = tuple(_renamed_copy(sig_stlc, rng, b) for b in source.blocks)
-        for f in (plus_body, of_exists_body):
-            counter.calls = 0
-            if block_subsumes(rel_stlc, target, f, "G", source, search_cap=10**9):
-                continue
-            calls = counter.calls
-            counter.calls = 0
-            both = ContextSchema(source.blocks + copies)
-            assert block_subsumes(rel_stlc, target, f, "G", both, search_cap=10**9) is None
-            assert counter.calls == calls
-            derived += calls
-    assert derived > 0
-
-
-def _eager_shapes(source):
-    """Every source block's shape, computed before the search starts."""
-    return tuple(map(lfport.subsume._shape, source.blocks)).__getitem__
-
-
-def test_lazy_shapes_search_and_diagnose_as_eager_shapes(
-    sig_stlc, rel_stlc, plus_body, of_exists_body, monkeypatch
-):
-    # Each renamed-copy case, its target block alone and after the first
-    # source block (which subsumes itself), at every cap around the
-    # attempts the search makes: the answers, failures and diagnoses are
-    # those of shapes computed up front, from no more shapes.
-    shape = lfport.subsume._shape
-    computed = []
-    monkeypatch.setattr(lfport.subsume, "_shape", lambda b: computed.append(b) or shape(b))
-    lazy = lfport.subsume._shapes
-    pinned = Holds(ce((nom(9), at("tm")), head="G"), a(nom(9)), at("tm"))
-    kinds = set()
-    for target, source in _renamed_copy_cases(sig_stlc):
-        targets = ContextSchema((source.blocks[0], target))
-        for f in (plus_body, of_exists_body, pinned):
-            _, attempts = _block_subsumes_by_alignment(
-                rel_stlc, sig_stlc, target, f, "G", source, 10**9
-            )
-            for cap in {0, attempts - 1, attempts, attempts + 1} - {-1}:
-                outcomes, counts = [], []
-                for shapes in (lazy, _eager_shapes):
-                    monkeypatch.setattr(lfport.subsume, "_shapes", shapes)
-                    computed.clear()
-                    outcomes.append((
-                        _search_outcome(
-                            block_subsumes, rel_stlc, target, f, "G", source, search_cap=cap
-                        ),
-                        _search_outcome(
-                            schema_subsumes, rel_stlc, source, f, "G", targets, search_cap=cap
-                        ),
-                    ))
-                    counts.append(len(computed))
-                assert outcomes[0] == outcomes[1]
-                assert counts[0] <= counts[1]
-                found, whole = outcomes[0]
-                kinds.add(
-                    "capped" if found is SearchCapExceeded
-                    else "diagnosed" if isinstance(whole, TransportFailure)
-                    else "accepted"
-                )
-                if counts[0] < counts[1]:
-                    kinds.add("fewer shapes")
-    assert kinds == {"capped", "diagnosed", "accepted", "fewer shapes"}
-
-
-def ref_alignment_drops(sdecl, vdecl, keep, basis):
-    """The drop records with both fact tuples built afresh for each drop."""
+def ref_drop_records(vdecl, keep, basis):
+    """The drop records with the head and both fact tuples computed afresh
+    for each drop."""
     formula_heads, schema_heads, _ = basis
-    if sdecl != tuple(vdecl[p] for p in keep):
-        return None
     drops = []
-    marks = lfport.subsume._undroppable(basis, vdecl)
-    for pos, ((var, ty), fixed) in enumerate(zip(vdecl, marks)):
+    for pos, (var, ty) in enumerate(vdecl):
         if pos not in keep:
-            if fixed:
-                return None
             h = head_constant(ty)
             drops.append(DropRecord(
                 pos, var, ty,
@@ -856,26 +791,30 @@ def ref_alignment_drops(sdecl, vdecl, keep, basis):
 def test_alignment_drops_match_the_records_built_per_drop(
     sig_stlc, rel_stlc, schemas_stlc, plus_body, of_exists_body, monkeypatch
 ):
-    # every alignment the search decides, and the replay of a certificate
+    # every alignment the search accepts, and the replay of a certificate
     # and of one whose match keeps none of a source declaration
-    alignment_drops = lfport.subsume._alignment_drops
+    drop_records = lfport.subsume._drop_records
     kinds = set()
 
-    def checked(sdecl, vdecl, keep, basis):
-        got = alignment_drops(sdecl, vdecl, keep, basis)
-        assert got == ref_alignment_drops(sdecl, vdecl, keep, basis)
-        heads = [head_constant(d.ty) for d in got or ()]
-        if len(set(heads)) < len(heads):
+    def checked(vdecl, keep, heads, basis):
+        got = drop_records(vdecl, keep, heads, basis)
+        assert got == ref_drop_records(vdecl, keep, basis)
+        dropped = [head_constant(d.ty) for d in got]
+        if len(set(dropped)) < len(dropped):
             kinds.add("a head dropped twice")
-        kinds.add("refused" if got is None else "drops" if got else "keep-all")
+        kinds.add("drops" if got else "keep-all")
+        if verifying:
+            kinds.add("replayed")
         return got
 
-    monkeypatch.setattr(lfport.subsume, "_alignment_drops", checked)
+    monkeypatch.setattr(lfport.subsume, "_drop_records", checked)
+    verifying = False
     for target, source in _subsumption_cases(sig_stlc):
         for f in (plus_body, of_exists_body):
             block_subsumes(rel_stlc, target, f, "G", source, search_cap=10**9)
     size = schemas_stlc["Csize"]
     cert = transport_check(sig_stlc, rel_stlc, size, size, "G", plus_body)
+    verifying = True
     assert cert.verify(sig_stlc, rel_stlc)
     wrong = BlockMatch(0, 0, (), size.blocks[0], (), ())
     bad = TransportCertificate(
@@ -883,15 +822,15 @@ def test_alignment_drops_match_the_records_built_per_drop(
         cert.valtop,
     )
     assert not bad.verify(sig_stlc, rel_stlc)
-    assert kinds == {"refused", "drops", "keep-all", "a head dropped twice"}
+    assert kinds == {"replayed", "drops", "keep-all", "a head dropped twice"}
 
 
-def test_pair_table_bounds_the_renamings_derived(
+def test_the_search_derives_at_most_one_renaming_per_source_entry(
     sig_stlc, rel_stlc, plus_body, monkeypatch
 ):
     # The source entries match only the last two of 32 target entries, so
-    # every alignment but the last fails; each source block may derive at
-    # most one renaming per (source entry, target entry) pair.
+    # every alignment but the last fails; the search derives at most one
+    # renaming per source entry.
     pad = tuple((f"p{i}", at("tp")) for i in range(30))
     target = BlockSchema(
         (), pad + (("x", at("tm")), ("y", at("size", a("x"), a("s", a("z"))))),
@@ -905,12 +844,29 @@ def test_pair_table_bounds_the_renamings_derived(
                         (source.blocks[1:], False)):
         cs = ContextSchema(blocks)
         counter.calls = 0
-        counter.limit = sum(len(b.decl) for b in blocks) * len(target.decl)
+        counter.limit = sum(len(b.decl) for b in blocks)
         m = block_subsumes(rel_stlc, target, plus_body, "G", cs)
         assert (m is not None) == hit
         if hit:
             assert m.keep_positions == (30, 31)
             assert dict(m.permutation)["x"] == "u"
+
+
+def test_a_renaming_that_merges_two_target_names_is_refused(
+    sig_stlc, rel_stlc, of_exists_body
+):
+    # The entries match pair by pair, but the parameter T and the variable
+    # t would both be renamed to v.
+    schemas = parse_schemas(
+        "schema S := {}(u : tm, v : tp, w : of u v)."
+        " schema Tgt := {T : o}(x : tm, t : tp, y : of x T)."
+    )
+    for cs in schemas.values():
+        check_schema(sig_stlc, cs)
+    (target,) = schemas["Tgt"].blocks
+    args = (target, of_exists_body, "G", schemas["S"])
+    assert _block_subsumes_by_alignment(rel_stlc, sig_stlc, *args, 10**9) == (None, 1)
+    assert block_subsumes(rel_stlc, *args) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1030,6 +986,7 @@ def test_forged_block_matches_fail_replay(
         (forged(m0, keep_positions=(0, 2)), m1),
         (forged(m0, keep_positions=(0, -1)), m1),
         (forged(m0, keep_positions=(0,), drops=(dataclasses.replace(drop, position=2),)), m1),
+        (forged(m0, source_index=1), m1),  # keeps another block's declaration
     ):
         # a forged certificate is refuted, and never raises
         assert dataclasses.replace(cert, matches=matches).verify(sig_stlc, rel_stlc) is False
