@@ -24,7 +24,9 @@ from a source schema that repeats a refused block under renaming, with
 makes; and of `minimize`/`validate` on a context that binds one nominal
 name at two arities; and of `schema-check`/`transport` on schema
 declarations typed by a kind or by a Pi type, and on a parameter or
-declaration list with a trailing comma.
+declaration list with a trailing comma; and of `validate` on traces that
+end in a type argument that does not check: in an atom's type, under a Pi
+binder the message names, and in an explicit context binding.
 `tests/golden/parse_errors.json` holds the parse outcome of
 seeded edits of every fixture file, and `tests/golden/formulas.json` the
 printed text, reprinted text, check outcome and bounded validity of
