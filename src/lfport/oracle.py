@@ -13,14 +13,19 @@ schema instance) into its body.  The evaluator defers the term substitution
 to an environment of pool terms, which each atom applies to its dangling
 indices, so an atom's context and type judgements are checked once per
 combination of the pool terms they refer to, not once per evaluation.
-Against an atomic type, the term judgement is the term's synthesis and a
-comparison of the synthesized type with the atom's: the synthesis is
-memoised by the pool terms the atom's context and term refer to, and only
-the comparison runs per evaluation.  A context quantifier binds its
+Each context an atom builds keeps the memos of the judgements made in it
+(`_Context`, the one per-context judgement memo of both oracles): a type
+argument outside the type's own binders is judged once per kind domain,
+however many types it is an argument of, and against an atomic type the
+term judgement is the term's synthesis, memoised by the pool terms the
+term refers to, and a comparison of the synthesized type with the atom's,
+the only step that runs per evaluation.  A context quantifier binds its
 instance in the environment the same way: an atom headed by its variable
 puts the instance's bindings in front of its own, and keeps its judgements
 with the instance.  These memos live for one `bounded_validity` call and
-are cleared when it returns.
+are cleared when it returns.  A failing judgement is kept as its
+`LFError`, without the frames it was raised through, and its message is
+formatted only for a trace line that the verdict keeps.
 
 Each verdict comes with its read set: the term quantifiers whose pool term
 its value depended on (an atom reads those its deciding judgement refers
@@ -36,10 +41,11 @@ formula is the name `fmt_formula` prints; hints take no part in evaluation.
 The minimization harness keeps its memos per enumerated context: the
 minimization of the context, and its well-formedness, per head constant
 (minimization reads nothing else of a type), and, under each sub-context
-(the context or a minimization of it), each type argument's judgement per
-kind domain and each candidate term's synthesis, which the atoms of
-`bounded_validity` share the step of (`_check_atomic`).  Type formation
-itself is `check_type`, with the argument judgement memoised.
+(the context or a minimization of it), the same per-context memo of each
+type argument's judgement per kind domain and each candidate term's
+synthesis, compared with a type by the step the atoms of
+`bounded_validity` take (`_check_atomic`).  Type formation itself is
+`check_type`, with the argument judgement memoised.
 """
 
 from __future__ import annotations
@@ -192,10 +198,14 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     Here the substitution is deferred: the quantifier binds its index to
     its choice in an environment, and each atom applies the environment to
     its own parts.  An atom's context and type judgements are memoised, for
-    this call only, by the pool terms of the quantifiers they refer to, and
-    so is its term's synthesis, by those its context and term refer to;
-    against an atomic type only the comparison of the synthesized type with
-    the atom's runs per evaluation (`_check_atomic`).
+    this call only, by the pool terms of the quantifiers they refer to.
+    The context memo keeps one per-context judgement memo (`_Context`) with
+    each context: its type arguments' judgements, each pool term's once per
+    kind domain, and its term's syntheses, by the pool terms the term
+    refers to; against an atomic type only the comparison of the
+    synthesized type with the atom's runs per evaluation (`_check_atomic`).
+    Failing judgements are kept unformatted, and only the lines of the
+    returned trace are formatted.
 
     Each evaluation also returns a read set: a bit mask with bit `i` set
     when the verdict's value depended on the pool term of the `i`-th
@@ -236,9 +246,9 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             yield t, (((t, g.arity),) + inst, ctxs)
 
     def holds(g, env):
-        """The first failing judgement of an atom, or None if they hold, and
-        the read set of the judgement that decided it.  The memos keep trace
-        lines: an LFError holds the frames of what it wraps."""
+        """The first failing judgement of an atom, an unformatted LFError,
+        or None if they hold, and the read set of the judgement that
+        decided it."""
         rec = memo.get(id(g))
         if rec is None:
             in_ctx = set().union(*(_dangling(t) for _, t in g.ctx.bindings))
@@ -249,38 +259,37 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             reads = tuple(
                 sum(1 << i for i in refs) for refs in (in_ctx, in_ty, in_ty | in_term)
             )
-            in_synth = tuple(in_ctx | in_term)
-            rec = memo[id(g)] = (g, tuple(in_ctx), tuple(in_ty), in_synth, reads, ({}, {}, {}))
-        _, in_ctx, in_ty, in_synth, reads, memos = rec
+            rec = memo[id(g)] = (g, tuple(in_ctx), tuple(in_ty), tuple(in_term), reads, ({}, {}))
+        _, in_ctx, in_ty, in_term, reads, memos = rec
         inst, ctxs = env
         front = ()
         if g.ctx.head is not None:  # its context starts with the instance
             instance, nodes = ctxs[g.ctx.head.index]
-            front, memos = instance.bindings, nodes.setdefault(id(g), ({}, {}, {}))
-        ctx_memo, ty_memo, synth_memo = memos
+            front, memos = instance.bindings, nodes.setdefault(id(g), ({}, {}))
+        ctx_memo, ty_memo = memos
         # Memo keys name each pool term by its identity: `ranges` keeps it
         # alive, and it has one arity.
         key = tuple(id(inst[i][0]) for i in in_ctx)
-        hit = ctx_memo.get(key)
-        if hit is None:
+        judged = ctx_memo.get(key)
+        if judged is None:
             lctx = LFContext(front + tuple((n, _subst(t, {}, 0, inst)) for n, t in g.ctx.bindings))
-            hit = ctx_memo[key] = (lctx, _line(_fails(check_context, sig, lctx)))
-        lctx, failure = hit
-        if failure is not None:
-            return failure, reads[0]
+            judged = ctx_memo[key] = _Context(sig, lctx, _fails(check_context, sig, lctx))
+        if judged.failure is not None:
+            return judged.failure, reads[0]
+        lctx = judged.g
         key = tuple(id(inst[i][0]) for i in in_ty)
         hit = ty_memo.get(key)
         if hit is None:
             ty = _subst(g.ty, {}, 0, inst)
-            hit = ty_memo[key] = (ty, _line(_fails(check_type, sig, lctx, ty)))
+            hit = ty_memo[key] = (ty, _fails(check_type, sig, lctx, ty, judged.check_arg))
         ty, failure = hit
         if failure is not None:
             return failure, reads[1]
         term = lambda: _subst(g.term, {}, 0, inst)
         if isinstance(ty, PiType):
             return _fails(check_term, sig, lctx, term(), ty), reads[2]
-        key = tuple(id(inst[i][0]) for i in in_synth)
-        return _check_atomic(synth_memo, key, term, sig, lctx, ty), reads[2]
+        key = tuple(id(inst[i][0]) for i in in_term)
+        return _check_atomic(judged.synthesized, key, term, sig, lctx, ty), reads[2]
 
     def ev(g: Formula, env: tuple) -> tuple[Verdict3, int]:
         # env: two tuples, innermost first: the (term, arity) of each
@@ -395,11 +404,26 @@ def _bound_nominals(f: Formula, c: int = 0) -> set:
 
 def _fails(check, *args):
     """The LFError that `check(*args)` raises, or else what it returns: None
-    for a checker, a type for `synth_term`."""
+    for a checker, a type for `synth_term`.  A memo or a trace may keep the
+    error, so it keeps no frames, nor does any failure it wraps."""
     try:
         return check(*args)
     except LFError as err:
-        return err.with_traceback(None)  # a trace may keep it, not the frames
+        _drop_frames(err)
+        return err
+
+
+def _drop_frames(err: BaseException | None) -> None:
+    """Clear the traceback of `err` and of every exception it wraps, which
+    is its cause or its context, or theirs: a failure that is a message part
+    of another is its cause too.  One already without frames was cleared
+    here before, with all it wraps."""
+    while err is not None and err.__traceback__ is not None:
+        err.__traceback__ = None
+        context = err.__context__
+        if context is not None and context is not err.__cause__:
+            _drop_frames(context)
+        err = err.__cause__
 
 
 def _check_atomic(memo: dict, key, term, sig, ctx: LFContext, ty: AtomicType):
@@ -417,9 +441,48 @@ def _check_atomic(memo: dict, key, term, sig, ctx: LFContext, ty: AtomicType):
     return _fails(_compare, t, have, ty, ctx)
 
 
+class _Context:
+    """A context the oracles judge in, with the failure of its own
+    judgement (None if it is well-formed) and the memos of the judgements
+    made in it: each type argument's, and each term's synthesis."""
+
+    __slots__ = ("sig", "g", "failure", "judged", "synthesized")
+
+    def __init__(self, sig: Signature, g: LFContext, failure: LFError | None):
+        self.sig, self.g, self.failure = sig, g, failure
+        self.judged: dict = {}  # (id(argument), kind domain) -> (argument, None or LFError)
+        self.synthesized: dict = {}  # key of the term -> (term, type or LFError)
+
+    def check_arg(self, sig, g, local, arg, domain):
+        """`_check_term`, memoised for the arguments of a type formed in
+        `g` itself.  They are pool terms or parts of the formula, shared by
+        many types, so the memo keys one by its identity and keeps it
+        alive; a dependent kind instantiates a fresh domain per type, so
+        the domain is keyed by value.  Under a binder of the type an
+        argument may mention it, so it is judged afresh."""
+        if local:
+            return _check_term(sig, g, local, arg, domain)
+        key = (id(arg), domain)
+        hit = self.judged.get(key)
+        if hit is None:
+            hit = self.judged[key] = (arg, _fails(_check_term, sig, g, local, arg, domain))
+        if hit[1] is not None:
+            # a fresh exception: raising the stored one would keep this
+            # frame, and so the memo, in its traceback
+            raise LFError("{}", hit[1]) from hit[1]
+
+    def type_formed(self, ty: AtomicType) -> bool:
+        return _fails(check_type, self.sig, self.g, ty, self.check_arg) is None
+
+    def term_checks(self, m, ty: AtomicType) -> bool:
+        """Whether the pool term `m` checks against `ty`."""
+        return _check_atomic(self.synthesized, id(m), lambda: m, self.sig, self.g, ty) is None
+
+
 def _line(x):
-    """A trace line, formatted only here: a failing term judgement, or the
-    line of a quantifier with its hint and its pool term or instance."""
+    """A trace line, formatted only here, for the lines a verdict keeps: a
+    failing judgement, or the line of a quantifier with its hint and its
+    pool term or instance."""
     if isinstance(x, tuple):
         word, var, choice = x
         return f"{word} {var} = {choice!r}"
@@ -486,39 +549,6 @@ def enumerate_lf_contexts(sig, max_bindings: int, size_max: int):
     return itertools.islice(breadth_first(), TOTAL_CAP)
 
 
-class _SubContext:
-    """A context the minimization harness judges in, the enumerated one or
-    a minimization of it, with the memos of its judgements."""
-
-    def __init__(self, sig: Signature, g: LFContext, well_formed: bool):
-        self.sig, self.g, self.well_formed = sig, g, well_formed
-        self.judged: dict = {}  # (id(argument), kind domain) -> (argument, None or LFError)
-        self.synthesized: dict = {}  # id(pool term) -> (term, type or LFError)
-
-    def check_arg(self, sig, g, local, arg, domain):
-        """`_check_term`, memoised.  A candidate type is atomic, so its
-        arguments are judged in `g` itself.  They are pool terms, shared by
-        every candidate type of the context, so the memo keys one by its
-        identity and keeps it alive; a dependent kind instantiates a fresh
-        domain per type, so the domain is keyed by value."""
-        assert not local
-        key = (id(arg), domain)
-        hit = self.judged.get(key)
-        if hit is None:
-            hit = self.judged[key] = (arg, _fails(_check_term, sig, g, local, arg, domain))
-        if hit[1] is not None:
-            # a fresh exception: raising the stored one would keep this
-            # frame, and so the memo, in its traceback
-            raise LFError("{}", hit[1])
-
-    def type_formed(self, ty: AtomicType) -> bool:
-        return _fails(check_type, self.sig, self.g, ty, self.check_arg) is None
-
-    def term_checks(self, m, ty: AtomicType) -> bool:
-        """Whether the pool term `m` checks against `ty`."""
-        return _check_atomic(self.synthesized, id(m), lambda: m, self.sig, self.g, ty) is None
-
-
 def verify_minimization(
     sig: Signature, rel: SubordRel, bounds: Bounds
 ) -> OracleReport:
@@ -532,12 +562,13 @@ def verify_minimization(
     Under each sub-context (the enumerated context or a minimization of
     it), each argument of a candidate type is judged once per kind domain,
     and each pool term synthesized once and its type compared with each
-    candidate type.  These memos are dropped with their context."""
+    candidate type, in the per-context memo `bounded_validity` keeps too
+    (`_Context`).  These memos are dropped with their context."""
     report = OracleReport("context minimization")
     size = bounds.term_size_max
     for ctx in enumerate_lf_contexts(sig, bounds.schema_blocks_max, size):
         terms = term_pool(sig, O, size, extra_heads=_nominal_heads(ctx))[:24]
-        full = _SubContext(sig, ctx, True)
+        full = _Context(sig, ctx, None)
         subs = {ctx: full}  # each sub-context once, however many heads give it
         by_head: dict = {}  # head constant -> its sub-context
         for ty in candidate_types(sig, ctx, size, cap=80):
@@ -547,11 +578,11 @@ def verify_minimization(
                 reduced = minimize(rel, ctx, ty)
                 sub = subs.get(reduced)
                 if sub is None:
-                    well_formed = _fails(check_context, sig, reduced) is None
-                    sub = subs[reduced] = _SubContext(sig, reduced, well_formed)
+                    failure = _fails(check_context, sig, reduced)
+                    sub = subs[reduced] = _Context(sig, reduced, failure)
                 by_head[ty.head] = sub
             where = lambda: f"G = {ctx.bindings!r}, A = {ty!r}"
-            report.record("minimized context well-formed", sub.well_formed, where)
+            report.record("minimized context well-formed", sub.failure is None, where)
             ok_full = full.type_formed(ty)
             ok_min = ok_full if sub is full else sub.type_formed(ty)
             report.record(

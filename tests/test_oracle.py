@@ -39,7 +39,7 @@ from lfport import (
 )
 from lfport import oracle
 from lfport.formula import _map_atoms, _map_lf, _subformulas, open_ctx
-from lfport.lf import BVar, _map_heads, _subst, fresh_nominal
+from lfport.lf import BVar, PiType, _map_heads, _subst, fresh_nominal
 from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3
 from lfport.parse import parse_formula, parse_schemas, parse_signature
 from lfport.pretty import fmt_formula
@@ -373,6 +373,15 @@ TRACED = [
     "forall N : o. exists s : o. { |- s : plus N z N }",
     "forall M : o -> o. { |- [z] M z : {z : tm} tm }",
     "forall z : o. ctx G : Csize. { G |- z : nat }",
+    # type arguments judged under a Pi binder they mention, in an explicit
+    # context binding that does not form, and under a binder whose type
+    # depends on N, so the argument x fails for z and for s z alike, with
+    # a message for each
+    "forall M : o -> o. forall N : o. { |- [x] M x : {x : tm} size x N }",
+    "forall N : o. { |- [x] plus-z N : {x : nat} plus (plus-z x) N N }",
+    "forall N : o. { n1 : plus N z N |- n1 : plus N z N }",
+    "forall N : o. { |- N : nat } => "
+    "{ |- z : {x : plus N z z} plus x z z } \\/ { |- plus-z N : plus z z z }",
 ]
 
 
@@ -966,3 +975,59 @@ def test_minimization_harness_repeats_no_minimization_or_argument_judgement(
     assert set(minimized) == want and set(minimized.values()) == {1}
     assert len(want) == 1060
     assert set(judged.values()) == {1}
+
+
+def test_bounded_validity_judges_each_type_argument_once_per_context(
+    sig_size, plus_closed, monkeypatch
+):
+    # The closed plus formula forms `plus N1 N2 N3` in the empty context
+    # for every choice of the three, and each pool term is judged a nat once.
+    judged = Counter()
+    check_term_ = oracle._check_term
+
+    def counted_check_term(sig, g, local, arg, domain):
+        judged[g, local, arg, domain] += 1
+        return check_term_(sig, g, local, arg, domain)
+
+    monkeypatch.setattr(oracle, "_check_term", counted_check_term)
+    assert bounded_validity(sig_size, plus_closed, Bounds(4, 2)).value == UNKNOWN
+    pool = term_pool(sig_size, O, 4)
+    assert set(judged) == {(LFContext(), (), t, at("nat")) for t in pool}
+    assert set(judged.values()) == {1} and len(pool) == 32
+
+
+def _wrapped(err):
+    """`err` and every exception it wraps: its cause, its context and the
+    failures among its message parts."""
+    out, todo = [], [err]
+    while todo:
+        e = todo.pop()
+        out.append(e)
+        todo += [
+            x for x in (e.__cause__, e.__context__, *getattr(e, "parts", ()))
+            if isinstance(x, BaseException)
+        ]
+    return out
+
+
+def test_a_stored_failure_keeps_no_frames(sig_size):
+    # The oracles keep failing judgements in their memos, and format one
+    # only for a trace line that is printed.  A frame kept anywhere in the
+    # failure would keep its checker's locals, the memos among them, alive.
+    judged = oracle._Context(sig_size, LFContext(), None)
+    bad = a("plus-z", a("z"))  # a proof of plus z z z, not a nat
+    # an argument judged through the memo, twice, so the second comes from
+    # it; and one under a Pi binder whose scope applies the binder to too
+    # many arguments, whose failure is raised while another is handled
+    memoised = at("plus", bad, a("z"), a("z"))
+    under_binder = PiType("x", at("nat"), at("plus", a(BVar(0), a("z")), a("z"), a("z")))
+    for ty, wrapped in ((memoised, 3), (memoised, 3), (under_binder, 3)):
+        err = oracle._fails(check_type, sig_size, judged.g, ty, judged.check_arg)
+        chain = _wrapped(err)
+        assert len(chain) >= wrapped and all(e.__traceback__ is None for e in chain)
+    assert err.__context__ is not None
+    assert str(oracle._fails(check_type, sig_size, judged.g, memoised, judged.check_arg)) == (
+        "argument of plus does not check: synthesized AtomicType(head='plus', "
+        "args=(Atom(head='z', args=()), Atom(head='z', args=()), Atom(head='z', args=()))), "
+        "expected AtomicType(head='nat', args=())"
+    )
