@@ -26,7 +26,8 @@ name at two arities; and of `schema-check`/`transport` on schema
 declarations typed by a kind or by a Pi type, and on a parameter or
 declaration list with a trailing comma; and of `validate` on traces that
 end in a type argument that does not check: in an atom's type, under a Pi
-binder the message names, and in an explicit context binding.
+binder the message names, and in an explicit context binding; and of
+`transport` refused at the validity side condition.
 `tests/golden/parse_errors.json` holds the parse outcome of
 seeded edits of every fixture file, and `tests/golden/formulas.json` the
 printed text, reprinted text, check outcome and bounded validity of
