@@ -38,14 +38,20 @@ the two together).  Formulas are locally nameless, so substitution renames
 no quantifier, and a trace names each by its own hint, which for a parsed
 formula is the name `fmt_formula` prints; hints take no part in evaluation.
 
-The minimization harness keeps its memos per enumerated context: the
-minimization of the context, and its well-formedness, per head constant
-(minimization reads nothing else of a type), and, under each sub-context
-(the context or a minimization of it), the same per-context memo of each
-type argument's judgement per kind domain and each candidate term's
-synthesis, compared with a type by the step the atoms of
-`bounded_validity` take (`_check_atomic`).  Type formation itself is
-`check_type`, with the argument judgement memoised.
+The minimization harness works per level, a run of enumerated contexts
+with equal nominal heads (`_nominal_heads`), which the breadth-first
+enumeration yields together.  A level builds its term pool and candidate
+types once, since both read a context only through its heads, and keeps
+one per-context memo (`_Context`) per minimization that drops a binding,
+whichever context and head constant reach it; each enumerated context
+keeps its own, and is minimized once per head constant (minimization
+reads nothing else of a type).  In each memo, each type argument is
+judged once per kind domain, and each candidate term synthesized once and
+compared with a type by the step the atoms of `bounded_validity` take
+(`_check_atomic`).  A judgement is a function of the context's value and
+what it judges, so sharing a memo between equal contexts assumes neither
+weakening nor strengthening.  Type formation itself is `check_type`,
+with the argument judgement memoised.
 """
 
 from __future__ import annotations
@@ -528,23 +534,29 @@ def enumerate_lf_contexts(sig, max_bindings: int, size_max: int):
     """Well-formed LF contexts, lazily and breadth-first from the empty
     one: each context with fewer than `max_bindings` bindings is extended
     by its first `PER_STEP` well-formed candidate types, and the whole
-    enumeration ends after `TOTAL_CAP` contexts.  Deterministic."""
+    enumeration ends after `TOTAL_CAP` contexts.  Deterministic.  The
+    candidate types are listed once per run of parents with equal nominal
+    heads, and checked lazily per parent."""
 
     def breadth_first():
         level = [LFContext()]
         yield level[0]
         for _ in range(max_bindings):
             level, parents = [], level
-            for ctx in parents:
-                # every binder is a nominal this generator chose
-                nom = fresh_nominal(O, (b for b, _ in ctx.bindings))
-                well_formed = (
-                    ty for ty in candidate_types(sig, ctx, size_max)
-                    if _fails(check_type, sig, ctx, ty) is None
-                )
-                for ty in itertools.islice(well_formed, PER_STEP):
-                    level.append(ctx.extend(nom, ty))
-                    yield level[-1]
+            for _, run in itertools.groupby(parents, _nominal_heads):
+                run = list(run)
+                # once per run of parents: the list reads only their heads
+                candidates = candidate_types(sig, run[0], size_max)
+                for ctx in run:
+                    # every binder is a nominal this generator chose
+                    nom = fresh_nominal(O, (b for b, _ in ctx.bindings))
+                    well_formed = (
+                        ty for ty in candidates
+                        if _fails(check_type, sig, ctx, ty) is None
+                    )
+                    for ty in itertools.islice(well_formed, PER_STEP):
+                        level.append(ctx.extend(nom, ty))
+                        yield level[-1]
 
     return itertools.islice(breadth_first(), TOTAL_CAP)
 
@@ -557,52 +569,62 @@ def verify_minimization(
     verdicts.  Pairs where minimization drops nothing hold by identity and
     are recorded without re-running the checkers.
 
-    Minimization reads only a type's head constant, so each enumerated
-    context is minimized, and the result checked, once per head constant.
-    Under each sub-context (the enumerated context or a minimization of
-    it), each argument of a candidate type is judged once per kind domain,
-    and each pool term synthesized once and its type compared with each
-    candidate type, in the per-context memo `bounded_validity` keeps too
-    (`_Context`).  These memos are dropped with their context."""
+    The term pool and candidate types read a context only through its
+    nominal heads, so they are built once per level, a run of enumerated
+    contexts with equal heads.  Minimization reads only a type's head
+    constant, so each enumerated context is minimized once per head
+    constant, and each minimization that drops a binding is checked once
+    per level.  Under each sub-context (the enumerated context or a
+    minimization of it), each argument of a candidate type is judged once
+    per kind domain, and each pool term synthesized once and its type
+    compared with each candidate type, in the per-context memo
+    `bounded_validity` keeps too (`_Context`).  An enumerated context's
+    memo is dropped with it, a minimization's with its level."""
     report = OracleReport("context minimization")
     size = bounds.term_size_max
-    for ctx in enumerate_lf_contexts(sig, bounds.schema_blocks_max, size):
-        terms = term_pool(sig, O, size, extra_heads=_nominal_heads(ctx))[:24]
-        full = _Context(sig, ctx, None)
-        subs = {ctx: full}  # each sub-context once, however many heads give it
-        by_head: dict = {}  # head constant -> its sub-context
-        for ty in candidate_types(sig, ctx, size, cap=80):
-            assert isinstance(ty, AtomicType)
-            sub = by_head.get(ty.head)
-            if sub is None:
-                reduced = minimize(rel, ctx, ty)
-                sub = subs.get(reduced)
+    contexts = enumerate_lf_contexts(sig, bounds.schema_blocks_max, size)
+    for heads, level in itertools.groupby(contexts, _nominal_heads):
+        level = list(level)
+        terms = term_pool(sig, O, size, extra_heads=heads)[:24]
+        types = candidate_types(sig, level[0], size, cap=80)
+        # each reduced sub-context once in the level, however many contexts
+        # and heads give it
+        subs: dict = {}
+        for ctx in level:
+            full = _Context(sig, ctx, None)
+            by_head: dict = {}  # head constant -> its sub-context
+            for ty in types:
+                assert isinstance(ty, AtomicType)
+                sub = by_head.get(ty.head)
                 if sub is None:
-                    failure = _fails(check_context, sig, reduced)
-                    sub = subs[reduced] = _Context(sig, reduced, failure)
-                by_head[ty.head] = sub
-            where = lambda: f"G = {ctx.bindings!r}, A = {ty!r}"
-            report.record("minimized context well-formed", sub.failure is None, where)
-            ok_full = full.type_formed(ty)
-            ok_min = ok_full if sub is full else sub.type_formed(ty)
-            report.record(
-                "type formation agrees under minimization",
-                ok_full == ok_min,
-                where,
-            )
-            if not ok_full:
-                continue
-            if sub is full:
-                report.record_vacuous(
-                    "term checking agrees under minimization", len(terms)
-                )
-                continue
-            for m in terms:
+                    reduced = minimize(rel, ctx, ty)
+                    sub = full if reduced == ctx else subs.get(reduced)
+                    if sub is None:
+                        failure = _fails(check_context, sig, reduced)
+                        sub = subs[reduced] = _Context(sig, reduced, failure)
+                    by_head[ty.head] = sub
+                where = lambda: f"G = {ctx.bindings!r}, A = {ty!r}"
+                report.record("minimized context well-formed", sub.failure is None, where)
+                ok_full = full.type_formed(ty)
+                ok_min = ok_full if sub is full else sub.type_formed(ty)
                 report.record(
-                    "term checking agrees under minimization",
-                    full.term_checks(m, ty) == sub.term_checks(m, ty),
-                    lambda: f"{where()}, M = {m!r}",
+                    "type formation agrees under minimization",
+                    ok_full == ok_min,
+                    where,
                 )
+                if not ok_full:
+                    continue
+                if sub is full:
+                    report.record_vacuous(
+                        "term checking agrees under minimization", len(terms)
+                    )
+                    continue
+                for m in terms:
+                    report.record(
+                        "term checking agrees under minimization",
+                        full.term_checks(m, ty) == sub.term_checks(m, ty),
+                        lambda: f"{where()}, M = {m!r}",
+                    )
     return report
 
 

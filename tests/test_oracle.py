@@ -1,5 +1,6 @@
 """Bounded validity and the metatheorem harnesses."""
 
+import itertools
 import random
 import re
 from collections import Counter
@@ -898,19 +899,40 @@ def _without(rel, pair):
     return SubordRel(frozenset(p for p in rel.pairs if p != pair), rel.constants)
 
 
-def _assert_minimization_matches_the_hand_written_loop(sig, rel, broken):
+def _assert_minimization_matches_the_hand_written_loop(
+    sig, rel, broken, bounds=(Bounds(3, 2), Bounds(3, 3))
+):
     for r, passed in ((rel, True), *((b, False) for b in broken)):
-        for bounds in (Bounds(3, 2), Bounds(3, 3)):
-            want = ref_verify_minimization(sig, r, bounds)
+        for b in bounds:
+            want = ref_verify_minimization(sig, r, b)
             assert want.passed == passed
-            assert verify_minimization(sig, r, bounds).render() == want.render()
+            assert verify_minimization(sig, r, b).render() == want.render()
+
+
+def _shared_sub_contexts(sig, rel, bounds):
+    """The reduced sub-contexts, other than the context itself, that two or
+    more enumerated contexts of one level (equal nominal heads) reach."""
+    reached = {}
+    size = bounds.term_size_max
+    for g in oracle.enumerate_lf_contexts(sig, bounds.schema_blocks_max, size):
+        for ty in oracle.candidate_types(sig, g, size, cap=80):
+            reduced = minimize(rel, g, ty)
+            if reduced != g:
+                reached.setdefault((oracle._nominal_heads(g), reduced), set()).add(g)
+    return {reduced for (_, reduced), gs in reached.items() if len(gs) > 1}
 
 
 def test_verify_minimization_matches_the_hand_written_loop(sig_size, rel_size, sig_stlc, rel_stlc):
     nat = ("nat", "nat")
+    broken = _without(rel_size, nat)
+    deep = Bounds(3, 4)
     _assert_minimization_matches_the_hand_written_loop(
-        sig_size, rel_size, [_without(rel_size, nat)]
+        sig_size, rel_size, [broken], (Bounds(3, 2), Bounds(3, 3), deep)
     )
+    # at (3, 4) contexts of one level share sub-contexts, so the harness's
+    # per-level memo is exercised with both relations
+    assert len(_shared_sub_contexts(sig_size, rel_size, deep)) == 22
+    assert len(_shared_sub_contexts(sig_size, broken, deep)) == 12
     _assert_minimization_matches_the_hand_written_loop(
         sig_stlc, rel_stlc, [_without(rel_stlc, nat), _without(rel_stlc, ("tm", "of"))]
     )
@@ -946,27 +968,56 @@ def test_minimization_harness_repeats_no_minimization_or_argument_judgement(
     sig_size, rel_size, monkeypatch
 ):
     # Each enumerated context is minimized once per head constant of its
-    # candidate types, and each sub-context judges each type argument once
-    # per kind domain.  A context's first minimization comes before its
-    # first type formation.
-    minimized, judged = Counter(), Counter()
-    current = []
-    minimize_, check_term_ = oracle.minimize, oracle._check_term
+    # candidate types.  Each level, a run of contexts with equal nominal
+    # heads, builds its term pool and candidate list once (and so does the
+    # enumeration for each run of parents), checks each reduced sub-context
+    # once, and, in each context it judges in, judges each type argument
+    # once per kind domain and synthesizes each pool term once.  A level's
+    # pool comes before its first judgement.
+    level = []
+    minimized, built, checked, judged, synthesized = (Counter() for _ in range(5))
+    minimize_, term_pool_ = oracle.minimize, oracle.term_pool
+    candidate_types_, check_context_ = oracle.candidate_types, oracle.check_context
+    check_term_, synth_term_ = oracle._check_term, oracle.synth_term
 
     def counted_minimize(rel, ctx, ty):
-        current[:] = [ctx]
         minimized[ctx, ty.head] += 1
         return minimize_(rel, ctx, ty)
 
+    def counted_term_pool(*args, extra_heads):
+        level[:] = [extra_heads]
+        built["pool", extra_heads] += 1
+        return term_pool_(*args, extra_heads=extra_heads)
+
+    def counted_candidate_types(sig, g, size, cap=None):
+        built[cap, oracle._nominal_heads(g)] += 1
+        return candidate_types_(sig, g, size, cap)
+
+    def counted_check_context(sig, g):
+        checked[level[0], g] += 1
+        return check_context_(sig, g)
+
     def counted_check_term(sig, g, local, arg, domain):
-        judged[current[0], g, arg, domain] += 1
+        judged[level[0], g, arg, domain] += 1
         return check_term_(sig, g, local, arg, domain)
 
-    monkeypatch.setattr(oracle, "minimize", counted_minimize)
-    monkeypatch.setattr(oracle, "_check_term", counted_check_term)
+    def counted_synth_term(sig, g, m):
+        synthesized[level[0], g, m] += 1
+        return synth_term_(sig, g, m)
+
+    for name, counted in (
+        ("minimize", counted_minimize),
+        ("term_pool", counted_term_pool),
+        ("candidate_types", counted_candidate_types),
+        ("check_context", counted_check_context),
+        ("_check_term", counted_check_term),
+        ("synth_term", counted_synth_term),
+    ):
+        monkeypatch.setattr(oracle, name, counted)
     bounds = Bounds(4, 4)
     report = verify_minimization(sig_size, rel_size, bounds)
     assert report.render().splitlines()[-1] == "PASS (213148 obligations, 0 counterexamples)"
+    monkeypatch.undo()
     want = {
         (g, ty.head)
         for g in oracle.enumerate_lf_contexts(sig_size, bounds.schema_blocks_max, 4)
@@ -974,7 +1025,28 @@ def test_minimization_harness_repeats_no_minimization_or_argument_judgement(
     }
     assert set(minimized) == want and set(minimized.values()) == {1}
     assert len(want) == 1060
+    # five levels; the enumeration extends the first four
+    assert Counter(kind for kind, _ in built) == {"pool": 5, 80: 5, None: 4}
+    assert set(built.values()) == {1}
+    assert set(checked.values()) == {1} and len(checked) == 43
     assert set(judged.values()) == {1}
+    assert set(synthesized.values()) == {1} and len(synthesized) == 10584
+
+
+def test_contexts_with_equal_nominal_heads_share_candidate_types(sig_size, sig_stlc):
+    # The minimization harness and the context enumeration build a
+    # candidate list once per run of contexts with equal nominal heads, and
+    # the term pool from the heads themselves.  The candidate list reads
+    # nothing else of a context, and the enumeration yields each heads
+    # tuple in one run.
+    for sig in (sig_size, sig_stlc):
+        contexts = list(oracle.enumerate_lf_contexts(sig, 4, 4))
+        runs = [heads for heads, _ in itertools.groupby(contexts, oracle._nominal_heads)]
+        assert len(runs) == len(set(runs)) == 5 and len(contexts) == oracle.TOTAL_CAP
+        seen = {}
+        for g in contexts:
+            got = [oracle.candidate_types(sig, g, 4, cap) for cap in (None, 80)]
+            assert seen.setdefault(oracle._nominal_heads(g), got) == got
 
 
 def test_bounded_validity_judges_each_type_argument_once_per_context(
