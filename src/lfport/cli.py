@@ -33,7 +33,7 @@ from .parse import (
 from .pretty import fmt_certificate, fmt_head, fmt_type
 from .schema import ContextSchema, CtxExpr, block_scope, check_schema, schema_instance
 from .subord import SubordRel, compute_subordination, minimize
-from .subsume import SEARCH_CAP, TransportFailure, schema_subsumes, transport_check
+from .subsume import TransportFailure, schema_subsumes, transport_check
 
 
 class InputError(Exception):
@@ -173,12 +173,6 @@ def _transport_inputs(ws: Workspace, args) -> tuple[ContextSchema, ContextSchema
     return source, target, f
 
 
-def _search_cap(args) -> int:
-    if args.search_cap < 0:
-        raise InputError(f"--search-cap must be non-negative, not {args.search_cap}")
-    return args.search_cap
-
-
 def _print_undroppable(failure: TransportFailure, target: ContextSchema) -> None:
     if failure.binding is not None:
         v, t = failure.binding
@@ -187,10 +181,9 @@ def _print_undroppable(failure: TransportFailure, target: ContextSchema) -> None
 
 
 def _cmd_subsumes(args) -> int:
-    cap = _search_cap(args)
     ws = load_workspace(args.signature, args.schemas)
     source, target, f = _transport_inputs(ws, args)
-    result = schema_subsumes(ws.rel, source, f, args.var, target, search_cap=cap)
+    result = schema_subsumes(ws.rel, source, f, args.var, target)
     if isinstance(result, TransportFailure):
         _say(f"{args.source} does not subsume {args.target}")
         _say(f"failing {result.message}")
@@ -203,19 +196,11 @@ def _cmd_subsumes(args) -> int:
 
 
 def _cmd_transport(args) -> int:
-    cap = _search_cap(args)
     ws = load_workspace(args.signature, args.schemas)
     source, target, f = _transport_inputs(ws, args)
     result = transport_check(
-        ws.sig,
-        ws.rel,
-        source,
-        target,
-        args.var,
-        f,
-        cap,
-        source_name=args.source,
-        target_name=args.target,
+        ws.sig, ws.rel, source, target, args.var, f,
+        source_name=args.source, target_name=args.target,
     )
     if isinstance(result, TransportFailure):
         _say(f"transport fails at the {result.side} side condition")
@@ -306,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--to", dest="target", required=True, help="target schema name")
         p.add_argument("--formula", required=True, help="formula file")
         p.add_argument("--var", required=True, help="context variable name")
-        p.add_argument("--search-cap", type=int, default=SEARCH_CAP)
 
     p = add("validate", _cmd_validate, help="bounded validity of a closed formula")
     p.add_argument("--formula", required=True, help="formula file")

@@ -18,7 +18,6 @@ certificate.  Inputs are checked by the caller (`check_schema`,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
@@ -45,14 +44,6 @@ from .lf import (
 )
 from .schema import BlockSchema, ContextSchema, CtxExpr, block_scope, segment_instance
 from .subord import SubordRel, head_constant, type_leq
-
-
-# The default bound on the alignment attempts of one variant search.
-SEARCH_CAP = 10000
-
-
-class SearchCapExceeded(LFError):
-    pass
 
 
 class SegmentationMismatch(LFError):
@@ -266,8 +257,6 @@ def block_subsumes(
     f: Formula,
     gamma: str,
     source: ContextSchema,
-    *,
-    search_cap: int = SEARCH_CAP,
 ) -> Optional[BlockMatch]:
     """Find a source block and a variant of the target block whose
     declaration both prunes (relative to the whole source schema) and
@@ -275,12 +264,11 @@ def block_subsumes(
     inputs must be checked (`check_schema`, `check_formula`)."""
     basis = _drop_basis(rel, f, gamma, source)
     heads, keep = _undroppable(basis, target.decl)
-    return _search_block(target, source, keep, heads, basis, search_cap, 0)
+    return _search_block(target, source, keep, heads, basis, 0)
 
 
 def _search_block(
-    target: BlockSchema, source: ContextSchema, keep, heads, basis, search_cap: int,
-    target_index: int,
+    target: BlockSchema, source: ContextSchema, keep, heads, basis, target_index: int
 ) -> Optional[BlockMatch]:
     """`block_subsumes`, given the `_drop_basis`, the head constant of each
     target binding's type, and `keep`, the positions no alignment may drop
@@ -310,29 +298,16 @@ def _search_block(
     variant keeps the source declaration, and every binding it drops may
     go: the block is accepted.
 
-    `search_cap` bounds the alignments the plain search tries: all
-    `comb(n, m)` of a refused block, and those up to `keep` of an accepted
-    one; `sum(comb(n - 1 - p, m - k))`, over the `k`-th position `p` of
-    `keep`, counts the `m`-subsets of `range(n)` after `keep` in
-    lexicographic order.  `SearchCapExceeded` is raised where the plain
-    search raises it."""
-    tdecl = target.decl
-    n = len(tdecl)
-    kept = [tdecl[p] for p in keep]
+    So the search is bounded by its structure, not by a budget: it derives
+    at most one renaming per source block, in one pass over that block's
+    entries, linear in the block, and builds the variant of the block it
+    accepts."""
+    kept = [target.decl[p] for p in keep]
     tgt_vars = block_scope(target)
-    attempts = 0
     for si, src in enumerate(source.blocks):
-        m = len(src.decl)
-        mapping = None
-        if m == len(keep):
-            mapping = _renaming(src.decl, kept, tgt_vars, block_scope(src))
-        attempts += math.comb(n, m)
-        if mapping is not None:
-            attempts -= sum(math.comb(n - 1 - p, m - k) for k, p in enumerate(keep))
-        if attempts > search_cap:
-            raise SearchCapExceeded(
-                f"variant search exceeded {search_cap} alignment attempts"
-            )
+        if len(src.decl) != len(keep):
+            continue
+        mapping = _renaming(src.decl, kept, tgt_vars, block_scope(src))
         if mapping is not None:
             perm = _close_permutation(mapping)
             variant = make_variant(perm, target)
@@ -365,8 +340,6 @@ def schema_subsumes(
     f: Formula,
     gamma: str,
     target: ContextSchema,
-    *,
-    search_cap: int = SEARCH_CAP,
 ) -> Union[tuple[BlockMatch, ...], TransportFailure]:
     """Every target block must have a variant that block-subsumes into the
     source schema; an empty target succeeds unconditionally, and the first
@@ -378,7 +351,7 @@ def schema_subsumes(
     matches = []
     for ti, block in enumerate(target.blocks):
         heads, keep = _undroppable(basis, block.decl)
-        m = _search_block(block, source, keep, heads, basis, search_cap, ti)
+        m = _search_block(block, source, keep, heads, basis, ti)
         if m is None:
             binding = _diagnose_block(block, source, keep)
             if binding is not None:
@@ -505,14 +478,13 @@ def transport_check(
     target: ContextSchema,
     gamma: str,
     f: Formula,
-    search_cap: int = SEARCH_CAP,
     source_name: Optional[str] = None,
     target_name: Optional[str] = None,
 ) -> Union[TransportCertificate, TransportFailure]:
     """Check the two side conditions of the transportation rule and bundle
     the evidence into a certificate.  The schemas must have passed
     `check_schema`, and `f` `check_formula` with `gamma` at `source`."""
-    result = schema_subsumes(rel, source, f, gamma, target, search_cap=search_cap)
+    result = schema_subsumes(rel, source, f, gamma, target)
     if isinstance(result, TransportFailure):
         return result
     valtop = _val_deriv(gamma, f, True)

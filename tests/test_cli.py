@@ -337,26 +337,6 @@ def test_multi_block_subsumption(capsys):
     assert code == 1
 
 
-def test_search_cap_exceeded_is_input_error(capsys):
-    code, out, err = run(
-        capsys, "transport", SIG, SCHEMAS, "--from", "Cempty", "--to", "Csize",
-        "--formula", PLUS, "--var", "G", "--search-cap", "0",
-    )
-    assert code == 2
-    assert out == ""
-    assert err == "error: variant search exceeded 0 alignment attempts\n"
-
-
-@pytest.mark.parametrize("command", ["transport", "subsumes"])
-def test_negative_search_cap_is_input_error(capsys, command):
-    code, out, err = run(
-        capsys, command, SIG, SCHEMAS, "--from", "Cempty", "--to", "Csize",
-        "--formula", PLUS, "--var", "G", "--search-cap", "-1",
-    )
-    assert (code, out) == (2, "")
-    assert err == "error: --search-cap must be non-negative, not -1\n"
-
-
 def _outcome(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -376,18 +356,18 @@ def test_one_parser_serves_every_call(monkeypatch):
     calls = [
         transport,
         ["check", SIG],
-        transport + ["--search-cap", "0"],
+        transport + ["--to", "Cnone"],
         ["minimize", SIG],
         transport,
         ["subsumes", SIG, SCHEMAS, "--from", "Csize", "--to", "Cempty",
-         "--formula", TM_SIZE, "--var", "G", "--search-cap", "5"],
+         "--formula", TM_SIZE, "--var", "G"],
         ["transport", "--help"],
         ["validate", SIG, "--formula", PLUS_CTX, "--schemas", SCHEMAS,
          "--term-size", "2", "--blocks", "1"],
         ["--help"],
         ["oracle", SIG, "--term-size", "2", "--blocks", "1"],
         ["transport", SIG, SCHEMAS, "--from", "Cempty"],
-        transport + ["--search-cap", "10"],
+        transport + ["--from", "Csize"],
         ["check", SIG],
     ]
     shared = [_outcome(argv) for argv in calls]

@@ -19,12 +19,11 @@ on ill-formed schemas and on a schema defined twice, `instance` on an
 undefined schema, `validate` on atoms with a kind for a type, a redex, a
 nominal bound twice or a type that does not arity-kind, and `minimize` on
 a context file that binds a nominal twice; and of `transport`/`subsumes`
-from a source schema that repeats a refused block under renaming, with
-`--search-cap` one below and equal to the alignment attempts the refusal
-makes; and of `transport`/`subsumes` from a four-entry block to the same
-block after 21 bindings the search may drop; and of
-`minimize`/`validate` on a context that binds one nominal
-name at two arities; and of `schema-check`/`transport` on schema
+from a source schema that repeats a refused block under renaming; and
+of `transport`/`subsumes` from a four-entry block to the same block after
+21 bindings the search drops, which it decides with one renaming; and of
+`minimize`/`validate` on a context that binds one nominal name at two
+arities; and of `schema-check`/`transport` on schema
 declarations typed by a kind or by a Pi type, and on a parameter or
 declaration list with a trailing comma; and of `validate` on traces that
 end in a type argument that does not check: in an atom's type, under a Pi

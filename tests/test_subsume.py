@@ -3,6 +3,7 @@ subsumption, variants, validity analysis, transport checking."""
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -33,19 +34,21 @@ from lfport import (
 )
 from lfport.lf import LFError, UnknownConstant, erase, free_vars
 from lfport.parse import parse_schemas
+from lfport.pretty import fmt_certificate
 from lfport.subord import head_constant, type_leq
 from lfport.schema import enumerate_instances
 import lfport.subsume
 from lfport.subsume import (
     BlockMatch,
     DropRecord,
-    SearchCapExceeded,
     TransportCertificate,
     TransportFailure,
     _val_deriv,
 )
+from golden import replay
 from util import a, at, ce, nom, pi, quantify
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 B_EMPTY = BlockSchema((), ())
 B_SIZE = BlockSchema((), (("x", at("tm")), ("y", at("size", a("x"), a("s", a("z"))))))
 C_EMPTY = ContextSchema((B_EMPTY,))
@@ -375,7 +378,7 @@ def _variant_by_substitution(sig, perm, block):
     return BlockSchema(params, decl)
 
 
-def _block_subsumes_by_alignment(rel, sig, target, f, gamma, source, search_cap, tried=None):
+def _block_subsumes_by_alignment(rel, sig, target, f, gamma, source, tried=None):
     """The per-alignment search; returns the match and the attempts made.
     Each alignment tried is appended to `tried` with the number of its
     leading entry pairs that match."""
@@ -391,10 +394,6 @@ def _block_subsumes_by_alignment(rel, sig, target, f, gamma, source, search_cap,
             continue
         for keep in itertools.combinations(range(len(tdecl)), len(sdecl)):
             attempts += 1
-            if attempts > search_cap:
-                raise SearchCapExceeded(
-                    f"variant search exceeded {search_cap} alignment attempts"
-                )
             mapping = {}
             matched = 0
             for (sy, sty), ti in zip(sdecl, keep):
@@ -534,13 +533,6 @@ def _skip_kinds(tried, fixed):
     return kinds
 
 
-def _search_outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except SearchCapExceeded:
-        return SearchCapExceeded
-
-
 def _subsumption_cases(sig):
     """Target blocks of 0-7 entries, then of 12-40, each with a source
     schema of 1-3 random blocks of 0-3 entries, sometimes joined by a
@@ -600,12 +592,10 @@ def test_pair_table_search_matches_the_per_alignment_search(
             fixed = _undroppable_by_types(rel_stlc, target.decl, f, "G", source)
             counter.calls = 0
             tried = []
-            want, attempts = _block_subsumes_by_alignment(
-                rel_stlc, sig_stlc, *args, 10**9, tried
-            )
+            want, _ = _block_subsumes_by_alignment(rel_stlc, sig_stlc, *args, tried)
             parent_calls = counter.calls
             counter.calls = 0
-            assert block_subsumes(rel_stlc, *args, search_cap=10**9) == want
+            assert block_subsumes(rel_stlc, *args) == want
             assert counter.calls <= parent_calls
             kinds |= _skip_kinds(tried, fixed)
             if len(target.decl) >= 12 and f is not pinned:
@@ -624,25 +614,8 @@ def test_pair_table_search_matches_the_per_alignment_search(
                 if any(m is not None and m.drops for m in found):
                     kinds.add("pinned")
             found.append(want)
-            for cap in {0, attempts - 1, attempts, attempts + 1} - {-1}:
-                # the reference counts an alignment before trying it, so it
-                # raises exactly when it would try more than `cap`; it is
-                # rerun where that is cheap, on the short targets
-                expect = (
-                    _search_outcome(
-                        _block_subsumes_by_alignment, rel_stlc, sig_stlc, *args, cap
-                    )
-                    if len(target.decl) < 12
-                    else SearchCapExceeded if cap < attempts else (want, attempts)
-                )
-                got = _search_outcome(block_subsumes, rel_stlc, *args, search_cap=cap)
-                if expect is SearchCapExceeded:
-                    kinds.add("capped")
-                    assert got is SearchCapExceeded
-                else:
-                    assert got == expect[0]
     assert kinds == {
-        "none", "drop", "keep-all", "aligned", "capped", "pinned",
+        "none", "drop", "keep-all", "aligned", "pinned",
         "higher-order renamed", "prefix skipped", "undroppable skipped",
         "undroppable trailing", "undroppable first", "undroppable last",
     }
@@ -757,12 +730,8 @@ def test_renamed_copies_are_searched_and_diagnosed_as_the_plain_search_does(
             kinds.add("name shared with the target")
         for f in (plus_body, of_exists_body, pinned):
             args = (target, f, "G", source)
-            want, attempts = _block_subsumes_by_alignment(
-                rel_stlc, sig_stlc, *args, 10**9
-            )
-            for cap in {0, attempts - 1, attempts, attempts + 1} - {-1}:
-                got = _search_outcome(block_subsumes, rel_stlc, *args, search_cap=cap)
-                assert got == (SearchCapExceeded if cap < attempts else want)
+            want, _ = _block_subsumes_by_alignment(rel_stlc, sig_stlc, *args)
+            assert block_subsumes(rel_stlc, *args) == want
             assert _diagnose(rel_stlc, *args) == _diagnose_block_by_types(rel_stlc, *args)
             if copies:
                 kinds.add("copy refused" if want is None else "copy accepted")
@@ -811,7 +780,7 @@ def test_alignment_drops_match_the_records_built_per_drop(
     verifying = False
     for target, source in _subsumption_cases(sig_stlc):
         for f in (plus_body, of_exists_body):
-            block_subsumes(rel_stlc, target, f, "G", source, search_cap=10**9)
+            block_subsumes(rel_stlc, target, f, "G", source)
     size = schemas_stlc["Csize"]
     cert = transport_check(sig_stlc, rel_stlc, size, size, "G", plus_body)
     verifying = True
@@ -825,31 +794,72 @@ def test_alignment_drops_match_the_records_built_per_drop(
     assert kinds == {"replayed", "drops", "keep-all", "a head dropped twice"}
 
 
+def _wide_schemas(sig):
+    """`Cpair`, a block of four entries, and `Cwide`, the same block after
+    21 nat bindings."""
+    text = (GOLDEN / "schemas_wide.sch").read_text(encoding="utf-8")
+    schemas = parse_schemas(text)
+    for cs in schemas.values():
+        check_schema(sig, cs)
+    return schemas
+
+
 def test_the_search_derives_at_most_one_renaming_per_source_entry(
-    sig_stlc, rel_stlc, plus_body, monkeypatch
+    sig_stlc, rel_stlc, plus_body, of_exists_body, monkeypatch
 ):
-    # The source entries match only the last two of 32 target entries, so
-    # every alignment but the last fails; the search derives at most one
-    # renaming per source entry.
-    pad = tuple((f"p{i}", at("tp")) for i in range(30))
-    target = BlockSchema(
-        (), pad + (("x", at("tm")), ("y", at("size", a("x"), a("s", a("z"))))),
-    )
+    # The source entries match only the last entries of the target, after
+    # 30, 200 or (`Cwide`) 21 bindings the formula and the source schema
+    # let it drop, so every alignment but the last fails; the search
+    # derives at most one renaming per source entry.
     source = parse_schemas(
         "schema C := {}(u : tm, v : size u (s z)) | {}(u : nat)."
     )["C"]
+    cases = []
+    for pads in (30, 200):
+        pad = tuple((f"p{i}", at("tp")) for i in range(pads))
+        target = BlockSchema(
+            (), pad + (("x", at("tm")), ("y", at("size", a("x"), a("s", a("z"))))),
+        )
+        keep = (pads, pads + 1)
+        cases += [
+            (target, plus_body, source.blocks, keep),
+            (target, plus_body, source.blocks[::-1], keep),
+            (target, plus_body, source.blocks[1:], None),
+        ]
+    wide = _wide_schemas(sig_stlc)
+    cases.append(
+        (wide["Cwide"].blocks[0], of_exists_body, wide["Cpair"].blocks, (21, 22, 23, 24))
+    )
     counter = _TopLevelCalls(lfport.subsume._derive_renaming)
     monkeypatch.setattr(lfport.subsume, "_derive_renaming", counter)
-    for blocks, hit in ((source.blocks, True), (source.blocks[::-1], True),
-                        (source.blocks[1:], False)):
-        cs = ContextSchema(blocks)
+    for target, f, blocks, keep in cases:
         counter.calls = 0
         counter.limit = sum(len(b.decl) for b in blocks)
-        m = block_subsumes(rel_stlc, target, plus_body, "G", cs)
-        assert (m is not None) == hit
-        if hit:
-            assert m.keep_positions == (30, 31)
-            assert dict(m.permutation)["x"] == "u"
+        m = block_subsumes(rel_stlc, target, f, "G", ContextSchema(blocks))
+        assert (m is not None) == (keep is not None)
+        if keep is not None:
+            assert m.keep_positions == keep
+            assert tuple(m.variant.decl[p] for p in keep) == blocks[m.source_index].decl
+            assert len(m.drops) == len(target.decl) - len(keep)
+
+
+def test_a_transport_past_21_droppable_bindings_gives_a_certificate(
+    sig_stlc, rel_stlc, of_exists_body
+):
+    # A search of every alignment would try comb(25, 4) = 12,650 of them.
+    wide = _wide_schemas(sig_stlc)
+    cert = transport_check(
+        sig_stlc, rel_stlc, wide["Cpair"], wide["Cwide"], "G", of_exists_body,
+        source_name="Cpair", target_name="Cwide",
+    )
+    assert isinstance(cert, TransportCertificate)
+    assert cert.verify(sig_stlc, rel_stlc)
+    out = replay.run([
+        "transport", "fixtures/sig_stlc.lf", "tests/golden/schemas_wide.sch",
+        "--from", "Cpair", "--to", "Cwide",
+        "--formula", "fixtures/of_exists.fml", "--var", "G",
+    ])
+    assert (out["exit"], out["stdout"]) == (0, fmt_certificate(cert) + "\n")
 
 
 def test_a_renaming_that_merges_two_target_names_is_refused(
@@ -865,7 +875,7 @@ def test_a_renaming_that_merges_two_target_names_is_refused(
         check_schema(sig_stlc, cs)
     (target,) = schemas["Tgt"].blocks
     args = (target, of_exists_body, "G", schemas["S"])
-    assert _block_subsumes_by_alignment(rel_stlc, sig_stlc, *args, 10**9) == (None, 1)
+    assert _block_subsumes_by_alignment(rel_stlc, sig_stlc, *args) == (None, 1)
     assert block_subsumes(rel_stlc, *args) is None
 
 
