@@ -51,7 +51,11 @@ compared with a type by the step the atoms of `bounded_validity` take
 (`_check_atomic`).  A judgement is a function of the context's value and
 what it judges, so sharing a memo between equal contexts assumes neither
 weakening nor strengthening.  Type formation itself is `check_type`,
-with the argument judgement memoised.
+with the argument judgement memoised.  Above these memos, a level decides
+each type formation, and each term check, once per lookup of the nominals
+the type, or the term, mentions, whichever of its contexts look them up
+alike: a judgement reads nothing else of a context whose binders are all
+nominals (`verify_minimization`).
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ from .lf import (
     check_type,
     erase,
     fresh_nominal,
+    nominals_in,
     synth_term,
 )
 from .schema import (
@@ -574,12 +579,33 @@ def verify_minimization(
     contexts with equal heads.  Minimization reads only a type's head
     constant, so each enumerated context is minimized once per head
     constant, and each minimization that drops a binding is checked once
-    per level.  Under each sub-context (the enumerated context or a
+    per level.
+
+    Each level decides each of the two verdicts it records once per
+    bindings the verdict reads, in one memo per verdict that the
+    enumerated contexts and their minimizations share: whether a candidate
+    type is formed, keyed by the type and by what the context's `lookup`
+    gives for each nominal the type mentions, and whether a pool term
+    checks against a candidate type, keyed by the pair and by the lookups
+    of the nominals the term mentions.  This is exact:
+    - the checkers read a context only through `LFContext.lookup` of the
+      heads they meet (`lf._synth`), and those are heads of the judged
+      type or term (against an atomic type a term is checked by its
+      synthesis and a comparison, which reads no context);
+    - every binder of an enumerated context, and of a minimization of it,
+      is a nominal, so a constant looks up to None in each of them;
+    - only the boolean is kept, never the `LFError`, and only an error's
+      message reads the whole context.
+    A type or term is keyed by its position in the level's lists, and a
+    looked-up binding by a small int, so no tree is hashed per judgement.
+
+    On a memo miss, under each sub-context (the enumerated context or a
     minimization of it), each argument of a candidate type is judged once
     per kind domain, and each pool term synthesized once and its type
-    compared with each candidate type, in the per-context memo
+    compared with the candidate type, in the per-context memo
     `bounded_validity` keeps too (`_Context`).  An enumerated context's
-    memo is dropped with it, a minimization's with its level."""
+    memo is dropped with it, a minimization's and the verdicts with its
+    level."""
     report = OracleReport("context minimization")
     size = bounds.term_size_max
     contexts = enumerate_lf_contexts(sig, bounds.schema_blocks_max, size)
@@ -587,13 +613,54 @@ def verify_minimization(
         level = list(level)
         terms = term_pool(sig, O, size, extra_heads=heads)[:24]
         types = candidate_types(sig, level[0], size, cap=80)
+        # The positions among the heads of the nominals each type and term
+        # mentions, as the index of its shape; a context's view gives, per
+        # shape, a small int for what it looks up at those positions.
+        position = {n: i for i, (n, _) in enumerate(heads)}
+        shapes: dict = {}
+        shape = lambda e: shapes.setdefault(
+            tuple(sorted(position[n] for n in nominals_in(e))), len(shapes)
+        )
+        type_shape, term_shape = [shape(ty) for ty in types], [shape(m) for m in terms]
+        bindings: dict = {}  # a looked-up binding type, or None -> a small int
+        views: dict = {}  # a context's small ints at one shape's positions -> a small int
+
+        def judged_in(g: LFContext, failure: LFError | None):
+            looked_up = [bindings.setdefault(g.lookup(n), len(bindings)) for n, _ in heads]
+            view = [
+                views.setdefault(tuple(looked_up[i] for i in s), len(views)) for s in shapes
+            ]
+            return _Context(sig, g, failure), view
+
+        # Each verdict is keyed by one int for its view and the indices of
+        # its type, or of its term and type, which takes less memory than
+        # a tuple.
+        formed: dict = {}  # (view, type index) -> whether the type is formed
+        checks: dict = {}  # (view, term index, type index) -> whether the term checks
+
+        def type_formed(c, j):
+            judged, view = c
+            key = view[type_shape[j]] * len(types) + j
+            ok = formed.get(key)
+            if ok is None:
+                ok = formed[key] = judged.type_formed(types[j])
+            return ok
+
+        def term_checks(c, k, j):
+            judged, view = c
+            key = (view[term_shape[k]] * len(terms) + k) * len(types) + j
+            ok = checks.get(key)
+            if ok is None:
+                ok = checks[key] = judged.term_checks(terms[k], types[j])
+            return ok
+
         # each reduced sub-context once in the level, however many contexts
         # and heads give it
         subs: dict = {}
         for ctx in level:
-            full = _Context(sig, ctx, None)
+            full = judged_in(ctx, None)
             by_head: dict = {}  # head constant -> its sub-context
-            for ty in types:
+            for j, ty in enumerate(types):
                 assert isinstance(ty, AtomicType)
                 sub = by_head.get(ty.head)
                 if sub is None:
@@ -601,12 +668,12 @@ def verify_minimization(
                     sub = full if reduced == ctx else subs.get(reduced)
                     if sub is None:
                         failure = _fails(check_context, sig, reduced)
-                        sub = subs[reduced] = _Context(sig, reduced, failure)
+                        sub = subs[reduced] = judged_in(reduced, failure)
                     by_head[ty.head] = sub
                 where = lambda: f"G = {ctx.bindings!r}, A = {ty!r}"
-                report.record("minimized context well-formed", sub.failure is None, where)
-                ok_full = full.type_formed(ty)
-                ok_min = ok_full if sub is full else sub.type_formed(ty)
+                report.record("minimized context well-formed", sub[0].failure is None, where)
+                ok_full = type_formed(full, j)
+                ok_min = ok_full if sub is full else type_formed(sub, j)
                 report.record(
                     "type formation agrees under minimization",
                     ok_full == ok_min,
@@ -619,10 +686,10 @@ def verify_minimization(
                         "term checking agrees under minimization", len(terms)
                     )
                     continue
-                for m in terms:
+                for k, m in enumerate(terms):
                     report.record(
                         "term checking agrees under minimization",
-                        full.term_checks(m, ty) == sub.term_checks(m, ty),
+                        term_checks(full, k, j) == term_checks(sub, k, j),
                         lambda: f"{where()}, M = {m!r}",
                     )
     return report

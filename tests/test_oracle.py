@@ -40,7 +40,7 @@ from lfport import (
 )
 from lfport import oracle
 from lfport.formula import _map_atoms, _map_lf, _subformulas, open_ctx
-from lfport.lf import BVar, PiType, _map_heads, _subst, fresh_nominal
+from lfport.lf import BVar, PiType, _map_heads, _subst, fresh_nominal, nominals_in
 from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3
 from lfport.parse import parse_formula, parse_schemas, parse_signature
 from lfport.pretty import fmt_formula
@@ -907,6 +907,41 @@ def _assert_minimization_matches_the_hand_written_loop(
             want = ref_verify_minimization(sig, r, b)
             assert want.passed == passed
             assert verify_minimization(sig, r, b).render() == want.render()
+            # the harness's per-level verdicts serve two or more distinct
+            # contexts for both kinds of judgement
+            assert min(_shared_verdicts(sig, r, b)) > 0, (r, b)
+
+
+def _looked_up(g, heads, e):
+    """What `g` looks up for each nominal of `heads` that `e` mentions."""
+    mentioned = nominals_in(e)
+    return tuple(g.lookup(n) for n, _ in heads if n in mentioned)
+
+
+def _shared_verdicts(sig, rel, bounds):
+    """How many type formations, and how many term checks, the harness
+    decides once for two or more distinct contexts of one level (enumerated
+    contexts or their minimizations): contexts that judge the same type, or
+    the same term against the same type, and look up alike the nominals
+    that the type, or the term, mentions."""
+    ok = lambda check, *args: oracle._fails(check, *args) is None
+    reached = {}
+    size = bounds.term_size_max
+    for g in oracle.enumerate_lf_contexts(sig, bounds.schema_blocks_max, size):
+        heads = oracle._nominal_heads(g)
+        terms = term_pool(sig, O, size, extra_heads=heads)[:24]
+        for ty in oracle.candidate_types(sig, g, size, cap=80):
+            reduced = minimize(rel, g, ty)
+            judged = {g, reduced}
+            for c in judged:
+                reached.setdefault((heads, ty, _looked_up(c, heads, ty)), set()).add(c)
+            if len(judged) == 2 and ok(check_type, sig, g, ty):
+                for m in terms:
+                    for c in judged:
+                        key = heads, m, ty, _looked_up(c, heads, m)
+                        reached.setdefault(key, set()).add(c)
+    shared = [len(key) == 4 for key, cs in reached.items() if len(cs) > 1]
+    return shared.count(False), shared.count(True)
 
 
 def _shared_sub_contexts(sig, rel, bounds):
@@ -926,8 +961,10 @@ def test_verify_minimization_matches_the_hand_written_loop(sig_size, rel_size, s
     nat = ("nat", "nat")
     broken = _without(rel_size, nat)
     deep = Bounds(3, 4)
+    # at (2, 5) the last level binds five nominals, whose verdicts have the
+    # longest keys
     _assert_minimization_matches_the_hand_written_loop(
-        sig_size, rel_size, [broken], (Bounds(3, 2), Bounds(3, 3), deep)
+        sig_size, rel_size, [broken], (Bounds(3, 2), Bounds(3, 3), deep, Bounds(2, 5))
     )
     # at (3, 4) contexts of one level share sub-contexts, so the harness's
     # per-level memo is exercised with both relations
@@ -964,6 +1001,46 @@ def test_verify_minimization_matches_the_hand_written_loop_on_kind_domains():
     _assert_minimization_matches_the_hand_written_loop(sig, rel, broken)
 
 
+@pytest.mark.parametrize("name", ["sig_size", "sig_stlc", "domains"])
+def test_a_judgement_reads_only_the_bindings_of_the_nominals_it_mentions(name, request):
+    # The lemma the harness's per-level verdict memo rests on, checked with
+    # the plain checkers: over the enumerated contexts of one level and their
+    # minimizations, a candidate type's formation, and a pool term's check
+    # against a candidate type, agree wherever the contexts look up alike
+    # the nominals the type, or the term, mentions.  Leaving out any one of
+    # those lookups would merge verdicts that differ.
+    sig = parse_signature(SIG_DOMAINS) if name == "domains" else request.getfixturevalue(name)
+    rel = compute_subordination(sig)
+    ok = lambda check, *args: oracle._fails(check, *args) is None
+    verdicts, merged = {}, {}
+    for heads, level in itertools.groupby(
+        oracle.enumerate_lf_contexts(sig, 3, 3), oracle._nominal_heads
+    ):
+        level = list(level)
+        types = oracle.candidate_types(sig, level[0], 3, cap=80)
+        terms = term_pool(sig, O, 3, extra_heads=heads)[:24]
+        contexts = set(level) | {minimize(rel, g, ty) for g in level for ty in types}
+        assert all(isinstance(b, Nominal) for g in contexts for b, _ in g.bindings)
+        mentioned = {e: [n for n, _ in heads if n in nominals_in(e)] for e in (*types, *terms)}
+        for g in contexts:
+            looked_up = lambda e: tuple((n, g.lookup(n)) for n in mentioned[e])
+            for ty in types:
+                judgements = [(("type", ty), looked_up(ty), ok(check_type, sig, g, ty))]
+                judgements += [
+                    (("term", m, ty), looked_up(m), ok(check_term, sig, g, m, ty)) for m in terms
+                ]
+                for what, reads, verdict in judgements:
+                    verdicts.setdefault((what, reads), set()).add(verdict)
+                    for i in range(len(reads)):
+                        key = what, reads[:i] + reads[i + 1:], reads[i][0]
+                        merged.setdefault(key, set()).add(verdict)
+    assert {len(v) for v in verdicts.values()} == {1}
+    # for each kind of judgement, dropping a lookup from the key merges a
+    # formed type with one that is not, and a term that checks with one that
+    # does not
+    assert {what[0] for (what, _, _), v in merged.items() if len(v) > 1} == {"type", "term"}
+
+
 def test_minimization_harness_repeats_no_minimization_or_argument_judgement(
     sig_size, rel_size, monkeypatch
 ):
@@ -971,14 +1048,20 @@ def test_minimization_harness_repeats_no_minimization_or_argument_judgement(
     # candidate types.  Each level, a run of contexts with equal nominal
     # heads, builds its term pool and candidate list once (and so does the
     # enumeration for each run of parents), checks each reduced sub-context
-    # once, and, in each context it judges in, judges each type argument
+    # once, forms each candidate type once per lookup of the nominals it
+    # mentions, and checks each pool term against a candidate type once per
+    # lookup of the nominals the term mentions, whichever contexts look them
+    # up alike.  In each context it judges in, it judges each type argument
     # once per kind domain and synthesizes each pool term once.  A level's
     # pool comes before its first judgement.
     level = []
-    minimized, built, checked, judged, synthesized = (Counter() for _ in range(5))
+    minimized, built, checked, judged, synthesized, formed, term_checked = (
+        Counter() for _ in range(7)
+    )
     minimize_, term_pool_ = oracle.minimize, oracle.term_pool
     candidate_types_, check_context_ = oracle.candidate_types, oracle.check_context
     check_term_, synth_term_ = oracle._check_term, oracle.synth_term
+    check_type_, check_atomic_ = oracle.check_type, oracle._check_atomic
 
     def counted_minimize(rel, ctx, ty):
         minimized[ctx, ty.head] += 1
@@ -1005,6 +1088,15 @@ def test_minimization_harness_repeats_no_minimization_or_argument_judgement(
         synthesized[level[0], g, m] += 1
         return synth_term_(sig, g, m)
 
+    def counted_check_type(sig, g, ty, check_arg=None):
+        if check_arg is not None:  # the harness's, not the enumeration's
+            formed[level[0], ty, _looked_up(g, level[0], ty)] += 1
+        return check_type_(sig, g, ty, check_arg)
+
+    def counted_check_atomic(memo, key, term, sig, g, ty):
+        term_checked[level[0], term(), ty, _looked_up(g, level[0], term())] += 1
+        return check_atomic_(memo, key, term, sig, g, ty)
+
     for name, counted in (
         ("minimize", counted_minimize),
         ("term_pool", counted_term_pool),
@@ -1012,6 +1104,8 @@ def test_minimization_harness_repeats_no_minimization_or_argument_judgement(
         ("check_context", counted_check_context),
         ("_check_term", counted_check_term),
         ("synth_term", counted_synth_term),
+        ("check_type", counted_check_type),
+        ("_check_atomic", counted_check_atomic),
     ):
         monkeypatch.setattr(oracle, name, counted)
     bounds = Bounds(4, 4)
@@ -1030,7 +1124,9 @@ def test_minimization_harness_repeats_no_minimization_or_argument_judgement(
     assert set(built.values()) == {1}
     assert set(checked.values()) == {1} and len(checked) == 43
     assert set(judged.values()) == {1}
-    assert set(synthesized.values()) == {1} and len(synthesized) == 10584
+    assert set(synthesized.values()) == {1} and len(synthesized) == 858
+    assert set(formed.values()) == {1} and len(formed) == 6310
+    assert set(term_checked.values()) == {1} and len(term_checked) == 2794
 
 
 def test_contexts_with_equal_nominal_heads_share_candidate_types(sig_size, sig_stlc):
