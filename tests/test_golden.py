@@ -28,7 +28,11 @@ declarations typed by a kind or by a Pi type, and on a parameter or
 declaration list with a trailing comma; and of `validate` on traces that
 end in a type argument that does not check: in an atom's type, under a Pi
 binder the message names, and in an explicit context binding; and of
-`transport` refused at the validity side condition.
+`transport` refused at the validity side condition; and of
+`transport`/`subsumes` under a formula whose atoms bind a nominal after
+the context variable, so that no binding may be dropped; and of
+`validate` at `--pool-nominals` 0 and 1 on a witness only a pool nominal
+gives.
 `tests/golden/parse_errors.json` holds the parse outcome of
 seeded edits of every fixture file, and `tests/golden/formulas.json` the
 printed text, reprinted text, check outcome and bounded validity of
