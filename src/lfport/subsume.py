@@ -77,23 +77,23 @@ def _embeds(small, big, droppable) -> bool:
     """Whether the binding list `small` embeds into `big`: working right to
     left, each binding of `big` is either matched exactly by the next
     binding of `small` or dropped, which `droppable(type)` must allow.  Both
-    options are explored, matching first."""
-    small = tuple(small)
-    big = tuple(big)
-
-    def go(i: int, j: int) -> bool:
-        if j == 0:
-            return i == 0
-        name, ty = big[j - 1]
-        if (
-            i > 0
-            and small[i - 1] == (name, ty)
-            and go(i - 1, j - 1)
-        ):
-            return True
-        return droppable(ty) and go(i, j - 1)
-
-    return go(len(small), len(big))
+    options are explored, matching first: a binding's drop is tried only
+    once its match has failed.  Matches whose drop is still to be tried
+    wait on a list, not the call stack, so long contexts cannot overflow it."""
+    small, big = tuple(small), tuple(big)
+    i, j = len(small), len(big)
+    pending = []  # (i, j) whose match is being tried; their drop comes next
+    while i or j:
+        if i and j and small[i - 1] == big[j - 1]:
+            pending.append((i, j))
+            i, j = i - 1, j - 1
+            continue
+        while not (j and droppable(big[j - 1][1])):
+            if not pending:
+                return False
+            i, j = pending.pop()
+        j -= 1
+    return True
 
 
 def ce_subsumes(rel: SubordRel, gamma: str, small, big, f: Formula) -> bool:
@@ -170,41 +170,43 @@ def _gamma_atom_types(f: Formula, gamma: str) -> list[TypeExpr]:
 def _drop_basis(rel: SubordRel, f: Formula, gamma: str, source: ContextSchema):
     """What a dropped binding is judged against: the sorted head constants
     of the formula's `gamma`-atom types and of the source schema's
-    declaration types, and the heads subordinate to one of them, which no
-    dropped binding may have.  When some `gamma`-atom has explicit
-    bindings, every type influences it and nothing may be dropped: the
-    blocked heads are then None, standing for all of them."""
+    declaration types, and the blocked heads, those subordinate to one of
+    them, which no dropped binding may have.
+
+    When some `gamma`-atom has explicit bindings, every type influences
+    it, so every type constant (`rel.constants`) is blocked.  That is
+    exact: `SubordRel` is reflexive on declared type constants, so they
+    are the blocked set of a basis holding all of them, and a checked
+    schema's declaration types are headed by declared type constants, so
+    no binding of it may be dropped."""
     formula_heads = sorted({head_constant(t) for t in _gamma_atom_types(f, gamma)})
     schema_heads = sorted(
         {head_constant(t) for block in source.blocks for _, t in block.decl}
     )
-    blocked = None
-    if not any(g.ctx.bindings for g in _gamma_atoms(f, gamma)):
-        basis_heads = {*formula_heads, *schema_heads}
-        blocked = frozenset(h for h, b in rel.pairs if b in basis_heads)
+    if any(g.ctx.bindings for g in _gamma_atoms(f, gamma)):
+        return formula_heads, schema_heads, rel.constants
+    basis_heads = {*formula_heads, *schema_heads}
+    blocked = frozenset(h for h, b in rel.pairs if b in basis_heads)
     return formula_heads, schema_heads, blocked
 
 
-def _undroppable(basis, decl) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The head constant of each binding's type in a declaration, and the
-    positions of the bindings no alignment may drop: their head is blocked
-    by `_drop_basis`, so a fact a drop record would print fails.  A variant
-    renames no type head, so both hold for every variant of a block."""
-    blocked = basis[2]
-    heads = tuple(head_constant(ty) for _, ty in decl)
-    return heads, tuple(p for p, h in enumerate(heads) if blocked is None or h in blocked)
+def _undroppable(basis, decl) -> tuple[int, ...]:
+    """The positions of the bindings of a declaration that no alignment may
+    drop: their head is blocked by `_drop_basis`, so a fact a drop record
+    would print fails.  A variant renames no type head, so they are the
+    same for every variant of a block."""
+    return tuple(p for p, (_, ty) in enumerate(decl) if head_constant(ty) in basis[2])
 
 
-def _drop_records(vdecl, keep, heads, basis) -> tuple[DropRecord, ...]:
+def _drop_records(vdecl, keep, basis) -> tuple[DropRecord, ...]:
     """The drop records of the alignment that keeps positions `keep` of a
-    variant declaration whose types have the head constants `heads`, each
-    with the non-subordination facts that license it: its head against the
-    heads of `_drop_basis`."""
-    facts = {}  # a head's facts against the formula and the schema heads
+    variant declaration, each with the non-subordination facts that
+    license it: its type's head against the heads of `_drop_basis`."""
+    facts = {}  # per head: a block often drops many bindings of one head
     drops = []
     for pos, (var, ty) in enumerate(vdecl):
         if pos not in keep:
-            h = heads[pos]
+            h = head_constant(ty)
             if h not in facts:
                 facts[h] = [tuple((h, b) for b in hs) for hs in basis[:2]]
             drops.append(DropRecord(pos, var, ty, *facts[h]))
@@ -262,16 +264,14 @@ def block_subsumes(
     declaration both prunes (relative to the whole source schema) and
     ce-subsumes into the source declaration, by `_search_block`.  The
     inputs must be checked (`check_schema`, `check_formula`)."""
-    basis = _drop_basis(rel, f, gamma, source)
-    heads, keep = _undroppable(basis, target.decl)
-    return _search_block(target, source, keep, heads, basis, 0)
+    return _search_block(target, source, _drop_basis(rel, f, gamma, source), 0)
 
 
 def _search_block(
-    target: BlockSchema, source: ContextSchema, keep, heads, basis, target_index: int
+    target: BlockSchema, source: ContextSchema, basis, target_index: int
 ) -> Optional[BlockMatch]:
-    """`block_subsumes`, given the `_drop_basis`, the head constant of each
-    target binding's type, and `keep`, the positions no alignment may drop
+    """`block_subsumes`, given the `_drop_basis`, from which it computes
+    `keep`, the positions of the target block no alignment may drop
     (`_undroppable`).
 
     An alignment embeds a source declaration as a subsequence of the
@@ -302,6 +302,7 @@ def _search_block(
     at most one renaming per source block, in one pass over that block's
     entries, linear in the block, and builds the variant of the block it
     accepts."""
+    keep = _undroppable(basis, target.decl)
     kept = [target.decl[p] for p in keep]
     tgt_vars = block_scope(target)
     for si, src in enumerate(source.blocks):
@@ -311,19 +312,19 @@ def _search_block(
         if mapping is not None:
             perm = _close_permutation(mapping)
             variant = make_variant(perm, target)
-            drops = _drop_records(variant.decl, keep, heads, basis)
+            drops = _drop_records(variant.decl, keep, basis)
             return BlockMatch(
                 target_index, si, tuple(sorted(perm.items())), variant, keep, drops
             )
     return None
 
 
-def _diagnose_block(target: BlockSchema, source: ContextSchema, keep):
-    """Name a binding that blocks the match: undroppable (at a position of
-    `keep`, as the search judged it) and without a counterpart in any
-    source declaration."""
+def _diagnose_block(target: BlockSchema, source: ContextSchema, basis):
+    """Name a binding that blocks the match: undroppable by the
+    `_drop_basis`, as the search judged it, and without a counterpart in
+    any source declaration."""
     tgt_vars = block_scope(target)
-    for p in keep:
+    for p in _undroppable(basis, target.decl):
         var, ty = target.decl[p]
         if not any(
             _derive_renaming(sty, ty, tgt_vars, block_scope(block), {})
@@ -345,15 +346,14 @@ def schema_subsumes(
     source schema; an empty target succeeds unconditionally, and the first
     refused block is a failure at the subsumption side.  The schemas
     must have passed `check_schema`, and `f` `check_formula`.  The search
-    of each block and the diagnosis of a refused one share one drop basis
-    and the block's undroppable positions."""
+    of each block and the diagnosis of a refused one share one drop
+    basis."""
     basis = _drop_basis(rel, f, gamma, source)
     matches = []
     for ti, block in enumerate(target.blocks):
-        heads, keep = _undroppable(basis, block.decl)
-        m = _search_block(block, source, keep, heads, basis, ti)
+        m = _search_block(block, source, basis, ti)
         if m is None:
-            binding = _diagnose_block(block, source, keep)
+            binding = _diagnose_block(block, source, basis)
             if binding is not None:
                 msg = f"binding {binding[0]} cannot be dropped or matched"
             else:
@@ -438,8 +438,8 @@ class TransportCertificate:
         block binds, as every permutation the search produces is; its keep
         positions must rise through the variant's declaration and pick out
         the source declaration, dropping no undroppable position, and its
-        drops must be that alignment's records.  Anything else, an index or position out of range included, refutes
-        the certificate."""
+        drops must be that alignment's records.  Anything else, an index or
+        position out of range included, refutes the certificate."""
         if _val_deriv(self.gamma, self.formula, True) != self.valtop:
             return False
         if len(self.matches) != len(self.target.blocks):
@@ -461,11 +461,10 @@ class TransportCertificate:
             vdecl, keep = m.variant.decl, m.keep_positions
             if tuple(p for p in range(len(vdecl)) if p in keep) != keep:
                 return False
-            heads, fixed = _undroppable(basis, vdecl)
             if (
                 src.decl != tuple(vdecl[p] for p in keep)
-                or not set(fixed) <= set(keep)
-                or m.drops != _drop_records(vdecl, keep, heads, basis)
+                or not set(_undroppable(basis, vdecl)) <= set(keep)
+                or m.drops != _drop_records(vdecl, keep, basis)
             ):
                 return False
         return True

@@ -631,11 +631,20 @@ def test_matches_plain_with_shared_atoms(sig_size):
     ]
 
 
-@pytest.mark.parametrize("size, seeds", [(2, 1000), (3, 200)])
-def test_matches_plain_on_random_formulas(size, seeds, sig_size, schemas_size):
+@pytest.mark.parametrize(
+    "bounds, seeds",
+    [
+        pytest.param(Bounds(2, 1), 1000, id="2-1000"),
+        pytest.param(Bounds(3, 1), 200, id="3-200"),
+        # pools with nominal constants, as `--pool-nominals` adds them
+        pytest.param(Bounds(2, 1, 1), 300, id="2-1-1-300"),
+        pytest.param(Bounds(2, 2, 2), 300, id="2-2-2-300"),
+    ],
+)
+def test_matches_plain_on_random_formulas(bounds, seeds, sig_size, schemas_size):
     for seed in range(seeds):
         f = random_formula(random.Random(seed), schemas_size)
-        assert_same(sig_size, f, Bounds(size, 1))
+        assert_same(sig_size, f, bounds)
 
 
 @pytest.mark.parametrize("schema", ["Cof", "Cmix"])

@@ -227,6 +227,9 @@ def test_formula_shadowed_quantifiers_renamed(schemas_size):
 def test_lambda_requires_parens_in_spine():
     t = parse_term_text("lam ([x] x)")
     assert fmt_term(t) == "lam ([x] x)"
+    # a parenthesised term alone, and a parenthesised head applied further
+    assert parse_term_text("(s z)") == a("s", a("z"))
+    assert parse_term_text("(plus-s z) z") == a("plus-s", a("z"), a("z"))
     with pytest.raises(ParseError):
         parse_term_text("app [x] x z")
 

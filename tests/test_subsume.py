@@ -233,6 +233,23 @@ def test_embedding_search_matches_the_recursive_searches(
     assert outcomes == {True, False, UnknownConstant}
 
 
+def test_embedding_search_decides_contexts_longer_than_the_recursion_limit(
+    rel_size, plus_body
+):
+    # 1,500 tm bindings, which the formula and a schema declaring only nat
+    # both let go; a nat binding in their middle neither lets go
+    long = tuple((nom(i), at("tm")) for i in range(1, 1501))
+    pinned = long[:750] + ((nom(1501), at("nat")),) + long[750:]
+    nat_only = ContextSchema((BlockSchema((), (("x", at("nat")),)),))
+    for embeds in (
+        lambda small, big: ce_subsumes(rel_size, "G", small, big, plus_body),
+        lambda small, big: prune_ok(rel_size, nat_only, small, big),
+    ):
+        assert embeds(long, long)
+        assert embeds((), long)
+        assert not embeds(long, pinned)
+
+
 # ---------------------------------------------------------------------------
 # Variants.
 
@@ -577,10 +594,10 @@ def test_pair_table_search_matches_the_per_alignment_search(
     monkeypatch.setattr(lfport.subsume, "make_variant", variant)
     drop_records = lfport.subsume._drop_records
 
-    def drops(vdecl, keep, heads, basis):
+    def drops(vdecl, keep, basis):
         # the search keeps exactly the undroppable bindings
         assert keep == tuple(p for p, undroppable in enumerate(fixed) if undroppable)
-        return drop_records(vdecl, keep, heads, basis)
+        return drop_records(vdecl, keep, basis)
 
     monkeypatch.setattr(lfport.subsume, "_drop_records", drops)
     # every binding influences a gamma-atom with explicit bindings
@@ -678,8 +695,7 @@ def test_diagnosis_by_the_drop_basis_matches_the_diagnosis_by_types(
 
 def _diagnose(rel, target, f, gamma, source):
     basis = lfport.subsume._drop_basis(rel, f, gamma, source)
-    _, keep = lfport.subsume._undroppable(basis, target.decl)
-    return lfport.subsume._diagnose_block(target, source, keep)
+    return lfport.subsume._diagnose_block(target, source, basis)
 
 
 # Names a renamed copy may take: the target blocks' names, and the term
@@ -765,8 +781,8 @@ def test_alignment_drops_match_the_records_built_per_drop(
     drop_records = lfport.subsume._drop_records
     kinds = set()
 
-    def checked(vdecl, keep, heads, basis):
-        got = drop_records(vdecl, keep, heads, basis)
+    def checked(vdecl, keep, basis):
+        got = drop_records(vdecl, keep, basis)
         assert got == ref_drop_records(vdecl, keep, basis)
         dropped = [head_constant(d.ty) for d in got]
         if len(set(dropped)) < len(dropped):
