@@ -32,7 +32,11 @@ binder the message names, and in an explicit context binding; and of
 `transport`/`subsumes` under a formula whose atoms bind a nominal after
 the context variable, so that no binding may be dropped; and of
 `validate` at `--pool-nominals` 0 and 1 on a witness only a pool nominal
-gives.
+gives; and of `validate` on term quantifiers guarded by their body's first
+atom: with an empty range, with a guard type or context binding that forms
+for some choices only, under a conjunction that ends in a counterexample,
+and over pool nominals that take their types from the guard's context; and
+of `oracle` on a formula valid on both sides of every transport instance.
 `tests/golden/parse_errors.json` holds the parse outcome of
 seeded edits of every fixture file, and `tests/golden/formulas.json` the
 printed text, reprinted text, check outcome and bounded validity of

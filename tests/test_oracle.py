@@ -436,7 +436,7 @@ def test_a_parsed_formula_hints_each_quantifier_as_printed():
         printed = fmt_formula(f)
         assert re.findall(r"\b(?:forall|exists|ctx) (\S+) :", printed) == hints(f), text
         assert hints(parse_formula(printed, schemas)) == hints(f), text
-    assert len(texts) == 24 + replay.FORMULAS
+    assert len(texts) == 30 + replay.FORMULAS
 
 
 def counting(monkeypatch):
