@@ -38,6 +38,17 @@ the two together).  Formulas are locally nameless, so substitution renames
 no quantifier, and a trace names each by its own hint, which for a parsed
 formula is the name `fmt_formula` prints; hints take no part in evaluation.
 
+A term quantifier whose body is decided by a guard atom `{G |- x : A}`
+whenever the guard fails (a `forall`'s implication, or an `exists`'s body
+or left conjunct, with `x` the whole term at base arity and `A` atomic,
+neither `A` nor `G` mentioning `x`) has a typed range: only the pool terms
+that pass the guard, in pool order.  Each per-context memo keeps an index,
+built once per arity from the syntheses of the whole pool, from each
+synthesized atomic type to the pool terms that synthesize it, and the
+range is the index's entry for `A`.  A skipped term's body would have been
+neither the quantifier's stop value nor Unknown, so verdicts and traces
+stay those of the plain evaluator (`bounded_validity` gives the argument).
+
 The minimization harness works per level, a run of enumerated contexts
 with equal nominal heads (`_nominal_heads`), which the breadth-first
 enumeration yields together.  A level builds its term pool and candidate
@@ -79,6 +90,7 @@ from .formula import (
     subst_ctx,
 )
 from .lf import (
+    Atom,
     AtomicType,
     BVar,
     LFContext,
@@ -226,40 +238,90 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     children it evaluated read, and a quantifier what its bodies read, less
     its own bit 0 for a term quantifier.  A term quantifier stops at the
     first body that does not read bit 0.
+
+    A term quantifier whose body a guard atom `{G |- x : A}` decides when
+    it fails (`_guard`) ranges only over the pool terms that pass the
+    guard: once `G` and `A` are formed, through the atom's own memos, the
+    range is the entry for `A` in the index of `G`'s memo
+    (`_Context.inhabitants`), in pool order.  This is exact.  Against an
+    atomic `A` a term check is the term's synthesis and a comparison of
+    the synthesized type with `A`, so the entry holds exactly the pool
+    terms that pass the guard.  A skipped term fails the guard, so its
+    body is Valid under `forall` and Invalid under `exists`: never the
+    stop value and never Unknown.  Its read set is the guard's, which has
+    bit 0, so it never stops the loop, and which every kept body reads
+    too.  The value, the first stop, the trace and the exhaustion line
+    are therefore unchanged.  Two traps keep today's verdicts:
+    - if `G` or `A` does not form, the range is the whole pool: the guard
+      then fails without reading `x`, and the read-set stop ends the loop
+      at the first term;
+    - the loop's read set starts as the guard's, so an empty range returns
+      Unknown, with the exhaustion line of no Unknown body, and the
+      guard's read set less bit 0, as the skipped bodies would; an outer
+      read-set stop then fires exactly where it did.
     """
     ranges: dict = {}  # arity -> pool terms, schema -> instances
     # Per-node memos, id(node) -> (node, ...).  An atom headed by a context
     # variable keeps its judgements in its instance's dict, dropped with it.
     memo: dict = {}
 
+    def domain(g):
+        """The pool terms of a term quantifier's arity, or the instances of
+        a context quantifier's schema."""
+        key = g.schema if isinstance(g, ForallCtx) else g.arity
+        chosen = ranges.get(key)
+        if chosen is None:
+            sizes = (bounds.term_size_max, bounds.pool_nominals)
+            chosen = ranges[key] = (
+                enumerate_instances(sig, key, bounds.schema_blocks_max, *sizes)
+                if isinstance(g, ForallCtx) else term_pool(sig, key, *sizes)
+            )
+        return chosen
+
     def choices(g, env):
         """(pool term or instance, the environment its body is evaluated
         in) for a quantifier, lazily."""
         inst, ctxs = env
-        over_ctx = isinstance(g, ForallCtx)
-        domain = g.schema if over_ctx else g.arity
-        chosen = ranges.get(domain)
-        if chosen is None:
-            sizes = (bounds.term_size_max, bounds.pool_nominals)
-            chosen = ranges[domain] = (
-                enumerate_instances(sig, domain, bounds.schema_blocks_max, *sizes)
-                if over_ctx else term_pool(sig, domain, *sizes)
-            )
-        if over_ctx:
+        if isinstance(g, ForallCtx):
             own = _bound_nominals(g.body)
-            for instance in chosen:
+            for instance in domain(g):
                 # as putting the instance in for the variable would raise
                 if not own.isdisjoint(n for n, _ in instance.bindings):
                     raise ValueError("context expression binds a nominal twice")
                 yield instance, (inst, ((instance, {}),) + ctxs)
             return
-        for t in chosen:
+        for t in domain(g):
             yield t, (((t, g.arity),) + inst, ctxs)
 
-    def holds(g, env):
-        """The first failing judgement of an atom, an unformatted LFError,
-        or None if they hold, and the read set of the judgement that
-        decided it."""
+    def typed_range(g, env):
+        """The choices of the term quantifier `g` that pass its guard, with
+        the guard's read set, or None to range over the whole pool: when
+        `g` has no guard, its pool is empty, or the guard's context or type
+        does not form under `env`."""
+        hit = memo.get(id(g))
+        if hit is None:
+            hit = memo[id(g)] = (g, _guard(g))
+        guard = hit[1]
+        pool = domain(g) if guard is not None else ()
+        if not pool:
+            return None
+        inst, ctxs = env
+        # the guard's context and type do not read x, so no choice is put in
+        judged, ty, failure, reads = formed(guard, (((None, g.arity),) + inst, ctxs))
+        if failure is not None:
+            return None
+        inhabitants = judged.inhabitants(g.arity, pool).get(ty, ())
+        return ((t, (((t, g.arity),) + inst, ctxs)) for t in inhabitants), reads
+
+    def formed(g, env):
+        """The context memo of the atom `g` under `env` and its type, the
+        first failing judgement of the two (an unformatted LFError, or None
+        if both hold) and the read set of the judgement that decided the
+        atom, which is the term judgement when both hold."""
+        if g.ctx.head is not None and (
+            isinstance(g.ctx.head, str) or g.ctx.head.index >= len(env[1])
+        ):
+            raise ValueError("bounded_validity needs a closed formula")
         rec = memo.get(id(g))
         if rec is None:
             in_ctx = set().union(*(_dangling(t) for _, t in g.ctx.bindings))
@@ -271,7 +333,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                 sum(1 << i for i in refs) for refs in (in_ctx, in_ty, in_ty | in_term)
             )
             rec = memo[id(g)] = (g, tuple(in_ctx), tuple(in_ty), tuple(in_term), reads, ({}, {}))
-        _, in_ctx, in_ty, in_term, reads, memos = rec
+        _, in_ctx, in_ty, _, reads, memos = rec
         inst, ctxs = env
         front = ()
         if g.ctx.head is not None:  # its context starts with the instance
@@ -286,21 +348,29 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
             lctx = LFContext(front + tuple((n, _subst(t, {}, 0, inst)) for n, t in g.ctx.bindings))
             judged = ctx_memo[key] = _Context(sig, lctx, _fails(check_context, sig, lctx))
         if judged.failure is not None:
-            return judged.failure, reads[0]
-        lctx = judged.g
+            return judged, None, judged.failure, reads[0]
         key = tuple(id(inst[i][0]) for i in in_ty)
         hit = ty_memo.get(key)
         if hit is None:
             ty = _subst(g.ty, {}, 0, inst)
-            hit = ty_memo[key] = (ty, _fails(check_type, sig, lctx, ty, judged.check_arg))
+            hit = ty_memo[key] = (ty, _fails(check_type, sig, judged.g, ty, judged.check_arg))
         ty, failure = hit
+        return judged, ty, failure, reads[1 if failure is not None else 2]
+
+    def holds(g, env):
+        """The first failing judgement of an atom, an unformatted LFError,
+        or None if they hold, and the read set of the judgement that
+        decided it."""
+        judged, ty, failure, reads = formed(g, env)
         if failure is not None:
-            return failure, reads[1]
+            return failure, reads
+        inst = env[0]
         term = lambda: _subst(g.term, {}, 0, inst)
         if isinstance(ty, PiType):
-            return _fails(check_term, sig, lctx, term(), ty), reads[2]
+            return _fails(check_term, sig, judged.g, term(), ty), reads
+        in_term = memo[id(g)][3]  # the atom's record, which `formed` made
         key = tuple(id(inst[i][0]) for i in in_term)
-        return _check_atomic(judged.synthesized, key, term, sig, lctx, ty), reads[2]
+        return _check_atomic(judged.synthesized, key, term, sig, judged.g, ty), reads
 
     def ev(g: Formula, env: tuple) -> tuple[Verdict3, int]:
         # env: two tuples, innermost first: the (term, arity) of each
@@ -308,11 +378,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         # dangling indices, and the (instance, memo dict) of each enclosing
         # context quantifier.  Returns the verdict and its read set.
         match g:
-            case Holds(ctx):
-                if ctx.head is not None and (
-                    isinstance(ctx.head, str) or ctx.head.index >= len(env[1])
-                ):
-                    raise ValueError("bounded_validity needs a closed formula")
+            case Holds():
                 failure, reads = holds(g, env)
                 if failure is not None:
                     return Verdict3(INVALID, (failure,)), reads
@@ -361,8 +427,10 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
                     ("witness", VALID) if isinstance(g, ExistsTm) else ("counterexample", INVALID)
                 )
                 saw_unknown = False
-                reads = 0
-                for choice, inner in choices(g, env):
+                # a typed range starts from what each body it skips reads
+                typed = typed_range(g, env) if bit else None
+                over, reads = typed if typed is not None else (choices(g, env), 0)
+                for choice, inner in over:
                     sub, r = ev(g.body, inner)
                     reads |= r
                     if sub.value == stop:
@@ -413,6 +481,26 @@ def _bound_nominals(f: Formula, c: int = 0) -> set:
     return set()
 
 
+def _guard(g: Formula) -> Holds | None:
+    """The atom `{G |- x : A}` that decides the body of the term quantifier
+    `g` whenever it fails, or None: the left side of a `forall`'s
+    implication, or an `exists`'s body or left conjunct.  Its term is the
+    whole variable `x` at base arity, its type `A` is atomic, and neither
+    `A` nor a binding of `G` mentions `x`."""
+    match g:
+        case ForallTm(_, _, Imp(Holds() as atom, _)) | ExistsTm(
+            _, _, (Holds() as atom) | Conj(Holds() as atom, _)
+        ):
+            if (
+                g.arity == O
+                and atom.term == Atom(BVar(0))
+                and isinstance(atom.ty, AtomicType)
+                and 0 not in _dangling(atom.ty).union(*(_dangling(t) for _, t in atom.ctx.bindings))
+            ):
+                return atom
+    return None
+
+
 def _fails(check, *args):
     """The LFError that `check(*args)` raises, or else what it returns: None
     for a checker, a type for `synth_term`.  A memo or a trace may keep the
@@ -437,16 +525,23 @@ def _drop_frames(err: BaseException | None) -> None:
         err = err.__cause__
 
 
-def _check_atomic(memo: dict, key, term, sig, ctx: LFContext, ty: AtomicType):
-    """The LFError of checking the term `term()` against the atomic type
-    `ty` in `ctx`, or None.  That is the term's synthesis, which does not
-    read the type, kept in `memo` at `key` with the term (`term()` runs on
-    a miss only), and a comparison of the synthesized type with `ty`."""
+def _synthesized(memo: dict, key, term, sig, ctx: LFContext):
+    """The term `term()` and the type it synthesizes in `ctx`, or the
+    LFError of its synthesis, kept in `memo` at `key` (`term()` runs on a
+    miss only)."""
     hit = memo.get(key)
     if hit is None:
         t = term()
         hit = memo[key] = (t, _fails(synth_term, sig, ctx, t))
-    t, have = hit
+    return hit
+
+
+def _check_atomic(memo: dict, key, term, sig, ctx: LFContext, ty: AtomicType):
+    """The LFError of checking the term `term()` against the atomic type
+    `ty` in `ctx`, or None.  That is the term's synthesis, which does not
+    read the type, kept in `memo` (`_synthesized`), and a comparison of the
+    synthesized type with `ty`."""
+    t, have = _synthesized(memo, key, term, sig, ctx)
     if isinstance(have, LFError):
         return have
     return _fails(_compare, t, have, ty, ctx)
@@ -455,14 +550,16 @@ def _check_atomic(memo: dict, key, term, sig, ctx: LFContext, ty: AtomicType):
 class _Context:
     """A context the oracles judge in, with the failure of its own
     judgement (None if it is well-formed) and the memos of the judgements
-    made in it: each type argument's, and each term's synthesis."""
+    made in it: each type argument's, each term's synthesis, and a pool's
+    terms by the type each synthesizes."""
 
-    __slots__ = ("sig", "g", "failure", "judged", "synthesized")
+    __slots__ = ("sig", "g", "failure", "judged", "synthesized", "indexed")
 
     def __init__(self, sig: Signature, g: LFContext, failure: LFError | None):
         self.sig, self.g, self.failure = sig, g, failure
         self.judged: dict = {}  # (id(argument), kind domain) -> (argument, None or LFError)
         self.synthesized: dict = {}  # key of the term -> (term, type or LFError)
+        self.indexed: dict = {}  # arity -> the index of `inhabitants`
 
     def check_arg(self, sig, g, local, arg, domain):
         """`_check_term`, memoised for the arguments of a type formed in
@@ -481,6 +578,22 @@ class _Context:
             # a fresh exception: raising the stored one would keep this
             # frame, and so the memo, in its traceback
             raise LFError("{}", hit[1]) from hit[1]
+
+    def inhabitants(self, arity, pool) -> dict:
+        """Each atomic type that terms of `pool`, the pool of `arity`,
+        synthesize in this context, mapped to those terms in pool order.
+        Built once per arity, from each term's synthesis in `synthesized`,
+        at the key `(id(term),)` that an atom whose term is a quantifier's
+        variable uses; a term whose synthesis fails or gives a Pi type
+        checks against no atomic type, and is left out."""
+        index = self.indexed.get(arity)
+        if index is None:
+            index = self.indexed[arity] = {}
+            for m in pool:
+                _, have = _synthesized(self.synthesized, (id(m),), lambda: m, self.sig, self.g)
+                if not isinstance(have, (LFError, PiType)):
+                    index.setdefault(have, []).append(m)
+        return index
 
     def type_formed(self, ty: AtomicType) -> bool:
         return _fails(check_type, self.sig, self.g, ty, self.check_arg) is None

@@ -422,6 +422,21 @@ def test_signature_memo_keeps_no_failure(tmp_path, capsys, text, code):
     assert run(capsys, "check", str(bad)) == first
 
 
+def test_the_package_runs_as_a_module():
+    # `python -m lfport` from an uninstalled checkout, as `lfport` runs
+    src = str(Path(lfport.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "lfport", "check", "fixtures/sig_size.lf"],
+        capture_output=True,
+        cwd=FIXTURES.parent,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (
+        0, b"ok: signature with 12 declarations\n", b""
+    )
+
+
 def test_signature_memo_is_bounded():
     assert cli._checked_signature.cache_info().maxsize is not None
 

@@ -1,8 +1,10 @@
 """Bounded validity and the metatheorem harnesses."""
 
+import inspect
 import itertools
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -549,6 +551,8 @@ def test_a_term_is_synthesized_once_per_pool_term_it_mentions(sig_size, monkeypa
     # Bounds(3, 1), `plus z z N` is witnessed at N = z by the third D, and
     # `plus z (s z) N` at N = s z by the sixth, after all 10 D failed for
     # N = z: 16 (N, D) pairs, a term judgement each in the plain evaluator.
+    # The atom guards D, whose range is read from the index of its context,
+    # which synthesizes every pool term once, whichever D is the witness.
     plain = Counter()
     real = check_term
     monkeypatch.setitem(
@@ -556,7 +560,7 @@ def test_a_term_is_synthesized_once_per_pool_term_it_mentions(sig_size, monkeypa
     )
     calls = counting(monkeypatch)
     pool = term_pool(sig_size, O, 3)
-    for spine, pairs, synthesized in (("z z", 3, 3), ("z (s z)", 16, len(pool))):
+    for spine, pairs, synthesized in (("z z", 3, len(pool)), ("z (s z)", 16, len(pool))):
         f = parse_formula(f"exists N : o. exists D : o. {{ |- D : plus {spine} N }}", {})
         plain.clear()
         calls.clear()
@@ -658,6 +662,176 @@ def test_matches_plain_on_random_formulas_over_parameterised_schemas(
     for seed in range(seeds):
         f = random_formula(random.Random(seed), schemas_stlc, schema=schema)
         assert_same(sig_stlc, f, Bounds(2, blocks))
+
+
+# ---------------------------------------------------------------------------
+# Typed ranges: a quantifier whose body a guard atom decides runs over the
+# pool terms that pass the guard, read from its context's index.
+
+GUARDED = {
+    # the three guard shapes: a universal's implication, an existential's
+    # atom and its left conjunct
+    "forall N : o. { |- N : nat } => { |- s N : tm }": INVALID,
+    "forall N : o. exists D : o. { |- D : plus N z N }": UNKNOWN,
+    "exists N : o. exists D : o. { |- D : plus N N N } /\\ { |- s N : tm }": UNKNOWN,
+    # a guard type ill-formed unless the outer terms are nats: the whole
+    # pool, which the read-set stop ends at its first term
+    "forall N1 : o. forall N2 : o. { |- N1 : nat } => { |- N2 : nat } => "
+    "exists N3 : o. exists D : o. { |- D : plus N1 N2 N3 }": UNKNOWN,
+    # a guard context whose binding forms for some choices of M, and one
+    # whose binding never forms
+    "forall M : o. exists N : o. { n1 : size M z |- N : nat } /\\ { |- M : tm }": UNKNOWN,
+    "forall N : o. { n1 : size z z |- N : nat } => { |- N : tm }": UNKNOWN,
+    # an empty range for every N: only the guard type reads N
+    "forall N : o. exists D : o. { |- D : plus z N (s N) }": UNKNOWN,
+    # an outer read-set stop over an empty range: at N = z the existential
+    # is Unknown, and only its guard type reads N; at N = s z it is Valid
+    # and the implication fails
+    "forall N : o. (exists D : o. { |- D : plus z (s z) N }) => { |- z : tm }": INVALID,
+    # guards headed by a context variable: the pool nominals n1 and n2 take
+    # their types from the instance
+    "ctx G : Csize. forall N : o. { G |- N : tm } => { G |- N : nat }": INVALID,
+    "ctx G : Csize. exists N : o. { G, n9 : nat |- N : size n1 (s z) } /\\ { G |- N : tm }": UNKNOWN,
+    "ctx G : Csize. forall N : o. exists D : o. { G |- D : size N (s z) }": UNKNOWN,
+    # not guards: x in the guard's type or context, x under a constant, a
+    # universal's conjunct and an existential's implication
+    "forall N : o. { |- N : plus N N N } => { |- N : nat }": UNKNOWN,
+    "forall N : o. { n1 : size N z |- N : nat } => { |- N : tm }": UNKNOWN,
+    "forall N : o. { |- s N : nat } => { |- N : nat }": UNKNOWN,
+    "forall N : o. { |- N : nat } /\\ { |- N : tm }": INVALID,
+    "exists N : o. { |- N : nat } => { |- N : tm }": VALID,
+}
+
+
+def test_guarded_quantifiers_match_plain(sig_size, schemas_size):
+    verdicts = {}
+    for text, value in GUARDED.items():
+        f = parse_formula(text, schemas_size)
+        for bounds in (Bounds(2, 1), Bounds(3, 2), Bounds(3, 1, 2)):
+            verdicts[text, bounds] = assert_same(sig_size, f, bounds).value
+        assert verdicts[text, Bounds(3, 2)] == value, text
+    stop = "forall N : o. (exists D : o. { |- D : plus z (s z) N }) => { |- z : tm }"
+    trace = bounded_validity(sig_size, parse_formula(stop, {}), Bounds(3, 2)).trace
+    assert trace[0] == "counterexample N = Atom(head='s', args=(Atom(head='z', args=()),))"
+
+
+def test_guards_are_recognised_by_shape(schemas_size):
+    guarded = [
+        text for text in GUARDED
+        if any(oracle._guard(g) is not None for g in _subformulas(parse_formula(text, schemas_size)))
+    ]
+    assert guarded == list(GUARDED)[:11]
+    # x at a higher arity is no guard
+    f = ForallTm("M", Arrow(O, O), Imp(Holds(ce(), a(BVar(0)), at("tm")), Top()))
+    assert oracle._guard(f) is None
+
+
+def test_a_guarded_quantifier_compares_only_its_range(sig_size, monkeypatch):
+    # Of the 32 pool terms at size 4, four are nats: each is synthesized
+    # once, for the index, and only the four are compared with `nat`.
+    compared = []
+    compare = oracle._compare
+    monkeypatch.setattr(oracle, "_compare", lambda *args: compared.append(args[0]) or compare(*args))
+    calls = counting(monkeypatch)
+    f = parse_formula("forall N : o. { |- N : nat } => tt", {})
+    verdict = bounded_validity(sig_size, f, Bounds(4, 1))
+    assert verdict == Verdict3(UNKNOWN, ("universal valid at bound; domain is unbounded",))
+    assert calls["check_term"] == len(term_pool(sig_size, O, 4)) == 32
+    assert [repr(m) for m in compared] == [
+        "Atom(head='z', args=())",
+        "Atom(head='s', args=(Atom(head='z', args=()),))",
+        "Atom(head='s', args=(Atom(head='s', args=(Atom(head='z', args=()),)),))",
+        "Atom(head='s', args=(Atom(head='s', args=(Atom(head='s', args=(Atom(head='z', args=()),)),)),))",
+    ]
+
+
+@pytest.mark.parametrize("kind", [ForallTm, ExistsTm])
+@pytest.mark.parametrize("head", ["G", BVar(0)])
+def test_an_open_guard_is_refused(kind, head, sig_size):
+    guard = Holds(ce(head=head), a(BVar(0)), at("nat"))
+    f = kind("N", O, Imp(guard, Top()) if kind is ForallTm else guard)
+    assert oracle._guard(f) is guard
+    assert assert_same(sig_size, f, Bounds(2, 1)) == (
+        ValueError, "bounded_validity needs a closed formula"
+    )
+    # over an empty pool no body, and so no guard, is evaluated
+    sig = parse_signature("nat : Type. s : nat -> nat.")
+    assert term_pool(sig, O, 2) == ()
+    assert assert_same(sig, f, Bounds(2, 1)).trace == (oracle._EXHAUSTED[kind][False],)
+
+
+@pytest.mark.parametrize("name", ["sig_size", "sig_stlc"])
+def test_a_typed_range_is_the_pool_filtered_by_check_term(name, request):
+    # For every atomic type whose arguments are pool terms of size 3 or
+    # less, at every pool size up to 5: the index of a context gives the
+    # pool terms that check against the type, in pool order.  Checking
+    # every pool term against each ill-formed type would take minutes on
+    # the extended signature, so an ill-formed type is checked against the
+    # terms up to size 3; it is in no index.
+    sig = request.getfixturevalue(name)
+    types = [
+        at(c, *spine)
+        for c, arities in sig.arity_context().type_args.items()
+        for spine in itertools.product(*(term_pool(sig, ar, 3) for ar in arities))
+    ]
+    g = LFContext()
+    formed = [ty for ty in types if oracle._fails(check_type, sig, g, ty) is None]
+    ill_formed = [ty for ty in types if ty not in formed]
+    checks = lambda pool, ty: [m for m in pool if oracle._fails(check_term, sig, g, m, ty) is None]
+    for size in range(1, 6):
+        pool = term_pool(sig, O, size)
+        index = oracle._Context(sig, g, None).inhabitants(O, pool)
+        for ty in formed:
+            assert index.get(ty, []) == checks(pool, ty), (size, ty)
+        assert not set(index).intersection(ill_formed)
+    small = term_pool(sig, O, 3)
+    assert all(checks(small, ty) == [] for ty in ill_formed)
+    # the terms of size 5 or less that check against some of the types
+    assert sum(len(index.get(ty, [])) for ty in formed) == {"sig_size": 12, "sig_stlc": 16}[name]
+
+
+def test_the_index_reads_the_types_of_pool_nominals_from_its_context(sig_size):
+    # n1 : tm and n2 : size n1 (s z), as a Csize instance binds them
+    g = LFContext(((nom(1), at("tm")), (nom(2), at("size", a(nom(1)), a("s", a("z"))))))
+    pool = term_pool(sig_size, O, 3, 2)
+    index = oracle._Context(sig_size, g, None).inhabitants(O, pool)
+    for ty, terms in index.items():
+        assert terms == [m for m in pool if oracle._fails(check_term, sig_size, g, m, ty) is None]
+    assert index[at("size", a(nom(1)), a("s", a("z")))] == [a(nom(2))]
+    assert a(nom(1)) in index[at("tm")]
+
+
+def test_transport_oracle_compares_verdicts_decided_on_both_sides(
+    sig_size, rel_size, schemas_size
+):
+    # `{G |- z : nat} => exists N : o. {G |- N : nat}` is Valid on both
+    # sides of each of the 3 instances at (3, 2), so the agreement
+    # obligation compares two decided verdicts: its comparison runs.
+    f = parse_formula((replay.GOLDEN.parent / "exists_nat.fml").read_text(encoding="utf-8"), {})
+    code = oracle.verify_transport.__code__
+    source, first = inspect.getsourcelines(oracle.verify_transport)
+    watched = {
+        first + i for i, line in enumerate(source)
+        if "v_big.value not in decided" in line or "v_small.value == v_big.value" in line
+    }
+    assert len(watched) == 2
+    ran = Counter()
+
+    def lines(frame, event, arg):
+        if event == "line" and frame.f_lineno in watched:
+            ran[frame.f_lineno] += 1
+        return lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: lines if frame.f_code is code else None)
+    try:
+        report = verify_transport(
+            sig_size, rel_size, schemas_size["Cempty"], schemas_size["Csize"], "G", f, Bounds(3, 2)
+        )
+    finally:
+        sys.settrace(previous)
+    assert report.render().splitlines()[-1] == "PASS (15 obligations, 0 counterexamples)"
+    assert ran == {line: 3 for line in watched}
 
 
 # ---------------------------------------------------------------------------
