@@ -54,12 +54,10 @@ from .formula import (
     WfEnv,
     check_formula,
     subst_ctx,
-    subst_terms,
 )
 from .subsume import (
     TransportCertificate,
     TransportFailure,
-    block_subsumes,
     ce_subsumes,
     make_variant,
     prune_ok,

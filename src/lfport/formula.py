@@ -31,7 +31,6 @@ from .lf import (
     _nodes,
     _open_named,
     _primed,
-    apply_subst,
     arity_check_term,
     arity_check_type,
     erase,
@@ -311,12 +310,6 @@ def _map_atoms(f: Formula, each, depth: int = 0, cdepth: int = 0) -> Formula:
     return _rebuild(f, lambda g: _map_atoms(g, each, depth, cdepth))
 
 
-def _map_lf(h: Holds, fn) -> Holds:
-    """The atom with `fn` applied to its LF parts (`_lf_parts`)."""
-    bindings = tuple((n, fn(t)) for n, t in h.ctx.bindings)
-    return Holds(CtxExpr(h.ctx.head, bindings), fn(h.term), fn(h.ty))
-
-
 def _splice(h: Holds, repl: Optional[CtxExpr]) -> Holds:
     """The atom with `repl` in place of its context variable: the explicit
     bindings of the atom come after those of `repl`."""
@@ -341,25 +334,3 @@ def open_ctx(body: Formula, ce: CtxExpr) -> Formula:
     """The body of a context quantifier with no other one above it, with
     its variable replaced by `ce`, which has no dangling index."""
     return _map_atoms(body, lambda h, d, c: _splice(h, ce) if h.ctx.head == BVar(c) else h)
-
-
-# ---------------------------------------------------------------------------
-# Substitution of terms for free term variables.
-
-
-def subst_terms(f: Formula, theta: Mapping[str, tuple[Term, Arity]]) -> Formula:
-    """Distribute an arity-indexed substitution of locally closed terms
-    over a formula, including the types in explicit context bindings."""
-    if not theta:
-        return f
-    return _map_atoms(f, lambda h, d, c: _map_lf(h, lambda e: apply_subst(e, theta)))
-
-
-# ---------------------------------------------------------------------------
-# Alpha equivalence: binders are indices, so it is equality.
-
-
-def formula_key(f: Formula):
-    """A hashable key identical for alpha-equivalent formulas: the formula
-    itself."""
-    return f

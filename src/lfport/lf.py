@@ -546,16 +546,6 @@ def _shift(term: Term, k: int) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Alpha equivalence.
-
-
-def alpha_key(e: Expr):
-    """A hashable key identical for alpha-equivalent expressions: the
-    expression itself, since binders are indices."""
-    return e
-
-
-# ---------------------------------------------------------------------------
 # Arity-indexed (hereditary) substitution.
 
 

@@ -45,9 +45,11 @@ neither `A` nor `G` mentioning `x`) has a typed range: only the pool terms
 that pass the guard, in pool order.  Each per-context memo keeps an index,
 built once per arity from the syntheses of the whole pool, from each
 synthesized atomic type to the pool terms that synthesize it, and the
-range is the index's entry for `A`.  A skipped term's body would have been
-neither the quantifier's stop value nor Unknown, so verdicts and traces
-stay those of the plain evaluator (`bounded_validity` gives the argument).
+range is the index's entry for `A`, or empty when `G` or `A` does not
+form.  A skipped term's body would have been neither the quantifier's stop
+value nor Unknown, so verdicts and traces stay those of the plain
+evaluator (`bounded_validity` gives the argument, with its one fallback
+and its one trap).
 
 The minimization harness works per level, a run of enumerated contexts
 with equal nominal heads (`_nominal_heads`), which the breadth-first
@@ -86,7 +88,6 @@ from .formula import (
     Holds,
     Imp,
     Top,
-    formula_key,
     subst_ctx,
 )
 from .lf import (
@@ -243,22 +244,23 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
     it fails (`_guard`) ranges only over the pool terms that pass the
     guard: once `G` and `A` are formed, through the atom's own memos, the
     range is the entry for `A` in the index of `G`'s memo
-    (`_Context.inhabitants`), in pool order.  This is exact.  Against an
-    atomic `A` a term check is the term's synthesis and a comparison of
-    the synthesized type with `A`, so the entry holds exactly the pool
-    terms that pass the guard.  A skipped term fails the guard, so its
-    body is Valid under `forall` and Invalid under `exists`: never the
-    stop value and never Unknown.  Its read set is the guard's, which has
-    bit 0, so it never stops the loop, and which every kept body reads
-    too.  The value, the first stop, the trace and the exhaustion line
-    are therefore unchanged.  Two traps keep today's verdicts:
-    - if `G` or `A` does not form, the range is the whole pool: the guard
-      then fails without reading `x`, and the read-set stop ends the loop
-      at the first term;
-    - the loop's read set starts as the guard's, so an empty range returns
-      Unknown, with the exhaustion line of no Unknown body, and the
-      guard's read set less bit 0, as the skipped bodies would; an outer
-      read-set stop then fires exactly where it did.
+    (`_Context.inhabitants`), in pool order, and if either does not form,
+    the range is empty.  This is exact.  Against an atomic `A` a term
+    check is the term's synthesis and a comparison of the synthesized type
+    with `A`, so the entry holds exactly the pool terms that pass the
+    guard, and no term passes a guard that does not form.  A skipped term
+    fails the guard, so its body is Valid under `forall` and Invalid under
+    `exists`: never the stop value and never Unknown.  Its read set is the
+    guard's, which every kept body reads too.  When the guard is formed,
+    that read set has bit 0 and never stops the loop; when it is not, it
+    lacks bit 0, and the loop would stop at the first term.  The value,
+    the first stop, the trace and the exhaustion line are therefore
+    unchanged.  One fallback: a quantifier without a guard, or with an
+    empty pool, ranges over the whole pool.  One trap keeps today's
+    verdicts: the loop's read set starts as the guard's, so an empty range
+    returns Unknown, with the exhaustion line of no Unknown body, and the
+    guard's read set less bit 0, as the skipped bodies would; an outer
+    read-set stop then fires exactly where it did.
     """
     ranges: dict = {}  # arity -> pool terms, schema -> instances
     # Per-node memos, id(node) -> (node, ...).  An atom headed by a context
@@ -295,9 +297,9 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
 
     def typed_range(g, env):
         """The choices of the term quantifier `g` that pass its guard, with
-        the guard's read set, or None to range over the whole pool: when
-        `g` has no guard, its pool is empty, or the guard's context or type
-        does not form under `env`."""
+        the guard's read set, and no choice if the guard's context or type
+        does not form under `env`; or None, to range over the whole pool,
+        when `g` has no guard or its pool is empty."""
         hit = memo.get(id(g))
         if hit is None:
             hit = memo[id(g)] = (g, _guard(g))
@@ -308,9 +310,7 @@ def bounded_validity(sig: Signature, f: Formula, bounds: Bounds) -> Verdict3:
         inst, ctxs = env
         # the guard's context and type do not read x, so no choice is put in
         judged, ty, failure, reads = formed(guard, (((None, g.arity),) + inst, ctxs))
-        if failure is not None:
-            return None
-        inhabitants = judged.inhabitants(g.arity, pool).get(ty, ())
+        inhabitants = judged.inhabitants(g.arity, pool).get(ty, ()) if failure is None else ()
         return ((t, (((t, g.arity),) + inst, ctxs)) for t in inhabitants), reads
 
     def formed(g, env):
@@ -829,13 +829,12 @@ def verify_transport(
     if isinstance(cert, TransportFailure):
         report.refused = f"no certificate: {cert.message}"
         return report
-    validity_cache: dict = {}
+    validity_cache: dict = {}  # formula -> its bounded validity
 
     def cached_validity(g: Formula) -> Verdict3:
-        key = formula_key(g)
-        if key not in validity_cache:
-            validity_cache[key] = bounded_validity(sig, g, bounds)
-        return validity_cache[key]
+        if g not in validity_cache:
+            validity_cache[g] = bounded_validity(sig, g, bounds)
+        return validity_cache[g]
 
     for g_big in enumerate_instances(
         sig, target, bounds.schema_blocks_max, bounds.term_size_max, bounds.pool_nominals

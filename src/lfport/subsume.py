@@ -253,26 +253,15 @@ def _close_permutation(mapping: Mapping[str, str]) -> dict[str, str]:
     return perm
 
 
-def block_subsumes(
-    rel: SubordRel,
-    target: BlockSchema,
-    f: Formula,
-    gamma: str,
-    source: ContextSchema,
-) -> Optional[BlockMatch]:
-    """Find a source block and a variant of the target block whose
-    declaration both prunes (relative to the whole source schema) and
-    ce-subsumes into the source declaration, by `_search_block`.  The
-    inputs must be checked (`check_schema`, `check_formula`)."""
-    return _search_block(target, source, _drop_basis(rel, f, gamma, source), 0)
-
-
 def _search_block(
     target: BlockSchema, source: ContextSchema, basis, target_index: int
 ) -> Optional[BlockMatch]:
-    """`block_subsumes`, given the `_drop_basis`, from which it computes
-    `keep`, the positions of the target block no alignment may drop
-    (`_undroppable`).
+    """The match of the target block at `target_index` that
+    `schema_subsumes` searches for: a source block and a variant of the
+    target block whose declaration both prunes (relative to the whole
+    source schema) and ce-subsumes into the source declaration, or None.
+    It computes from the `_drop_basis` `keep`, the positions of the target
+    block no alignment may drop (`_undroppable`).
 
     An alignment embeds a source declaration as a subsequence of the
     target's; the renaming its entry pairs derive by structural matching

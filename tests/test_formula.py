@@ -1,4 +1,4 @@
-"""Formulas: well-formedness and the two substitution operations."""
+"""Formulas: well-formedness, and substitution for context variables."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from lfport import (
     WfEnv,
     check_formula,
     subst_ctx,
-    subst_terms,
 )
 from lfport.formula import (
     ArityCheckFailure,
@@ -23,7 +22,7 @@ from lfport.formula import (
 )
 from lfport.lf import BVar
 from lfport.schema import ContextSchema
-from util import a, at, ce, nom, quantify
+from util import a, at, ce, instantiate, nom, quantify
 
 
 def holds(ctx, term, ty):
@@ -105,33 +104,14 @@ def test_subst_ctx_identity():
     assert subst_ctx(f, {}) == f
 
 
-def test_subst_terms_atom():
-    f = holds(ce(), a("D"), at("plus", a("N1"), a("N2"), a("N3")))
-    out = subst_terms(f, {"N1": (a("z"), O)})
-    assert out == holds(ce(), a("D"), at("plus", a("z"), a("N2"), a("N3")))
-
-
-def test_subst_terms_shields_bound_variable():
-    f = quantify(ForallTm, "N1", O, holds(ce(), a("N1"), at("nat")))
-    assert subst_terms(f, {"N1": (a("z"), O)}) == f
-
-
-def test_subst_terms_reaches_context_bindings():
-    f = holds(
-        ce((nom(1), at("size", a("X"), a("s", a("z")))), head="G"),
-        a("M"),
-        at("nat"),
-    )
-    out = subst_terms(f, {"X": (a(nom(2)), O)})
-    assert out.ctx.bindings[0][1] == at("size", a(nom(2)), a("s", a("z")))
-
-
 def test_subst_operations_commute_when_independent():
-    f = holds(ce(head="G"), a("D"), at("plus", a("N1"), a("N1"), a("N2")))
+    # substituting for a context variable, and putting a term in for a
+    # term quantifier's variable
+    atom = holds(ce(head="G"), a("D"), at("plus", a("N1"), a("N1"), a("N2")))
+    f = quantify(ForallTm, "N1", O, atom)
     sigma = {"G": ce((nom(1), at("tm")))}
-    theta = {"N1": (a("z"), O)}
-    assert subst_ctx(subst_terms(f, theta), sigma) == subst_terms(
-        subst_ctx(f, sigma), theta
+    assert subst_ctx(instantiate(f.body, a("z"), O), sigma) == instantiate(
+        subst_ctx(f, sigma).body, a("z"), O
     )
 
 

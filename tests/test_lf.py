@@ -362,47 +362,6 @@ def test_substitution_preserves_arity_typing(sig_size):
 # Fast paths, each against the plain computation it stands for.
 
 
-def _alpha_cases():
-    # Alpha-variants, shadowed binders, nominals and free names; each tree
-    # also appears as a distinct but equal object.
-    base = [
-        lam("x", a("x")),
-        lam("y", a("y")),
-        lam("x", lam("x", a("x"))),
-        lam("x", lam("y", a("x"))),
-        lam("y", lam("x", a("y"))),
-        lam("x", lam("y", a("y"))),
-        lam("x", a("y")),
-        lam("y", a("x")),
-        a("app", a("x"), a(nom(1))),
-        a("app", a("x"), a(nom(2))),
-        a("lam", lam("x", a("app", a("x"), a("x")))),
-        a("lam", lam("z", a("app", a("z"), a("z")))),
-        at("size", a("x"), a("s", a("z"))),
-        pi("x", at("tm"), at("size", a("x"), a("z"))),
-        pi("y", at("tm"), at("size", a("y"), a("z"))),
-        pi("x", at("tm"), pi("x", at("tm"), at("size", a("x"), a("z")))),
-        pi("x", at("tm"), pi("y", at("tm"), at("size", a("x"), a("z")))),
-        pi("y", at("tm"), pi("x", at("tm"), at("size", a("y"), a("z")))),
-        pi("x", at("tm"), at("size", a("y"), a("z"))),
-    ]
-    rebuilt = [copy.deepcopy(e) for e in base]
-    assert all(r == e and r is not e for r, e in zip(rebuilt, base))
-    return base + rebuilt
-
-
-def test_equality_agrees_with_alpha_keys():
-    from lfport.lf import alpha_key
-
-    cases = _alpha_cases()
-    verdicts = set()
-    for x in cases:
-        for y in cases:
-            verdicts.add((x == y, alpha_key(x) == alpha_key(y)))
-    # alpha-variants are equal trees; inequivalent ones are not
-    assert verdicts == {(True, True), (False, False)}
-
-
 def test_alpha_variants_are_equal_and_hash_alike():
     variants = [
         # renamed binders
@@ -419,8 +378,26 @@ def test_alpha_variants_are_equal_and_hash_alike():
     for x, y in variants:
         assert x == y and hash(x) == hash(y), (x, y)
         assert x.var != y.var or x.body.var != y.body.var  # hints differ
-    # the binder referred to still matters
-    assert lam("x", lam("y", a("x"))) != lam("x", lam("y", a("y")))
+    inequivalent = [
+        # the binder referred to still matters
+        (lam("x", lam("y", a("x"))), lam("x", lam("y", a("y")))),
+        (pi("x", at("tm"), pi("x", at("tm"), at("size", a("x"), a("z")))),
+         pi("x", at("tm"), pi("y", at("tm"), at("size", a("x"), a("z"))))),
+        # a bound variable against a free name, and free names or
+        # nominals that differ
+        (lam("x", a("x")), lam("x", a("y"))),
+        (lam("x", a("y")), lam("y", a("x"))),
+        (pi("x", at("tm"), at("size", a("x"), a("z"))),
+         pi("x", at("tm"), at("size", a("y"), a("z")))),
+        (a("app", a("x"), a(nom(1))), a("app", a("x"), a(nom(2)))),
+        # a type against one under a binder
+        (at("size", a("x"), a("s", a("z"))), pi("x", at("tm"), at("size", a("x"), a("z")))),
+    ]
+    for x, y in inequivalent:
+        assert x != y, (x, y)
+    # a tree equals its copy, a distinct object
+    for x in [e for pair in variants + inequivalent for e in pair]:
+        assert copy.deepcopy(x) == x
     # a bound variable differs from a free name of the same spelling
     assert lam("x", a("x")) != Lam("x", a("x"))
 

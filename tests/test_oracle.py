@@ -41,15 +41,15 @@ from lfport import (
     verify_transport,
 )
 from lfport import oracle
-from lfport.formula import _map_atoms, _map_lf, _subformulas, open_ctx
-from lfport.lf import BVar, PiType, _map_heads, _subst, fresh_nominal, nominals_in
+from lfport.formula import _subformulas, open_ctx
+from lfport.lf import BVar, PiType, _map_heads, fresh_nominal, nominals_in
 from lfport.oracle import INVALID, UNKNOWN, VALID, OracleReport, Verdict3
 from lfport.parse import parse_formula, parse_schemas, parse_signature
 from lfport.pretty import fmt_formula
 from lfport.subsume import _val_deriv
 from conftest import FIXTURES
 from golden import replay
-from util import a, at, ce, nom, quantify, random_formula
+from util import a, at, ce, instantiate, nom, quantify, random_formula
 
 
 def test_bounds_validation():
@@ -191,11 +191,6 @@ def test_report_rendering():
 
 # ---------------------------------------------------------------------------
 # The environment evaluator against the plain substitution evaluator.
-
-
-def instantiate(body, term, arity):
-    """The body of a term quantifier with `term` put in for its variable."""
-    return _map_atoms(body, lambda h, d, c: _map_lf(h, lambda e: _subst(e, {}, d, ((term, arity),))))
 
 
 def plain_validity(sig, f, bounds):
@@ -674,10 +669,11 @@ GUARDED = {
     "forall N : o. { |- N : nat } => { |- s N : tm }": INVALID,
     "forall N : o. exists D : o. { |- D : plus N z N }": UNKNOWN,
     "exists N : o. exists D : o. { |- D : plus N N N } /\\ { |- s N : tm }": UNKNOWN,
-    # a guard type ill-formed unless the outer terms are nats: the whole
-    # pool, which the read-set stop ends at its first term
+    # a guard type ill-formed unless the outer terms are nats, under an
+    # existential and under a universal: an empty range
     "forall N1 : o. forall N2 : o. { |- N1 : nat } => { |- N2 : nat } => "
     "exists N3 : o. exists D : o. { |- D : plus N1 N2 N3 }": UNKNOWN,
+    "forall N : o. forall M : o. { |- M : size N z } => { |- M : tm }": UNKNOWN,
     # a guard context whose binding forms for some choices of M, and one
     # whose binding never forms
     "forall M : o. exists N : o. { n1 : size M z |- N : nat } /\\ { |- M : tm }": UNKNOWN,
@@ -720,7 +716,7 @@ def test_guards_are_recognised_by_shape(schemas_size):
         text for text in GUARDED
         if any(oracle._guard(g) is not None for g in _subformulas(parse_formula(text, schemas_size)))
     ]
-    assert guarded == list(GUARDED)[:11]
+    assert guarded == list(GUARDED)[:12]
     # x at a higher arity is no guard
     f = ForallTm("M", Arrow(O, O), Imp(Holds(ce(), a(BVar(0)), at("tm")), Top()))
     assert oracle._guard(f) is None

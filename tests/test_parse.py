@@ -14,7 +14,6 @@ from lfport import (
     Nominal,
     O,
     subst_ctx,
-    subst_terms,
 )
 from lfport.lf import BVar, PiType, TermDecl, TypeDecl
 from lfport.parse import (
@@ -85,10 +84,10 @@ def test_formula_round_trip(schemas_size, plus_closed, plus_body):
 
 
 def test_substituted_formulas_round_trip(schemas_size):
-    # a name substituted under a quantifier hinted like it stays free in
-    # print: the quantifier is primed, for a term and a context variable
-    body = Imp(Holds(ce(), a("z"), at("nat")), Holds(ce(), a("X"), at("nat")))
-    f = subst_terms(quantify(ForallTm, "z", O, body), {"X": (a("z"), O)})
+    # a free name under a quantifier hinted like it, as a substitution
+    # leaves it, stays free in print: the quantifier is primed, for a term
+    # and a context variable
+    f = ForallTm("z", O, Imp(Holds(ce(), a(BVar(0)), at("nat")), Holds(ce(), a("z"), at("nat"))))
     assert fmt_formula(f) == "forall z' : o. {|- z' : nat} => {|- z : nat}"
     body = Conj(Holds(ce(head="G"), a("z"), at("nat")), Holds(ce(head="H"), a("z"), at("nat")))
     g = subst_ctx(quantify(ForallCtx, "G", schemas_size["Cempty"], body, "Cempty"),

@@ -20,8 +20,8 @@ from lfport import (
     PiType,
     Top,
 )
-from lfport.formula import _map_atoms, _map_lf
-from lfport.lf import BVar, _map_heads
+from lfport.formula import _map_atoms
+from lfport.lf import BVar, _map_heads, _subst
 
 
 def a(head, *args):
@@ -38,6 +38,18 @@ def bind(var, body):
     return _map_heads(body, lambda h, d: BVar(d) if h == var else h)
 
 
+def map_lf(h, fn):
+    """The atom `h` with `fn` applied to its LF parts: the types of its
+    explicit context bindings, its term and its type."""
+    bindings = tuple((n, fn(t)) for n, t in h.ctx.bindings)
+    return Holds(CtxExpr(h.ctx.head, bindings), fn(h.term), fn(h.ty))
+
+
+def instantiate(body, term, arity):
+    """The body of a term quantifier with `term` put in for its variable."""
+    return _map_atoms(body, lambda h, d, c: map_lf(h, lambda e: _subst(e, {}, d, ((term, arity),))))
+
+
 def quantify(kind, var, sort, body, *schema_name):
     """`kind(var, sort, body)`, a formula quantifier, with `body` written
     with `var` as a free name: each free occurrence becomes the index of
@@ -48,7 +60,7 @@ def quantify(kind, var, sort, body, *schema_name):
             return Holds(CtxExpr(BVar(c), h.ctx.bindings), h.term, h.ty) if h.ctx.head == var else h
     else:
         def each(h, d, c):
-            return _map_lf(h, lambda e: _map_heads(e, lambda x, k: BVar(k + d) if x == var else x))
+            return map_lf(h, lambda e: _map_heads(e, lambda x, k: BVar(k + d) if x == var else x))
     return kind(var, sort, _map_atoms(body, each), *schema_name)
 
 
